@@ -22,7 +22,7 @@ import re
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import logm
+from scipy.linalg import expm, logm
 
 from . import jalgebra
 from .ball import (
@@ -39,8 +39,8 @@ from .errors import (
 )
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
-from .jordan import cyclic_discreteness, jordan_decompose
-from .lie_core import Subspace, ad_matrix
+from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
+from .lie_core import Subspace, ad_matrix, bracket, residual_outside
 from .siegel import (
     DomainPoint,
     GroupElement,
@@ -76,6 +76,9 @@ CITED_WITHOUT_COMPUTATION = [
 ]
 
 
+EQUIVARIANCE_TOL = 1e-8
+
+
 @dataclass
 class AnalyzerConfig:
     seed: int = 42
@@ -92,7 +95,9 @@ class AnalyzerConfig:
 # input parsing
 # ---------------------------------------------------------------------------
 
-_TERM = re.compile(r"([+-]?[^+-]+)")
+# a signed term: an optional coefficient with its exponent kept whole
+# ("1e-9*", "2.5E+1*"), then everything up to the next sign
+_TERM = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?\*)?[^+-]*")
 
 
 def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
@@ -111,6 +116,8 @@ def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
                 coeff = float(cstr)
             except ValueError as exc:
                 raise InputError(f"bad coefficient in {term!r}") from exc
+            if not np.isfinite(coeff):
+                raise InputError(f"non-finite coefficient in {term!r}")
         else:
             coeff, lbl = 1.0, body
         x[J.L.index(lbl)] += sign * coeff
@@ -127,8 +134,6 @@ def _minus_generator_stack(M: SiegelModel):
 
 def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
     """Group element exp(x) rewritten in layered (x_minus, x_zero) form."""
-    from scipy.linalg import expm
-
     coords = M.to_adapted(x_amb)
     x0 = coords[M.p + M.q :]
     x0_amb = M.C[:, M.p + M.q :] @ x0 if M.p0 else np.zeros(M.J.dim)
@@ -145,8 +150,6 @@ def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
 
 def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
     """Single ambient log vector of exp(x_minus) exp(x_zero)."""
-    from scipy.linalg import expm
-
     n = M.J.dim
     v_minus = M.C[:, : M.p + M.q] @ g.x_minus
     v_zero = M.C[:, M.p + M.q :] @ g.x_zero
@@ -202,6 +205,8 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, config: AnalyzerCon
         raise InputError(
             f"affine map must act on packed coordinates of length {dim}"
         )
+    if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
+        raise InputError("affine map has non-finite entries")
     # sanity screen: 20 sampled interior points must stay inside
     rng = np.random.default_rng(config.seed)
     for _ in range(20):
@@ -396,6 +401,13 @@ def _descend(J, M, s, level, steps, cert, config):
 
     eq_seed = config.seed + level
     eq_res = check_equivariance(F, config.samples, seed=eq_seed)
+    if eq_res > EQUIVARIANCE_TOL:
+        cert["conclusion"] = "undecided"
+        cert["assumptions"].append(
+            f"the fibration at level {level} is not numerically equivariant "
+            f"(residual {eq_res:.2e} exceeds {EQUIVARIANCE_TOL:.0e})"
+        )
+        return
     steps.append(
         _step(
             "tower_descend",
@@ -409,7 +421,7 @@ def _descend(J, M, s, level, steps, cert, config):
                 "structure_residuals": F.residuals,
             },
             eq_res,
-            1e-8,
+            EQUIVARIANCE_TOL,
             level,
         )
     )
@@ -429,8 +441,6 @@ def _fiber_case(F: FibrationStep, M, s, level, steps, cert, config):
     V, g = totally_real_subalgebra_containing(x_b, Mf, rng)
     pts = sample_totally_real_points(Mf, 50, np.random.default_rng(config.seed + 7 * level + 1))
     defects = [abs(totally_real_defect(pt, V, Mf)) for pt in pts]
-    from .lie_core import residual_outside
-
     containment = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
     steps.append(
         _step(
@@ -590,8 +600,6 @@ def _verify_discreteness(payload, steps):
     h = np.asarray(jordan["payload"]["hyperbolic"], dtype=float)
     u = np.asarray(jordan["payload"]["unipotent"], dtype=float)
     e = np.asarray(jordan["payload"]["elliptic"], dtype=float)
-    from .jordan import JordanParts
-
     parts = JordanParts(e, h, u, 0.0)
     A = np.asarray(jordan["payload"]["matrix"], dtype=float)
     disc = cyclic_discreteness(A, parts)
@@ -640,8 +648,6 @@ def _verify_fiber(payload, F: FibrationStep, config: AnalyzerConfig):
     except HdqError as exc:
         return False, f"stored subalgebra is degenerate: {exc}", 1.0
     x_b = np.asarray(payload["log_in_fiber"], dtype=float)
-    from .lie_core import bracket, residual_outside
-
     res = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
     for i in range(V.dim):
         for j in range(i + 1, V.dim):

@@ -33,18 +33,29 @@ from .siegel import (
     build_model,
     contains,
     group_element,
-    random_element,
 )
 
 
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
+    """One level of the tower.
+
+    ``quotient_map`` is the projection from the domain's adapted coordinates
+    (the model's ``C`` basis, blocks s_{-1} | s_{-1/2} | s_0) to the
+    quotient's adapted coordinates, ``Mq.Cinv @ coords @ M.C`` with
+    ``coords`` the s'-coordinates of ``proj``; it is computed once per split.
+    It is graded, so ``project_point`` and ``push_group`` apply its diagonal
+    blocks to stacks of rows, and ``check_equivariance`` pushes all its
+    samples through it in one product per side.
+    """
+
     b_ideal: Subspace
     b_basis: np.ndarray
     b_jalgebra: NormalJAlgebra
     s_prime: NormalJAlgebra
     s_prime_basis: np.ndarray
     proj: np.ndarray
+    quotient_map: np.ndarray
     domain_model: SiegelModel
     quotient_model: SiegelModel
     fiber_model: SiegelModel
@@ -68,22 +79,22 @@ def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> Fibr
     # subalgebra: every root not involving the last fundamental root
     prime_cols = [fine.xi[k] for k in range(r - 1)]
     for sp in spaces("sum", lambda l: l[2] < r - 1):
-        prime_cols.extend(_aligned(sp).T)
+        prime_cols.extend(_aligned_basis(sp).T)
     for sp in spaces("half", lambda l: l[1] < r - 1):
-        prime_cols.extend(_aligned(sp).T)
+        prime_cols.extend(_aligned_basis(sp).T)
     prime_cols += [fine.eta[k] for k in range(r - 1)]
     for sp in spaces("diff", lambda l: l[1] < r - 1):
-        prime_cols.extend(_aligned(sp).T)
+        prime_cols.extend(_aligned_basis(sp).T)
 
     # ideal: everything the last root touches
     b_cols = [fine.xi[r - 1]]
     for sp in spaces("sum", lambda l: l[2] == r - 1):
-        b_cols.extend(_aligned(sp).T)
+        b_cols.extend(_aligned_basis(sp).T)
     for sp in spaces("half", lambda l: l[1] == r - 1):
-        b_cols.extend(_aligned(sp).T)
+        b_cols.extend(_aligned_basis(sp).T)
     b_cols.append(fine.eta[r - 1])
     for sp in spaces("diff", lambda l: l[1] == r - 1):
-        b_cols.extend(_aligned(sp).T)
+        b_cols.extend(_aligned_basis(sp).T)
 
     B_prime = np.column_stack(prime_cols) if prime_cols else np.zeros((n, 0))
     B_ideal = np.column_stack(b_cols)
@@ -98,10 +109,11 @@ def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> Fibr
     if B_prime.shape[1]:
         cross = B_prime.T @ G @ B_ideal
         residuals["orthogonality"] = float(np.max(np.abs(cross)))
-        proj = B_prime @ np.linalg.solve(B_prime.T @ G @ B_prime, B_prime.T @ G)
+        coords = np.linalg.solve(B_prime.T @ G @ B_prime, B_prime.T @ G)
     else:
         residuals["orthogonality"] = 0.0
-        proj = np.zeros((n, n))
+        coords = np.zeros((0, n))
+    proj = B_prime @ coords
 
     s_prime = subalgebra(J, B_prime)
     b_jalg = subalgebra(J, B_ideal)
@@ -112,6 +124,7 @@ def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> Fibr
 
     quotient_model = build_model(s_prime)
     fiber_model = build_model(b_jalg)
+    quotient_map = quotient_model.Cinv @ coords @ model.C
 
     return FibrationStep(
         b_ideal=Subspace(n, B_ideal),
@@ -120,16 +133,13 @@ def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> Fibr
         s_prime=s_prime,
         s_prime_basis=B_prime,
         proj=proj,
+        quotient_map=quotient_map,
         domain_model=model,
         quotient_model=quotient_model,
         fiber_model=fiber_model,
         fiber_dim=m,
         residuals=residuals,
     )
-
-
-def _aligned(V: Subspace) -> np.ndarray:
-    return _aligned_basis(V)
 
 
 def _homomorphism_defect(J: NormalJAlgebra, proj: np.ndarray) -> float:
@@ -194,24 +204,17 @@ def _ball_structure_checks(J, b_jalg, B_ideal, m) -> dict:
 # ---------------------------------------------------------------------------
 
 def project_point(point: DomainPoint, F: FibrationStep, check: bool = True) -> DomainPoint:
-    """Apply the complexified projection; the image must stay in the target."""
+    """Apply the complexified projection to a point or a stack of points.
+
+    With ``check`` the point (a single one) and its image must lie in the
+    source and target domains.
+    """
     M, Mq = F.domain_model, F.quotient_model
     if check and not contains(point, M, 1e-7):
         raise NotInDomain("point to project is outside the domain")
-    if F.s_prime.dim == 0:
-        return Mq.base_point() if Mq.p else DomainPoint(np.zeros(0, complex), np.zeros(0))
-    pinv = np.linalg.pinv(F.s_prime_basis)
-    # z-block
-    z_amb = M.C[:, : M.p] @ point.z
-    z_sub = pinv @ (F.proj @ z_amb)
-    z_q = (Mq.Cinv @ z_sub)[: Mq.p]
-    # w-block
-    if M.q:
-        w_amb = M.C[:, M.p : M.p + M.q] @ point.w
-        w_sub = pinv @ (F.proj @ w_amb)
-        w_q = (Mq.Cinv @ w_sub)[Mq.p : Mq.p + Mq.q]
-    else:
-        w_q = np.zeros(Mq.q)
+    Q = F.quotient_map
+    z_q = point.z @ Q[: Mq.p, : M.p].T
+    w_q = point.w @ Q[Mq.p : Mq.p + Mq.q, M.p : M.p + M.q].T
     out = DomainPoint(z_q, w_q)
     if check and not contains(out, Mq, 1e-7):
         raise ImageOutsideDomain("projected point left the quotient domain")
@@ -219,31 +222,31 @@ def project_point(point: DomainPoint, F: FibrationStep, check: bool = True) -> D
 
 
 def push_group(g: GroupElement, F: FibrationStep) -> GroupElement:
-    """Push exponential coordinates through the quotient homomorphism."""
+    """Push exponential coordinates (of one element or a stack) through the
+    quotient homomorphism."""
     M, Mq = F.domain_model, F.quotient_model
-    if F.s_prime.dim == 0:
-        return group_element(Mq, np.zeros(0), np.zeros(0))
-    pinv = np.linalg.pinv(F.s_prime_basis)
-    minus_amb = M.C[:, : M.p + M.q] @ g.x_minus
-    zero_amb = M.C[:, M.p + M.q :] @ g.x_zero
-    minus_q = Mq.Cinv @ (pinv @ (F.proj @ minus_amb))
-    zero_q = Mq.Cinv @ (pinv @ (F.proj @ zero_amb))
-    return group_element(Mq, minus_q[: Mq.p + Mq.q], zero_q[Mq.p + Mq.q :])
+    Q = F.quotient_map
+    k, kq = M.p + M.q, Mq.p + Mq.q
+    return group_element(Mq, g.x_minus @ Q[:kq, :k].T, g.x_zero @ Q[kq:, k:].T)
 
 
 def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> float:
-    """Max over random group elements of the square-commutation residual."""
+    """Max over random group elements s of |pi(s . z0) - pi_*(s) . pi(z0)|.
+
+    The ``samples`` elements are drawn in one call, uniform in [-1, 1] per
+    exponential coordinate, and both sides of the square are evaluated as
+    stacks: one batched ``group_element`` on each domain and one product
+    with the stored ``quotient_map`` on each side.
+    """
     rng = np.random.default_rng(seed)
     M, Mq = F.domain_model, F.quotient_model
-    z0 = M.base_point()
-    z0q = Mq.base_point()
-    worst = 0.0
-    for _ in range(samples):
-        s = random_element(M, rng, 1.0)
-        lhs = project_point(act(s, z0, M), F, check=False)
-        rhs = act(push_group(s, F), z0q, Mq)
-        worst = max(worst, lhs.distance(rhs))
-    return worst
+    k = M.p + M.q
+    coords = rng.uniform(-1.0, 1.0, (samples, k + M.p0))
+    s = group_element(M, coords[:, :k], coords[:, k:])
+    lhs = project_point(act(s, M.base_point(), M), F, check=False)
+    rhs = act(push_group(s, F), Mq.base_point(), Mq)
+    dist = np.linalg.norm(lhs.z - rhs.z, axis=-1) + np.linalg.norm(lhs.w - rhs.w, axis=-1)
+    return float(np.max(dist, initial=0.0))
 
 
 def tower(J: NormalJAlgebra):

@@ -618,9 +618,11 @@ def resolve_domain(spec: str) -> NormalJAlgebra:
     """Preset name or path to a j-algebra JSON file."""
     try:
         return preset(spec)
-    except InputError:
-        pass
+    except InputError as exc:
+        preset_error = exc
     try:
         return load_j_algebra(spec)
     except OSError as exc:
-        raise InputError(f"domain {spec!r} is neither a preset nor a readable file") from exc
+        raise InputError(
+            f"domain {spec!r} is neither a preset ({preset_error}) nor a readable file"
+        ) from exc

@@ -148,9 +148,10 @@ class SiegelModel:
         return c[: self.p], c[self.p : self.p + self.q], c[self.p + self.q :]
 
     def phi(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Hermitian form on half-block coordinates, complex (p,)-vector."""
-        re = np.einsum("i,j,ijk->k", u, v, self.phi_re)
-        im = np.einsum("i,j,ijk->k", u, v, self.phi_im)
+        """Hermitian form on half-block coordinates, complex (..., p) over
+        a common leading stack shape of ``u`` and ``v``."""
+        re = np.einsum("...i,...j,ijk->...k", u, v, self.phi_re)
+        im = np.einsum("...i,...j,ijk->...k", u, v, self.phi_im)
         return re + 1j * im
 
     def to_complex_w(self, w: np.ndarray) -> np.ndarray:
@@ -171,6 +172,8 @@ class SiegelModel:
 
 @dataclass(frozen=True)
 class DomainPoint:
+    """A point, or a stack of points along leading axes of ``z`` and ``w``."""
+
     z: np.ndarray  # complex, over the adapted s_{-1} basis
     w: np.ndarray  # real, over the adapted s_{-1/2} basis
 
@@ -179,11 +182,11 @@ class DomainPoint:
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
 
     def pack(self) -> np.ndarray:
-        return np.concatenate([self.z.real, self.z.imag, self.w])
+        return np.concatenate([self.z.real, self.z.imag, self.w], axis=-1)
 
     @staticmethod
     def unpack(v: np.ndarray, p: int, q: int) -> "DomainPoint":
-        return DomainPoint(v[:p] + 1j * v[p : 2 * p], v[2 * p :])
+        return DomainPoint(v[..., :p] + 1j * v[..., p : 2 * p], v[..., 2 * p :])
 
     def distance(self, other: "DomainPoint") -> float:
         return float(
@@ -193,6 +196,9 @@ class DomainPoint:
 
 @dataclass(frozen=True)
 class GroupElement:
+    """exp(x_minus) exp(x_zero) with its affine map on packed (z, w); every
+    field may carry the same leading stack axes."""
+
     x_minus: np.ndarray
     x_zero: np.ndarray
     affine_matrix: np.ndarray
@@ -329,42 +335,48 @@ def _hermitian_defect(M: SiegelModel) -> float:
 # ---------------------------------------------------------------------------
 
 def _ad_blocks(M: SiegelModel, x_zero: np.ndarray):
-    A1 = np.einsum("a,aij->ij", x_zero, M.ad1_gens) if M.p0 else np.zeros((M.p, M.p))
-    Ah = np.einsum("a,aij->ij", x_zero, M.adh_gens) if M.p0 else np.zeros((M.q, M.q))
+    A1 = np.einsum("...a,aij->...ij", x_zero, M.ad1_gens)
+    Ah = np.einsum("...a,aij->...ij", x_zero, M.adh_gens)
     return A1, Ah
 
 
 def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
-    """Build a group element and cache its affine map on (z, w)-space."""
+    """Build a group element and cache its affine map on (z, w)-space.
+
+    ``x_minus`` (..., p+q) and ``x_zero`` (..., p0) may share leading stack
+    axes; the element is then a stack built in one pass, one ``expm`` per
+    block over the whole stack.
+    """
     x_minus = np.asarray(x_minus, dtype=float)
     x_zero = np.asarray(x_zero, dtype=float)
-    if x_minus.shape != (M.p + M.q,) or x_zero.shape != (M.p0,):
+    stack = x_minus.shape[:-1]
+    if x_minus.shape[-1:] != (M.p + M.q,) or x_zero.shape != stack + (M.p0,):
         raise DimensionMismatch("group coordinates have wrong lengths")
     p, q = M.p, M.q
-    xi, xip = x_minus[:p], x_minus[p:]
+    xi, xip = x_minus[..., :p], x_minus[..., p:]
     A1, Ah = _ad_blocks(M, x_zero)
     E1, Eh = _expm(-A1), _expm(-Ah)
 
     # 2i Phi(Eh w, xi') = (-2 Fim + 2i Fre)(Eh w, xi')
-    Kre = np.einsum("ijk,j->ki", M.phi_re, xip) if q else np.zeros((p, 0))
-    Kim = np.einsum("ijk,j->ki", M.phi_im, xip) if q else np.zeros((p, 0))
+    Kre = np.einsum("ijk,...j->...ki", M.phi_re, xip)
+    Kim = np.einsum("ijk,...j->...ki", M.phi_im, xip)
     Lre = -2.0 * (Kim @ Eh)
     Lim = 2.0 * (Kre @ Eh)
 
-    phi_diag = M.phi(xip, xip) if q else np.zeros(p, dtype=complex)
+    phi_diag = M.phi(xip, xip)
 
     dim = 2 * p + q
-    mat = np.zeros((dim, dim))
-    mat[:p, :p] = E1
-    mat[p : 2 * p, p : 2 * p] = E1
-    mat[:p, 2 * p :] = Lre
-    mat[p : 2 * p, 2 * p :] = Lim
-    mat[2 * p :, 2 * p :] = Eh
+    mat = np.zeros(stack + (dim, dim))
+    mat[..., :p, :p] = E1
+    mat[..., p : 2 * p, p : 2 * p] = E1
+    mat[..., :p, 2 * p :] = Lre
+    mat[..., p : 2 * p, 2 * p :] = Lim
+    mat[..., 2 * p :, 2 * p :] = Eh
     # z gains xi + i Phi(xi', xi'); the diagonal of the form is real
-    off = np.zeros(dim)
-    off[:p] = xi - phi_diag.imag
-    off[p : 2 * p] = phi_diag.real
-    off[2 * p :] = xip
+    off = np.zeros(stack + (dim,))
+    off[..., :p] = xi - phi_diag.imag
+    off[..., p : 2 * p] = phi_diag.real
+    off[..., 2 * p :] = xip
     return GroupElement(x_minus, x_zero, mat, off)
 
 
@@ -373,7 +385,8 @@ def identity(M: SiegelModel) -> GroupElement:
 
 
 def act(g: GroupElement, point: DomainPoint, M: SiegelModel) -> DomainPoint:
-    v = g.affine_matrix @ point.pack() + g.affine_offset
+    """g . point; stacks of elements and of points broadcast against each other."""
+    v = (g.affine_matrix @ point.pack()[..., None])[..., 0] + g.affine_offset
     return DomainPoint.unpack(v, M.p, M.q)
 
 

@@ -39,6 +39,17 @@ def test_parse_combination():
         parse_combination("3*nope", J)
 
 
+def test_parse_combination_scientific_notation():
+    J = ball_jalgebra(2)
+    delta, zeta = J.L.basis_vector("delta"), J.L.basis_vector("zeta")
+    np.testing.assert_allclose(parse_combination("1e-9*delta", J), 1e-9 * delta)
+    np.testing.assert_allclose(parse_combination("2.5E+1*delta - 1e3*zeta", J), 25 * delta - 1000 * zeta)
+    np.testing.assert_allclose(parse_combination("-1e3*zeta+.5e-2*delta", J), -1000 * zeta + 0.005 * delta)
+    for bad in ("1e-9delta", "nan*delta", "inf*zeta"):
+        with pytest.raises(InputError):
+            parse_combination(bad, J)
+
+
 def test_element_from_vector_roundtrip():
     J = preset("polydisc:2")
     M = build_model(J)
@@ -191,4 +202,37 @@ def test_recursion_depth_bounded_by_rank():
     assert depth <= 3
     assert cert["conclusion"] == "stein_certified"
     ok, _ = verify(cert)
+    assert ok
+
+
+@pytest.mark.parametrize("row, col", [(1, 0), (2, 2), (1, None)])
+def test_non_finite_affine_map_is_input_error(row, col):
+    # ball:2 packs (re z, im z, w1, w2): the imaginary-z row, the w block,
+    # and (col None) the imaginary translation
+    lin, off = np.eye(4), np.zeros(4)
+    if col is None:
+        off[row] = np.nan
+    else:
+        lin[row, col] = np.nan
+    with pytest.raises(InputError, match="non-finite"):
+        analyze("ball:2", {"linear": lin.tolist(), "translation": off.tolist()})
+
+
+def test_unequivariant_tower_level_is_undecided(relabelled_polydisc):
+    """analyze never certifies what verify rejects.
+
+    On this copy of polydisc:6, rescaled per basis vector, tower levels 2 and
+    3 check equivariant only to about 1e-7, above the 1e-8 tolerance.
+    """
+    J, perm, scale = relabelled_polydisc(6, np.random.default_rng([2, 21]), per_vector=True)
+    on_preset = np.zeros(J.dim)
+    on_preset[0::2] = [0.3, 0.5, 0.7, 0.9, -0.4, -0.6]
+    on_preset[1::2] = 0.2
+    coeffs = on_preset[perm] / scale
+    phi = "exp:" + " + ".join(f"{c:.17g}*{lbl}" for c, lbl in zip(coeffs, J.L.basis_labels))
+    cert = analyze(J, phi.replace("+ -", "- "))
+    ok, _ = verify(cert)
+    assert cert["conclusion"] != "stein_certified" or ok
+    assert cert["conclusion"] == "undecided"
+    assert "level 2 is not numerically equivariant (residual 1.1" in cert["assumptions"][-1]
     assert ok

@@ -98,6 +98,16 @@ def test_ball_check_totally_real():
     assert "min |det|" in res.stdout
 
 
+def test_non_finite_affine_map_is_input_error(tmp_path):
+    lin = np.eye(4)
+    lin[1, 0] = np.nan  # the imaginary-z row of ball:2
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps({"linear": lin.tolist(), "translation": [0.0] * 4}))
+    res = run_cli("analyze", "--domain", "ball:2", "--phi", f"affine:{phi}")
+    assert res.returncode == 4, res.stderr
+    assert "non-finite" in res.stderr
+
+
 def test_missing_file_is_input_error():
     res = run_cli("verify", "/nonexistent/cert.json")
     assert res.returncode == 4

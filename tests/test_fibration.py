@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from hdq.fibration import (
 )
 from hdq.jalgebra import ball_jalgebra, fine_structure, polydisc_jalgebra, preset
 from hdq.lie_core import bracket, residual_outside
-from hdq.siegel import DomainPoint, act, group_element, solve_orbit
+from hdq.siegel import DomainPoint, act, group_element, random_element, solve_orbit
 
 
 @pytest.fixture(scope="module")
@@ -122,3 +124,42 @@ def test_tower_depth():
     assert len(tower(polydisc_jalgebra(3))) == 3
     assert len(tower(ball_jalgebra(3))) == 1
     assert len(tower(preset("product:[ball:2,ball:1]"))) == 2
+
+
+def _per_sample_residual(F, samples, seed):
+    """The equivariance residual rebuilt one sample at a time from scalar
+    group elements, points and pushes."""
+    M, Mq = F.domain_model, F.quotient_model
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for _ in range(samples):
+        s = random_element(M, rng, 1.0)
+        lhs = project_point(act(s, M.base_point(), M), F, check=False)
+        rhs = act(push_group(s, F), Mq.base_point(), Mq)
+        worst = max(worst, lhs.distance(rhs))
+    return worst
+
+
+@pytest.mark.parametrize("name", ["polydisc:3", "product:[ball:2,ball:1]", "relabelled:4"])
+def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydisc):
+    if name.startswith("relabelled"):
+        J = relabelled_polydisc(4, np.random.default_rng([4, 1]))[0]
+    else:
+        J = preset(name)
+    rng = np.random.default_rng(3)
+    for F in tower(J):
+        M, Mq = F.domain_model, F.quotient_model
+        # the stored map is the ambient projection in adapted coordinates
+        ref = Mq.Cinv @ np.linalg.pinv(F.s_prime_basis) @ F.proj @ M.C
+        np.testing.assert_allclose(F.quotient_map, ref, atol=1e-12)
+        stacked = check_equivariance(F, 40, seed=5)
+        assert stacked < 1e-12
+        assert abs(stacked - _per_sample_residual(F, 40, 5)) <= 1e-12
+        # a wrong map gives a large residual, and both evaluations see it alike
+        bent = dataclasses.replace(
+            F, quotient_map=F.quotient_map + 1e-2 * rng.standard_normal(F.quotient_map.shape)
+        )
+        if bent.quotient_map.size:
+            stacked = check_equivariance(bent, 40, seed=5)
+            assert stacked > 1e-4
+            assert abs(stacked - _per_sample_residual(bent, 40, 5)) <= 1e-12

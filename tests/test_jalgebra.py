@@ -156,6 +156,11 @@ def test_preset_parser():
         preset("octonions")
 
 
+def test_resolve_domain_keeps_preset_error():
+    with pytest.raises(InputError, match=r"unknown preset 'ball:x'.*nor a readable file"):
+        jalgebra.resolve_domain("ball:x")
+
+
 def test_j_algebra_json_roundtrip(tmp_path):
     import json
 

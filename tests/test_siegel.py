@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdq.errors import NotInDomain
+from hdq.errors import DimensionMismatch, NotInDomain
 from hdq.jalgebra import ball_jalgebra, polydisc_jalgebra, preset
 from hdq.siegel import (
     DomainPoint,
@@ -207,3 +207,19 @@ def test_defect_is_action_invariant_under_nilpotent_part(H2):
         d0 = domain_defect(pt, H2)
         d1 = domain_defect(act(g, pt, H2), H2)
         np.testing.assert_allclose(d0, d1, atol=1e-10)
+
+
+@pytest.mark.parametrize("name", ["ball:3", "polydisc:3", "product:[ball:2,ball:1]"])
+def test_stacked_group_element_equals_row_builds(name):
+    M = build_model(preset(name))
+    rng = np.random.default_rng(23)
+    x_minus = rng.uniform(-1.5, 1.5, (7, M.p + M.q))
+    x_zero = rng.uniform(-1.5, 1.5, (7, M.p0))
+    g = group_element(M, x_minus, x_zero)
+    assert g.affine_matrix.shape == (7, 2 * M.p + M.q, 2 * M.p + M.q)
+    for i in range(7):
+        row = group_element(M, x_minus[i], x_zero[i])
+        np.testing.assert_array_equal(g.affine_matrix[i], row.affine_matrix)
+        np.testing.assert_array_equal(g.affine_offset[i], row.affine_offset)
+    with pytest.raises(DimensionMismatch):
+        group_element(M, x_minus, x_zero[:6])
