@@ -35,12 +35,11 @@ from .errors import (
     InputError,
     MalformedCertificate,
     NotInDomain,
-    UnsupportedConjugation,
 )
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
-from .lie_core import Subspace, ad_matrix, bracket, residual_outside
+from .lie_core import Subspace, ad_matrix, closure_residual, residual_outside
 from .siegel import (
     DomainPoint,
     GroupElement,
@@ -77,6 +76,9 @@ CITED_WITHOUT_COMPUTATION = [
 
 
 EQUIVARIANCE_TOL = 1e-8
+# totally-real determinant samples drawn by the fiber case; verify requires
+# a certificate to store at least this many
+FIBER_SAMPLE_POINTS = 50
 
 
 @dataclass
@@ -128,8 +130,7 @@ def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
 
 def _minus_generator_stack(M: SiegelModel):
     n = M.J.dim
-    gens = [ad_matrix(M.C[:, i], M.J.L) for i in range(M.p + M.q)]
-    return np.stack(gens).reshape(M.p + M.q, n * n).T if gens else np.zeros((n * n, 0))
+    return ad_matrix(M.C[:, : M.p + M.q].T, M.J.L).reshape(M.p + M.q, n * n).T
 
 
 def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
@@ -155,8 +156,7 @@ def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
     v_zero = M.C[:, M.p + M.q :] @ g.x_zero
     K = expm(-ad_matrix(v_minus, M.J.L)) @ expm(-ad_matrix(v_zero, M.J.L))
     X = np.real_if_close(logm(K), tol=1e6).real
-    gens = np.stack([ad_matrix(np.eye(n)[i], M.J.L) for i in range(n)])
-    stack = gens.reshape(n, n * n).T
+    stack = M.J.L.c.transpose(0, 2, 1).reshape(n, n * n).T
     v, *_ = np.linalg.lstsq(stack, -X.flatten(), rcond=None)
     return v
 
@@ -438,9 +438,11 @@ def _fiber_case(F: FibrationStep, M, s, level, steps, cert, config):
     )
     Mf = F.fiber_model
     rng = np.random.default_rng(config.seed + 7 * level)
-    V, g = totally_real_subalgebra_containing(x_b, Mf, rng)
-    pts = sample_totally_real_points(Mf, 50, np.random.default_rng(config.seed + 7 * level + 1))
-    defects = [abs(totally_real_defect(pt, V, Mf)) for pt in pts]
+    V, g = totally_real_subalgebra_containing(x_b, Mf, rng, FIBER_SAMPLE_POINTS)
+    pts = sample_totally_real_points(
+        Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(config.seed + 7 * level + 1)
+    )
+    defects = np.abs(totally_real_defect(pts, V, Mf))
     containment = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
     steps.append(
         _step(
@@ -452,8 +454,8 @@ def _fiber_case(F: FibrationStep, M, s, level, steps, cert, config):
                 "subalgebra": V.basis_matrix,
                 "conjugator_x_minus": g.x_minus,
                 "conjugator_x_zero": g.x_zero,
-                "sample_points": [pt.pack() for pt in pts],
-                "min_defect": float(min(defects)) if defects else 1.0,
+                "sample_points": pts.pack(),
+                "min_defect": float(np.min(defects)),
                 "defect_tolerance": config.defect_min,
                 "containment_residual": containment,
             },
@@ -542,14 +544,17 @@ def verify(cert: dict, config: AnalyzerConfig | None = None):
                     entry.update(ok=False, detail=f"affine mismatch {res:.2e}")
             elif kind == "tower_descend":
                 F = fib_at(int(step.get("level", 1)))
-                res = check_equivariance(
-                    F,
-                    int(payload["equivariance_samples"]),
-                    seed=int(payload["equivariance_seed"]),
-                )
-                entry["residual"] = res
-                if res > slack * tol:
-                    entry.update(ok=False, detail=f"equivariance residual {res:.2e}")
+                samples = int(payload["equivariance_samples"])
+                if samples < config.samples:
+                    entry.update(
+                        ok=False,
+                        detail=f"{samples} equivariance samples, verify requires {config.samples}",
+                    )
+                else:
+                    res = check_equivariance(F, samples, seed=int(payload["equivariance_seed"]))
+                    entry["residual"] = res
+                    if res > slack * tol:
+                        entry.update(ok=False, detail=f"equivariance residual {res:.2e}")
             elif kind == "fiber_case":
                 F = fib_at(int(step.get("level", 1)))
                 entry_ok, detail, res = _verify_fiber(payload, F, config)
@@ -649,14 +654,18 @@ def _verify_fiber(payload, F: FibrationStep, config: AnalyzerConfig):
         return False, f"stored subalgebra is degenerate: {exc}", 1.0
     x_b = np.asarray(payload["log_in_fiber"], dtype=float)
     res = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
-    for i in range(V.dim):
-        for j in range(i + 1, V.dim):
-            br = bracket(V.basis_matrix[:, i], V.basis_matrix[:, j], Mf.J.L)
-            res = max(res, residual_outside(br, V) / max(1.0, float(np.linalg.norm(br))))
-    min_defect = np.inf
-    for packed in payload["sample_points"]:
-        pt = DomainPoint.unpack(np.asarray(packed, dtype=float), Mf.p, Mf.q)
-        min_defect = min(min_defect, abs(totally_real_defect(pt, V, Mf)))
+    res = max(res, closure_residual(V, Mf.J.L))
+    packed = np.asarray(payload["sample_points"], dtype=float)
+    width = 2 * Mf.p + Mf.q
+    if packed.ndim != 2 or packed.shape[1] != width or len(packed) < FIBER_SAMPLE_POINTS:
+        return (
+            False,
+            f"sample points of shape {packed.shape}, need at least "
+            f"{FIBER_SAMPLE_POINTS} rows of {width} coordinates",
+            res,
+        )
+    pts = DomainPoint.unpack(packed, Mf.p, Mf.q)
+    min_defect = float(np.min(np.abs(totally_real_defect(pts, V, Mf))))
     tol_defect = float(payload.get("defect_tolerance", config.defect_min))
     if min_defect <= tol_defect / config.verify_slack:
         return False, f"totally-real determinant check failed (min |det| {min_defect:.2e})", res

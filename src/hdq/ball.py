@@ -23,7 +23,15 @@ from .errors import (
     ZeroSemisimplePart,
 )
 from .jalgebra import NormalJAlgebra, ball_jalgebra
-from .lie_core import AffineRep, Subspace, ad_matrix, opposite, span
+from .lie_core import (
+    AffineRep,
+    Subspace,
+    ad_matrix,
+    closure_residual,
+    opposite,
+    residual_outside,
+    span,
+)
 from .siegel import (
     DomainPoint,
     GroupElement,
@@ -119,35 +127,40 @@ def _flow_index(generator: str, n: int) -> int:
 # totally-real determinant
 # ---------------------------------------------------------------------------
 
-def totally_real_defect(point: DomainPoint, V: Subspace, M: SiegelModel) -> complex:
+def totally_real_defect(point: DomainPoint, V: Subspace, M: SiegelModel):
     """Determinant of the basis vector fields of V evaluated at the point.
 
     The orbit direction of the corresponding subgroup is totally real at the
-    point exactly when the determinant does not vanish.
+    point exactly when the determinant does not vanish.  A single point
+    gives a ``complex``; a stack of points gives one determinant per point,
+    all fields at all points evaluated as one (..., d, d) stack.
     """
     if V.dim != M.dim_complex:
         raise DimensionMismatch(
             f"subspace of dim {V.dim} in a domain of complex dimension {M.dim_complex}"
         )
-    cols = [vector_field(V.basis_matrix[:, i], point, M) for i in range(V.dim)]
-    return complex(np.linalg.det(np.column_stack(cols)))
+    at = DomainPoint(point.z[..., None, :], point.w[..., None, :])
+    # row s is the field of basis column s; det of the transpose is the same
+    det = np.linalg.det(vector_field(V.basis_matrix.T, at, M))
+    return complex(det) if det.ndim == 0 else det
 
 
-def sample_totally_real_points(M: SiegelModel, count: int, rng) -> list:
-    """Guaranteed-interior sample: im(z) = Phi(w, w) + xi0, w in the unit ball."""
-    pts = []
-    for _ in range(count):
-        w = rng.uniform(-1.0, 1.0, M.q)
-        if M.q:
-            nw = np.linalg.norm(w)
-            if nw > 1.0:
-                w = w / nw
-        quad = (
-            np.einsum("i,j,ijk->k", w, w, M.phi_re) if M.q else np.zeros(M.p)
-        )
-        z = rng.uniform(-2.0, 2.0, M.p) + 1j * (quad + M.xi0_coords)
-        pts.append(DomainPoint(z, w))
-    return pts
+def sample_totally_real_points(M: SiegelModel, count: int, rng) -> DomainPoint:
+    """Guaranteed-interior sample: im(z) = Phi(w, w) + xi0, w in the unit ball.
+
+    Returns one stacked ``DomainPoint`` of ``count`` points.  Point k takes
+    row k of a single ``rng.random((count, q + p))`` draw, w uniform in
+    [-1, 1]^q (rescaled into the unit ball) and re(z) uniform in [-2, 2]^p:
+    the numbers successive per-point ``uniform`` draws would give.
+    """
+    u = rng.random((count, M.q + M.p))
+    w = -1.0 + 2.0 * u[:, : M.q]
+    # |w| per row as a dot product, rounded as the norm of each row alone
+    nw = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
+    w = np.where(nw > 1.0, w / nw, w)
+    quad = np.einsum("...i,...j,ijk->...k", w, w, M.phi_re)
+    z = (-2.0 + 4.0 * u[:, M.q :]) + 1j * (quad + M.xi0_coords)
+    return DomainPoint(z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -296,8 +309,6 @@ def totally_real_subalgebra_containing(
 
 
 def _verify_totally_real(x, V: Subspace, M: SiegelModel, rng, samples):
-    from .lie_core import bracket, residual_outside
-
     nx = max(1.0, float(np.linalg.norm(x)))
     if residual_outside(x, V) > 1e-9 * nx:
         raise TotallyRealCheckFailed("constructed subalgebra misses the input vector")
@@ -305,16 +316,13 @@ def _verify_totally_real(x, V: Subspace, M: SiegelModel, rng, samples):
         raise TotallyRealCheckFailed(
             f"subalgebra dimension {V.dim} != complex dimension {M.dim_complex}"
         )
-    for i in range(V.dim):
-        for j in range(i + 1, V.dim):
-            br = bracket(V.basis_matrix[:, i], V.basis_matrix[:, j], M.J.L)
-            if residual_outside(br, V) > 1e-9 * max(1.0, float(np.linalg.norm(br))):
-                raise TotallyRealCheckFailed("subalgebra is not closed under the bracket")
+    if closure_residual(V, M.J.L) > 1e-9:
+        raise TotallyRealCheckFailed("subalgebra is not closed under the bracket")
     if rng is None:
         rng = np.random.default_rng(0)
-    for pt in sample_totally_real_points(M, samples, rng):
-        if abs(totally_real_defect(pt, V, M)) <= DEFECT_MIN:
-            raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
+    pts = sample_totally_real_points(M, samples, rng)
+    if np.any(np.abs(totally_real_defect(pts, V, M)) <= DEFECT_MIN):
+        raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
 
 
 # ---------------------------------------------------------------------------

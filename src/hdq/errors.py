@@ -57,10 +57,6 @@ class ZeroSemisimplePart(HdqError):
     pass
 
 
-class UnsupportedConjugation(HdqError):
-    pass
-
-
 class TotallyRealCheckFailed(HdqError):
     """A constructed subalgebra failed its determinant verification."""
 

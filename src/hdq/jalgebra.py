@@ -28,7 +28,7 @@ from .lie_core import (
     Subspace,
     ValidationReport,
     ad_matrix,
-    bracket,
+    bracket_table,
     derived_algebra,
     span,
     residual_outside,
@@ -77,24 +77,17 @@ def gram(J: NormalJAlgebra) -> np.ndarray:
 
 def integrability_defect(J: NormalJAlgebra) -> float:
     """Max norm over basis pairs of the torsion expression
-    [x,y] + j[jx,y] + j[x,jy] - [jx,jy]."""
+    [x,y] + j[jx,y] + j[x,jy] - [jx,jy].
+
+    With ``jb[a, b] = [j e_a, e_b]`` the middle terms are ``j jb[a, b]``
+    and ``-j jb[b, a]``, so the whole table is four array terms.
+    """
     n = J.dim
     if n == 0:
         return 0.0
-    worst = 0.0
-    eye = np.eye(n)
-    for a in range(n):
-        for b in range(a + 1, n):
-            x, y = eye[a], eye[b]
-            jx, jy = J.j @ x, J.j @ y
-            t = (
-                bracket(x, y, J.L)
-                + J.j @ bracket(jx, y, J.L)
-                + J.j @ bracket(x, jy, J.L)
-                - bracket(jx, jy, J.L)
-            )
-            worst = max(worst, float(np.max(np.abs(t))))
-    return worst
+    jb = bracket_table(J.j, np.eye(n), J.L)
+    t = J.L.c + (jb - jb.transpose(1, 0, 2)) @ J.j.T - bracket_table(J.j, J.j, J.L)
+    return float(np.max(np.abs(t)))
 
 
 def validate_j_algebra(J: NormalJAlgebra, tol: float = J_TOL) -> ValidationReport:
@@ -219,25 +212,20 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
     r = a_basis.dim
     if r == 0:
         raise RootPatternViolation("abelian part is trivial in a nonzero algebra")
-    for i in range(r):
-        for k in range(i + 1, r):
-            if np.max(np.abs(bracket(a_basis.basis_matrix[:, i], a_basis.basis_matrix[:, k], J.L))) > 1e-8:
-                raise RootPatternViolation("candidate abelian part is not abelian")
+    if np.max(np.abs(bracket_table(a_basis.basis_matrix, a_basis.basis_matrix, J.L))) > 1e-8:
+        raise RootPatternViolation("candidate abelian part is not abelian")
 
     # joint diagonalization of ad(a) in the G^(1/2) coordinates, where the
     # operators are symmetric for a valid normal j-algebra
     a_on = a_basis.orthonormal()
-    ops = []
-    for k in range(r):
-        A = ad_matrix(a_on[:, k], J.L)
-        S = G_half @ A @ G_ihalf
-        asym = float(np.max(np.abs(S - S.T)))
-        if asym > 1e-6:
-            raise RootPatternViolation(
-                f"ad of the abelian part is not self-adjoint (defect {asym:.2e})"
-            )
-        ops.append(0.5 * (S + S.T))
-    spaces = _joint_eigenspaces(ops, n)
+    S = G_half @ ad_matrix(a_on.T, J.L) @ G_ihalf
+    St = S.transpose(0, 2, 1)
+    asym = float(np.max(np.abs(S - St)))
+    if asym > 1e-6:
+        raise RootPatternViolation(
+            f"ad of the abelian part is not self-adjoint (defect {asym:.2e})"
+        )
+    spaces = _joint_eigenspaces(0.5 * (S + St), n)
 
     zero_space = None
     raw_roots = []  # (values on a_on, x-coords basis)
@@ -433,15 +421,11 @@ def subalgebra(J: NormalJAlgebra, basis: np.ndarray, labels=None) -> NormalJAlge
     if m == 0:
         return empty_algebra()
     pinv = np.linalg.pinv(B)
-    c = np.zeros((m, m, m))
-    for a in range(m):
-        for b in range(a + 1, m):
-            v = bracket(B[:, a], B[:, b], J.L)
-            coords = pinv @ v
-            if np.linalg.norm(B @ coords - v) > 1e-7 * max(1.0, np.linalg.norm(v)):
-                raise InputError("basis does not span a subalgebra")
-            c[a, b] = coords
-            c[b, a] = -coords
+    brackets = bracket_table(B, B, J.L)
+    c = brackets @ pinv.T
+    off = np.linalg.norm(c @ B.T - brackets, axis=-1)
+    if np.any(off > 1e-7 * np.maximum(1.0, np.linalg.norm(brackets, axis=-1))):
+        raise InputError("basis does not span a subalgebra")
     j_sub = pinv @ (J.j @ B)
     if np.max(np.abs(B @ j_sub - J.j @ B)) > 1e-7:
         raise InputError("subspace is not j-invariant")

@@ -21,6 +21,8 @@ from .errors import ClusterAmbiguous, NotInvertible
 CLUSTER_RTOL = 1e-7
 ANGLE_TOL = 1e-9
 MAX_DENOMINATOR = 97
+# smallest singular value over the largest below which a matrix is singular
+INVERTIBLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -123,9 +125,15 @@ def jordan_decompose(A: np.ndarray, tol: float = CLUSTER_RTOL) -> JordanParts:
     n = A.shape[0]
     if A.shape != (n, n):
         raise NotInvertible("input must be a square matrix")
-    det = np.linalg.det(A)
-    if not np.isfinite(det) or abs(det) < 1e-12:
-        raise NotInvertible(f"matrix is not invertible (det {det:.3e})")
+    if not np.all(np.isfinite(A)):
+        raise NotInvertible("matrix has non-finite entries")
+    # relative to scale: a well-conditioned contraction can have a tiny
+    # determinant (e^-31.5 for exp(-3.5 delta) on ball:8)
+    sv = np.linalg.svd(A, compute_uv=False)
+    if sv.size and sv[-1] <= INVERTIBLE_RTOL * sv[0]:
+        raise NotInvertible(
+            f"matrix is not invertible (singular values {sv[-1]:.3e} to {sv[0]:.3e})"
+        )
 
     last = None
     for rtol in (tol, 100.0 * tol, 3e3 * tol):

@@ -3,8 +3,13 @@
 A finite-dimensional real Lie algebra is stored as a dense rank-3 tensor
 ``c`` over a labelled basis, with ``c[i, j, k]`` the coefficient of ``e_k``
 in ``[e_i, e_j]``.  Antisymmetry is enforced at construction time by
-averaging ``c`` against ``-c.transpose(1, 0, 2)``; everything downstream
-(Jacobi checks, derived series, ad-operators) is plain numpy.
+averaging ``c`` against ``-c.transpose(1, 0, 2)``.
+
+Structure identities are checked over whole bases at once: the kernel
+:func:`bracket_table` contracts two basis matrices against ``c`` in one
+BLAS-backed ``einsum``, ``ad_matrix`` takes stacks of elements, and the
+Jacobi and representation defects are tensor identities with no loop over
+pairs.
 """
 
 from __future__ import annotations
@@ -63,6 +68,21 @@ class LieAlgebraData:
         return v
 
 
+def bracket_table(A: np.ndarray, B: np.ndarray, L: LieAlgebraData) -> np.ndarray:
+    """All brackets of the columns of A with the columns of B.
+
+    ``A`` is (dim, a) and ``B`` is (dim, b); entry ``[s, t]`` of the
+    (a, b, dim) result is ``[A[:, s], B[:, t]]``.
+    """
+    A = np.asarray(A, dtype=float)
+    B = np.asarray(B, dtype=float)
+    if A.ndim != 2 or B.ndim != 2 or A.shape[0] != L.dim or B.shape[0] != L.dim:
+        raise DimensionMismatch(
+            f"basis matrices of shape {A.shape}/{B.shape} in algebra of dim {L.dim}"
+        )
+    return np.einsum("ia,jb,ijk->abk", A, B, L.c, optimize=True)
+
+
 def bracket(a: np.ndarray, b: np.ndarray, L: LieAlgebraData) -> np.ndarray:
     """Evaluate [a, b] through the structure tensor."""
     a = np.asarray(a, dtype=float)
@@ -71,15 +91,19 @@ def bracket(a: np.ndarray, b: np.ndarray, L: LieAlgebraData) -> np.ndarray:
         raise DimensionMismatch(
             f"vectors of length {a.shape}/{b.shape} in algebra of dim {L.dim}"
         )
-    return np.einsum("i,j,ijk->k", a, b, L.c)
+    return bracket_table(a[:, None], b[:, None], L)[0, 0]
 
 
 def ad_matrix(x: np.ndarray, L: LieAlgebraData) -> np.ndarray:
-    """Matrix of ad(x): y -> [x, y] in the algebra basis."""
+    """Matrix of ad(x): y -> [x, y] in the algebra basis.
+
+    ``x`` may carry leading stack axes, (..., dim) -> (..., dim, dim); the
+    stack of the basis vectors is ``L.c.transpose(0, 2, 1)``.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape != (L.dim,):
+    if x.shape[-1:] != (L.dim,):
         raise DimensionMismatch("ad argument has wrong length")
-    return np.einsum("i,ijk->kj", x, L.c)
+    return np.tensordot(x, L.c, ([-1], [0])).swapaxes(-1, -2)
 
 
 def opposite(L: LieAlgebraData) -> LieAlgebraData:
@@ -121,13 +145,6 @@ class Subspace:
         q, _ = np.linalg.qr(self.basis_matrix)
         return q
 
-    def contains(self, v: np.ndarray, tol: float = 1e-8) -> bool:
-        return residual_outside(v, self) <= tol * max(1.0, float(np.linalg.norm(v)))
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        q = self.orthonormal()
-        return q @ (q.T @ np.asarray(v, dtype=float))
-
 
 def _rank_tol(M) -> float:
     s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
@@ -135,29 +152,35 @@ def _rank_tol(M) -> float:
 
 
 def span(vectors, ambient_dim: int, tol: float = RANK_RTOL, floor: float = 0.0) -> Subspace:
-    """Subspace spanned by a collection of vectors (rank-reduced via SVD).
+    """Subspace spanned by a collection of vectors, or the rows of an
+    array, rank-reduced via SVD.
 
     ``floor`` is an absolute singular-value cutoff; without it a stack of
     numerically-zero vectors would count as rank one under the relative test.
     """
-    vs = [np.asarray(v, dtype=float) for v in vectors]
-    if not vs:
+    M = np.asarray(vectors, dtype=float)
+    if M.size == 0:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
-    M = np.column_stack(vs)
-    u, s, _ = np.linalg.svd(M, full_matrices=False)
+    u, s, _ = np.linalg.svd(M.reshape(-1, ambient_dim).T, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
     r = int(np.sum(s > max(tol * s[0], floor)))
     return Subspace(ambient_dim, u[:, :r])
 
 
-def residual_outside(v: np.ndarray, V: Subspace) -> float:
-    """Norm of the component of v orthogonal to V."""
+def residual_outside(v: np.ndarray, V: Subspace):
+    """Norm of the component of v orthogonal to V: a float for one vector,
+    one norm per row for a stack of rows."""
     v = np.asarray(v, dtype=float)
-    if V.dim == 0:
-        return float(np.linalg.norm(v))
     q = V.orthonormal()
-    return float(np.linalg.norm(v - q @ (q.T @ v)))
+    res = np.linalg.norm(v - (v @ q) @ q.T, axis=-1)
+    return float(res) if res.ndim == 0 else res
+
+
+def _relative_residual(rows: np.ndarray, V: Subspace) -> float:
+    """Max over rows b of |b off V| / max(1, |b|); 0 for no rows."""
+    scale = np.maximum(1.0, np.linalg.norm(rows, axis=-1))
+    return float(np.max(residual_outside(rows, V) / scale, initial=0.0))
 
 
 def subspace_equal(V: Subspace, W: Subspace, tol: float = 1e-8) -> bool:
@@ -171,35 +194,32 @@ def subspace_equal(V: Subspace, W: Subspace, tol: float = 1e-8) -> bool:
 
 def derived_algebra(L: LieAlgebraData) -> Subspace:
     """Span of all brackets of basis pairs."""
-    vecs = L.c.reshape(L.dim * L.dim, L.dim).T  # columns [e_i, e_j]
-    return span(vecs.T, L.dim) if L.dim else Subspace(0, np.zeros((0, 0)))
+    return span(L.c, L.dim)  # rows c[i, j] = [e_i, e_j]
 
 
-def _bracket_columns(V: Subspace, W: Subspace, L: LieAlgebraData):
-    out = []
-    for i in range(V.dim):
-        for j in range(W.dim):
-            out.append(bracket(V.basis_matrix[:, i], W.basis_matrix[:, j], L))
-    return out
+def _bracket_columns(V: Subspace, W: Subspace, L: LieAlgebraData) -> np.ndarray:
+    """Brackets of the basis columns of V with those of W, one per row."""
+    return bracket_table(V.basis_matrix, W.basis_matrix, L).reshape(-1, L.dim)
+
+
+def closure_residual(V: Subspace, L: LieAlgebraData) -> float:
+    """Largest relative residual outside V of a bracket of two basis
+    columns of V, |[v_s, v_t] off V| / max(1, |[v_s, v_t]|); V is a
+    subalgebra exactly when this vanishes."""
+    return _relative_residual(_bracket_columns(V, V, L), V)
 
 
 def is_subalgebra(V: Subspace, L: LieAlgebraData, tol: float = 1e-8) -> bool:
     if V.ambient_dim != L.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
-    return all(
-        residual_outside(b, V) <= tol * max(1.0, float(np.linalg.norm(b)))
-        for b in _bracket_columns(V, V, L)
-    )
+    return closure_residual(V, L) <= tol
 
 
 def is_ideal(V: Subspace, L: LieAlgebraData, tol: float = 1e-8) -> bool:
     if V.ambient_dim != L.dim:
         raise DimensionMismatch("subspace lives in the wrong ambient space")
     full = Subspace(L.dim, np.eye(L.dim))
-    return all(
-        residual_outside(b, V) <= tol * max(1.0, float(np.linalg.norm(b)))
-        for b in _bracket_columns(full, V, L)
-    )
+    return _relative_residual(_bracket_columns(full, V, L), V) <= tol
 
 
 # ---------------------------------------------------------------------------
@@ -232,14 +252,17 @@ class ValidationReport:
 
 
 def jacobi_defect(L: LieAlgebraData) -> float:
-    """Max norm of [e_i,[e_j,e_k]] + cyclic over all basis triples."""
+    """Max norm of [e_i,[e_j,e_k]] + cyclic over all basis triples.
+
+    ``X[i, j, k] = [e_k, [e_i, e_j]]`` is one contraction; the other two
+    cyclic terms are its axis rotations.
+    """
     if L.dim == 0:
         return 0.0
-    c = L.c
-    t1 = np.einsum("jkm,iml->ijkl", c, c)
-    t2 = np.einsum("kim,jml->ijkl", c, c)
-    t3 = np.einsum("ijm,kml->ijkl", c, c)
-    return float(np.max(np.abs(t1 + t2 + t3)))
+    X = np.tensordot(L.c, L.c, ([2], [1]))
+    S = X + X.transpose(2, 0, 1, 3)
+    S += X.transpose(1, 2, 0, 3)
+    return float(np.max(np.abs(S)))
 
 
 def derived_series(L: LieAlgebraData):
@@ -265,16 +288,11 @@ def max_imag_ad_eigenvalue(L: LieAlgebraData, samples: int = 20, seed: int = 0) 
     """Largest |imag| over eigenvalues of ad(x) for basis and random x."""
     if L.dim == 0:
         return 0.0
-    worst = 0.0
-    vectors = [np.eye(L.dim)[i] for i in range(L.dim)]
     rng = np.random.default_rng(seed)
-    for _ in range(samples):
-        v = rng.standard_normal(L.dim)
-        vectors.append(v / np.linalg.norm(v))
-    for v in vectors:
-        ev = np.linalg.eigvals(ad_matrix(v, L))
-        worst = max(worst, float(np.max(np.abs(ev.imag))) if ev.size else 0.0)
-    return worst
+    rand = rng.standard_normal((samples, L.dim))
+    rand /= np.linalg.norm(rand, axis=1, keepdims=True)
+    ads = np.concatenate([L.c.transpose(0, 2, 1), ad_matrix(rand, L)])
+    return float(np.max(np.abs(np.linalg.eigvals(ads).imag)))
 
 
 def validate_algebra(L: LieAlgebraData, tol: float = JACOBI_TOL) -> ValidationReport:
@@ -326,13 +344,11 @@ class AffineRep:
 def rep_bracket_defect(R: AffineRep) -> float:
     """Max norm of rho([e_i,e_j]) - [rho(e_i), rho(e_j)] over basis pairs."""
     L, M = R.algebra, R.matrices
-    worst = 0.0
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = np.einsum("k,kab->ab", L.c[i, j], M)
-            rhs = M[i] @ M[j] - M[j] @ M[i]
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
+    if L.dim == 0:
+        return 0.0
+    lhs = np.tensordot(L.c, M, ([2], [0]))
+    MM = np.einsum("iab,jbc->ijac", M, M, optimize=True)
+    return float(np.max(np.abs(lhs - MM + MM.transpose(1, 0, 2, 3))))
 
 
 def exp_affine(x: np.ndarray, R: AffineRep) -> np.ndarray:

@@ -20,7 +20,6 @@ formula reproduce the closed-form flows of the half-plane generators.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +32,7 @@ from .errors import (
     SolverDiverged,
 )
 from .jalgebra import NormalJAlgebra, FineStructure, fine_structure
-from .lie_core import Subspace, ad_matrix, bracket
+from .lie_core import Subspace, ad_matrix, bracket_table
 
 CONE_TOL = 1e-9
 CONE_MAX_ITER = 100
@@ -144,8 +143,9 @@ class SiegelModel:
         return self.C @ np.asarray(coords, dtype=float)
 
     def split_coords(self, v_ambient: np.ndarray):
-        c = self.to_adapted(v_ambient)
-        return c[: self.p], c[self.p : self.p + self.q], c[self.p + self.q :]
+        """Adapted (s_{-1}, s_{-1/2}, s_0) coordinates over leading stack axes."""
+        c = np.asarray(v_ambient, dtype=float) @ self.Cinv.T
+        return c[..., : self.p], c[..., self.p : self.p + self.q], c[..., self.p + self.q :]
 
     def phi(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hermitian form on half-block coordinates, complex (..., p) over
@@ -155,10 +155,10 @@ class SiegelModel:
         return re + 1j * im
 
     def to_complex_w(self, w: np.ndarray) -> np.ndarray:
-        out = []
-        for off, m in self.half_pairs:
-            out.append(w[off : off + m] + 1j * w[off + m : off + 2 * m])
-        return np.concatenate(out) if out else np.zeros(0, dtype=complex)
+        """Complex half-block coordinates of real ones, over leading stack axes."""
+        w = np.asarray(w)
+        out = [w[..., off : off + m] + 1j * w[..., off + m : off + 2 * m] for off, m in self.half_pairs]
+        return np.concatenate(out, axis=-1) if out else np.zeros(w.shape[:-1] + (0,), dtype=complex)
 
     def from_complex_w(self, wc: np.ndarray) -> np.ndarray:
         w = np.zeros(self.q)
@@ -180,6 +180,10 @@ class DomainPoint:
     def __post_init__(self):
         object.__setattr__(self, "z", np.asarray(self.z, dtype=complex))
         object.__setattr__(self, "w", np.asarray(self.w, dtype=float))
+
+    def __iter__(self):
+        """The points of a stack, one ``DomainPoint`` each along the first axis."""
+        return (DomainPoint(z, w) for z, w in zip(self.z, self.w))
 
     def pack(self) -> np.ndarray:
         return np.concatenate([self.z.real, self.z.imag, self.w], axis=-1)
@@ -243,14 +247,8 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
 
     Ch = C[:, p : p + q]
     # bracket tensors of the half block, in s_{-1} coordinates
-    hb = np.zeros((q, q, p))
-    jhb = np.zeros((q, q, p))
-    for i in range(q):
-        for jx in range(q):
-            b = bracket(Ch[:, i], Ch[:, jx], J.L)
-            jb = bracket(J.j @ Ch[:, i], Ch[:, jx], J.L)
-            hb[i, jx] = (Cinv @ b)[:p]
-            jhb[i, jx] = (Cinv @ jb)[:p]
+    hb = bracket_table(Ch, Ch, J.L) @ Cinv[:p].T
+    jhb = bracket_table(J.j @ Ch, Ch, J.L) @ Cinv[:p].T
 
     # orientation: the diagonal of the form on each half-root space sits on
     # the matching frame coordinate; one global sign must make it positive
@@ -276,13 +274,9 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
     jhalf = (Cinv @ (J.j @ Ch))[p : p + q] if q else np.zeros((0, 0))
 
     # ad generators of the 0-block on the graded pieces
-    ad1 = np.zeros((p0, p, p))
-    adh = np.zeros((p0, q, q))
-    for a in range(p0):
-        A = ad_matrix(C[:, p + q + a], J.L)
-        full = Cinv @ A @ C
-        ad1[a] = full[:p, :p]
-        adh[a] = full[p : p + q, p : p + q]
+    ad0 = Cinv @ ad_matrix(C[:, p + q :].T, J.L) @ C
+    ad1 = ad0[:, :p, :p]
+    adh = ad0[:, p : p + q, p : p + q]
 
     model = SiegelModel(
         J=J,
@@ -313,21 +307,17 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
 
 def _hermitian_defect(M: SiegelModel) -> float:
     """Max violation of complex linearity, Hermitian symmetry, and real
-    nonnegative diagonal over half-block basis pairs."""
-    q = M.q
-    worst = 0.0
-    eye = np.eye(q)
-    for i in range(q):
-        for j in range(q):
-            u, v = eye[i], eye[j]
-            lin = M.phi(M.jhalf @ u, v) - 1j * M.phi(u, v)
-            herm = M.phi(v, u) - np.conj(M.phi(u, v))
-            worst = max(worst, float(np.max(np.abs(lin))) if lin.size else 0.0)
-            worst = max(worst, float(np.max(np.abs(herm))) if herm.size else 0.0)
-        d = M.phi(eye[i], eye[i])
-        if d.size:
-            worst = max(worst, float(np.max(np.abs(d.imag))))
-    return worst
+    diagonal over half-block basis pairs.
+
+    Over the form tensor ``T[i, j] = Phi(e_i, e_j)`` these are
+    ``Phi(j e_i, e_j) - i T[i, j]``, ``T[j, i] - conj(T[i, j])`` and
+    ``imag T[i, i]``.
+    """
+    T = M.phi_re + 1j * M.phi_im
+    lin = np.tensordot(M.jhalf, T, ([0], [0])) - 1j * T
+    herm = T.transpose(1, 0, 2) - T.conj()
+    diag = np.diagonal(T).imag
+    return max(float(np.max(np.abs(a), initial=0.0)) for a in (lin, herm, diag))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +412,7 @@ def _combine_zero(M: SiegelModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if np.linalg.norm(b) < 1e-15:
         return a.copy()
     n = M.J.dim
-    gens = np.stack([ad_matrix(M.C[:, M.p + M.q + i], M.J.L) for i in range(M.p0)])
+    gens = ad_matrix(M.C[:, M.p + M.q :].T, M.J.L)
     K = _expm(-np.einsum("a,aij->ij", a, gens)) @ _expm(-np.einsum("a,aij->ij", b, gens))
     X = logm(K)
     X = np.real_if_close(X, tol=1e6).real
@@ -554,19 +544,15 @@ def vector_field(x_ambient, point: DomainPoint, M: SiegelModel) -> np.ndarray:
     """Value at ``point`` of the field generated by an algebra element.
 
     Returns a complex vector over the complex coordinates (z, w); the
-    w-block uses the complex pairing of the model.
+    w-block uses the complex pairing of the model.  Elements (..., dim) and
+    points broadcast against each other over leading stack axes, so one
+    call evaluates many fields at many points.
     """
-    xi, xip, x0 = M.split_coords(np.asarray(x_ambient, dtype=float))
+    xi, xip, x0 = M.split_coords(x_ambient)
     A1, Ah = _ad_blocks(M, x0)
-    dz = -(A1 @ point.z) + xi.astype(complex)
-    if M.q:
-        dz = dz + 2j * M.phi(point.w, xip)
-        dw = -(Ah @ point.w) + xip
-    else:
-        dw = np.zeros(0)
-    # complexify the w-velocity
-    dwc = M.to_complex_w(dw)
-    return np.concatenate([dz, dwc])
+    dz = -(A1 @ point.z[..., None])[..., 0] + xi + 2j * M.phi(point.w, xip)
+    dw = -(Ah @ point.w[..., None])[..., 0] + xip
+    return np.concatenate([dz, M.to_complex_w(dw)], axis=-1)
 
 
 def random_element(M: SiegelModel, rng, bound: float = 1.0) -> GroupElement:
@@ -589,39 +575,3 @@ def random_interior_point(M: SiegelModel, rng) -> DomainPoint:
     quad = np.einsum("i,j,ijk->k", w, w, M.phi_re) if M.q else np.zeros(M.p)
     z = rng.uniform(-2.0, 2.0, M.p) + 1j * (quad + cone_pt)
     return DomainPoint(z, w)
-
-
-# ---------------------------------------------------------------------------
-# point / group element I/O
-# ---------------------------------------------------------------------------
-
-def point_to_dict(pt: DomainPoint) -> dict:
-    return {
-        "z": [[float(c.real), float(c.imag)] for c in pt.z],
-        "w": [float(v) for v in pt.w],
-    }
-
-
-def point_from_dict(data: dict) -> DomainPoint:
-    z = np.array([complex(re, im) for re, im in data["z"]], dtype=complex)
-    return DomainPoint(z, np.asarray(data.get("w", []), dtype=float))
-
-
-def group_to_dict(g: GroupElement) -> dict:
-    return {
-        "x_minus": [float(v) for v in g.x_minus],
-        "x_zero": [float(v) for v in g.x_zero],
-    }
-
-
-def group_from_dict(M: SiegelModel, data: dict) -> GroupElement:
-    return group_element(
-        M,
-        np.asarray(data["x_minus"], dtype=float),
-        np.asarray(data["x_zero"], dtype=float),
-    )
-
-
-def load_point(path) -> DomainPoint:
-    with open(path, "r", encoding="utf-8") as fh:
-        return point_from_dict(json.load(fh))
