@@ -76,6 +76,9 @@ CITED_WITHOUT_COMPUTATION = [
 
 
 EQUIVARIANCE_TOL = 1e-8
+# equivariance samples per tower level: analyze refuses fewer, and verify
+# fails a tower_descend step that stores fewer
+EQUIVARIANCE_SAMPLES_MIN = 100
 # totally-real determinant samples drawn by the fiber case; verify requires
 # a certificate to store at least this many
 FIBER_SAMPLE_POINTS = 50
@@ -84,7 +87,7 @@ FIBER_SAMPLE_POINTS = 50
 @dataclass
 class AnalyzerConfig:
     seed: int = 42
-    samples: int = 100
+    samples: int = EQUIVARIANCE_SAMPLES_MIN
     orbit_tol: float = 1e-7
     affine_match_tol: float = 1e-6
     fiber_tol: float = 1e-8
@@ -248,6 +251,11 @@ def _step(kind, payload, residual, tolerance, level=0):
 
 def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict:
     config = config or AnalyzerConfig()
+    if config.samples < EQUIVARIANCE_SAMPLES_MIN:
+        raise InputError(
+            f"{config.samples} equivariance samples requested; at least "
+            f"{EQUIVARIANCE_SAMPLES_MIN} are needed for the certificate to verify"
+        )
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
     else:
@@ -545,10 +553,11 @@ def verify(cert: dict, config: AnalyzerConfig | None = None):
             elif kind == "tower_descend":
                 F = fib_at(int(step.get("level", 1)))
                 samples = int(payload["equivariance_samples"])
-                if samples < config.samples:
+                needed = max(config.samples, EQUIVARIANCE_SAMPLES_MIN)
+                if samples < needed:
                     entry.update(
                         ok=False,
-                        detail=f"{samples} equivariance samples, verify requires {config.samples}",
+                        detail=f"{samples} equivariance samples, verify requires {needed}",
                     )
                 else:
                     res = check_equivariance(F, samples, seed=int(payload["equivariance_seed"]))

@@ -290,6 +290,8 @@ def totally_real_subalgebra_containing(
     sampled interior points.
     """
     _require_rank_one(M)
+    if samples < 1:
+        raise InputError(f"the determinant criterion needs at least one sample point, got {samples}")
     x = np.asarray(x, dtype=float)
     coords = M.to_adapted(x)
     a = float(coords[-1])

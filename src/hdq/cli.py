@@ -38,7 +38,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="exp:\"<coeffs>\" or affine:<file.json>")
     p.add_argument("--out", help="write the certificate to this path (default stdout)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument(
+        "--samples",
+        type=int,
+        default=analyzer.EQUIVARIANCE_SAMPLES_MIN,
+        help=f"equivariance samples per tower level, at least {analyzer.EQUIVARIANCE_SAMPLES_MIN}",
+    )
 
     p = sub.add_parser("verify", help="re-run the numeric checks of a certificate")
     p.add_argument("certificate", help="certificate JSON file")

@@ -132,7 +132,7 @@ class Root:
 class FineStructure:
     a_basis: Subspace
     rank: int
-    roots: tuple            # of Root
+    roots: tuple            # of Root, sorted by label
     fundamental: tuple      # indices into roots, ordered alpha_1..alpha_r
     eta: tuple              # of vectors
     xi: tuple               # xi_k = -j eta_k
@@ -192,7 +192,8 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
     if not rep.flags.get("split", False):
         raise NotSplitSolvable("algebra has non-real ad spectrum or is not solvable")
 
-    G = 0.5 * (gram(J) + gram(J).T)
+    G = gram(J)
+    G = 0.5 * (G + G.T)
     evals, evecs = np.linalg.eigh(G)
     if np.min(evals) <= 0:
         raise RootPatternViolation("inner product is not positive definite")
@@ -294,7 +295,6 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
 
     # re-index fundamentals so alpha_1..alpha_r follow the chosen order
     perm = {old: new for new, old in enumerate(order)}
-    fundamentals_ord = [fundamentals[old] for old in order]
     etas_ord = [etas[old] for old in order]
 
     roots = []
@@ -316,18 +316,20 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
             new_lab = ("diff", lpos, kneg)
         roots.append((new_lab, values, V))
 
-    # values on the ordered eta frame
+    # values on the ordered eta frame; roots in label order, so that the
+    # model's block order does not follow the basis an SVD picked for a
     Y_ord = np.column_stack([Y[:, order[k]] for k in range(r)])
     final_roots = []
-    for new_lab, values, V in roots:
+    for new_lab, values, V in sorted(roots, key=lambda t: t[0]):
         vals_on_eta = tuple(float(np.dot(values, Y_ord[:, k])) for k in range(r))
         final_roots.append(Root(vals_on_eta, V, new_lab))
+    labels_ord = [rt.label for rt in final_roots]
+    fundamentals_ord = [labels_ord.index(("full", k)) for k in range(r)]
 
     xis = []
     for k, eta in enumerate(etas_ord):
         xi = -(J.j @ eta)
-        full_idx = next(i for i, rt in enumerate(final_roots) if rt.label == ("full", k))
-        Vk = final_roots[full_idx].space
+        Vk = final_roots[fundamentals_ord[k]].space
         if residual_outside(xi, Vk) > 1e-7 * max(1.0, float(np.linalg.norm(xi))):
             raise RootPatternViolation("frame vector -j eta_k is not in its root space")
         xis.append(xi)

@@ -6,10 +6,14 @@ in ``[e_i, e_j]``.  Antisymmetry is enforced at construction time by
 averaging ``c`` against ``-c.transpose(1, 0, 2)``.
 
 Structure identities are checked over whole bases at once: the kernel
-:func:`bracket_table` contracts two basis matrices against ``c`` in one
-BLAS-backed ``einsum``, ``ad_matrix`` takes stacks of elements, and the
-Jacobi and representation defects are tensor identities with no loop over
-pairs.
+:func:`bracket_table` contracts two basis matrices against ``c`` in a fixed
+order, one ``tensordot`` and one batched matrix product, ``ad_matrix``
+takes stacks of elements, and the Jacobi and representation defects are
+tensor identities with no loop over pairs.
+
+A :class:`Subspace` is factored once, by one thin SVD, when it is built;
+:func:`validate_algebra` measures an algebra once and keeps the
+tolerance-independent measurements on the frozen :class:`LieAlgebraData`.
 """
 
 from __future__ import annotations
@@ -55,6 +59,8 @@ class LieAlgebraData:
         c = 0.5 * (c - c.transpose(1, 0, 2))
         object.__setattr__(self, "c", _readonly(c))
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        # tolerance-independent measurements, filled by validate_algebra
+        object.__setattr__(self, "_measurements", None)
 
     def index(self, label: str) -> int:
         try:
@@ -72,7 +78,9 @@ def bracket_table(A: np.ndarray, B: np.ndarray, L: LieAlgebraData) -> np.ndarray
     """All brackets of the columns of A with the columns of B.
 
     ``A`` is (dim, a) and ``B`` is (dim, b); entry ``[s, t]`` of the
-    (a, b, dim) result is ``[A[:, s], B[:, t]]``.
+    (a, b, dim) result is ``[A[:, s], B[:, t]]``.  ``A`` is contracted
+    first, over the leading axis of ``c`` (no copy of ``c``), then ``B``
+    by one batched matrix product.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -80,7 +88,7 @@ def bracket_table(A: np.ndarray, B: np.ndarray, L: LieAlgebraData) -> np.ndarray
         raise DimensionMismatch(
             f"basis matrices of shape {A.shape}/{B.shape} in algebra of dim {L.dim}"
         )
-    return np.einsum("ia,jb,ijk->abk", A, B, L.c, optimize=True)
+    return B.T @ np.tensordot(A, L.c, ([0], [0]))
 
 
 def bracket(a: np.ndarray, b: np.ndarray, L: LieAlgebraData) -> np.ndarray:
@@ -122,50 +130,61 @@ def opposite(L: LieAlgebraData) -> LieAlgebraData:
 
 @dataclass(frozen=True)
 class Subspace:
-    """Subspace of R^ambient_dim spanned by the columns of basis_matrix."""
+    """Subspace of R^ambient_dim spanned by the columns of basis_matrix.
+
+    The basis is factored once, by a thin SVD, when the subspace is built:
+    its singular values decide independence (the smallest must exceed
+    ``RANK_RTOL`` times the largest) and its left factor is the orthonormal
+    basis :meth:`orthonormal` returns.  :func:`span` passes the orthonormal
+    factor it already has as ``_orthonormal``, and nothing is factored
+    again.
+    """
 
     ambient_dim: int
     basis_matrix: np.ndarray
+    _orthonormal: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         B = np.asarray(self.basis_matrix, dtype=float)
         if B.ndim != 2 or B.shape[0] != self.ambient_dim:
             raise DimensionMismatch("basis matrix must be ambient_dim x k")
-        if B.shape[1] > 0 and np.linalg.matrix_rank(B, tol=_rank_tol(B)) < B.shape[1]:
-            raise DimensionMismatch("basis columns are linearly dependent")
+        q = self._orthonormal
+        if q is None:
+            q = np.zeros((self.ambient_dim, 0))
+            if B.shape[1] > 0:
+                q, s, _ = np.linalg.svd(B, full_matrices=False)
+                if s.size < B.shape[1] or not s[-1] > RANK_RTOL * s[0]:
+                    raise DimensionMismatch("basis columns are linearly dependent")
         object.__setattr__(self, "basis_matrix", _readonly(B))
+        object.__setattr__(self, "_orthonormal", _readonly(q))
 
     @property
     def dim(self) -> int:
         return self.basis_matrix.shape[1]
 
     def orthonormal(self) -> np.ndarray:
-        if self.dim == 0:
-            return np.zeros((self.ambient_dim, 0))
-        q, _ = np.linalg.qr(self.basis_matrix)
-        return q
-
-
-def _rank_tol(M) -> float:
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    return RANK_RTOL * (s[0] if s.size else 1.0)
+        """Read-only orthonormal basis of the subspace, (ambient_dim, dim)."""
+        return self._orthonormal
 
 
 def span(vectors, ambient_dim: int, tol: float = RANK_RTOL, floor: float = 0.0) -> Subspace:
     """Subspace spanned by a collection of vectors, or the rows of an
     array, rank-reduced via SVD.
 
-    ``floor`` is an absolute singular-value cutoff; without it a stack of
-    numerically-zero vectors would count as rank one under the relative test.
+    Exactly-zero rows are dropped before the SVD; they change neither the
+    span nor the singular values.  ``floor`` is an absolute singular-value
+    cutoff; without it a stack of numerically-zero vectors would count as
+    rank one under the relative test.
     """
     M = np.asarray(vectors, dtype=float)
+    if M.size:
+        M = M.reshape(-1, ambient_dim)
+        M = M[np.any(M != 0.0, axis=1)]
     if M.size == 0:
         return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
-    u, s, _ = np.linalg.svd(M.reshape(-1, ambient_dim).T, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return Subspace(ambient_dim, np.zeros((ambient_dim, 0)))
+    u, s, _ = np.linalg.svd(M.T, full_matrices=False)
     r = int(np.sum(s > max(tol * s[0], floor)))
-    return Subspace(ambient_dim, u[:, :r])
+    return Subspace(ambient_dim, u[:, :r], u[:, :r])
 
 
 def residual_outside(v: np.ndarray, V: Subspace):
@@ -295,16 +314,28 @@ def max_imag_ad_eigenvalue(L: LieAlgebraData, samples: int = 20, seed: int = 0) 
     return float(np.max(np.abs(np.linalg.eigvals(ads).imag)))
 
 
-def validate_algebra(L: LieAlgebraData, tol: float = JACOBI_TOL) -> ValidationReport:
-    """Check antisymmetry and Jacobi; solvability and split-solvability are
-    reported as flags (they are properties, not axioms, of the raw tensor)."""
-    report = ValidationReport()
+def _measure_algebra(L: LieAlgebraData) -> tuple:
+    """(antisymmetry residual, Jacobi defect, solvable, largest |imag| of an
+    ad eigenvalue): everything validate_algebra measures, none of it
+    depending on a tolerance."""
     # antisymmetry is enforced at load; report the residual of the raw tensor
     anti = float(np.max(np.abs(L.c + L.c.transpose(1, 0, 2)))) if L.dim else 0.0
+    return anti, jacobi_defect(L), is_solvable(L), max_imag_ad_eigenvalue(L)
+
+
+def validate_algebra(L: LieAlgebraData, tol: float = JACOBI_TOL) -> ValidationReport:
+    """Check antisymmetry and Jacobi; solvability and split-solvability are
+    reported as flags (they are properties, not axioms, of the raw tensor).
+
+    The measurements are taken once per algebra and kept on ``L``; each
+    call compares them with ``tol`` in a fresh report.
+    """
+    if L._measurements is None:
+        object.__setattr__(L, "_measurements", _measure_algebra(L))
+    anti, jacobi, solvable, imag = L._measurements
+    report = ValidationReport()
     report.record("antisymmetry", anti, tol)
-    report.record("jacobi", jacobi_defect(L), tol)
-    solvable = is_solvable(L)
-    imag = max_imag_ad_eigenvalue(L)
+    report.record("jacobi", jacobi, tol)
     report.flags["solvable"] = solvable
     report.flags["split"] = solvable and imag <= max(tol, 1e-8)
     report.flags["max_imag_ad_eigenvalue"] = imag

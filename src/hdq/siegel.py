@@ -43,6 +43,55 @@ def _expm(A):
     return A.copy() if A.size == 0 else expm(A)
 
 
+# Pade-13 numerator coefficients, divided by the constant one so that the
+# zero matrix maps to the identity exactly, and the 1-norm up to which the
+# degree-13 approximant is accurate to double precision without scaling
+# (Higham, "The scaling and squaring method for the matrix exponential
+# revisited", SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
+_PADE13 = tuple(
+    b / 64764752532480000.0
+    for b in (
+        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+        1187353796428800.0, 129060195264000.0, 10559470521600.0,
+        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
+        16380.0, 182.0, 1.0,
+    )
+)
+_THETA13 = 5.371920351148152
+
+
+def _expm_stack(A):
+    """exp of each (k, k) slice of a (..., k, k) stack, in one pass; a
+    single (k, k) matrix goes through as a stack of one.
+
+    Each slice is scaled by its own power of two, so its result does not
+    depend on the rest of the stack; the Pade-13 approximant is evaluated
+    with batched products and one batched solve, and a slice is squared
+    back only as often as it was scaled.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.size == 0:
+        return A.copy()
+    stack, k = A.shape[:-2], A.shape[-1]
+    A = A.reshape((-1, k, k))
+    # s = ceil(log2(|A|_1 / theta)), at least 0; frexp gives 0 for 0, inf, nan
+    m, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
+    s = np.maximum(e - (m == 0.5), 0)
+    A = np.ldexp(A, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(k)
+    A2 = A @ A
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
+    E = np.linalg.solve(V - U, V + U)
+    for step in range(int(s.max())):
+        todo = s > step
+        E[todo] = E[todo] @ E[todo]
+    return E.reshape(stack + (k, k))
+
+
 def _aligned_basis(V: Subspace) -> np.ndarray:
     """Deterministic orthonormal basis of V aligned with ambient coordinates."""
     n, d = V.ambient_dim, V.dim
@@ -334,8 +383,8 @@ def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
     """Build a group element and cache its affine map on (z, w)-space.
 
     ``x_minus`` (..., p+q) and ``x_zero`` (..., p0) may share leading stack
-    axes; the element is then a stack built in one pass, one ``expm`` per
-    block over the whole stack.
+    axes; the element is then a stack built in one pass, one batched
+    exponential (``_expm_stack``) per block over the whole stack.
     """
     x_minus = np.asarray(x_minus, dtype=float)
     x_zero = np.asarray(x_zero, dtype=float)
@@ -345,7 +394,7 @@ def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
     p, q = M.p, M.q
     xi, xip = x_minus[..., :p], x_minus[..., p:]
     A1, Ah = _ad_blocks(M, x_zero)
-    E1, Eh = _expm(-A1), _expm(-Ah)
+    E1, Eh = _expm_stack(-A1), _expm_stack(-Ah)
 
     # 2i Phi(Eh w, xi') = (-2 Fim + 2i Fre)(Eh w, xi')
     Kre = np.einsum("ijk,...j->...ki", M.phi_re, xip)

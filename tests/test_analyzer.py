@@ -4,7 +4,9 @@ import json
 import numpy as np
 import pytest
 
+from hdq import analyzer, lie_core
 from hdq.analyzer import (
+    EQUIVARIANCE_SAMPLES_MIN,
     FIBER_SAMPLE_POINTS,
     AnalyzerConfig,
     analyze,
@@ -16,6 +18,7 @@ from hdq.analyzer import (
     verify,
 )
 from hdq.errors import InputError, MalformedCertificate
+from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import ball_jalgebra, preset
 from hdq.siegel import act, build_model
 
@@ -258,22 +261,66 @@ def test_non_finite_affine_map_is_input_error(row, col):
         analyze("ball:2", {"linear": lin.tolist(), "translation": off.tolist()})
 
 
-def test_unequivariant_tower_level_is_undecided(relabelled_polydisc):
-    """analyze never certifies what verify rejects.
-
-    On this copy of polydisc:6, rescaled per basis vector, the splits at
-    tower levels 3 and 4 are omega-orthogonal only to 7e-9 and 3e-8, and
-    level 2 checks equivariant only to about 1e-7, above the 1e-8 tolerance.
-    """
-    J, perm, scale = relabelled_polydisc(6, np.random.default_rng([2, 324]), per_vector=True)
+def _rescaled_polydisc_input(relabelled_polydisc, key):
+    """A copy of polydisc:6 rescaled per basis vector, and the image of one
+    fixed preset element in its basis."""
+    J, perm, scale = relabelled_polydisc(6, np.random.default_rng(key), per_vector=True)
     on_preset = np.zeros(J.dim)
     on_preset[0::2] = [0.3, 0.5, 0.7, 0.9, -0.4, -0.6]
     on_preset[1::2] = 0.2
     coeffs = on_preset[perm] / scale
     phi = "exp:" + " + ".join(f"{c:.17g}*{lbl}" for c, lbl in zip(coeffs, J.L.basis_labels))
-    cert = analyze(J, phi.replace("+ -", "- "))
-    ok, _ = verify(cert)
-    assert cert["conclusion"] != "stein_certified" or ok
+    return J, phi.replace("+ -", "- ")
+
+
+def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, monkeypatch):
+    """A tower level whose equivariance residual exceeds the tolerance ends
+    the analysis undecided, with no tower_descend step for that level.
+
+    The tolerance is set below the level-1 residual that analyze computes,
+    so the gate fires whatever the rounding of the residual is.
+    """
+    J, phi = _rescaled_polydisc_input(relabelled_polydisc, [2, 0])
+    config = AnalyzerConfig()
+    F = split_last_root(J, build_model(J))
+    level1 = check_equivariance(F, config.samples, seed=config.seed + 1)
+    assert level1 > 0.0
+    monkeypatch.setattr(analyzer, "EQUIVARIANCE_TOL", 0.5 * level1)
+    cert = analyze(J, phi, config)
     assert cert["conclusion"] == "undecided"
-    assert "level 2 is not numerically equivariant (residual 9.4" in cert["assumptions"][-1]
-    assert ok
+    assert not any(s["kind"] == "tower_descend" and s["level"] == 1 for s in cert["steps"])
+    assert "the fibration at level 1 is not numerically equivariant" in cert["assumptions"][-1]
+
+
+@pytest.mark.parametrize("copy_index", [0, 1, 2, 3, 4, 5, 6, 261, 324, 357])
+def test_rescaled_tower_certificates_verify(relabelled_polydisc, copy_index):
+    """analyze never certifies what verify rejects, on copies of polydisc:6
+    rescaled per basis vector, among them copies (261, 324, 357) on which
+    rounding decides whether a tower level passes the equivariance gate."""
+    J, phi = _rescaled_polydisc_input(relabelled_polydisc, [2, copy_index])
+    cert = analyze(J, phi)
+    assert cert["conclusion"] != "stein_certified" or verify(cert)[0]
+
+
+def test_samples_below_the_floor_are_refused():
+    with pytest.raises(InputError, match="equivariance samples"):
+        analyze("polydisc:2", "exp:delta1 + zeta2", AnalyzerConfig(samples=EQUIVARIANCE_SAMPLES_MIN - 1))
+    cert = analyze("polydisc:2", "exp:delta1 + zeta2", AnalyzerConfig(samples=EQUIVARIANCE_SAMPLES_MIN))
+    assert verify(cert)[0]
+
+
+def test_each_algebra_is_measured_once(monkeypatch):
+    """analyze measures the input algebra and the ideal of its one tower
+    level once each, however often they are validated."""
+    measured = []
+    original = lie_core._measure_algebra
+
+    def counting(L):
+        measured.append(L)
+        return original(L)
+
+    monkeypatch.setattr(lie_core, "_measure_algebra", counting)
+    cert = analyze("ball:8", "exp:0.5*delta + 0.3*zeta - 0.2*xi1 + 0.4*eta3")
+    assert cert["conclusion"] == "stein_certified"
+    assert [L.dim for L in measured] == [16, 16]
+    assert measured[0] is not measured[1]

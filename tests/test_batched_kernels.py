@@ -1,7 +1,8 @@
 """The whole-basis contractions against the per-pair loops they replaced.
 
 Each ``_loop_*`` function below is the former implementation, kept as the
-reference.  The defects are compared on random tensors that satisfy no
+reference, as are the former ``einsum`` bracket formula and scipy's
+``expm`` for the batched exponential of the group elements.  The defects are compared on random tensors that satisfy no
 algebra axiom (or on models with a perturbed form), so each is of order
 one, not a rounding residue.  The contraction order differs from the
 loops', so agreement is required to 1e-12, not bit for bit; the stacked
@@ -10,18 +11,33 @@ samples are required to equal the per-point draws exactly.
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hdq import lie_core
 from hdq.ball import sample_totally_real_points, totally_real_defect
 from hdq.errors import InputError
 from hdq.fibration import _homomorphism_defect
 from hdq.jalgebra import NormalJAlgebra, integrability_defect, preset, subalgebra
-from hdq.lie_core import LieAlgebraData, Subspace, bracket_table, residual_outside, span
-from hdq.siegel import DomainPoint, _hermitian_defect, build_model, vector_field
+from hdq.errors import DimensionMismatch
+from hdq.lie_core import LieAlgebraData, Subspace, bracket_table, residual_outside, span, subspace_equal
+from hdq.siegel import (
+    _THETA13,
+    DomainPoint,
+    _ad_blocks,
+    _expm_stack,
+    _hermitian_defect,
+    build_model,
+    vector_field,
+)
 
 TOL = 1e-12
+
+
+def _einsum_bracket_table(A, B, L):
+    return np.einsum("ia,jb,ijk->abk", A, B, L.c, optimize=True)
 
 
 def _pair(a, b, L):
@@ -281,3 +297,130 @@ def test_stacked_fields_and_samples_match_per_point(name):
         old = complex(np.linalg.det(np.column_stack(cols)))
         assert abs(single - old) <= TOL * max(1.0, abs(old))
 
+
+
+@pytest.mark.parametrize("a, b", [(4, 3), (1, 9), (9, 1), (9, 9), (0, 2)])
+def test_bracket_table_matches_einsum(a, b):
+    rng = np.random.default_rng(60 + a + b)
+    L = _random_algebra(9, rng)
+    A, B = rng.standard_normal((9, a)), rng.standard_normal((9, b))
+    table = bracket_table(A, B, L)
+    ref = _einsum_bracket_table(A, B, L)
+    assert table.shape == ref.shape == (a, b, 9)
+    np.testing.assert_allclose(table, ref, rtol=0, atol=TOL * max(1.0, float(np.max(np.abs(ref), initial=0.0))))
+
+
+def _with_norm(X, norm):
+    """X rescaled to the given 1-norm, slice by slice."""
+    return X * (norm / np.max(np.sum(np.abs(X), axis=-2), axis=-1))[..., None, None]
+
+
+def _assert_matches(stack, reference, rel=1e-13):
+    E = _expm_stack(stack)
+    assert E.shape == stack.shape
+    if stack.size == 0:
+        return
+    k = stack.shape[-1]
+    for X, got in zip(stack.reshape(-1, k, k), E.reshape(-1, k, k)):
+        ref = reference(X)
+        assert np.linalg.norm(got - ref) <= rel * np.linalg.norm(ref)
+
+
+def _exact_expm(X):
+    with mpmath.workdps(40):
+        return np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=float)
+
+
+# 1-norms that take 0, 1, 2, 3 and 4 squarings: ceil(log2(norm / theta_13))
+SQUARING_NORMS = _THETA13 * np.array([0.5, 1.5, 3.0, 6.0, 12.0])
+
+
+@pytest.mark.parametrize("name", ["ball:4", "polydisc:6", "product:[ball:3,ball:2]"])
+def test_expm_stack_matches_scipy_on_ad_blocks(name):
+    """The stacks group_element exponentiates, against scipy slice by slice."""
+    M = build_model(preset(name))
+    x_zero = np.random.default_rng(70).uniform(-1.5, 1.5, (50, M.p0))
+    for block in _ad_blocks(M, x_zero):
+        _assert_matches(-block, expm)
+    _assert_matches(0.3 * np.random.default_rng(71).standard_normal((3, 4, 5, 5)), expm)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "rotation", "symmetric"])
+@pytest.mark.parametrize("k", [2, 6])
+def test_expm_stack_matches_exact_per_slice(kind, k):
+    """Stacks whose slices take 0 to 4 squarings.  On such stacks scipy's
+    expm is itself off by up to about 1e-12 relative (a 2x2 symmetric
+    slice of 1-norm 16, a 6x6 Gaussian one of 1-norm 64), so the reference
+    is the exponential at 40 digits."""
+    assert [int(np.ceil(max(0.0, np.log2(v / _THETA13)))) for v in SQUARING_NORMS] == [0, 1, 2, 3, 4]
+    rng = np.random.default_rng(73 + k)
+    X = rng.standard_normal((5, k, k))
+    if kind == "rotation":
+        X = X - X.transpose(0, 2, 1) + 0.1 * X
+    elif kind == "symmetric":
+        X = X + X.transpose(0, 2, 1)
+    _assert_matches(_with_norm(X, SQUARING_NORMS), _exact_expm)
+
+
+def test_expm_stack_special_inputs():
+    rng = np.random.default_rng(71)
+    # diagonal: the exponential of each entry, over a range of scalings
+    d = rng.uniform(-6.0, 6.0, (8, 4)) * np.array([0.01, 0.5, 2.0, 20.0] * 2)[:, None]
+    diag = np.zeros((8, 4, 4))
+    diag[:, range(4), range(4)] = d
+    E = _expm_stack(diag)
+    np.testing.assert_allclose(np.diagonal(E, axis1=-2, axis2=-1), np.exp(d), rtol=1e-13, atol=0)
+    np.testing.assert_array_equal(E - np.diagonal(E, axis1=-2, axis2=-1)[..., None] * np.eye(4), 0.0)
+    # strictly upper triangular (nilpotent), including norms that are scaled
+    N = np.triu(rng.standard_normal((4, 5, 5)), 1) * np.array([0.1, 1.0, 5.0, 30.0])[:, None, None]
+    _assert_matches(N, expm)
+    np.testing.assert_array_equal(np.tril(_expm_stack(N), -1), 0.0)
+    # zero matrices give the identity exactly
+    np.testing.assert_array_equal(_expm_stack(np.zeros((3, 4, 4))), np.broadcast_to(np.eye(4), (3, 4, 4)))
+    # zero-size stacks and blocks keep their shape
+    for shape in [(0, 3, 3), (5, 0, 0), (0, 0)]:
+        assert _expm_stack(np.zeros(shape)).shape == shape
+
+
+def test_expm_stack_slices_do_not_depend_on_the_stack():
+    rng = np.random.default_rng(72)
+    X = _with_norm(rng.standard_normal((6, 4, 4)), _THETA13 * np.array([0.1, 0.9, 1.7, 3.5, 7.0, 0.01]))
+    E = _expm_stack(X)
+    for k in range(6):
+        np.testing.assert_array_equal(E[k], _expm_stack(X[k]))
+
+
+def test_span_ignores_zero_rows():
+    rng = np.random.default_rng(80)
+    rows = rng.standard_normal((3, 7)) @ rng.standard_normal((7, 7))
+    mixed = np.zeros((11, 7))
+    mixed[[1, 4, 9]] = rows
+    V, W = span(rows, 7), span(mixed, 7)
+    assert V.dim == W.dim == 3
+    assert subspace_equal(V, W, 1e-12)
+    # rank-deficient: a fourth row in the span of the others, zeros around it
+    mixed[6] = rows[0] - 2.0 * rows[2]
+    assert span(mixed, 7).dim == 3
+    assert span(np.zeros((5, 7)), 7).dim == 0
+    assert span([], 7).dim == 0
+    # the absolute floor still applies to what is left
+    assert span(np.vstack([1e-14 * rows, np.zeros((2, 7))]), 7, floor=1e-10).dim == 0
+
+
+def test_subspace_orthonormal_basis():
+    rng = np.random.default_rng(81)
+    B = rng.standard_normal((8, 3)) * np.array([1e-3, 1.0, 1e3])  # badly scaled columns
+    V = Subspace(8, B)
+    q = V.orthonormal()
+    assert q.shape == (8, 3)
+    np.testing.assert_allclose(q.T @ q, np.eye(3), rtol=0, atol=1e-14)
+    assert np.max(residual_outside(B.T, V) / np.linalg.norm(B, axis=0)) <= 1e-14
+    assert not q.flags.writeable
+    # independence: the smallest singular value must exceed RANK_RTOL times the largest
+    u, _, vt = np.linalg.svd(rng.standard_normal((8, 2)), full_matrices=False)
+    Subspace(8, u @ np.diag([1.0, 2.0 * lie_core.RANK_RTOL]) @ vt)
+    with pytest.raises(DimensionMismatch):
+        Subspace(8, u @ np.diag([1.0, 0.5 * lie_core.RANK_RTOL]) @ vt)
+    with pytest.raises(DimensionMismatch):
+        Subspace(2, rng.standard_normal((2, 3)))
+    assert Subspace(4, np.zeros((4, 0))).orthonormal().shape == (4, 0)

@@ -111,3 +111,23 @@ def test_non_finite_affine_map_is_input_error(tmp_path):
 def test_missing_file_is_input_error():
     res = run_cli("verify", "/nonexistent/cert.json")
     assert res.returncode == 4
+
+
+def test_ball_check_totally_real_without_samples_is_input_error():
+    res = run_cli(
+        "ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", "--samples", "0"
+    )
+    assert res.returncode == 4, res.stderr
+    assert "at least one sample point" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_analyze_samples_below_the_floor_is_input_error(tmp_path):
+    out = tmp_path / "cert.json"
+    res = run_cli(
+        "analyze", "--domain", "polydisc:2", "--phi", "exp:delta1 + zeta2",
+        "--samples", "20", "--out", str(out),
+    )
+    assert res.returncode == 4, res.stderr
+    assert "at least 100" in res.stderr
+    assert not out.exists()
