@@ -3,13 +3,25 @@
 ``analyze`` takes a domain and one automorphism and walks the reduction:
 Jordan split of the affine matrix, discreteness of the cyclic group,
 removal of the elliptic factor, expression in exponential coordinates of
-the simply transitive solvable group, and then a recursion down the
+the simply transitive solvable group, and then a descent down the
 fibration tower.  If the element sits in the ball-like fiber the
 totally-real subalgebra witnesses are produced; otherwise it is pushed to
-the lower-rank quotient domain and the recursion continues.
+the lower-rank quotient domain and the descent continues.
 
-Every numeric claim is recorded as a step with payload, residual and
-tolerance; ``verify`` re-runs the checks from the stored witnesses alone.
+The contract between ``analyze`` and ``verify``:
+
+- each step kind has exactly one check, a function of the step's payload
+  and a :class:`ReplayState` (the level-1 model, the fibration tower split
+  lazily, and what earlier steps established), in ``CHECKS``;
+- each checked kind has one tolerance, in ``STEP_TOL``;
+- ``analyze`` runs the check on every payload it builds and records the
+  step, with the check's residual, only if it passes within the
+  tolerance; a failed check ends the analysis ``undecided`` with a reason
+  in ``assumptions``;
+- ``verify`` runs the same checks on the stored payloads and accepts each
+  within ``VERIFY_SLACK`` times the tolerance.  It reads no threshold from
+  the certificate: a stored ``tolerance`` is a note for the reader.
+
 Conclusions are certificates of the cited structure theory applied to
 verified hypotheses, never independent proofs: the assumption list names
 everything cited without computation.
@@ -19,34 +31,32 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 from . import jalgebra
 from .ball import (
+    DEFECT_MIN,
+    WITNESS_RESIDUAL,
     sample_totally_real_points,
-    totally_real_defect,
-    totally_real_subalgebra_containing,
+    totally_real_residuals,
+    totally_real_subalgebra,
 )
-from .errors import (
-    HdqError,
-    InputError,
-    MalformedCertificate,
-    NotInDomain,
-)
+from .errors import HdqError, InputError, MalformedCertificate
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
-from .lie_core import Subspace, ad_matrix, closure_residual, residual_outside
+from .lie_core import Subspace, ad_matrix, residual_outside
 from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
-    act,
+    ad_log,
     build_model,
     contains,
+    group_adjoint,
     group_element,
     random_interior_point,
     solve_orbit,
@@ -75,25 +85,22 @@ CITED_WITHOUT_COMPUTATION = [
 ]
 
 
-EQUIVARIANCE_TOL = 1e-8
 # equivariance samples per tower level: analyze refuses fewer, and verify
 # fails a tower_descend step that stores fewer
 EQUIVARIANCE_SAMPLES_MIN = 100
 # totally-real determinant samples drawn by the fiber case; verify requires
 # a certificate to store at least this many
 FIBER_SAMPLE_POINTS = 50
+# the element is in the fiber below FIBER_RATIO (|pushed| / |element|), and
+# membership is undecided below FIBER_BAND
+FIBER_RATIO = 1e-8
+FIBER_BAND = 1e-6
 
 
 @dataclass
 class AnalyzerConfig:
     seed: int = 42
     samples: int = EQUIVARIANCE_SAMPLES_MIN
-    orbit_tol: float = 1e-7
-    affine_match_tol: float = 1e-6
-    fiber_tol: float = 1e-8
-    fiber_undecided_band: float = 1e-6
-    defect_min: float = 1e-6
-    verify_slack: float = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -131,37 +138,16 @@ def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
     return x
 
 
-def _minus_generator_stack(M: SiegelModel):
-    n = M.J.dim
-    return ad_matrix(M.C[:, : M.p + M.q].T, M.J.L).reshape(M.p + M.q, n * n).T
-
-
 def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
     """Group element exp(x) rewritten in layered (x_minus, x_zero) form."""
-    coords = M.to_adapted(x_amb)
-    x0 = coords[M.p + M.q :]
-    x0_amb = M.C[:, M.p + M.q :] @ x0 if M.p0 else np.zeros(M.J.dim)
-    K = expm(-ad_matrix(x_amb, M.J.L)) @ expm(ad_matrix(x0_amb, M.J.L))
-    X = np.real_if_close(logm(K), tol=1e6).real if K.size else np.zeros((0, 0))
-    stack = _minus_generator_stack(M)
-    y, *_ = (
-        np.linalg.lstsq(stack, -X.flatten(), rcond=None)
-        if stack.size
-        else (np.zeros(M.p + M.q),)
-    )
-    return group_element(M, y, x0)
+    x0 = M.to_adapted(x_amb)[M.p + M.q :]
+    K = expm(-ad_matrix(x_amb, M.J.L)) @ expm(ad_matrix(M.C[:, M.p + M.q :] @ x0, M.J.L))
+    return group_element(M, ad_log(K, ad_matrix(M.C[:, : M.p + M.q].T, M.J.L)), x0)
 
 
 def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
     """Single ambient log vector of exp(x_minus) exp(x_zero)."""
-    n = M.J.dim
-    v_minus = M.C[:, : M.p + M.q] @ g.x_minus
-    v_zero = M.C[:, M.p + M.q :] @ g.x_zero
-    K = expm(-ad_matrix(v_minus, M.J.L)) @ expm(-ad_matrix(v_zero, M.J.L))
-    X = np.real_if_close(logm(K), tol=1e6).real
-    stack = M.J.L.c.transpose(0, 2, 1).reshape(n, n * n).T
-    v, *_ = np.linalg.lstsq(stack, -X.flatten(), rcond=None)
-    return v
+    return ad_log(group_adjoint(g, M), M.J.L.c.transpose(0, 2, 1))
 
 
 def _affine_of(g: GroupElement):
@@ -238,17 +224,6 @@ def _jsonify(obj):
     return obj
 
 
-def _step(kind, payload, residual, tolerance, level=0):
-    return {
-        "kind": kind,
-        "citation": CITATIONS.get(kind, ""),
-        "payload": _jsonify(payload),
-        "residual": float(residual),
-        "tolerance": float(tolerance),
-        "level": int(level),
-    }
-
-
 def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict:
     config = config or AnalyzerConfig()
     if config.samples < EQUIVARIANCE_SAMPLES_MIN:
@@ -281,48 +256,29 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    steps = cert["steps"]
+    state = ReplayState(M, config.samples)
 
     # (1) Jordan split of the homogenized affine matrix
     A = _homogenize(phi.mat, phi.off)
     parts = jordan_decompose(A)
-    comm = max(
-        float(np.linalg.norm(x @ y - y @ x))
-        for x, y in [
-            (parts.elliptic, parts.hyperbolic),
-            (parts.elliptic, parts.unipotent),
-            (parts.hyperbolic, parts.unipotent),
-        ]
-    )
-    steps.append(
-        _step(
-            "jordan_split",
-            {
-                "matrix": A,
-                "elliptic": parts.elliptic,
-                "hyperbolic": parts.hyperbolic,
-                "unipotent": parts.unipotent,
-            },
-            max(parts.residual, comm),
-            1e-8,
-        )
-    )
+    e, h, u = parts.elliptic, parts.hyperbolic, parts.unipotent
+    if not _record(cert, state, "jordan_split", {"matrix": A, "elliptic": e, "hyperbolic": h, "unipotent": u}):
+        return cert
 
     # (2) discreteness of the cyclic group
     disc = cyclic_discreteness(A, parts)
-    hu = parts.hyperbolic @ parts.unipotent
-    hu_dev = float(np.linalg.norm(hu - np.eye(A.shape[0])))
-    angles = [float(t) for t in np.abs(np.angle(np.linalg.eigvals(parts.elliptic)))]
-    steps.append(
-        _step(
-            "discreteness",
-            {"kind": disc.kind, "order": disc.order, "hu_deviation": hu_dev, "angles": sorted(angles)},
-            0.0,
-            1.0,
-        )
-    )
+    hu = h @ u
+    angles = sorted(float(t) for t in np.abs(np.angle(np.linalg.eigvals(e))))
+    payload = {
+        "kind": disc.kind,
+        "order": disc.order,
+        "hu_deviation": float(np.linalg.norm(hu - np.eye(A.shape[0]))),
+        "angles": angles,
+    }
+    if not _record(cert, state, "discreteness", payload):
+        return cert
     if disc.kind == "finite":
-        steps.append(_step("finite_case", {"order": disc.order}, 0.0, 1.0))
+        _record(cert, state, "finite_case", {"order": disc.order})
         cert["conclusion"] = "stein_by_citation"
         return cert
     if disc.kind == "indiscrete_closure":
@@ -338,143 +294,279 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
     if np.max(np.abs(hu[N, :N])) > 1e-9 or abs(hu[N, N] - 1) > 1e-9:
         raise HdqError("hyperbolic-unipotent part is not affine")
     phi_mat, phi_off = hu[:N, :N], hu[:N, N]
-    steps.append(
-        _step(
-            "elliptic_reduction",
-            {"elliptic": parts.elliptic, "phi_prime_linear": phi_mat, "phi_prime_translation": phi_off},
-            float(np.linalg.norm(parts.elliptic @ hu - A)) / max(1.0, float(np.linalg.norm(A))),
-            1e-8,
-        )
-    )
+    payload = {"elliptic": e, "phi_prime_linear": phi_mat, "phi_prime_translation": phi_off}
+    if not _record(cert, state, "elliptic_reduction", payload):
+        return cert
 
     # (4) exponential coordinates inside the split solvable group
     try:
-        img = DomainPoint.unpack(phi_mat @ M.base_point().pack() + phi_off, M.p, M.q)
-        s = solve_orbit(img, M, config.orbit_tol)
-    except (NotInDomain, HdqError) as exc:
+        s = solve_orbit(DomainPoint.unpack(phi_mat @ M.base_point().pack() + phi_off, M.p, M.q), M)
+    except HdqError as exc:
         cert["conclusion"] = "undecided"
         cert["assumptions"].append(f"conjugation into the split solvable group unsupported: {exc}")
         return cert
-    match = max(
-        float(np.max(np.abs(s.affine_matrix - phi_mat))),
-        float(np.max(np.abs(s.affine_offset - phi_off))),
-    )
-    if match > config.affine_match_tol:
-        cert["conclusion"] = "undecided"
-        cert["assumptions"].append(
-            "the element does not lie in the split solvable group as given; "
-            f"general conjugation is not implemented (affine mismatch {match:.2e})"
-        )
-        steps.append(
-            _step("conjugation_into_S", {"x_minus": s.x_minus, "x_zero": s.x_zero, "match": match}, match, config.affine_match_tol)
-        )
+    if not _record(cert, state, "conjugation_into_S", {"x_minus": s.x_minus, "x_zero": s.x_zero}):
         return cert
-    steps.append(
-        _step(
-            "conjugation_into_S",
-            {"x_minus": s.x_minus, "x_zero": s.x_zero, "phi_prime_linear": phi_mat, "phi_prime_translation": phi_off},
-            match,
-            config.affine_match_tol,
-        )
-    )
 
-    # (5)-(6) fibration recursion
-    _descend(J, M, s, 1, steps, cert, config)
-    if cert["conclusion"] == "stein_certified":
+    # (5)-(6) descent down the fibration tower
+    if _descend(s, state, cert, config):
+        cert["conclusion"] = "stein_certified"
         cert["assumptions"].extend(CITED_WITHOUT_COMPUTATION)
     return cert
 
 
-def _descend(J, M, s, level, steps, cert, config):
-    if J.dim == 0:
-        steps.append(_step("base_case", {"dim_complex": 0}, 0.0, 1.0, level))
-        cert["conclusion"] = "stein_certified"
-        return
-
-    F = split_last_root(J, M)
-    pushed = push_group(s, F)
-    total = float(np.linalg.norm(s.x_minus) + np.linalg.norm(s.x_zero))
-    push_norm = float(np.linalg.norm(pushed.x_minus) + np.linalg.norm(pushed.x_zero))
-    ratio = push_norm / total if total > 0 else 0.0
-
-    if ratio < config.fiber_tol:
-        _fiber_case(F, M, s, level, steps, cert, config)
-        return
-    if ratio < config.fiber_undecided_band:
-        cert["conclusion"] = "undecided"
-        cert["assumptions"].append(
-            f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})"
-        )
-        return
-
-    eq_seed = config.seed + level
-    eq_res = check_equivariance(F, config.samples, seed=eq_seed)
-    if eq_res > EQUIVARIANCE_TOL:
-        cert["conclusion"] = "undecided"
-        cert["assumptions"].append(
-            f"the fibration at level {level} is not numerically equivariant "
-            f"(residual {eq_res:.2e} exceeds {EQUIVARIANCE_TOL:.0e})"
-        )
-        return
-    steps.append(
-        _step(
-            "tower_descend",
-            {
-                "dim_fiber_algebra": int(2 * F.fiber_dim),
-                "dim_quotient_algebra": int(F.s_prime.dim),
-                "pushed_x_minus": pushed.x_minus,
-                "pushed_x_zero": pushed.x_zero,
-                "equivariance_samples": int(config.samples),
-                "equivariance_seed": int(eq_seed),
-                "structure_residuals": F.residuals,
-            },
-            eq_res,
-            EQUIVARIANCE_TOL,
-            level,
-        )
-    )
-    steps.append(_step("bundle_quotient", {}, 0.0, 1.0, level))
-    _descend(F.s_prime, F.quotient_model, pushed, level + 1, steps, cert, config)
+def _descend(s: GroupElement, state: ReplayState, cert, config) -> bool:
+    """Push s down the tower until it lies in a fiber; True when the
+    terminal step is recorded."""
+    level, M = 1, state.model
+    while M.J.dim:
+        F = state.fibration(level)
+        pushed = push_group(s, F)
+        total = float(np.linalg.norm(s.x_minus) + np.linalg.norm(s.x_zero))
+        push_norm = float(np.linalg.norm(pushed.x_minus) + np.linalg.norm(pushed.x_zero))
+        ratio = push_norm / total if total > 0 else 0.0
+        if ratio < FIBER_RATIO:
+            return _fiber_case(F, M, s, level, state, cert, config)
+        if ratio < FIBER_BAND:
+            cert["conclusion"] = "undecided"
+            cert["assumptions"].append(
+                f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})"
+            )
+            return False
+        payload = {
+            "dim_fiber_algebra": int(2 * F.fiber_dim),
+            "dim_quotient_algebra": int(F.s_prime.dim),
+            "pushed_x_minus": pushed.x_minus,
+            "pushed_x_zero": pushed.x_zero,
+            "equivariance_samples": int(config.samples),
+            "equivariance_seed": int(config.seed + level),
+            "structure_residuals": F.residuals,
+        }
+        if not _record(cert, state, "tower_descend", payload, level):
+            return False
+        _record(cert, state, "bundle_quotient", {}, level)
+        s, M, level = pushed, F.quotient_model, level + 1
+    return _record(cert, state, "base_case", {"dim_complex": 0}, level)
 
 
-def _fiber_case(F: FibrationStep, M, s, level, steps, cert, config):
+def _fiber_case(F: FibrationStep, M, s, level, state, cert, config) -> bool:
     v_amb = element_log(M, s)
-    pinvB = np.linalg.pinv(F.b_basis)
-    x_b = pinvB @ v_amb
+    x_b = np.linalg.pinv(F.b_basis) @ v_amb
     proj_res = float(np.linalg.norm(F.b_basis @ x_b - v_amb)) / max(
         1.0, float(np.linalg.norm(v_amb))
     )
     Mf = F.fiber_model
-    rng = np.random.default_rng(config.seed + 7 * level)
-    V, g = totally_real_subalgebra_containing(x_b, Mf, rng, FIBER_SAMPLE_POINTS)
+    V, g = totally_real_subalgebra(x_b, Mf)
     pts = sample_totally_real_points(
         Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(config.seed + 7 * level + 1)
     )
-    defects = np.abs(totally_real_defect(pts, V, Mf))
-    containment = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
-    steps.append(
-        _step(
-            "fiber_case",
-            {
-                "fiber_dim": int(F.fiber_dim),
-                "log_in_fiber": x_b,
-                "log_residual": proj_res,
-                "subalgebra": V.basis_matrix,
-                "conjugator_x_minus": g.x_minus,
-                "conjugator_x_zero": g.x_zero,
-                "sample_points": pts.pack(),
-                "min_defect": float(np.min(defects)),
-                "defect_tolerance": config.defect_min,
-                "containment_residual": containment,
-            },
-            max(proj_res, containment),
-            1e-8,
-            level,
-        )
-    )
+    _, min_det = totally_real_residuals(x_b, V, Mf, pts)
+    payload = {
+        "fiber_dim": int(F.fiber_dim),
+        "log_in_fiber": x_b,
+        "log_residual": proj_res,
+        "subalgebra": V.basis_matrix,
+        "conjugator_x_minus": g.x_minus,
+        "conjugator_x_zero": g.x_zero,
+        "sample_points": pts.pack(),
+        "min_defect": min_det,
+        "containment_residual": residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b))),
+    }
+    if not _record(cert, state, "fiber_case", payload, level):
+        return False
     if Mf.dim_complex <= 1 and F.s_prime.dim == 0:
-        steps.append(_step("base_case", {"dim_complex": int(Mf.dim_complex)}, 0.0, 1.0, level))
-    cert["conclusion"] = "stein_certified"
+        _record(cert, state, "base_case", {"dim_complex": int(Mf.dim_complex)}, level)
+    return True
+
+
+def _record(cert, state, kind, payload, level=0) -> bool:
+    """Run the check of ``kind`` on ``payload`` and append the step if it
+    passes within its tolerance; otherwise end the analysis undecided."""
+    payload = _jsonify(payload)
+    residual, failure = _replay(kind, payload, state, level, 1.0)
+    if failure is None:
+        cert["steps"].append({
+            "kind": kind,
+            "citation": CITATIONS.get(kind, ""),
+            "payload": payload,
+            "residual": float(residual),
+            "tolerance": STEP_TOL.get(kind, 1.0),
+            "level": int(level),
+        })
+        return True
+    cert["conclusion"] = "undecided"
+    cert["assumptions"].append(f"{FAILED[kind].format(level=level)} ({failure})")
+    return False
+
+
+# ---------------------------------------------------------------------------
+# the checks, shared by analyze and verify
+# ---------------------------------------------------------------------------
+
+# one tolerance per checked step kind: analyze records a step whose check
+# stays within it, and verify accepts a replay within VERIFY_SLACK times it
+STEP_TOL = {
+    "jordan_split": 1e-8,
+    "elliptic_reduction": 1e-8,
+    "conjugation_into_S": 1e-6,
+    "tower_descend": 1e-8,
+    "fiber_case": WITNESS_RESIDUAL,
+}
+VERIFY_SLACK = 10.0
+
+# the assumption analyze adds when a step fails its check
+FAILED = {
+    "jordan_split": "the Jordan split of the affine matrix does not replay",
+    "discreteness": "the discreteness type of the cyclic group does not replay",
+    "elliptic_reduction": "removing the elliptic factor does not reproduce the affine matrix",
+    "conjugation_into_S": "the element does not lie in the split solvable group as given; general conjugation is not implemented",
+    "tower_descend": "the fibration at level {level} is not numerically equivariant",
+    "fiber_case": "the totally-real witness at level {level} fails its check",
+}
+
+
+class StepRejected(Exception):
+    """A check that cannot pass whatever the tolerance."""
+
+
+@dataclass
+class ReplayState:
+    """What a check reads besides its payload: the level-1 model, the
+    fibration tower (split lazily, one level at a time), the sample floor
+    of tower steps, and what earlier steps established."""
+
+    model: SiegelModel
+    min_samples: int
+    tower: list = field(default_factory=list)
+    jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
+    phi_prime: tuple | None = None   # (linear, translation) of elliptic_reduction
+
+    def fibration(self, level: int) -> FibrationStep:
+        if level < 1:
+            raise StepRejected(f"no fibration at level {level}")
+        while len(self.tower) < level:
+            top = self.tower[-1] if self.tower else None
+            J, M = (top.s_prime, top.quotient_model) if top else (self.model.J, self.model)
+            self.tower.append(split_last_root(J, M))
+        return self.tower[level - 1]
+
+
+def _established(value, kind):
+    if value is None:
+        raise StepRejected(f"no {kind} step before this one")
+    return value
+
+
+def _array(payload, key):
+    return np.asarray(payload[key], dtype=float)
+
+
+def _check_jordan(payload, state: ReplayState, level) -> float:
+    A, e, h, u = (_array(payload, k) for k in ("matrix", "elliptic", "hyperbolic", "unipotent"))
+    n = A.shape[0]
+    res = float(np.linalg.norm(e @ h @ u - A)) / max(1.0, float(np.linalg.norm(A)))
+    for X, Y in ((e, h), (e, u), (h, u)):
+        res = max(res, float(np.linalg.norm(X @ Y - Y @ X)))
+    res = max(res, float(np.max(np.abs(np.abs(np.linalg.eigvals(e)) - 1.0))))
+    hv = np.linalg.eigvals(h)
+    res = max(res, float(np.max(np.abs(hv.imag))))
+    if np.min(hv.real) <= 0:
+        res = max(res, 1.0)
+    res = max(res, float(np.linalg.norm(np.linalg.matrix_power(u - np.eye(n), n))))
+    state.jordan = (A, JordanParts(e, h, u, res))
+    return res
+
+
+def _check_discreteness(payload, state: ReplayState, level) -> float:
+    disc = cyclic_discreteness(*_established(state.jordan, "jordan_split"))
+    if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
+        raise StepRejected(
+            f"discreteness replays as {disc.kind} (order {disc.order}), "
+            f"stored {payload['kind']} (order {payload['order']})"
+        )
+    return 0.0
+
+
+def _check_reduction(payload, state: ReplayState, level) -> float:
+    A, _ = _established(state.jordan, "jordan_split")
+    mat, off = _array(payload, "phi_prime_linear"), _array(payload, "phi_prime_translation")
+    state.phi_prime = (mat, off)
+    hu = _homogenize(mat, off)
+    return float(np.linalg.norm(_array(payload, "elliptic") @ hu - A)) / max(1.0, float(np.linalg.norm(A)))
+
+
+def _check_conjugation(payload, state: ReplayState, level) -> float:
+    mat, off = _established(state.phi_prime, "elliptic_reduction")
+    g = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
+    return max(
+        float(np.max(np.abs(g.affine_matrix - mat))),
+        float(np.max(np.abs(g.affine_offset - off))),
+    )
+
+
+def _check_tower(payload, state: ReplayState, level) -> float:
+    samples = int(payload["equivariance_samples"])
+    if samples < state.min_samples:
+        raise StepRejected(f"{samples} equivariance samples, at least {state.min_samples} required")
+    return check_equivariance(state.fibration(level), samples, seed=int(payload["equivariance_seed"]))
+
+
+def _check_fiber(payload, state: ReplayState, level) -> float:
+    F = state.fibration(level)
+    Mf = F.fiber_model
+    if int(payload["fiber_dim"]) != F.fiber_dim:
+        raise StepRejected("fiber dimension does not match the recomputed tower")
+    basis = _array(payload, "subalgebra")
+    if basis.shape != (Mf.J.dim, Mf.dim_complex):
+        raise StepRejected(f"totally-real subalgebra of shape {basis.shape}, need {(Mf.J.dim, Mf.dim_complex)}")
+    try:
+        V = Subspace(Mf.J.dim, basis)
+    except HdqError as exc:
+        raise StepRejected(f"stored totally-real subalgebra is degenerate: {exc}") from exc
+    packed = _array(payload, "sample_points")
+    width = 2 * Mf.p + Mf.q
+    if packed.ndim != 2 or packed.shape[1] != width or len(packed) < FIBER_SAMPLE_POINTS:
+        raise StepRejected(
+            f"sample points of shape {packed.shape}, need at least "
+            f"{FIBER_SAMPLE_POINTS} rows of {width} coordinates"
+        )
+    pts = DomainPoint.unpack(packed, Mf.p, Mf.q)
+    res, min_det = totally_real_residuals(_array(payload, "log_in_fiber"), V, Mf, pts)
+    if not min_det > DEFECT_MIN:
+        raise StepRejected(f"totally-real determinant check failed (min |det| {min_det:.2e})")
+    return res
+
+
+def _no_check(payload, state, level) -> float:
+    return 0.0
+
+
+CHECKS = {
+    "jordan_split": _check_jordan,
+    "discreteness": _check_discreteness,
+    "finite_case": _no_check,
+    "elliptic_reduction": _check_reduction,
+    "conjugation_into_S": _check_conjugation,
+    "tower_descend": _check_tower,
+    "bundle_quotient": _no_check,
+    "fiber_case": _check_fiber,
+    "base_case": _no_check,
+}
+
+
+def _replay(kind, payload, state, level, slack):
+    """(residual, None) when the check of ``kind`` passes within ``slack``
+    times its tolerance, else (residual or None, why it failed)."""
+    if kind not in CHECKS:
+        return None, f"unknown step kind {kind!r}"
+    try:
+        res = CHECKS[kind](payload, state, level)
+    except StepRejected as exc:
+        return None, str(exc)
+    tol = STEP_TOL.get(kind)
+    if tol is not None and not res <= slack * tol:
+        return res, f"residual {res:.2e} exceeds {slack * tol:.0e}"
+    return res, None
 
 
 # ---------------------------------------------------------------------------
@@ -482,9 +574,10 @@ def _fiber_case(F: FibrationStep, M, s, level, steps, cert, config):
 # ---------------------------------------------------------------------------
 
 def verify(cert: dict, config: AnalyzerConfig | None = None):
-    """Re-run every numeric check from the stored witnesses.
+    """Replay every step through its check, in order.
 
-    Returns (ok, report): one entry per step with the recomputed residual.
+    Returns (ok, report): one entry per step; a checked kind's entry
+    carries the replayed ``residual`` beside the ``recorded`` one.
     """
     config = config or AnalyzerConfig()
     try:
@@ -499,188 +592,31 @@ def verify(cert: dict, config: AnalyzerConfig | None = None):
         if isinstance(domain, dict)
         else jalgebra.preset(domain)
     )
-    M = build_model(J)
-    towers = {}
-
-    def model_at(level):
-        # level 1 is the full domain; each descend replaces it by the quotient
-        cur_J, cur_M = J, M
-        for lv in range(1, level):
-            key = lv
-            if key not in towers:
-                towers[key] = split_last_root(cur_J, cur_M)
-            F = towers[key]
-            cur_J, cur_M = F.s_prime, F.quotient_model
-        return cur_J, cur_M
-
-    def fib_at(level):
-        cur_J, cur_M = model_at(level)
-        if level not in towers:
-            towers[level] = split_last_root(cur_J, cur_M)
-        return towers[level]
-
+    state = ReplayState(build_model(J), max(config.samples, EQUIVARIANCE_SAMPLES_MIN))
     report = []
-    ok = True
-    slack = config.verify_slack
     for idx, step in enumerate(steps):
         try:
-            kind = step["kind"]
-            payload = step["payload"]
-            tol = float(step["tolerance"])
+            kind, payload = step["kind"], step["payload"]
         except (KeyError, TypeError) as exc:
             raise MalformedCertificate(f"step {idx} missing field: {exc}") from exc
         entry = {"index": idx, "kind": kind, "ok": True, "detail": ""}
         try:
-            if kind == "jordan_split":
-                res = _verify_jordan(payload)
-                entry["residual"] = res
-                if res > slack * tol:
-                    entry.update(ok=False, detail=f"jordan residual {res:.2e}")
-            elif kind == "discreteness":
-                entry_ok, detail = _verify_discreteness(payload, steps)
-                if not entry_ok:
-                    entry.update(ok=False, detail=detail)
-            elif kind == "elliptic_reduction":
-                res = _verify_reduction(payload, steps)
-                entry["residual"] = res
-                if res > slack * tol:
-                    entry.update(ok=False, detail=f"reduction residual {res:.2e}")
-            elif kind == "conjugation_into_S":
-                res = _verify_conjugation(payload, M)
-                entry["residual"] = res
-                if res > slack * tol:
-                    entry.update(ok=False, detail=f"affine mismatch {res:.2e}")
-            elif kind == "tower_descend":
-                F = fib_at(int(step.get("level", 1)))
-                samples = int(payload["equivariance_samples"])
-                needed = max(config.samples, EQUIVARIANCE_SAMPLES_MIN)
-                if samples < needed:
-                    entry.update(
-                        ok=False,
-                        detail=f"{samples} equivariance samples, verify requires {needed}",
-                    )
-                else:
-                    res = check_equivariance(F, samples, seed=int(payload["equivariance_seed"]))
-                    entry["residual"] = res
-                    if res > slack * tol:
-                        entry.update(ok=False, detail=f"equivariance residual {res:.2e}")
-            elif kind == "fiber_case":
-                F = fib_at(int(step.get("level", 1)))
-                entry_ok, detail, res = _verify_fiber(payload, F, config)
-                entry["residual"] = res
-                if not entry_ok:
-                    entry.update(ok=False, detail=detail)
-            elif kind in ("base_case", "finite_case", "bundle_quotient"):
-                pass
-            else:
-                entry.update(ok=False, detail=f"unknown step kind {kind!r}")
-        except MalformedCertificate:
-            raise
-        except (HdqError, KeyError, ValueError, IndexError) as exc:
-            entry.update(ok=False, detail=f"replay failed: {exc}")
-        ok = ok and entry["ok"]
+            res, failure = _replay(kind, payload, state, int(step.get("level", 1)), VERIFY_SLACK)
+            if kind in STEP_TOL and res is not None:
+                entry.update(residual=res, recorded=step.get("residual"))
+        except (HdqError, KeyError, ValueError, IndexError, TypeError) as exc:
+            failure = f"replay failed: {exc}"
+        if failure is not None:
+            entry.update(ok=False, detail=failure)
         report.append(entry)
 
+    ok = all(entry["ok"] for entry in report)
     if conclusion == "stein_certified" and not any(
         s["kind"] in ("fiber_case", "base_case") for s in steps
     ):
         ok = False
         report.append({"index": -1, "kind": "conclusion", "ok": False, "detail": "certified without terminal witnesses"})
     return ok, report
-
-
-def _verify_jordan(payload):
-    A = np.asarray(payload["matrix"], dtype=float)
-    e = np.asarray(payload["elliptic"], dtype=float)
-    h = np.asarray(payload["hyperbolic"], dtype=float)
-    u = np.asarray(payload["unipotent"], dtype=float)
-    n = A.shape[0]
-    res = float(np.linalg.norm(e @ h @ u - A)) / max(1.0, float(np.linalg.norm(A)))
-    for X, Y in ((e, h), (e, u), (h, u)):
-        res = max(res, float(np.linalg.norm(X @ Y - Y @ X)))
-    res = max(res, float(np.max(np.abs(np.abs(np.linalg.eigvals(e)) - 1.0))))
-    hv = np.linalg.eigvals(h)
-    res = max(res, float(np.max(np.abs(hv.imag))))
-    if np.min(hv.real) <= 0:
-        res = max(res, 1.0)
-    res = max(res, float(np.linalg.norm(np.linalg.matrix_power(u - np.eye(n), n))))
-    return res
-
-
-def _verify_discreteness(payload, steps):
-    jordan = next((s for s in steps if s["kind"] == "jordan_split"), None)
-    if jordan is None:
-        return True, ""
-    h = np.asarray(jordan["payload"]["hyperbolic"], dtype=float)
-    u = np.asarray(jordan["payload"]["unipotent"], dtype=float)
-    e = np.asarray(jordan["payload"]["elliptic"], dtype=float)
-    parts = JordanParts(e, h, u, 0.0)
-    A = np.asarray(jordan["payload"]["matrix"], dtype=float)
-    disc = cyclic_discreteness(A, parts)
-    if disc.kind != payload["kind"]:
-        return False, f"discreteness replays as {disc.kind}, stored {payload['kind']}"
-    return True, ""
-
-
-def _verify_reduction(payload, steps):
-    jordan = next((s for s in steps if s["kind"] == "jordan_split"), None)
-    if jordan is None:
-        return 0.0
-    A = np.asarray(jordan["payload"]["matrix"], dtype=float)
-    e = np.asarray(payload["elliptic"], dtype=float)
-    mat = np.asarray(payload["phi_prime_linear"], dtype=float)
-    off = np.asarray(payload["phi_prime_translation"], dtype=float)
-    hu = _homogenize(mat, off)
-    return float(np.linalg.norm(e @ hu - A)) / max(1.0, float(np.linalg.norm(A)))
-
-
-def _verify_conjugation(payload, M):
-    g = group_element(
-        M,
-        np.asarray(payload["x_minus"], dtype=float),
-        np.asarray(payload["x_zero"], dtype=float),
-    )
-    if "phi_prime_linear" not in payload:
-        return float(payload.get("match", 0.0))
-    mat = np.asarray(payload["phi_prime_linear"], dtype=float)
-    off = np.asarray(payload["phi_prime_translation"], dtype=float)
-    return max(
-        float(np.max(np.abs(g.affine_matrix - mat))),
-        float(np.max(np.abs(g.affine_offset - off))),
-    )
-
-
-def _verify_fiber(payload, F: FibrationStep, config: AnalyzerConfig):
-    Mf = F.fiber_model
-    basis = np.asarray(payload["subalgebra"], dtype=float)
-    if int(payload["fiber_dim"]) != F.fiber_dim:
-        return False, "fiber dimension does not match the recomputed tower", 1.0
-    if basis.ndim != 2 or basis.shape[1] != Mf.dim_complex:
-        return False, "totally-real subalgebra has the wrong dimension", 1.0
-    try:
-        V = Subspace(Mf.J.dim, basis)
-    except HdqError as exc:
-        return False, f"stored subalgebra is degenerate: {exc}", 1.0
-    x_b = np.asarray(payload["log_in_fiber"], dtype=float)
-    res = residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b)))
-    res = max(res, closure_residual(V, Mf.J.L))
-    packed = np.asarray(payload["sample_points"], dtype=float)
-    width = 2 * Mf.p + Mf.q
-    if packed.ndim != 2 or packed.shape[1] != width or len(packed) < FIBER_SAMPLE_POINTS:
-        return (
-            False,
-            f"sample points of shape {packed.shape}, need at least "
-            f"{FIBER_SAMPLE_POINTS} rows of {width} coordinates",
-            res,
-        )
-    pts = DomainPoint.unpack(packed, Mf.p, Mf.q)
-    min_defect = float(np.min(np.abs(totally_real_defect(pts, V, Mf))))
-    tol_defect = float(payload.get("defect_tolerance", config.defect_min))
-    if min_defect <= tol_defect / config.verify_slack:
-        return False, f"totally-real determinant check failed (min |det| {min_defect:.2e})", res
-    if res > config.verify_slack * 1e-8:
-        return False, f"subalgebra containment/closure residual {res:.2e}", res
-    return True, "", res
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatch,
@@ -23,21 +22,14 @@ from .errors import (
     ZeroSemisimplePart,
 )
 from .jalgebra import NormalJAlgebra, ball_jalgebra
-from .lie_core import (
-    AffineRep,
-    Subspace,
-    ad_matrix,
-    closure_residual,
-    opposite,
-    residual_outside,
-    span,
-)
+from .lie_core import Subspace, closure_residual, residual_outside, span
 from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
     build_model,
     compose,
+    group_adjoint,
     group_element,
     identity,
     vector_field,
@@ -45,6 +37,8 @@ from .siegel import (
 
 DEFECT_MIN = 1e-6
 NILPOTENT_RESIDUAL = 1e-8
+# bound on the residual of totally_real_residuals for an accepted witness
+WITNESS_RESIDUAL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,39 +46,11 @@ class BallAlgebra:
     n: int
     J: NormalJAlgebra
     model: SiegelModel
-    rep: AffineRep
-
-
-def ball_rep(n: int) -> AffineRep:
-    """Flow matrices on homogenized real coordinates (re z, im z, re w, im w, 1).
-
-    These are one-parameter-flow generators, so they represent the algebra
-    with the opposite bracket.
-    """
-    J = ball_jalgebra(n)
-    L = J.L
-    N = 2 * n + 1
-    mats = np.zeros((L.dim, N, N))
-    d = mats[L.index("delta")]
-    d[0, 0] = d[1, 1] = 1.0
-    for k in range(1, n):
-        d[2 * k, 2 * k] = d[2 * k + 1, 2 * k + 1] = 0.5
-    mats[L.index("zeta")][0, N - 1] = 1.0
-    for k in range(1, n):
-        xi = mats[L.index(f"xi{k}")]
-        xi[0, 2 * k + 1] = -2.0
-        xi[1, 2 * k] = 2.0
-        xi[2 * k, N - 1] = 1.0
-        eta = mats[L.index(f"eta{k}")]
-        eta[0, 2 * k] = 2.0
-        eta[1, 2 * k + 1] = 2.0
-        eta[2 * k + 1, N - 1] = 1.0
-    return AffineRep(opposite(L), N, mats)
 
 
 def ball_algebra(n: int) -> BallAlgebra:
     J = ball_jalgebra(n)
-    return BallAlgebra(n, J, build_model(J), ball_rep(n))
+    return BallAlgebra(n, J, build_model(J))
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +119,8 @@ def sample_totally_real_points(M: SiegelModel, count: int, rng) -> DomainPoint:
     [-1, 1]^q (rescaled into the unit ball) and re(z) uniform in [-2, 2]^p:
     the numbers successive per-point ``uniform`` draws would give.
     """
+    if count < 1:
+        raise InputError(f"the determinant criterion needs at least one sample point, got {count}")
     u = rng.random((count, M.q + M.p))
     w = -1.0 + 2.0 * u[:, : M.q]
     # |w| per row as a dot product, rounded as the norm of each row alone
@@ -256,16 +224,6 @@ def conjugate_into_a(x, M: SiegelModel, tol: float = 1e-10) -> GroupElement:
     return g
 
 
-def group_adjoint(g: GroupElement, M: SiegelModel) -> np.ndarray:
-    """Adjoint matrix of exp(x_minus) exp(x_zero) on the ambient algebra."""
-    n = M.J.dim
-    v_minus = M.C[:, : M.p + M.q] @ g.x_minus
-    v_zero = M.C[:, M.p + M.q :] @ g.x_zero
-    A = expm(-ad_matrix(v_minus, M.J.L)) if n else np.zeros((0, 0))
-    B = expm(-ad_matrix(v_zero, M.J.L)) if n else np.zeros((0, 0))
-    return A @ B
-
-
 def nilpotent_residual(x, g: GroupElement, M: SiegelModel) -> float:
     """Relative size of the non-frame part of Ad(g) x."""
     y = group_adjoint(g, M) @ np.asarray(x, dtype=float)
@@ -275,56 +233,65 @@ def nilpotent_residual(x, g: GroupElement, M: SiegelModel) -> float:
     )
 
 
+def totally_real_subalgebra(x, M: SiegelModel):
+    """Full-dimension subalgebra V through x meant to have totally real
+    orbits, with the conjugator g of the construction.
+
+    With a nonzero frame coefficient the vector is conjugated onto the
+    frame line and the split subalgebra (frame + one Lagrangian half of
+    each symplectic pair) is pulled back; otherwise the abelian
+    construction applies and g is the identity.  Nothing is checked here:
+    :func:`totally_real_residuals` measures the result.
+    """
+    _require_rank_one(M)
+    x = np.asarray(x, dtype=float)
+    a = float(M.to_adapted(x)[-1])
+    if abs(a) <= 1e-10 * max(1.0, float(np.linalg.norm(x))):
+        return abelian_subalgebra_containing(x, M), identity(M)
+    g = conjugate_into_a(x, M)
+    adj_inv = np.linalg.inv(group_adjoint(g, M))
+    cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
+    for e, _, _ in _symplectic_pairs(M):
+        cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))
+    return span(cols, M.J.dim), g
+
+
+def totally_real_residuals(x, V: Subspace, M: SiegelModel, points: DomainPoint):
+    """(residual, min |det|) of V as a totally-real witness through x.
+
+    The residual is the larger of the distance of x from V, relative to
+    max(1, |x|), and the closure residual of V; min |det| is the smallest
+    determinant modulus of the fields of V over the stacked ``points``.
+    """
+    if V.dim != M.dim_complex:
+        raise TotallyRealCheckFailed(
+            f"totally-real subalgebra has dimension {V.dim}, not the complex dimension {M.dim_complex}"
+        )
+    x = np.asarray(x, dtype=float)
+    res = max(
+        residual_outside(x, V) / max(1.0, float(np.linalg.norm(x))),
+        closure_residual(V, M.J.L),
+    )
+    return res, float(np.min(np.abs(totally_real_defect(points, V, M))))
+
+
 def totally_real_subalgebra_containing(
     x,
     M: SiegelModel,
     rng=None,
     samples: int = 50,
 ):
-    """Full-dimension subalgebra through x whose orbits are totally real.
-
-    With a nonzero frame coefficient the vector is conjugated onto the
-    frame line and the split subalgebra (frame + one Lagrangian half of
-    each symplectic pair) is pulled back; otherwise the abelian
-    construction applies.  The determinant criterion is verified at
-    sampled interior points.
-    """
-    _require_rank_one(M)
-    if samples < 1:
-        raise InputError(f"the determinant criterion needs at least one sample point, got {samples}")
-    x = np.asarray(x, dtype=float)
-    coords = M.to_adapted(x)
-    a = float(coords[-1])
-    if abs(a) > 1e-10 * max(1.0, float(np.linalg.norm(x))):
-        g = conjugate_into_a(x, M)
-        adj_inv = np.linalg.inv(group_adjoint(g, M))
-        cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
-        for e, _, _ in _symplectic_pairs(M):
-            cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))
-        V = span(cols, M.J.dim)
-    else:
-        g = identity(M)
-        V = abelian_subalgebra_containing(x, M)
-
-    _verify_totally_real(x, V, M, rng, samples)
-    return V, g
-
-
-def _verify_totally_real(x, V: Subspace, M: SiegelModel, rng, samples):
-    nx = max(1.0, float(np.linalg.norm(x)))
-    if residual_outside(x, V) > 1e-9 * nx:
-        raise TotallyRealCheckFailed("constructed subalgebra misses the input vector")
-    if V.dim != M.dim_complex:
-        raise TotallyRealCheckFailed(
-            f"subalgebra dimension {V.dim} != complex dimension {M.dim_complex}"
-        )
-    if closure_residual(V, M.J.L) > 1e-9:
-        raise TotallyRealCheckFailed("subalgebra is not closed under the bracket")
-    if rng is None:
-        rng = np.random.default_rng(0)
-    pts = sample_totally_real_points(M, samples, rng)
-    if np.any(np.abs(totally_real_defect(pts, V, M)) <= DEFECT_MIN):
+    """:func:`totally_real_subalgebra`, checked: the residual must stay
+    within ``WITNESS_RESIDUAL`` and every determinant above ``DEFECT_MIN``
+    at ``samples`` interior points drawn from ``rng``."""
+    V, g = totally_real_subalgebra(x, M)
+    pts = sample_totally_real_points(M, samples, rng if rng is not None else np.random.default_rng(0))
+    res, min_det = totally_real_residuals(x, V, M, pts)
+    if not res <= WITNESS_RESIDUAL:
+        raise TotallyRealCheckFailed(f"subalgebra misses the input vector or is not closed (residual {res:.2e})")
+    if not min_det > DEFECT_MIN:
         raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
+    return V, g
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,9 @@ import sys
 import numpy as np
 
 from . import analyzer, jalgebra, lie_core
-from .ball import ball_algebra, totally_real_defect, totally_real_subalgebra_containing, sample_totally_real_points
-from .errors import HdqError, InputError, MalformedCertificate
+from .ball import DEFECT_MIN, WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
+from .ball import totally_real_residuals, totally_real_subalgebra
+from .errors import HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
 from .fibration import check_equivariance, tower
 from .jordan import classify, cyclic_discreteness
 
@@ -92,6 +93,10 @@ def cmd_verify(args) -> int:
     ok, report = analyzer.verify(cert)
     for entry in report:
         status = "ok" if entry["ok"] else "FAIL"
+        if "residual" in entry:
+            recorded = entry["recorded"]
+            recorded = f"{recorded:.3e}" if isinstance(recorded, (int, float)) else "none"
+            status += f"  residual {entry['residual']:.3e}, recorded {recorded}"
         extra = f" ({entry['detail']})" if entry["detail"] else ""
         print(f"step {entry['index']:>2} {entry['kind']:<20} {status}{extra}")
     print(f"certificate {'verifies' if ok else 'FAILS'}")
@@ -157,15 +162,17 @@ def cmd_ball(args) -> int:
         raise InputError(f"bad coefficient list: {exc}") from exc
     if x.shape != (B.J.dim,):
         raise InputError(f"need {B.J.dim} coefficients for n={args.n}")
-    rng = np.random.default_rng(args.seed)
-    V, g = totally_real_subalgebra_containing(x, B.model, rng, samples=args.samples)
+    V, g = totally_real_subalgebra(x, B.model)
+    pts = sample_totally_real_points(B.model, args.samples, np.random.default_rng(args.seed))
+    res, min_det = totally_real_residuals(x, V, B.model, pts)
     print("subalgebra basis columns (rows = algebra coordinates):")
     for row in V.basis_matrix:
         print("  " + "  ".join(f"{v: .6f}" for v in row))
     print(f"conjugator x_minus = {g.x_minus.tolist()}")
-    pts = sample_totally_real_points(B.model, args.samples, rng)
-    defects = np.abs(totally_real_defect(pts, V, B.model))
-    print(f"min |det| over {args.samples} interior samples: {np.min(defects):.6e}")
+    print(f"containment/closure residual: {res:.3e}")
+    print(f"min |det| over {args.samples} interior samples: {min_det:.6e}")
+    if not (res <= WITNESS_RESIDUAL and min_det > DEFECT_MIN):
+        raise TotallyRealCheckFailed("the subalgebra is not a totally-real witness through the vector")
     return EXIT_OK
 
 

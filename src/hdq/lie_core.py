@@ -8,8 +8,8 @@ averaging ``c`` against ``-c.transpose(1, 0, 2)``.
 Structure identities are checked over whole bases at once: the kernel
 :func:`bracket_table` contracts two basis matrices against ``c`` in a fixed
 order, one ``tensordot`` and one batched matrix product, ``ad_matrix``
-takes stacks of elements, and the Jacobi and representation defects are
-tensor identities with no loop over pairs.
+takes stacks of elements, and the Jacobi defect is a tensor identity with
+no loop over pairs.
 
 A :class:`Subspace` is factored once, by one thin SVD, when it is built;
 :func:`validate_algebra` measures an algebra once and keeps the
@@ -22,15 +22,13 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import DimensionMismatch, InputError, NotInvertible
+from .errors import DimensionMismatch, InputError
 
 # Rank decisions use a singular-value cutoff relative to the largest
 # singular value; scale-invariant for hand-authored constants.
 RANK_RTOL = 1e-8
 JACOBI_TOL = 1e-9
-REP_TOL = 1e-10
 
 
 def _readonly(a):
@@ -112,16 +110,6 @@ def ad_matrix(x: np.ndarray, L: LieAlgebraData) -> np.ndarray:
     if x.shape[-1:] != (L.dim,):
         raise DimensionMismatch("ad argument has wrong length")
     return np.tensordot(x, L.c, ([-1], [0])).swapaxes(-1, -2)
-
-
-def opposite(L: LieAlgebraData) -> LieAlgebraData:
-    """Algebra with the negated bracket.
-
-    One-parameter flows of vector fields multiply with the bracket sign
-    reversed relative to the operator commutator, so matrix models of the
-    flow group represent the opposite tensor.
-    """
-    return LieAlgebraData(L.dim, L.basis_labels, -np.asarray(L.c))
 
 
 # ---------------------------------------------------------------------------
@@ -340,54 +328,6 @@ def validate_algebra(L: LieAlgebraData, tol: float = JACOBI_TOL) -> ValidationRe
     report.flags["split"] = solvable and imag <= max(tol, 1e-8)
     report.flags["max_imag_ad_eigenvalue"] = imag
     return report
-
-
-# ---------------------------------------------------------------------------
-# Affine representations
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AffineRep:
-    """Matrices rho(e_i) acting affinely on R^N, last coordinate homogenizing.
-
-    The referenced algebra must satisfy rho([x, y]) = rho(x) rho(y) - rho(y) rho(x);
-    for flow matrices of vector fields that is the algebra with the opposite
-    tensor (see :func:`opposite`).
-    """
-
-    algebra: LieAlgebraData
-    rep_dim: int
-    matrices: np.ndarray
-
-    def __post_init__(self):
-        M = np.asarray(self.matrices, dtype=float)
-        if M.shape != (self.algebra.dim, self.rep_dim, self.rep_dim):
-            raise DimensionMismatch("rep matrices must be (dim, N, N)")
-        object.__setattr__(self, "matrices", _readonly(M))
-
-    def matrix(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape != (self.algebra.dim,):
-            raise DimensionMismatch("coefficient vector has wrong length")
-        return np.einsum("i,ijk->jk", x, self.matrices)
-
-
-def rep_bracket_defect(R: AffineRep) -> float:
-    """Max norm of rho([e_i,e_j]) - [rho(e_i), rho(e_j)] over basis pairs."""
-    L, M = R.algebra, R.matrices
-    if L.dim == 0:
-        return 0.0
-    lhs = np.tensordot(L.c, M, ([2], [0]))
-    MM = np.einsum("iab,jbc->ijac", M, M, optimize=True)
-    return float(np.max(np.abs(lhs - MM + MM.transpose(1, 0, 2, 3))))
-
-
-def exp_affine(x: np.ndarray, R: AffineRep) -> np.ndarray:
-    """Matrix exponential of rho(x) (scaling-and-squaring Pade)."""
-    E = expm(R.matrix(x))
-    if not np.all(np.isfinite(E)):
-        raise NotInvertible("exponential produced non-finite entries")
-    return E
 
 
 # ---------------------------------------------------------------------------

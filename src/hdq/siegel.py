@@ -460,14 +460,28 @@ def _combine_zero(M: SiegelModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return b.copy()
     if np.linalg.norm(b) < 1e-15:
         return a.copy()
-    n = M.J.dim
     gens = ad_matrix(M.C[:, M.p + M.q :].T, M.J.L)
     K = _expm(-np.einsum("a,aij->ij", a, gens)) @ _expm(-np.einsum("a,aij->ij", b, gens))
-    X = logm(K)
-    X = np.real_if_close(X, tol=1e6).real
-    stack = gens.reshape(M.p0, n * n).T
-    v, *_ = np.linalg.lstsq(stack, -X.flatten(), rcond=None)
+    return ad_log(K, gens)
+
+
+def ad_log(K: np.ndarray, gens: np.ndarray) -> np.ndarray:
+    """Coefficients v with exp(-sum_a v_a gens[a]) = K: the real matrix log
+    of the adjoint matrix K, solved by least squares against the stack
+    (k, n, n) of ad generators."""
+    k = gens.shape[0]
+    if K.size == 0 or k == 0:
+        return np.zeros(k)
+    X = np.real_if_close(logm(K), tol=1e6).real
+    v, *_ = np.linalg.lstsq(gens.reshape(k, -1).T, -X.ravel(), rcond=None)
     return v
+
+
+def group_adjoint(g: GroupElement, M: SiegelModel) -> np.ndarray:
+    """Adjoint matrix of exp(x_minus) exp(x_zero) on the ambient algebra."""
+    v_minus = M.C[:, : M.p + M.q] @ g.x_minus
+    v_zero = M.C[:, M.p + M.q :] @ g.x_zero
+    return _expm(-ad_matrix(v_minus, M.J.L)) @ _expm(-ad_matrix(v_zero, M.J.L))
 
 
 def inverse(g: GroupElement, M: SiegelModel) -> GroupElement:

@@ -285,7 +285,7 @@ def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, monkeypatch
     F = split_last_root(J, build_model(J))
     level1 = check_equivariance(F, config.samples, seed=config.seed + 1)
     assert level1 > 0.0
-    monkeypatch.setattr(analyzer, "EQUIVARIANCE_TOL", 0.5 * level1)
+    monkeypatch.setitem(analyzer.STEP_TOL, "tower_descend", 0.5 * level1)
     cert = analyze(J, phi, config)
     assert cert["conclusion"] == "undecided"
     assert not any(s["kind"] == "tower_descend" and s["level"] == 1 for s in cert["steps"])
@@ -324,3 +324,72 @@ def test_each_algebra_is_measured_once(monkeypatch):
     assert cert["conclusion"] == "stein_certified"
     assert [L.dim for L in measured] == [16, 16]
     assert measured[0] is not measured[1]
+
+
+@pytest.mark.parametrize("forgery", ["elliptic", "x_zero", "sample_points"])
+def test_stored_thresholds_are_not_read(forgery):
+    """verify holds each step to the analyzer's tolerance table, never to a
+    threshold stored in the certificate."""
+    cert = analyze("ball:2", "exp:0.7*delta")
+    steps = {s["kind"]: s for s in cert["steps"]}
+    if forgery == "elliptic":
+        step = steps["jordan_split"]
+        step["payload"]["elliptic"] = (2.0 * np.eye(5)).tolist()
+        step["tolerance"] = 1e300
+    elif forgery == "x_zero":
+        step = steps["conjugation_into_S"]
+        step["payload"]["x_zero"] = [5.0]
+        step["tolerance"] = 1e300
+    else:
+        # the field of the subalgebra's dilation direction vanishes at the
+        # origin, so every determinant there is zero
+        step = steps["fiber_case"]
+        step["payload"]["sample_points"] = [[0.0] * 4] * FIBER_SAMPLE_POINTS
+        step["payload"]["defect_tolerance"] = -1.0
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["kind"] for r in report if not r["ok"]] == [step["kind"]]
+
+
+@pytest.mark.parametrize(
+    "domain, phi",
+    [
+        ("ball:2", "exp:0.7*delta"),
+        ("ball:8", "exp:0.5*delta + 0.3*zeta - 0.2*xi1 + 0.4*eta3"),
+        ("polydisc:3", "exp:delta1 + zeta2 + zeta3"),
+        ("product:[ball:3,ball:2]", "exp:0.3*delta.1 + 0.2*zeta.1 - 0.4*xi1.1 + 0.5*delta.2 + 0.1*eta1.2"),
+    ],
+)
+def test_replayed_residuals_equal_recorded(domain, phi):
+    """analyze records what its check computes, and verify runs the same
+    check on the stored payload: every replayed residual equals the
+    recorded one."""
+    cert = json.loads(dump_certificate(analyze(domain, phi)))
+    ok, report = verify(cert)
+    assert ok, report
+    checked = [r for r in report if "residual" in r]
+    assert {r["kind"] for r in checked} >= {"jordan_split", "elliptic_reduction", "conjugation_into_S", "fiber_case"}
+    assert all(r["residual"] == r["recorded"] for r in checked), checked
+
+
+def test_jordan_split_that_does_not_replay_is_undecided():
+    """On exp(20 delta), diag(e^20, e^20, e^10, e^10, 1) homogenized, the
+    split lumps the eigenvalues e^10 and 1 together, so its unipotent
+    factor is not unipotent (nilpotency residual about 1): the split is
+    not recorded and the analysis stops undecided, with a certificate that
+    verifies."""
+    cert = analyze("ball:2", "exp:20*delta")
+    assert cert["conclusion"] == "undecided"
+    assert cert["steps"] == []
+    assert cert["assumptions"][-1].startswith("the Jordan split of the affine matrix does not replay")
+    assert verify(cert)[0]
+
+
+def test_failed_conjugation_is_omitted():
+    """The affine mismatch of exp(15 delta1) is 1.1e-3: no conjugation step
+    is recorded, the reason is, and the undecided certificate verifies."""
+    cert = analyze("polydisc:2", "exp:15*delta1")
+    assert cert["conclusion"] == "undecided"
+    assert [s["kind"] for s in cert["steps"]] == ["jordan_split", "discreteness", "elliptic_reduction"]
+    assert "general conjugation is not implemented" in cert["assumptions"][-1]
+    assert verify(cert)[0]

@@ -147,16 +147,6 @@ def _loop_closure(V, L):
     return worst
 
 
-def _loop_rep_defect(R):
-    L, M = R.algebra, R.matrices
-    worst = 0.0
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            lhs = np.einsum("k,kab->ab", L.c[i, j], M)
-            worst = max(worst, float(np.max(np.abs(lhs - (M[i] @ M[j] - M[j] @ M[i])))))
-    return worst
-
-
 def _loop_vector_field(x, pt, M):
     c = M.Cinv @ x
     xi, xip, x0 = c[: M.p], c[M.p : M.p + M.q], c[M.p + M.q :]
@@ -216,9 +206,6 @@ def test_lie_core_defects_match_loops(n):
     closure = lie_core.closure_residual(V, L)
     assert closure > 0.1
     assert abs(closure - _loop_closure(V, L)) <= TOL
-    R = lie_core.AffineRep(L, 4, rng.standard_normal((n, 4, 4)))
-    rep = lie_core.rep_bracket_defect(R)
-    assert abs(rep - _loop_rep_defect(R)) <= TOL * rep
 
 
 @pytest.mark.parametrize("name", ["ball:4", "polydisc:3", "product:[ball:3,ball:2]", "random:6"])

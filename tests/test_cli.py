@@ -45,7 +45,15 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert run_cli("analyze", "--domain", "polydisc:2", "--phi", "exp:delta1 + zeta2", "--out", str(out)).returncode == 0
     res = run_cli("verify", str(out))
     assert res.returncode == 0, res.stdout + res.stderr
-    assert "verifies" in res.stdout
+    assert res.stdout.rstrip().endswith("certificate verifies")
+    # each checked step shows its replayed residual beside the recorded one
+    checked = [line for line in res.stdout.splitlines() if "residual" in line]
+    assert [line.split()[2] for line in checked] == [
+        "jordan_split", "elliptic_reduction", "conjugation_into_S", "tower_descend", "fiber_case",
+    ]
+    for line in checked:
+        replayed, recorded = line.split("residual ")[1].split(", recorded ")
+        assert replayed == recorded
 
     cert = json.loads(out.read_text())
     for s in cert["steps"]:

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hdq.errors import NotInvertible
 from hdq.jordan import classify, cyclic_discreteness, jordan_decompose
 from hdq.jalgebra import ball_jalgebra
-from hdq.lie_core import AffineRep, exp_affine, opposite
 
 
 def rot(theta):
@@ -107,19 +107,10 @@ def test_not_invertible():
 
 
 def test_discreteness_hyperbolic_flow_of_ball_rep():
-    # the dilation generator of the half-plane exponentiates to spectrum
-    # {e, sqrt(e), 1}: infinite discrete
-    from hdq.jalgebra import ball_jalgebra
-
-    J = ball_jalgebra(2)
-    L = J.L
-    mats = np.zeros((L.dim, 5, 5))
-    d = L.index("delta")
-    mats[d] = np.diag([1.0, 1.0, 0.5, 0.5, 0.0])
-    rep = AffineRep(opposite(L), 5, mats)
-    x = np.zeros(L.dim)
-    x[d] = 1.0
-    A = exp_affine(x, rep)
+    # the dilation generator of ball:2 on homogenized real coordinates
+    # (re z, im z, re w, im w, 1) exponentiates to spectrum {e, sqrt(e), 1}:
+    # infinite discrete
+    A = expm(np.diag([1.0, 1.0, 0.5, 0.5, 0.0]))
     lab, parts = classify(A)
     assert lab == "hyperbolic"
     res = cyclic_discreteness(A, parts)

@@ -9,7 +9,6 @@ from hdq.lie_core import (
     Subspace,
     bracket,
     derived_algebra,
-    exp_affine,
     is_ideal,
     is_subalgebra,
     span,
@@ -116,56 +115,6 @@ def test_jacobi_property_random_triples(b2):
 def test_subspace_rank_check():
     with pytest.raises(DimensionMismatch):
         Subspace(3, np.array([[1.0, 2.0], [0.0, 0.0], [1.0, 2.0]]))
-
-
-# -- affine reps -----------------------------------------------------------
-
-def h1_rep():
-    """Flow matrices for the half-plane: coordinates (re z, im z, 1)."""
-    L = ball_jalgebra(1).L
-    mats = np.zeros((2, 3, 3))
-    d, z = L.index("delta"), L.index("zeta")
-    mats[d][0, 0] = 1.0
-    mats[d][1, 1] = 1.0
-    mats[z][0, 2] = 1.0
-    return lie_core.AffineRep(lie_core.opposite(L), 3, mats)
-
-
-def test_rep_respects_brackets():
-    rep = h1_rep()
-    assert lie_core.rep_bracket_defect(rep) < 1e-10
-
-
-def test_exp_affine_identity():
-    rep = h1_rep()
-    np.testing.assert_allclose(exp_affine(np.zeros(2), rep), np.eye(3), atol=1e-14)
-
-
-def test_exp_affine_dilation():
-    # flow of the Euler field at t = ln 2 doubles z
-    rep = h1_rep()
-    t = np.log(2.0)
-    x = np.array([t, 0.0])
-    E = exp_affine(x, rep)
-    p = E @ np.array([1.0, 3.0, 1.0])
-    np.testing.assert_allclose(p, [2.0, 6.0, 1.0], atol=1e-12)
-
-
-def test_exp_affine_translation():
-    rep = h1_rep()
-    E = exp_affine(np.array([0.0, 1.0]), rep)
-    p = E @ np.array([0.5, 2.0, 1.0])
-    np.testing.assert_allclose(p, [1.5, 2.0, 1.0], atol=1e-12)
-
-
-def test_exp_affine_inverse_property():
-    rep = h1_rep()
-    rng = np.random.default_rng(3)
-    for _ in range(20):
-        x = rng.uniform(-1, 1, size=2)
-        x *= min(1.0, 5.0 / np.linalg.norm(x))
-        E, Einv = exp_affine(x, rep), exp_affine(-x, rep)
-        np.testing.assert_allclose(E @ Einv, np.eye(3), atol=1e-10)
 
 
 def test_algebra_json_roundtrip(tmp_path, b2):
