@@ -11,8 +11,9 @@ the lower-rank quotient domain and the descent continues.
 The contract between ``analyze`` and ``verify``:
 
 - each step kind has exactly one check, a function of the step's payload
-  and a :class:`ReplayState` (the level-1 model, the fibration tower split
-  lazily, and what earlier steps established), in ``CHECKS``;
+  and a :class:`ReplayState` (the level-1 model, the certificate's seed,
+  the fibration tower split lazily, and what earlier steps established),
+  in ``CHECKS``;
 - each checked kind has one tolerance, in ``STEP_TOL``;
 - ``analyze`` runs the check on every payload it builds and records the
   step, with the check's residual, only if it passes within the
@@ -21,6 +22,25 @@ The contract between ``analyze`` and ``verify``:
 - ``verify`` runs the same checks on the stored payloads and accepts each
   within ``VERIFY_SLACK`` times the tolerance.  It reads no threshold from
   the certificate: a stored ``tolerance`` is a note for the reader.
+
+A certificate stores its input (``domain``, ``phi``, ``seed``) and, per
+step, only the witnesses a check cannot recompute; the check derives the
+rest:
+
+- ``jordan_split``: ``matrix`` and the three factors; the check measures
+  their product, commutators and spectra.
+- ``discreteness``: ``kind`` and ``order``, re-decided from the factors;
+  ``finite_case``: the ``order``.
+- ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
+  how far it is from affine.
+- ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′.
+- ``tower_descend``: ``dim_quotient_algebra``, compared with the
+  recomputed tower; ``EQUIVARIANCE_SAMPLES`` samples use seed
+  ``seed + level``.
+- ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
+  ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
+  ``conjugator_x_minus``; ``FIBER_SAMPLE_POINTS`` interior points are
+  drawn with ``default_rng(seed + 7 * level + 1)``.
 
 Conclusions are certificates of the cited structure theory applied to
 verified hypotheses, never independent proofs: the assumption list names
@@ -48,11 +68,12 @@ from .errors import HdqError, InputError, MalformedCertificate
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
-from .lie_core import Subspace, ad_matrix, residual_outside
+from .lie_core import Subspace, ad_matrix
 from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
+    _aligned_basis,
     ad_log,
     build_model,
     contains,
@@ -85,22 +106,14 @@ CITED_WITHOUT_COMPUTATION = [
 ]
 
 
-# equivariance samples per tower level: analyze refuses fewer, and verify
-# fails a tower_descend step that stores fewer
-EQUIVARIANCE_SAMPLES_MIN = 100
-# totally-real determinant samples drawn by the fiber case; verify requires
-# a certificate to store at least this many
+# equivariance samples per tower level, and totally-real determinant
+# samples of the fiber case, drawn alike by analyze and verify
+EQUIVARIANCE_SAMPLES = 100
 FIBER_SAMPLE_POINTS = 50
 # the element is in the fiber below FIBER_RATIO (|pushed| / |element|), and
 # membership is undecided below FIBER_BAND
 FIBER_RATIO = 1e-8
 FIBER_BAND = 1e-6
-
-
-@dataclass
-class AnalyzerConfig:
-    seed: int = 42
-    samples: int = EQUIVARIANCE_SAMPLES_MIN
 
 
 # ---------------------------------------------------------------------------
@@ -142,16 +155,14 @@ def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
     """Group element exp(x) rewritten in layered (x_minus, x_zero) form."""
     x0 = M.to_adapted(x_amb)[M.p + M.q :]
     K = expm(-ad_matrix(x_amb, M.J.L)) @ expm(ad_matrix(M.C[:, M.p + M.q :] @ x0, M.J.L))
+    if not np.all(np.isfinite(K)):
+        raise InputError("the exponential of the element overflows")
     return group_element(M, ad_log(K, ad_matrix(M.C[:, : M.p + M.q].T, M.J.L)), x0)
 
 
 def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
     """Single ambient log vector of exp(x_minus) exp(x_zero)."""
     return ad_log(group_adjoint(g, M), M.J.L.c.transpose(0, 2, 1))
-
-
-def _affine_of(g: GroupElement):
-    return g.affine_matrix, g.affine_offset
 
 
 def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
@@ -164,19 +175,15 @@ def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
 
 @dataclass
 class PhiInput:
-    kind: str                  # "exp" | "affine"
-    echo: object               # what the user supplied
-    vector: np.ndarray | None  # exp coordinates (ambient), when kind == exp
-    mat: np.ndarray            # affine linear part on packed coordinates
+    echo: object      # what the user supplied
+    mat: np.ndarray   # affine linear part on packed coordinates
     off: np.ndarray
 
 
-def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, config: AnalyzerConfig) -> PhiInput:
+def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int) -> PhiInput:
     if isinstance(phi_spec, str) and phi_spec.startswith("exp:"):
-        x = parse_combination(phi_spec[4:], J)
-        g = element_from_vector(M, x)
-        mat, off = _affine_of(g)
-        return PhiInput("exp", phi_spec, x, mat, off)
+        g = element_from_vector(M, parse_combination(phi_spec[4:], J))
+        return PhiInput(phi_spec, g.affine_matrix, g.affine_offset)
     if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
         with open(phi_spec[7:], "r", encoding="utf-8") as fh:
             data = json.load(fh)
@@ -197,13 +204,13 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, config: AnalyzerCon
     if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
         raise InputError("affine map has non-finite entries")
     # sanity screen: 20 sampled interior points must stay inside
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     for _ in range(20):
         pt = random_interior_point(M, rng)
         img = DomainPoint.unpack(mat @ pt.pack() + off, M.p, M.q)
         if not contains(img, M, 1e-7):
             raise InputError("affine map does not preserve the domain on a sample")
-    return PhiInput("affine", data, None, mat, off)
+    return PhiInput(data, mat, off)
 
 
 # ---------------------------------------------------------------------------
@@ -224,13 +231,7 @@ def _jsonify(obj):
     return obj
 
 
-def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict:
-    config = config or AnalyzerConfig()
-    if config.samples < EQUIVARIANCE_SAMPLES_MIN:
-        raise InputError(
-            f"{config.samples} equivariance samples requested; at least "
-            f"{EQUIVARIANCE_SAMPLES_MIN} are needed for the certificate to verify"
-        )
+def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
     else:
@@ -246,17 +247,17 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
         raise InputError(f"domain fails validation: {name} defect {defect:.2e}")
     M = build_model(J)
 
-    phi = resolve_phi(phi_spec, J, M, config)
+    phi = resolve_phi(phi_spec, J, M, seed)
     cert = {
         "version": 1,
         "domain": domain_echo,
         "phi": _jsonify(phi.echo),
-        "seed": int(config.seed),
+        "seed": int(seed),
         "steps": [],
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, config.samples)
+    state = ReplayState(M, int(seed))
 
     # (1) Jordan split of the homogenized affine matrix
     A = _homogenize(phi.mat, phi.off)
@@ -267,15 +268,7 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
 
     # (2) discreteness of the cyclic group
     disc = cyclic_discreteness(A, parts)
-    hu = h @ u
-    angles = sorted(float(t) for t in np.abs(np.angle(np.linalg.eigvals(e))))
-    payload = {
-        "kind": disc.kind,
-        "order": disc.order,
-        "hu_deviation": float(np.linalg.norm(hu - np.eye(A.shape[0]))),
-        "angles": angles,
-    }
-    if not _record(cert, state, "discreteness", payload):
+    if not _record(cert, state, "discreteness", {"kind": disc.kind, "order": disc.order}):
         return cert
     if disc.kind == "finite":
         _record(cert, state, "finite_case", {"order": disc.order})
@@ -289,14 +282,10 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
         cert["conclusion"] = "undecided"
         return cert
 
-    # (3) drop the elliptic factor
-    N = A.shape[0] - 1
-    if np.max(np.abs(hu[N, :N])) > 1e-9 or abs(hu[N, N] - 1) > 1e-9:
-        raise HdqError("hyperbolic-unipotent part is not affine")
-    phi_mat, phi_off = hu[:N, :N], hu[:N, N]
-    payload = {"elliptic": e, "phi_prime_linear": phi_mat, "phi_prime_translation": phi_off}
-    if not _record(cert, state, "elliptic_reduction", payload):
+    # (3) drop the elliptic factor: the check derives phi' = h u
+    if not _record(cert, state, "elliptic_reduction", {}):
         return cert
+    phi_mat, phi_off = state.phi_prime
 
     # (4) exponential coordinates inside the split solvable group
     try:
@@ -309,13 +298,13 @@ def analyze(domain_spec, phi_spec, config: AnalyzerConfig | None = None) -> dict
         return cert
 
     # (5)-(6) descent down the fibration tower
-    if _descend(s, state, cert, config):
+    if _descend(s, state, cert):
         cert["conclusion"] = "stein_certified"
         cert["assumptions"].extend(CITED_WITHOUT_COMPUTATION)
     return cert
 
 
-def _descend(s: GroupElement, state: ReplayState, cert, config) -> bool:
+def _descend(s: GroupElement, state: ReplayState, cert) -> bool:
     """Push s down the tower until it lies in a fiber; True when the
     terminal step is recorded."""
     level, M = 1, state.model
@@ -326,51 +315,29 @@ def _descend(s: GroupElement, state: ReplayState, cert, config) -> bool:
         push_norm = float(np.linalg.norm(pushed.x_minus) + np.linalg.norm(pushed.x_zero))
         ratio = push_norm / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
-            return _fiber_case(F, M, s, level, state, cert, config)
+            return _fiber_case(F, M, s, level, state, cert)
         if ratio < FIBER_BAND:
             cert["conclusion"] = "undecided"
             cert["assumptions"].append(
                 f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})"
             )
             return False
-        payload = {
-            "dim_fiber_algebra": int(2 * F.fiber_dim),
-            "dim_quotient_algebra": int(F.s_prime.dim),
-            "pushed_x_minus": pushed.x_minus,
-            "pushed_x_zero": pushed.x_zero,
-            "equivariance_samples": int(config.samples),
-            "equivariance_seed": int(config.seed + level),
-            "structure_residuals": F.residuals,
-        }
-        if not _record(cert, state, "tower_descend", payload, level):
+        if not _record(cert, state, "tower_descend", {"dim_quotient_algebra": F.s_prime.dim}, level):
             return False
         _record(cert, state, "bundle_quotient", {}, level)
         s, M, level = pushed, F.quotient_model, level + 1
     return _record(cert, state, "base_case", {"dim_complex": 0}, level)
 
 
-def _fiber_case(F: FibrationStep, M, s, level, state, cert, config) -> bool:
-    v_amb = element_log(M, s)
-    x_b = np.linalg.pinv(F.b_basis) @ v_amb
-    proj_res = float(np.linalg.norm(F.b_basis @ x_b - v_amb)) / max(
-        1.0, float(np.linalg.norm(v_amb))
-    )
+def _fiber_case(F: FibrationStep, M, s, level, state, cert) -> bool:
+    x_b = np.linalg.pinv(F.b_basis) @ element_log(M, s)
     Mf = F.fiber_model
     V, g = totally_real_subalgebra(x_b, Mf)
-    pts = sample_totally_real_points(
-        Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(config.seed + 7 * level + 1)
-    )
-    _, min_det = totally_real_residuals(x_b, V, Mf, pts)
     payload = {
-        "fiber_dim": int(F.fiber_dim),
+        "fiber_dim": F.fiber_dim,
         "log_in_fiber": x_b,
-        "log_residual": proj_res,
-        "subalgebra": V.basis_matrix,
+        "subalgebra": _aligned_basis(V),
         "conjugator_x_minus": g.x_minus,
-        "conjugator_x_zero": g.x_zero,
-        "sample_points": pts.pack(),
-        "min_defect": min_det,
-        "containment_residual": residual_outside(x_b, V) / max(1.0, float(np.linalg.norm(x_b))),
     }
     if not _record(cert, state, "fiber_case", payload, level):
         return False
@@ -407,7 +374,7 @@ def _record(cert, state, kind, payload, level=0) -> bool:
 # stays within it, and verify accepts a replay within VERIFY_SLACK times it
 STEP_TOL = {
     "jordan_split": 1e-8,
-    "elliptic_reduction": 1e-8,
+    "elliptic_reduction": 1e-9,
     "conjugation_into_S": 1e-6,
     "tower_descend": 1e-8,
     "fiber_case": WITNESS_RESIDUAL,
@@ -418,7 +385,7 @@ VERIFY_SLACK = 10.0
 FAILED = {
     "jordan_split": "the Jordan split of the affine matrix does not replay",
     "discreteness": "the discreteness type of the cyclic group does not replay",
-    "elliptic_reduction": "removing the elliptic factor does not reproduce the affine matrix",
+    "elliptic_reduction": "removing the elliptic factor does not leave an affine map",
     "conjugation_into_S": "the element does not lie in the split solvable group as given; general conjugation is not implemented",
     "tower_descend": "the fibration at level {level} is not numerically equivariant",
     "fiber_case": "the totally-real witness at level {level} fails its check",
@@ -432,14 +399,14 @@ class StepRejected(Exception):
 @dataclass
 class ReplayState:
     """What a check reads besides its payload: the level-1 model, the
-    fibration tower (split lazily, one level at a time), the sample floor
-    of tower steps, and what earlier steps established."""
+    certificate's seed, the fibration tower (split lazily, one level at a
+    time), and what earlier steps established."""
 
     model: SiegelModel
-    min_samples: int
+    seed: int
     tower: list = field(default_factory=list)
     jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
-    phi_prime: tuple | None = None   # (linear, translation) of elliptic_reduction
+    phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
 
     def fibration(self, level: int) -> FibrationStep:
         if level < 1:
@@ -488,11 +455,11 @@ def _check_discreteness(payload, state: ReplayState, level) -> float:
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
-    A, _ = _established(state.jordan, "jordan_split")
-    mat, off = _array(payload, "phi_prime_linear"), _array(payload, "phi_prime_translation")
-    state.phi_prime = (mat, off)
-    hu = _homogenize(mat, off)
-    return float(np.linalg.norm(_array(payload, "elliptic") @ hu - A)) / max(1.0, float(np.linalg.norm(A)))
+    _, parts = _established(state.jordan, "jordan_split")
+    hu = parts.hyperbolic @ parts.unipotent
+    N = hu.shape[0] - 1
+    state.phi_prime = (hu[:N, :N], hu[:N, N])
+    return max(float(np.max(np.abs(hu[N, :N]))), abs(float(hu[N, N]) - 1.0))
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
@@ -505,10 +472,10 @@ def _check_conjugation(payload, state: ReplayState, level) -> float:
 
 
 def _check_tower(payload, state: ReplayState, level) -> float:
-    samples = int(payload["equivariance_samples"])
-    if samples < state.min_samples:
-        raise StepRejected(f"{samples} equivariance samples, at least {state.min_samples} required")
-    return check_equivariance(state.fibration(level), samples, seed=int(payload["equivariance_seed"]))
+    F = state.fibration(level)
+    if payload["dim_quotient_algebra"] != F.s_prime.dim:
+        raise StepRejected("quotient algebra dimension does not match the recomputed tower")
+    return check_equivariance(F, EQUIVARIANCE_SAMPLES, seed=state.seed + level)
 
 
 def _check_fiber(payload, state: ReplayState, level) -> float:
@@ -523,14 +490,9 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
         V = Subspace(Mf.J.dim, basis)
     except HdqError as exc:
         raise StepRejected(f"stored totally-real subalgebra is degenerate: {exc}") from exc
-    packed = _array(payload, "sample_points")
-    width = 2 * Mf.p + Mf.q
-    if packed.ndim != 2 or packed.shape[1] != width or len(packed) < FIBER_SAMPLE_POINTS:
-        raise StepRejected(
-            f"sample points of shape {packed.shape}, need at least "
-            f"{FIBER_SAMPLE_POINTS} rows of {width} coordinates"
-        )
-    pts = DomainPoint.unpack(packed, Mf.p, Mf.q)
+    pts = sample_totally_real_points(
+        Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
+    )
     res, min_det = totally_real_residuals(_array(payload, "log_in_fiber"), V, Mf, pts)
     if not min_det > DEFECT_MIN:
         raise StepRejected(f"totally-real determinant check failed (min |det| {min_det:.2e})")
@@ -573,18 +535,18 @@ def _replay(kind, payload, state, level, slack):
 # verification
 # ---------------------------------------------------------------------------
 
-def verify(cert: dict, config: AnalyzerConfig | None = None):
+def verify(cert: dict):
     """Replay every step through its check, in order.
 
     Returns (ok, report): one entry per step; a checked kind's entry
     carries the replayed ``residual`` beside the ``recorded`` one.
     """
-    config = config or AnalyzerConfig()
     try:
         steps = cert["steps"]
         conclusion = cert["conclusion"]
         domain = cert["domain"]
-    except (KeyError, TypeError) as exc:
+        seed = int(cert["seed"])
+    except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
 
     J = (
@@ -592,7 +554,7 @@ def verify(cert: dict, config: AnalyzerConfig | None = None):
         if isinstance(domain, dict)
         else jalgebra.preset(domain)
     )
-    state = ReplayState(build_model(J), max(config.samples, EQUIVARIANCE_SAMPLES_MIN))
+    state = ReplayState(build_model(J), seed)
     report = []
     for idx, step in enumerate(steps):
         try:

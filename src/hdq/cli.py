@@ -39,12 +39,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", required=True, help="exp:\"<coeffs>\" or affine:<file.json>")
     p.add_argument("--out", help="write the certificate to this path (default stdout)")
     p.add_argument("--seed", type=int, default=42)
-    p.add_argument(
-        "--samples",
-        type=int,
-        default=analyzer.EQUIVARIANCE_SAMPLES_MIN,
-        help=f"equivariance samples per tower level, at least {analyzer.EQUIVARIANCE_SAMPLES_MIN}",
-    )
 
     p = sub.add_parser("verify", help="re-run the numeric checks of a certificate")
     p.add_argument("certificate", help="certificate JSON file")
@@ -71,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def cmd_analyze(args) -> int:
-    config = analyzer.AnalyzerConfig(seed=args.seed, samples=args.samples)
-    cert = analyzer.analyze(args.domain, args.phi, config)
+    cert = analyzer.analyze(args.domain, args.phi, args.seed)
     blob = analyzer.dump_certificate(cert)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

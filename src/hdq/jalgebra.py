@@ -48,8 +48,8 @@ class NormalJAlgebra:
     omega: np.ndarray
 
     def __post_init__(self):
-        j = np.asarray(self.j, dtype=float)
-        w = np.asarray(self.omega, dtype=float)
+        j = np.ascontiguousarray(self.j, dtype=float)
+        w = np.ascontiguousarray(self.omega, dtype=float)
         if j.shape != (self.L.dim, self.L.dim):
             raise InputError("j must be a dim x dim matrix")
         if w.shape != (self.L.dim,):

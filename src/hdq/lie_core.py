@@ -32,7 +32,8 @@ JACOBI_TOL = 1e-9
 
 
 def _readonly(a):
-    a = np.asarray(a, dtype=float)
+    # C order: the contractions round the same way whatever layout came in
+    a = np.ascontiguousarray(a, dtype=float)
     a.setflags(write=False)
     return a
 

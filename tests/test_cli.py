@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -8,11 +9,12 @@ import pytest
 from hdq import jalgebra
 
 
-def run_cli(*args):
+def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "hdq.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -130,12 +132,37 @@ def test_ball_check_totally_real_without_samples_is_input_error():
     assert "Traceback" not in res.stderr
 
 
-def test_analyze_samples_below_the_floor_is_input_error(tmp_path):
-    out = tmp_path / "cert.json"
-    res = run_cli(
-        "analyze", "--domain", "polydisc:2", "--phi", "exp:delta1 + zeta2",
-        "--samples", "20", "--out", str(out),
-    )
+OVERFLOWING = [("ball:2", "exp:800*delta"), ("polydisc:2", "exp:800*delta1")]
+
+
+@pytest.mark.parametrize("domain, phi", OVERFLOWING)
+def test_overflowing_exp_element_is_input_error(domain, phi):
+    res = run_cli("analyze", "--domain", domain, "--phi", phi)
     assert res.returncode == 4, res.stderr
-    assert "at least 100" in res.stderr
-    assert not out.exists()
+    assert res.stdout == ""
+    assert "Traceback" not in res.stderr
+
+
+def test_buffered_stdout_ends_with_the_result(tmp_path, relabelled_polydisc):
+    """With stdout a pipe and PYTHONUNBUFFERED unset, nothing a library
+    prints to C stdout lands after the result: analyze --out prints nothing,
+    and verify's last line is its verdict."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    J, perm, scale = relabelled_polydisc(6, np.random.default_rng([2, 0]))
+    domain = tmp_path / "polydisc.json"
+    domain.write_text(json.dumps(jalgebra.j_algebra_to_dict(J)))
+    on_preset = np.zeros(J.dim)
+    on_preset[0::2] = [0.3, 0.5, 0.7, 0.9, -0.4, -0.6]
+    on_preset[1::2] = 0.2
+    coeffs = on_preset[perm] / scale
+    phi = "exp:" + " + ".join(f"{c:.17g}*{lbl}" for c, lbl in zip(coeffs, J.L.basis_labels))
+    out = tmp_path / "cert.json"
+    res = run_cli("analyze", "--domain", str(domain), "--phi", phi.replace("+ -", "- "), "--out", str(out), env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == ""
+    res = run_cli("verify", str(out), env=env)
+    assert res.returncode == 0, res.stdout
+    assert res.stdout.splitlines()[-1] == "certificate verifies"
+    for domain, phi in OVERFLOWING:
+        res = run_cli("analyze", "--domain", domain, "--phi", phi, "--out", str(out), env=env)
+        assert (res.returncode, res.stdout) == (4, "")
