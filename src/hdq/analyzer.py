@@ -40,7 +40,9 @@ rest:
 - ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
   ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
   ``conjugator_x_minus``; ``FIBER_SAMPLE_POINTS`` interior points are
-  drawn with ``default_rng(seed + 7 * level + 1)``.
+  drawn with ``default_rng(seed + 7 * level + 1)``.  The conjugator must
+  move ``log_in_fiber`` onto the frame line, or be zero when
+  ``log_in_fiber`` has no frame coefficient.
 
 Conclusions are certificates of the cited structure theory applied to
 verified hypotheses, never independent proofs: the assumption list names
@@ -60,6 +62,8 @@ from . import jalgebra
 from .ball import (
     DEFECT_MIN,
     WITNESS_RESIDUAL,
+    abelian_branch,
+    nilpotent_residual,
     sample_totally_real_points,
     totally_real_residuals,
     totally_real_subalgebra,
@@ -493,10 +497,17 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
     pts = sample_totally_real_points(
         Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
     )
-    res, min_det = totally_real_residuals(_array(payload, "log_in_fiber"), V, Mf, pts)
+    x, conj = _array(payload, "log_in_fiber"), _array(payload, "conjugator_x_minus")
+    res, min_det = totally_real_residuals(x, V, Mf, pts)
     if not min_det > DEFECT_MIN:
         raise StepRejected(f"totally-real determinant check failed (min |det| {min_det:.2e})")
-    return res
+    if conj.shape != (Mf.p + Mf.q,):
+        raise StepRejected(f"conjugator of shape {conj.shape}, need {(Mf.p + Mf.q,)}")
+    if abelian_branch(x, Mf):
+        if np.any(conj):
+            raise StepRejected("an element with no frame coefficient takes no conjugator")
+        return res
+    return max(res, nilpotent_residual(x, conj, Mf))
 
 
 def _no_check(payload, state, level) -> float:

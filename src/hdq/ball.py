@@ -22,11 +22,12 @@ from .errors import (
     ZeroSemisimplePart,
 )
 from .jalgebra import NormalJAlgebra, ball_jalgebra
-from .lie_core import Subspace, closure_residual, residual_outside, span
+from .lie_core import Subspace, ad_matrix, closure_residual, residual_outside, span
 from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
+    _expm,
     build_model,
     compose,
     group_adjoint,
@@ -216,7 +217,7 @@ def conjugate_into_a(x, M: SiegelModel, tol: float = 1e-10) -> GroupElement:
         M, np.concatenate([[b / a], np.zeros(M.q)]), np.zeros(1)
     )
     g = compose(g_center, g_half, M)
-    res = nilpotent_residual(x, g, M)
+    res = nilpotent_residual(x, g.x_minus, M)
     if res > NILPOTENT_RESIDUAL and abs(a) > 1e-3 * max(1.0, float(np.linalg.norm(x))):
         raise SolverDiverged(
             f"conjugation residual {res:.2e} exceeds {NILPOTENT_RESIDUAL:.0e}"
@@ -224,13 +225,20 @@ def conjugate_into_a(x, M: SiegelModel, tol: float = 1e-10) -> GroupElement:
     return g
 
 
-def nilpotent_residual(x, g: GroupElement, M: SiegelModel) -> float:
-    """Relative size of the non-frame part of Ad(g) x."""
-    y = group_adjoint(g, M) @ np.asarray(x, dtype=float)
-    coords = M.to_adapted(y)
-    return float(np.linalg.norm(coords[: M.p + M.q])) / max(
-        1.0, float(np.linalg.norm(x))
-    )
+def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
+    """Relative size of the non-frame part of Ad(exp x_minus) x, from one
+    exponential of -ad(x_minus)."""
+    x = np.asarray(x, dtype=float)
+    v = M.C[:, : M.p + M.q] @ np.asarray(x_minus, dtype=float)
+    coords = M.to_adapted(_expm(-ad_matrix(v, M.J.L)) @ x)
+    return float(np.linalg.norm(coords[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
+
+
+def abelian_branch(x, M: SiegelModel) -> bool:
+    """Whether x has no frame coefficient, relative to max(1, |x|), so that
+    :func:`totally_real_subalgebra` takes the abelian construction."""
+    x = np.asarray(x, dtype=float)
+    return abs(float(M.to_adapted(x)[-1])) <= 1e-10 * max(1.0, float(np.linalg.norm(x)))
 
 
 def totally_real_subalgebra(x, M: SiegelModel):
@@ -244,9 +252,7 @@ def totally_real_subalgebra(x, M: SiegelModel):
     :func:`totally_real_residuals` measures the result.
     """
     _require_rank_one(M)
-    x = np.asarray(x, dtype=float)
-    a = float(M.to_adapted(x)[-1])
-    if abs(a) <= 1e-10 * max(1.0, float(np.linalg.norm(x))):
+    if abelian_branch(x, M):
         return abelian_subalgebra_containing(x, M), identity(M)
     g = conjugate_into_a(x, M)
     adj_inv = np.linalg.inv(group_adjoint(g, M))

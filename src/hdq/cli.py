@@ -136,6 +136,10 @@ def cmd_validate(args) -> int:
     else:
         L = lie_core.algebra_from_dict(data)
         report = lie_core.validate_algebra(L)
+        # no metric to test ad(a) against: sample the ad spectra instead
+        imag = lie_core.max_imag_ad_eigenvalue(L)
+        report.flags["split"] = report.flags["solvable"] and imag <= 1e-8
+        report.flags["max_imag_ad_eigenvalue"] = imag
     for name, chk in report.checks.items():
         status = "ok" if chk["defect"] <= chk["tol"] else "FAIL"
         print(f"{name:<22} defect {chk['defect']:.3e}  tol {chk['tol']:.0e}  {status}")

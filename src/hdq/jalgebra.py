@@ -4,9 +4,15 @@ A normal j-algebra is a split solvable algebra with an integrable complex
 structure ``j`` and a linear form ``omega`` such that
 ``<x, y> = omega([j x, y])`` is a j-invariant inner product.  The fine
 structure computed here is the joint eigenspace decomposition of the
-ad-action of the maximal abelian part, together with the canonical frame
-(eta_k, xi_k), the element delta and the induced (-1, -1/2, 0) grading.
-"""
+ad-action of the maximal abelian part a, together with the canonical frame
+(eta_k, xi_k), the element delta and the induced (-1, -1/2, 0) grading
+(Vinberg, Gindikin and Pyatetskii-Shapiro, 1963).
+
+Split-solvability is decided from structure: the algebra is solvable and
+ad(a) is self-adjoint in the metric ``<x, y>``.  The joint eigenspaces are
+found coarse to fine, never splitting eigenvalues that lie close together,
+and each root is labelled by reading twice its values on the eta frame as
+an integer pattern."""
 
 from __future__ import annotations
 
@@ -35,10 +41,15 @@ from .lie_core import (
 )
 
 J_TOL = 1e-9
-# Joint ad(a) eigenvalues are clustered with this absolute tolerance after
-# normalizing the abelian basis; inputs are exact to double precision.
+# A joint eigenspace of ad(a) must hold to this tolerance times the largest
+# entry of the ad(a) stack, and a root whose values are all within ten
+# times it of zero is the zero root; inputs are exact to double precision.
 ROOT_CLUSTER_TOL = 1e-7
-DUAL_TOL = 1e-9
+# eigenvalues of one ad(a) operator closer than this times the same scale
+# stay in one cluster until another operator separates them
+ROOT_MERGE_RTOL = 1e-3
+# largest asymmetry of ad(a) in the G^(1/2) coordinates of a split algebra
+SPLIT_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,7 +104,6 @@ def integrability_defect(J: NormalJAlgebra) -> float:
 def validate_j_algebra(J: NormalJAlgebra, tol: float = J_TOL) -> ValidationReport:
     """Defects of all normal j-algebra axioms; passes iff each is below tol."""
     report = lie_core.validate_algebra(J.L, tol)
-    report.record("split_solvable", 0.0 if report.flags["split"] else 1.0, 0.5)
     n = J.dim
     jsq = float(np.max(np.abs(J.j @ J.j + np.eye(n)))) if n else 0.0
     report.record("j_squared", jsq, tol)
@@ -107,6 +117,12 @@ def validate_j_algebra(J: NormalJAlgebra, tol: float = J_TOL) -> ValidationRepor
         lam_min = 1.0
     report.flags["gram_min_eigenvalue"] = lam_min
     report.record("gram_positive", max(0.0, -lam_min), tol)
+    if lam_min > 0:  # the metric split-solvability is measured in
+        try:
+            split = _abelian_part(J)[-1]
+        except NotSplitSolvable:
+            split = np.inf
+        report.record("split_solvable", split, SPLIT_TOL)
     return report
 
 
@@ -130,10 +146,8 @@ class Root:
 
 @dataclass(frozen=True)
 class FineStructure:
-    a_basis: Subspace
     rank: int
     roots: tuple            # of Root, sorted by label
-    fundamental: tuple      # indices into roots, ordered alpha_1..alpha_r
     eta: tuple              # of vectors
     xi: tuple               # xi_k = -j eta_k
     delta: np.ndarray
@@ -146,30 +160,39 @@ class FineStructure:
         return (self.s_minus1.dim, self.s_minushalf.dim, self.s_zero.dim)
 
 
-def _joint_eigenspaces(ops_sym, dim, tol=ROOT_CLUSTER_TOL):
-    """Refine R^dim into joint eigenspaces of commuting symmetric operators.
+def _joint_eigenspaces(ops_sym):
+    """Joint eigenspaces of a stack of commuting symmetric operators, as
+    (values, orthonormal basis) pairs with one value per operator.
 
-    Returns a list of (values, orthonormal basis) with one eigenvalue per
-    operator.  Bases are orthonormal in the coordinates the operators act in.
+    Each operator refines the clusters the previous ones left.  Eigenvalues
+    closer than ``ROOT_MERGE_RTOL`` times the largest entry of the stack
+    stay in one cluster for a later operator to split, so no split falls
+    in a gap where eigenvectors are ill-conditioned.  A cluster's values
+    are its Rayleigh quotients; a cluster that is not a joint eigenspace
+    to ``ROOT_CLUSTER_TOL`` times that scale is refused.
     """
-    spaces = [(np.zeros(0), np.eye(dim))]
+    scale = max(float(np.max(np.abs(ops_sym))), np.finfo(float).tiny)
+    spaces = [np.eye(ops_sym.shape[-1])]
     for op in ops_sym:
         refined = []
-        for values, B in spaces:
-            R = B.T @ op @ B
-            R = 0.5 * (R + R.T)
-            ev, V = np.linalg.eigh(R)
-            # group eigenvalues into clusters
-            order = np.argsort(ev)
-            ev, V = ev[order], V[:, order]
-            start = 0
-            for i in range(1, len(ev) + 1):
-                if i == len(ev) or ev[i] - ev[i - 1] > tol:
-                    lam = float(np.mean(ev[start:i]))
-                    refined.append((np.append(values, lam), B @ V[:, start:i]))
-                    start = i
+        for B in spaces:
+            if B.shape[1] == 1:
+                refined.append(B)
+                continue
+            ev, V = np.linalg.eigh(B.T @ op @ B)
+            cuts = np.flatnonzero(np.diff(ev) > ROOT_MERGE_RTOL * scale) + 1
+            refined.extend(B @ W for W in np.split(V, cuts, axis=1))
         spaces = refined
-    return spaces
+    out = []
+    for B in spaces:
+        SB = ops_sym @ B
+        values = np.einsum("ad,kad->k", B, SB) / B.shape[1]
+        if np.max(np.abs(SB - values[:, None, None] * B)) > ROOT_CLUSTER_TOL * scale:
+            raise RootPatternViolation("ad of the abelian part has no joint eigenspace decomposition")
+        out.append((values, B))
+    # by value, operator by operator (rounded to the tolerance), whichever
+    # operator split them
+    return sorted(out, key=lambda vb: tuple(np.rint(vb[0] / (ROOT_CLUSTER_TOL * scale))))
 
 
 def fine_structure(J: NormalJAlgebra) -> FineStructure:
@@ -181,160 +204,98 @@ def fine_structure(J: NormalJAlgebra) -> FineStructure:
     return fine
 
 
+def _abelian_part(J: NormalJAlgebra):
+    """(a, S, G^(-1/2), asymmetry) of a solvable algebra.
+
+    ``a`` is the G-orthocomplement of [s, s] and ``S`` is ad(a) over an
+    orthonormal basis of a, in G^(1/2) coordinates.  ``S`` is symmetric
+    exactly when ad(a) is self-adjoint in the G-metric; with [s, s]
+    nilpotent that makes the algebra split solvable, and the asymmetry
+    (the largest entry of S - S^T) measures how far it is from that.
+    """
+    if not lie_core.validate_algebra(J.L).flags["solvable"]:
+        raise NotSplitSolvable("algebra is not solvable")
+    G = gram(J)
+    G = 0.5 * (G + G.T)
+    evals, evecs = np.linalg.eigh(G)
+    if np.min(evals, initial=np.inf) <= 0:
+        raise RootPatternViolation("inner product is not positive definite")
+    root = np.sqrt(evals)
+    G_half = (evecs * root) @ evecs.T
+    G_ihalf = (evecs / root) @ evecs.T
+
+    nil = derived_algebra(J.L)
+    if nil.dim:
+        _, s, vt = np.linalg.svd(nil.basis_matrix.T @ G)
+        a_basis = span(vt[int(np.sum(s > lie_core.RANK_RTOL * s[0])):], J.dim)
+    else:
+        a_basis = span(np.eye(J.dim), J.dim)
+    S = G_half @ ad_matrix(a_basis.orthonormal().T, J.L) @ G_ihalf
+    asym = float(np.max(np.abs(S - S.transpose(0, 2, 1)), initial=0.0))
+    return a_basis, S, G_ihalf, asym
+
+
 def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
     n = J.dim
     if n == 0:
         empty = Subspace(0, np.zeros((0, 0)))
-        fs = FineStructure(empty, 0, (), (), (), (), np.zeros(0), empty, empty, empty)
-        return fs
+        return FineStructure(0, (), (), (), np.zeros(0), empty, empty, empty)
 
-    rep = lie_core.validate_algebra(J.L)
-    if not rep.flags.get("split", False):
-        raise NotSplitSolvable("algebra has non-real ad spectrum or is not solvable")
-
-    G = gram(J)
-    G = 0.5 * (G + G.T)
-    evals, evecs = np.linalg.eigh(G)
-    if np.min(evals) <= 0:
-        raise RootPatternViolation("inner product is not positive definite")
-    G_half = evecs @ np.diag(np.sqrt(evals)) @ evecs.T
-    G_ihalf = evecs @ np.diag(1.0 / np.sqrt(evals)) @ evecs.T
-
-    nil = derived_algebra(J.L)
-    # a = orthocomplement of [s, s] w.r.t. the omega inner product
-    if nil.dim:
-        M = nil.basis_matrix.T @ G
-        _, s, vt = np.linalg.svd(M)
-        r = int(np.sum(s > lie_core.RANK_RTOL * s[0]))
-        a_basis_mat = vt[r:].T
-    else:
-        a_basis_mat = np.eye(n)
-    a_basis = span(a_basis_mat.T, n)
+    a_basis, S, G_ihalf, asym = _abelian_part(J)
     r = a_basis.dim
     if r == 0:
         raise RootPatternViolation("abelian part is trivial in a nonzero algebra")
     if np.max(np.abs(bracket_table(a_basis.basis_matrix, a_basis.basis_matrix, J.L))) > 1e-8:
         raise RootPatternViolation("candidate abelian part is not abelian")
-
-    # joint diagonalization of ad(a) in the G^(1/2) coordinates, where the
-    # operators are symmetric for a valid normal j-algebra
-    a_on = a_basis.orthonormal()
-    S = G_half @ ad_matrix(a_on.T, J.L) @ G_ihalf
-    St = S.transpose(0, 2, 1)
-    asym = float(np.max(np.abs(S - St)))
-    if asym > 1e-6:
-        raise RootPatternViolation(
-            f"ad of the abelian part is not self-adjoint (defect {asym:.2e})"
-        )
-    spaces = _joint_eigenspaces(0.5 * (S + St), n)
+    if asym > SPLIT_TOL:
+        raise NotSplitSolvable(f"ad of the abelian part is not self-adjoint (defect {asym:.2e})")
 
     zero_space = None
-    raw_roots = []  # (values on a_on, x-coords basis)
-    for values, B in spaces:
-        basis_x = G_ihalf @ B
+    raw_roots = []  # (values on the orthonormal basis of a, space)
+    for values, B in _joint_eigenspaces(0.5 * (S + S.transpose(0, 2, 1))):
+        V = span((G_ihalf @ B).T, n)
         if np.max(np.abs(values)) <= ROOT_CLUSTER_TOL * 10:
-            zero_space = span(basis_x.T, n)
+            zero_space = V
         else:
-            raw_roots.append((values, span(basis_x.T, n)))
+            raw_roots.append((values, V))
     if zero_space is None or not lie_core.subspace_equal(zero_space, a_basis, 1e-6):
         raise RootPatternViolation("zero joint eigenspace differs from the abelian part")
 
     # fundamental roots: one-dimensional space mapped into a by j
     fundamentals = []
-    for idx, (values, V) in enumerate(raw_roots):
+    for values, V in raw_roots:
         if V.dim == 1:
             jv = J.j @ V.basis_matrix[:, 0]
             if residual_outside(jv, a_basis) <= 1e-7 * max(1.0, float(np.linalg.norm(jv))):
-                fundamentals.append(idx)
+                fundamentals.append((values, V))
     if len(fundamentals) != r:
         raise RootPatternViolation(
             f"found {len(fundamentals)} fundamental roots, expected rank {r}"
         )
 
     # eta basis dual to (-alpha_1, ..., -alpha_r): alpha_k(eta_l) = -delta_kl
-    R_mat = np.array([raw_roots[i][0] for i in fundamentals])  # r x r on a_on
+    R_mat = np.array([values for values, _ in fundamentals])  # r x r on a
     if abs(np.linalg.det(R_mat)) < 1e-10:
         raise DegenerateDual("fundamental roots are not linearly independent")
     Y = np.linalg.solve(R_mat, -np.eye(r))
-    etas = [a_on @ Y[:, k] for k in range(r)]
+    order = _fundamental_order(J, [V for _, V in fundamentals], [2.0 * v @ Y for v, _ in raw_roots])
+    Y = Y[:, order]
+    etas = [a_basis.orthonormal() @ Y[:, k] for k in range(r)]
 
-    # classify the remaining roots against the fundamental values
-    fund_vals = [raw_roots[i][0] for i in fundamentals]
-
-    def match(vec, target):
-        return float(np.max(np.abs(vec - target))) <= 1e-6
-
-    labels = {}
-    for idx, (values, V) in enumerate(raw_roots):
-        if idx in fundamentals:
-            labels[idx] = ("full", fundamentals.index(idx))
-            continue
-        found = None
-        for k, ak in enumerate(fund_vals):
-            if match(values, 0.5 * ak):
-                found = ("half", k)
-                break
-        if found is None:
-            for k in range(r):
-                for l in range(r):
-                    if k == l:
-                        continue
-                    if match(values, 0.5 * (fund_vals[l] + fund_vals[k])) and k < l:
-                        found = ("sum", k, l)
-                        break
-                    if match(values, 0.5 * (fund_vals[l] - fund_vals[k])):
-                        found = ("diff", l, k)  # positive index first
-                        break
-                if found:
-                    break
-        if found is None:
-            raise RootPatternViolation("a root is not of an admissible form")
-        labels[idx] = found
-
-    order = _fundamental_order(J, raw_roots, fundamentals, labels, r)
-
-    # re-index fundamentals so alpha_1..alpha_r follow the chosen order
-    perm = {old: new for new, old in enumerate(order)}
-    etas_ord = [etas[old] for old in order]
-
-    roots = []
-    for idx, (values, V) in enumerate(raw_roots):
-        lab = labels[idx]
-        if lab[0] == "full":
-            new_lab = ("full", perm[lab[1]])
-        elif lab[0] == "half":
-            new_lab = ("half", perm[lab[1]])
-        elif lab[0] == "sum":
-            k, l = sorted((perm[lab[1]], perm[lab[2]]))
-            new_lab = ("sum", k, l)
-        else:
-            lpos, kneg = perm[lab[1]], perm[lab[2]]
-            if kneg >= lpos:
-                raise RootPatternViolation(
-                    "difference-root pattern admits no consistent ordering"
-                )
-            new_lab = ("diff", lpos, kneg)
-        roots.append((new_lab, values, V))
-
-    # values on the ordered eta frame; roots in label order, so that the
-    # model's block order does not follow the basis an SVD picked for a
-    Y_ord = np.column_stack([Y[:, order[k]] for k in range(r)])
-    final_roots = []
-    for new_lab, values, V in sorted(roots, key=lambda t: t[0]):
-        vals_on_eta = tuple(float(np.dot(values, Y_ord[:, k])) for k in range(r))
-        final_roots.append(Root(vals_on_eta, V, new_lab))
-    labels_ord = [rt.label for rt in final_roots]
-    fundamentals_ord = [labels_ord.index(("full", k)) for k in range(r)]
+    # roots in label order, so that the model's block order does not follow
+    # the basis an SVD picked for a
+    labelled = sorted(((_root_label(2.0 * v @ Y), v @ Y, V) for v, V in raw_roots), key=lambda t: t[0])
+    final_roots = [Root(tuple(float(x) for x in vals), V, lab) for lab, vals, V in labelled]
+    spaces = {rt.label: rt.space for rt in final_roots}
 
     xis = []
-    for k, eta in enumerate(etas_ord):
+    for k, eta in enumerate(etas):
         xi = -(J.j @ eta)
-        Vk = final_roots[fundamentals_ord[k]].space
-        if residual_outside(xi, Vk) > 1e-7 * max(1.0, float(np.linalg.norm(xi))):
+        if residual_outside(xi, spaces[("full", k)]) > 1e-7 * max(1.0, float(np.linalg.norm(xi))):
             raise RootPatternViolation("frame vector -j eta_k is not in its root space")
         xis.append(xi)
 
-    delta = np.sum(etas_ord, axis=0)
+    delta = np.sum(etas, axis=0)
 
     def collect(pred):
         cols = []
@@ -345,7 +306,7 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
 
     s_m1 = span(collect(lambda l: l[0] in ("full", "sum")), n)
     s_mh = span(collect(lambda l: l[0] == "half"), n)
-    s_z = span(collect(lambda l: l[0] == "diff") + list(np.column_stack(etas_ord).T), n)
+    s_z = span(collect(lambda l: l[0] == "diff") + etas, n)
 
     if s_m1.dim + s_mh.dim + s_z.dim != n:
         raise RootPatternViolation("grading does not fill the algebra")
@@ -358,11 +319,9 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
                 raise RootPatternViolation(f"grading eigenvalue deviates by {dev:.2e}")
 
     return FineStructure(
-        a_basis=a_basis,
         rank=r,
         roots=tuple(final_roots),
-        fundamental=tuple(fundamentals_ord),
-        eta=tuple(etas_ord),
+        eta=tuple(etas),
         xi=tuple(xis),
         delta=delta,
         s_minus1=s_m1,
@@ -371,39 +330,47 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
     )
 
 
-def _fundamental_order(J, raw_roots, fundamentals, labels, r):
+# twice a root's values on the eta frame, nonzero entries in frame order
+_ROOT_KINDS = {(-2,): "full", (-1,): "half", (-1, -1): "sum", (1, -1): "diff"}
+
+
+def _root_label(twice) -> tuple:
+    """Label of a root from twice its values on the ordered eta frame:
+    -2e_k is ("full", k), -e_k ("half", k), -e_k-e_l ("sum", k, l) and
+    -e_l+e_k ("diff", l, k), with k < l."""
+    p = np.rint(twice)
+    idx = [int(i) for i in np.flatnonzero(p)]
+    kind = _ROOT_KINDS.get(tuple(int(v) for v in p[idx]))
+    if kind is None or np.max(np.abs(twice - p)) > 2e-6:
+        raise RootPatternViolation("a root is not of an admissible form")
+    return (kind, idx[1], idx[0]) if kind == "diff" else (kind, *idx)
+
+
+def _fundamental_order(J, fundamental_spaces, twice):
     """Topological order forced by the difference-root pattern.
 
-    A root (alpha_a - alpha_b)/2 requires b to precede a; ties are broken
-    by the lexicographically smallest dominant basis label of the root space.
+    ``twice`` holds each root's doubled values on the unordered eta frame.
+    A root (alpha_a - alpha_b)/2, with -1 at a and +1 at b, requires b to
+    precede a; ties are broken by the lexicographically smallest dominant
+    basis label of the root space, then by the lower index.
     """
-    after = {k: set() for k in range(r)}  # edges b -> a
-    for idx, lab in labels.items():
-        if lab[0] == "diff":
-            a, b = lab[1], lab[2]
-            after[b].add(a)
+    r = len(fundamental_spaces)
+    before = {k: set() for k in range(r)}
+    for t in twice:
+        p = np.rint(t)
+        if sorted(p[np.flatnonzero(p)]) == [-1, 1]:
+            before[int(np.argmin(p))].add(int(np.argmax(p)))
 
     def tie_key(k):
-        V = raw_roots[fundamentals[k]][1]
-        v = V.basis_matrix[:, 0]
-        dominant = int(np.argmax(np.abs(v)))
-        return J.L.basis_labels[dominant]
+        v = fundamental_spaces[k].basis_matrix[:, 0]
+        return J.L.basis_labels[int(np.argmax(np.abs(v)))]
 
-    remaining = set(range(r))
-    indeg = {k: 0 for k in range(r)}
-    for b in after:
-        for a in after[b]:
-            indeg[a] += 1
     order = []
-    while remaining:
-        ready = [k for k in remaining if indeg[k] == 0]
+    while len(order) < r:
+        ready = [k for k in range(r) if k not in order and before[k] <= set(order)]
         if not ready:
             raise RootPatternViolation("difference-root pattern contains a cycle")
-        nxt = min(ready, key=tie_key)
-        order.append(nxt)
-        remaining.remove(nxt)
-        for a in after[nxt]:
-            indeg[a] -= 1
+        order.append(min(ready, key=tie_key))
     return order
 
 

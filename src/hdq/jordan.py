@@ -131,8 +131,10 @@ def jordan_decompose(A: np.ndarray, tol: float = CLUSTER_RTOL) -> JordanParts:
     # determinant (e^-31.5 for exp(-3.5 delta) on ball:8)
     sv = np.linalg.svd(A, compute_uv=False)
     if sv.size and sv[-1] <= INVERTIBLE_RTOL * sv[0]:
+        cond = sv[0] / sv[-1] if sv[-1] else np.inf
         raise NotInvertible(
-            f"matrix is not invertible (singular values {sv[-1]:.3e} to {sv[0]:.3e})"
+            f"matrix is singular or too ill-conditioned to decompose (condition number "
+            f"{cond:.3e} exceeds 1/INVERTIBLE_RTOL = {1.0 / INVERTIBLE_RTOL:.0e})"
         )
 
     last = None

@@ -293,7 +293,12 @@ def is_solvable(L: LieAlgebraData) -> bool:
 
 
 def max_imag_ad_eigenvalue(L: LieAlgebraData, samples: int = 20, seed: int = 0) -> float:
-    """Largest |imag| over eigenvalues of ad(x) for basis and random x."""
+    """Largest |imag| over eigenvalues of ad(x) for basis and random x.
+
+    A sampled test of split-solvability for an algebra with no metric; ad
+    of a nilpotent element is defective, so rounding moves these
+    eigenvalues by about the square root of the machine epsilon.
+    """
     if L.dim == 0:
         return 0.0
     rng = np.random.default_rng(seed)
@@ -304,30 +309,27 @@ def max_imag_ad_eigenvalue(L: LieAlgebraData, samples: int = 20, seed: int = 0) 
 
 
 def _measure_algebra(L: LieAlgebraData) -> tuple:
-    """(antisymmetry residual, Jacobi defect, solvable, largest |imag| of an
-    ad eigenvalue): everything validate_algebra measures, none of it
-    depending on a tolerance."""
+    """(antisymmetry residual, Jacobi defect, solvable): everything
+    validate_algebra measures, none of it depending on a tolerance."""
     # antisymmetry is enforced at load; report the residual of the raw tensor
     anti = float(np.max(np.abs(L.c + L.c.transpose(1, 0, 2)))) if L.dim else 0.0
-    return anti, jacobi_defect(L), is_solvable(L), max_imag_ad_eigenvalue(L)
+    return anti, jacobi_defect(L), is_solvable(L)
 
 
 def validate_algebra(L: LieAlgebraData, tol: float = JACOBI_TOL) -> ValidationReport:
-    """Check antisymmetry and Jacobi; solvability and split-solvability are
-    reported as flags (they are properties, not axioms, of the raw tensor).
+    """Check antisymmetry and Jacobi; solvability is reported as a flag (a
+    property, not an axiom, of the raw tensor).
 
     The measurements are taken once per algebra and kept on ``L``; each
     call compares them with ``tol`` in a fresh report.
     """
     if L._measurements is None:
         object.__setattr__(L, "_measurements", _measure_algebra(L))
-    anti, jacobi, solvable, imag = L._measurements
+    anti, jacobi, solvable = L._measurements
     report = ValidationReport()
     report.record("antisymmetry", anti, tol)
     report.record("jacobi", jacobi, tol)
     report.flags["solvable"] = solvable
-    report.flags["split"] = solvable and imag <= max(tol, 1e-8)
-    report.flags["max_imag_ad_eigenvalue"] = imag
     return report
 
 

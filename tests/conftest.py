@@ -33,3 +33,17 @@ def _relabelled_polydisc(rank, rng, per_vector=False):
 @pytest.fixture
 def relabelled_polydisc():
     return _relabelled_polydisc
+
+
+def _rebased(J, T):
+    """J in the basis whose vectors are the rows of T: new basis vector a is
+    sum_i T[a, i] e_i, labelled f<a>."""
+    Ti = np.linalg.inv(T)
+    c = np.einsum("ai,bj,ijk,kc->abc", T, T, J.L.c, Ti)
+    labels = tuple(f"f{a}" for a in range(J.dim))
+    return jalgebra.NormalJAlgebra(LieAlgebraData(J.dim, labels, c), Ti.T @ J.j @ T.T, T @ J.omega)
+
+
+@pytest.fixture
+def rebased():
+    return _rebased

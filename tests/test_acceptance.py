@@ -266,7 +266,7 @@ def test_criterion_6_ball_lemmas():
             a = abs(M.to_adapted(x)[-1]) / np.linalg.norm(x)
             if a > 1e-3:
                 gc = conjugate_into_a(x, M)
-                assert nilpotent_residual(x, gc, M) < 1e-8
+                assert nilpotent_residual(x, gc.x_minus, M) < 1e-8
 
         # closed-form flows against the action formula
         gens = ["zeta", "delta"] + [f"xi{k}" for k in range(1, n)] + [

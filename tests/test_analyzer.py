@@ -230,10 +230,10 @@ def test_non_finite_affine_map_is_input_error(row, col):
         analyze("ball:2", {"linear": lin.tolist(), "translation": off.tolist()})
 
 
-def _rescaled_polydisc_input(relabelled_polydisc, key):
-    """A copy of polydisc:6 rescaled per basis vector, and the image of one
-    fixed preset element in its basis."""
-    J, perm, scale = relabelled_polydisc(6, np.random.default_rng(key), per_vector=True)
+def _rescaled_polydisc_input(relabelled_polydisc, key, per_vector=True):
+    """A copy of polydisc:6 rescaled per basis vector (or per disc factor),
+    and the image of one fixed preset element in its basis."""
+    J, perm, scale = relabelled_polydisc(6, np.random.default_rng(key), per_vector=per_vector)
     on_preset = np.zeros(J.dim)
     on_preset[0::2] = [0.3, 0.5, 0.7, 0.9, -0.4, -0.6]
     on_preset[1::2] = 0.2
@@ -266,6 +266,50 @@ def test_rescaled_tower_certificates_verify(relabelled_polydisc, copy_index):
     J, phi = _rescaled_polydisc_input(relabelled_polydisc, [2, copy_index])
     cert = analyze(J, phi)
     assert cert["conclusion"] != "stein_certified" or verify(cert)[0]
+
+
+def test_ill_conditioned_tower_copy_certifies(relabelled_polydisc):
+    """The copy of polydisc:6 rescaled per disc factor that the benchmark
+    builds at seed 410, operation 62.  Splitting root clusters at any gap
+    above 1e-7 once left its level-1 tower at 9.9e-8 against 1e-8; it
+    certifies, and every level is equivariant to rounding."""
+    J, phi = _rescaled_polydisc_input(relabelled_polydisc, [410, 62], per_vector=False)
+    cert = analyze(J, phi)
+    assert cert["conclusion"] == "stein_certified" and verify(cert)[0]
+    assert max(s["residual"] for s in cert["steps"] if s["kind"] == "tower_descend") < 1e-12
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("kind", ["orthogonal", "per-vector", "combined"])
+@pytest.mark.parametrize("name", ["ball:4", "ball:8", "product:[ball:2,ball:2]", "polydisc:3"])
+def test_rebased_presets_certify(rebased, name, kind, seed):
+    """Verdicts do not depend on the basis.  A preset rebased by an
+    orthogonal matrix (the rows of a QR factor), by a factor in [0.5, 2]
+    per basis vector, or by both, certifies a random element, and the
+    certificate verifies."""
+    J = preset(name)
+    n = J.dim
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, n)))
+    scale = np.random.default_rng(200 + seed).uniform(0.5, 2.0, n)
+    T = {"orthogonal": Q, "per-vector": np.diag(scale), "combined": scale[:, None] * Q}[kind]
+    Jr = rebased(J, T)
+    cert = analyze(Jr, _exp_spec(np.random.default_rng(100 + seed).uniform(-1, 1, n), Jr.L.basis_labels))
+    assert cert["conclusion"] == "stein_certified"
+    assert verify(cert)[0]
+
+
+@pytest.mark.parametrize("phi", ["exp:0.5*delta + zeta - 0.3*xi1", "exp:zeta - 0.3*xi1"])
+def test_forged_fiber_conjugator_fails(phi):
+    """verify replays the fiber conjugator: with a frame coefficient it must
+    move log_in_fiber onto the frame line, and without one it must be zero.
+    A conjugator with every entry set to 99 once verified."""
+    cert = json.loads(dump_certificate(analyze("ball:3", phi)))
+    assert verify(cert)[0]
+    payload = next(s for s in cert["steps"] if s["kind"] == "fiber_case")["payload"]
+    payload["conjugator_x_minus"] = [99.0] * len(payload["conjugator_x_minus"])
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["kind"] for r in report if not r["ok"]] == ["fiber_case"]
 
 
 def test_each_algebra_is_measured_once(monkeypatch):

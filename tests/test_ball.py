@@ -178,7 +178,7 @@ def test_conjugate_into_a_half_component(B2):
     g = conjugate_into_a(x, M)
     c = M.to_adapted(algvec(B2, xi1=2.0))
     np.testing.assert_allclose(g.x_minus, c[: M.p + M.q], atol=1e-10)
-    assert nilpotent_residual(x, g, M) < 1e-10
+    assert nilpotent_residual(x, g.x_minus, M) < 1e-10
 
 
 def test_conjugate_requires_semisimple_part(B2):
@@ -225,7 +225,7 @@ def test_nilpotent_residual_bound(B3):
         if abs(M.to_adapted(x)[-1]) / np.linalg.norm(x) <= 1e-3:
             continue
         g = conjugate_into_a(x, M)
-        assert nilpotent_residual(x, g, M) < 1e-8
+        assert nilpotent_residual(x, g.x_minus, M) < 1e-8
 
 
 def test_cayley_roundtrip():

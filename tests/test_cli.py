@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from hdq import jalgebra
+from hdq import cli, jalgebra
 
 
 def run_cli(*args, env=None):
@@ -141,6 +141,15 @@ def test_overflowing_exp_element_is_input_error(domain, phi):
     assert res.returncode == 4, res.stderr
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
+
+
+def test_ill_conditioned_matrix_names_its_condition_number(capsys):
+    """exp(40 delta) on ball:2 is invertible but too ill-conditioned to
+    decompose; the error says so with the condition number, exit code 4."""
+    assert cli.main(["analyze", "--domain", "ball:2", "--phi", "exp:40*delta"]) == 4
+    err = capsys.readouterr().err
+    assert "condition number 2.354e+17 exceeds 1/INVERTIBLE_RTOL = 1e+12" in err
+    assert "not invertible" not in err
 
 
 def test_buffered_stdout_ends_with_the_result(tmp_path, relabelled_polydisc):

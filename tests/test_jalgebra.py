@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hdq import jalgebra, lie_core
-from hdq.errors import InputError
+from hdq.errors import InputError, NotSplitSolvable
 from hdq.jalgebra import (
     NormalJAlgebra,
     ball_jalgebra,
@@ -177,3 +177,20 @@ def test_empty_algebra_is_valid_rank_zero():
     J = empty_algebra()
     assert validate_j_algebra(J).passed
     assert fine_structure(J).rank == 0
+
+
+def test_ad_a_not_self_adjoint_is_not_split_solvable():
+    """Basis (d, t, x, y): ad(d) = -1 and ad(t) = a Jordan block (y -> -x)
+    on n = span(x, y).  Every ad eigenvalue is real and the Gram matrix is
+    the identity, but ad(t) is not self-adjoint, so the algebra is refused
+    as not split solvable, and validation records the same defect."""
+    c = np.zeros((4, 4, 4))
+    for i, j, k, v in ((0, 2, 2, -1.0), (0, 3, 3, -1.0), (1, 3, 2, -1.0)):
+        c[i, j, k], c[j, i, k] = v, -v
+    j = np.zeros((4, 4))
+    j[0, 2], j[2, 0], j[1, 3], j[3, 1] = 1.0, -1.0, 1.0, -1.0  # j x = d, j y = t
+    J = NormalJAlgebra(lie_core.LieAlgebraData(4, ("d", "t", "x", "y"), c), j, np.array([0.0, 0.0, -1.0, 0.0]))
+    np.testing.assert_allclose(gram(J), np.eye(4), atol=1e-15)
+    with pytest.raises(NotSplitSolvable, match="not self-adjoint"):
+        fine_structure(J)
+    assert validate_j_algebra(J).checks["split_solvable"]["defect"] > 0.5

@@ -1,7 +1,10 @@
+import json
+import re
+
 import numpy as np
 import pytest
 
-from hdq import lie_core
+from hdq import cli, jalgebra, lie_core
 from hdq.errors import DimensionMismatch
 from hdq.jalgebra import ball_jalgebra
 from hdq.lie_core import (
@@ -11,6 +14,7 @@ from hdq.lie_core import (
     derived_algebra,
     is_ideal,
     is_subalgebra,
+    max_imag_ad_eigenvalue,
     span,
     validate_algebra,
 )
@@ -54,7 +58,7 @@ def test_bracket_dimension_mismatch(b2):
 def test_validate_b2(b2):
     rep = validate_algebra(b2)
     assert rep.passed
-    assert rep.flags["solvable"] and rep.flags["split"]
+    assert rep.flags["solvable"] and max_imag_ad_eigenvalue(b2) <= 1e-8
 
 
 def test_validate_perturbed_scale_keeps_jacobi(b2):
@@ -67,7 +71,7 @@ def test_validate_perturbed_scale_keeps_jacobi(b2):
     L = LieAlgebraData(b2.dim, b2.basis_labels, c)
     rep = validate_algebra(L)
     assert rep.checks["jacobi"]["defect"] < 1e-9
-    assert rep.flags["split"]
+    assert rep.flags["solvable"] and max_imag_ad_eigenvalue(L) <= 1e-8
 
 
 def test_validate_so3_not_split():
@@ -78,8 +82,23 @@ def test_validate_so3_not_split():
     L = LieAlgebraData(3, ("e1", "e2", "e3"), c)
     rep = validate_algebra(L)
     assert rep.checks["jacobi"]["defect"] < 1e-12
-    assert not rep.flags["solvable"] or not rep.flags["split"]
-    assert not rep.flags["split"]
+    assert not rep.flags["solvable"]
+    assert max_imag_ad_eigenvalue(L) > 0.5
+
+
+def test_validate_cli_reports_split_only_for_plain_algebras(tmp_path, capsys, b2):
+    # a plain Lie algebra has no metric, so `hdq validate` samples ad spectra
+    path = tmp_path / "b2.alg.json"
+    path.write_text(json.dumps(lie_core.algebra_to_dict(b2)))
+    assert cli.main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^split\s+True$", out, re.M) and "max_imag_ad_eigenvalue" in out
+    # a j-algebra is measured on its structure, with no split flag
+    path.write_text(json.dumps(jalgebra.j_algebra_to_dict(ball_jalgebra(2))))
+    assert cli.main(["validate", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert re.search(r"^split_solvable\s+defect \S+\s+tol 1e-06\s+ok$", out, re.M)
+    assert "max_imag" not in out
 
 
 def test_derived_algebra_b2(b2):
