@@ -19,6 +19,9 @@ The contract between ``analyze`` and ``verify``:
   step, with the check's residual, only if it passes within the
   tolerance; a failed check ends the analysis ``undecided`` with a reason
   in ``assumptions``;
+- both validate the domain first, with ``validate_j_algebra``: ``analyze``
+  refuses an invalid domain with an ``InputError``, and ``verify`` fails
+  the certificate with one ``domain`` entry and replays nothing;
 - ``verify`` runs the same checks on the stored payloads and accepts each
   within ``VERIFY_SLACK`` times the tolerance.  It reads no threshold from
   the certificate: a stored ``tolerance`` is a note for the reader.
@@ -245,10 +248,9 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
             domain_echo = str(domain_spec)
         except InputError:
             domain_echo = jalgebra.j_algebra_to_dict(J)
-    report = jalgebra.validate_j_algebra(J)
-    if not report.passed:
-        name, defect = report.worst()
-        raise InputError(f"domain fails validation: {name} defect {defect:.2e}")
+    invalid = _validation_failure(J)
+    if invalid:
+        raise InputError(invalid)
     M = build_model(J)
 
     phi = resolve_phi(phi_spec, J, M, seed)
@@ -308,6 +310,16 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     return cert
 
 
+def _validation_failure(J: NormalJAlgebra) -> str | None:
+    """Why the domain is not a normal j-algebra, or None when it validates."""
+    report = jalgebra.validate_j_algebra(J)
+    if report.passed:
+        return None
+    name, defect = report.worst()
+    reason = report.flags.get("root_decomposition")
+    return f"domain fails validation: {name} defect {defect:.2e}" + (f" ({reason})" if reason else "")
+
+
 def _descend(s: GroupElement, state: ReplayState, cert) -> bool:
     """Push s down the tower until it lies in a fiber; True when the
     terminal step is recorded."""
@@ -326,7 +338,7 @@ def _descend(s: GroupElement, state: ReplayState, cert) -> bool:
                 f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})"
             )
             return False
-        if not _record(cert, state, "tower_descend", {"dim_quotient_algebra": F.s_prime.dim}, level):
+        if not _record(cert, state, "tower_descend", {"dim_quotient_algebra": F.quotient_model.J.dim}, level):
             return False
         _record(cert, state, "bundle_quotient", {}, level)
         s, M, level = pushed, F.quotient_model, level + 1
@@ -338,14 +350,14 @@ def _fiber_case(F: FibrationStep, M, s, level, state, cert) -> bool:
     Mf = F.fiber_model
     V, g = totally_real_subalgebra(x_b, Mf)
     payload = {
-        "fiber_dim": F.fiber_dim,
+        "fiber_dim": Mf.dim_complex,
         "log_in_fiber": x_b,
         "subalgebra": _aligned_basis(V),
         "conjugator_x_minus": g.x_minus,
     }
     if not _record(cert, state, "fiber_case", payload, level):
         return False
-    if Mf.dim_complex <= 1 and F.s_prime.dim == 0:
+    if Mf.dim_complex <= 1 and F.quotient_model.J.dim == 0:
         _record(cert, state, "base_case", {"dim_complex": int(Mf.dim_complex)}, level)
     return True
 
@@ -417,8 +429,8 @@ class ReplayState:
             raise StepRejected(f"no fibration at level {level}")
         while len(self.tower) < level:
             top = self.tower[-1] if self.tower else None
-            J, M = (top.s_prime, top.quotient_model) if top else (self.model.J, self.model)
-            self.tower.append(split_last_root(J, M))
+            M = top.quotient_model if top else self.model
+            self.tower.append(split_last_root(M.J, M))
         return self.tower[level - 1]
 
 
@@ -477,7 +489,7 @@ def _check_conjugation(payload, state: ReplayState, level) -> float:
 
 def _check_tower(payload, state: ReplayState, level) -> float:
     F = state.fibration(level)
-    if payload["dim_quotient_algebra"] != F.s_prime.dim:
+    if payload["dim_quotient_algebra"] != F.quotient_model.J.dim:
         raise StepRejected("quotient algebra dimension does not match the recomputed tower")
     return check_equivariance(F, EQUIVARIANCE_SAMPLES, seed=state.seed + level)
 
@@ -485,7 +497,7 @@ def _check_tower(payload, state: ReplayState, level) -> float:
 def _check_fiber(payload, state: ReplayState, level) -> float:
     F = state.fibration(level)
     Mf = F.fiber_model
-    if int(payload["fiber_dim"]) != F.fiber_dim:
+    if int(payload["fiber_dim"]) != Mf.dim_complex:
         raise StepRejected("fiber dimension does not match the recomputed tower")
     basis = _array(payload, "subalgebra")
     if basis.shape != (Mf.J.dim, Mf.dim_complex):
@@ -547,7 +559,8 @@ def _replay(kind, payload, state, level, slack):
 # ---------------------------------------------------------------------------
 
 def verify(cert: dict):
-    """Replay every step through its check, in order.
+    """Validate the domain, then replay every step through its check, in
+    order.
 
     Returns (ok, report): one entry per step; a checked kind's entry
     carries the replayed ``residual`` beside the ``recorded`` one.
@@ -565,6 +578,9 @@ def verify(cert: dict):
         if isinstance(domain, dict)
         else jalgebra.preset(domain)
     )
+    invalid = _validation_failure(J)
+    if invalid:
+        return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
     state = ReplayState(build_model(J), seed)
     report = []
     for idx, step in enumerate(steps):

@@ -193,7 +193,7 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     return span(cols, M.J.dim)
 
 
-def conjugate_into_a(x, M: SiegelModel, tol: float = 1e-10) -> GroupElement:
+def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     """Group element whose adjoint moves x into the abelian frame line.
 
     Two exact conjugations: one along the half component (its bracket with
@@ -205,7 +205,7 @@ def conjugate_into_a(x, M: SiegelModel, tol: float = 1e-10) -> GroupElement:
     x = np.asarray(x, dtype=float)
     coords = M.to_adapted(x)
     a = float(coords[-1])
-    if abs(a) <= tol * max(1.0, float(np.linalg.norm(x))):
+    if abs(a) <= 1e-10 * max(1.0, float(np.linalg.norm(x))):
         raise ZeroSemisimplePart("the frame coefficient vanishes")
     b = float(coords[0])
     u = coords[M.p : M.p + M.q]

@@ -16,7 +16,7 @@ import numpy as np
 from . import analyzer, jalgebra, lie_core
 from .ball import DEFECT_MIN, WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
 from .ball import totally_real_residuals, totally_real_subalgebra
-from .errors import HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
+from .errors import HdqError, InputError, TotallyRealCheckFailed
 from .fibration import check_equivariance, tower
 from .jordan import classify, cyclic_discreteness
 
@@ -102,7 +102,7 @@ def cmd_fibration(args) -> int:
     for k, F in enumerate(steps, start=1):
         res = check_equivariance(F, args.samples, seed=args.seed + k)
         print(
-            f"step {k}: dim b = {2 * F.fiber_dim}, dim s' = {F.s_prime.dim}, "
+            f"step {k}: dim b = {F.fiber_model.J.dim}, dim s' = {F.quotient_model.J.dim}, "
             f"equivariance residual = {res:.3e}"
         )
     print(f"tower depth {len(steps)}")
@@ -136,6 +136,7 @@ def cmd_validate(args) -> int:
     else:
         L = lie_core.algebra_from_dict(data)
         report = lie_core.validate_algebra(L)
+        report.flags["solvable"] = lie_core.is_solvable(L)
         # no metric to test ad(a) against: sample the ad spectra instead
         imag = lie_core.max_imag_ad_eigenvalue(L)
         report.flags["split"] = report.flags["solvable"] and imag <= 1e-8
@@ -186,10 +187,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (InputError, MalformedCertificate, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except HdqError as exc:
+    except (HdqError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

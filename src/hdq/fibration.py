@@ -23,7 +23,7 @@ from .errors import (
     RootPatternViolation,
 )
 from .jalgebra import NormalJAlgebra, fine_structure, gram, subalgebra
-from .lie_core import Subspace, bracket_table, derived_algebra, span, residual_outside
+from .lie_core import bracket_table, derived_algebra
 from .siegel import (
     DomainPoint,
     GroupElement,
@@ -38,29 +38,26 @@ from .siegel import (
 
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
-    """One level of the tower.
+    """One level of the tower: the domain, quotient and fiber models, the
+    ideal's basis in the domain algebra (``b_basis``, the fiber algebra's
+    basis), and the quotient map.
 
-    ``quotient_map`` is the projection from the domain's adapted coordinates
-    (the model's ``C`` basis, blocks s_{-1} | s_{-1/2} | s_0) to the
-    quotient's adapted coordinates, ``Mq.Cinv @ coords @ M.C`` with
-    ``coords`` the s'-coordinates of ``proj``; it is computed once per split.
-    It is graded, so ``project_point`` and ``push_group`` apply its diagonal
-    blocks to stacks of rows, and ``check_equivariance`` pushes all its
-    samples through it in one product per side.
+    The quotient algebra is ``quotient_model.J`` and the fiber algebra
+    ``fiber_model.J``.  ``quotient_map`` is the projection from the
+    domain's adapted coordinates (the model's ``C`` basis, blocks s_{-1} |
+    s_{-1/2} | s_0) to the quotient's adapted coordinates: the
+    omega-orthogonal projection onto the subalgebra, in its basis, between
+    ``M.C`` and ``Mq.Cinv``; it is computed once per split.  It is graded,
+    so ``project_point`` and ``push_group`` apply its diagonal blocks to
+    stacks of rows, and ``check_equivariance`` pushes all its samples
+    through it in one product per side.
     """
 
-    b_ideal: Subspace
-    b_basis: np.ndarray
-    b_jalgebra: NormalJAlgebra
-    s_prime: NormalJAlgebra
-    s_prime_basis: np.ndarray
-    proj: np.ndarray
-    quotient_map: np.ndarray
     domain_model: SiegelModel
     quotient_model: SiegelModel
     fiber_model: SiegelModel
-    fiber_dim: int
-    residuals: dict
+    b_basis: np.ndarray
+    quotient_map: np.ndarray
 
 
 def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> FibrationStep:
@@ -102,85 +99,48 @@ def split_last_root(J: NormalJAlgebra, model: SiegelModel | None = None) -> Fibr
         raise RootPatternViolation("root split does not fill the algebra")
     if B_ideal.shape[1] % 2:
         raise HeisenbergCheckFailed("ideal has odd dimension")
-    m = B_ideal.shape[1] // 2
 
-    G = gram(J)
-    residuals = {}
     if B_prime.shape[1]:
-        cross = B_prime.T @ G @ B_ideal
-        residuals["orthogonality"] = float(np.max(np.abs(cross)))
+        G = gram(J)
         coords = np.linalg.solve(B_prime.T @ G @ B_prime, B_prime.T @ G)
     else:
-        residuals["orthogonality"] = 0.0
         coords = np.zeros((0, n))
-    proj = B_prime @ coords
 
     s_prime = subalgebra(J, B_prime)
     b_jalg = subalgebra(J, B_ideal)
-
-    residuals["proj_j_commutes"] = float(np.max(np.abs(proj @ J.j - J.j @ proj)))
-    residuals["proj_homomorphism"] = _homomorphism_defect(J, proj)
-    residuals.update(_ball_structure_checks(J, b_jalg, B_ideal, m))
-
+    _ball_structure_checks(b_jalg)
     quotient_model = build_model(s_prime)
-    fiber_model = build_model(b_jalg)
-    quotient_map = quotient_model.Cinv @ coords @ model.C
-
     return FibrationStep(
-        b_ideal=Subspace(n, B_ideal),
-        b_basis=B_ideal,
-        b_jalgebra=b_jalg,
-        s_prime=s_prime,
-        s_prime_basis=B_prime,
-        proj=proj,
-        quotient_map=quotient_map,
         domain_model=model,
         quotient_model=quotient_model,
-        fiber_model=fiber_model,
-        fiber_dim=m,
-        residuals=residuals,
+        fiber_model=build_model(b_jalg),
+        b_basis=B_ideal,
+        quotient_map=quotient_model.Cinv @ coords @ model.C,
     )
 
 
-def _homomorphism_defect(J: NormalJAlgebra, proj: np.ndarray) -> float:
-    """Max over basis pairs of |proj [e_a, e_b] - [proj e_a, proj e_b]|."""
-    if J.dim == 0:
-        return 0.0
-    return float(np.max(np.abs(J.L.c @ proj.T - bracket_table(proj, proj, J.L))))
-
-
-def _ball_structure_checks(J, b_jalg, B_ideal, m) -> dict:
-    """Rank one + Heisenberg derived algebra + symplectic half block."""
-    out = {}
+def _ball_structure_checks(b_jalg: NormalJAlgebra):
+    """Raise unless the ideal is ball-like: rank one, a derived algebra of
+    dimension 2m - 1 (m its complex dimension), and a nondegenerate
+    symplectic pairing on its half block.  Together with the rank-one fine
+    structure these make the derived algebra a Heisenberg algebra whose
+    center is the full-root line."""
     fine_b = fine_structure(b_jalg)
     if fine_b.rank != 1:
         raise HeisenbergCheckFailed(f"ideal has rank {fine_b.rank}, expected 1")
     der = derived_algebra(b_jalg.L)
-    if der.dim != 2 * m - 1:
+    if der.dim != b_jalg.dim - 1:
         raise HeisenbergCheckFailed(
-            f"derived algebra of the ideal has dim {der.dim}, expected {2 * m - 1}"
+            f"derived algebra of the ideal has dim {der.dim}, expected {b_jalg.dim - 1}"
         )
-    # center of the derived algebra must be the full-root line xi_1
-    xi_vec = fine_b.xi[0]
-    xi_line = span([xi_vec], b_jalg.dim)
-    D = der.basis_matrix
-    center = bracket_table(xi_vec[:, None], D, b_jalg.L)
-    out["center"] = float(np.max(np.abs(center), initial=0.0))
-    # second derived must land in the center line
-    second = bracket_table(D, D, b_jalg.L).reshape(-1, b_jalg.dim)
-    out["heisenberg"] = float(np.max(residual_outside(second, xi_line), initial=0.0))
-    # nondegenerate symplectic pairing on the half block
     half = fine_b.s_minushalf
     if half.dim:
+        xi_vec = fine_b.xi[0]
         H = half.basis_matrix
         P = bracket_table(H, H, b_jalg.L) @ xi_vec / float(xi_vec @ xi_vec)
         det = abs(np.linalg.det(P))
         if det < 1e-10:
             raise HeisenbergCheckFailed(f"symplectic pairing is degenerate (|det| {det:.2e})")
-        out["symplectic_det"] = det
-    else:
-        out["symplectic_det"] = 1.0
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,6 +203,6 @@ def tower(J: NormalJAlgebra):
             break
         F = split_last_root(current)
         steps.append(F)
-        assert fine_structure(F.s_prime).rank == fine.rank - 1
-        current = F.s_prime
+        current = F.quotient_model.J
+        assert fine_structure(current).rank == fine.rank - 1
     return steps

@@ -25,6 +25,7 @@ import numpy as np
 from . import lie_core
 from .errors import (
     DegenerateDual,
+    HdqError,
     InputError,
     NotSplitSolvable,
     RootPatternViolation,
@@ -101,27 +102,34 @@ def integrability_defect(J: NormalJAlgebra) -> float:
     return float(np.max(np.abs(t)))
 
 
-def validate_j_algebra(J: NormalJAlgebra, tol: float = J_TOL) -> ValidationReport:
-    """Defects of all normal j-algebra axioms; passes iff each is below tol."""
-    report = lie_core.validate_algebra(J.L, tol)
+def validate_j_algebra(J: NormalJAlgebra) -> ValidationReport:
+    """Defects of all normal j-algebra axioms; passes iff each is below its
+    tolerance (``J_TOL``, and ``SPLIT_TOL`` for split-solvability).
+
+    Split-solvability is read off the root decomposition, which is cached
+    on ``J`` for the model built next; a decomposition that fails records
+    an infinite defect and its reason.
+    """
+    report = lie_core.validate_algebra(J.L)
     n = J.dim
     jsq = float(np.max(np.abs(J.j @ J.j + np.eye(n)))) if n else 0.0
-    report.record("j_squared", jsq, tol)
-    report.record("integrability", integrability_defect(J), tol)
+    report.record("j_squared", jsq, J_TOL)
+    report.record("integrability", integrability_defect(J), J_TOL)
     G = gram(J)
     sym = float(np.max(np.abs(G - G.T))) if n else 0.0
-    report.record("gram_symmetry", sym, tol)
+    report.record("gram_symmetry", sym, J_TOL)
     if n:
         lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (G + G.T))))
     else:
         lam_min = 1.0
     report.flags["gram_min_eigenvalue"] = lam_min
-    report.record("gram_positive", max(0.0, -lam_min), tol)
+    report.record("gram_positive", max(0.0, -lam_min), J_TOL)
     if lam_min > 0:  # the metric split-solvability is measured in
         try:
-            split = _abelian_part(J)[-1]
-        except NotSplitSolvable:
+            split = fine_structure(J).split_defect
+        except HdqError as exc:
             split = np.inf
+            report.flags["root_decomposition"] = str(exc)
         report.record("split_solvable", split, SPLIT_TOL)
     return report
 
@@ -154,6 +162,7 @@ class FineStructure:
     s_minus1: Subspace
     s_minushalf: Subspace
     s_zero: Subspace
+    split_defect: float     # largest asymmetry of ad(a), at most SPLIT_TOL
 
     @property
     def grading_dims(self) -> tuple:
@@ -213,7 +222,7 @@ def _abelian_part(J: NormalJAlgebra):
     nilpotent that makes the algebra split solvable, and the asymmetry
     (the largest entry of S - S^T) measures how far it is from that.
     """
-    if not lie_core.validate_algebra(J.L).flags["solvable"]:
+    if not lie_core.is_solvable(J.L):
         raise NotSplitSolvable("algebra is not solvable")
     G = gram(J)
     G = 0.5 * (G + G.T)
@@ -239,7 +248,7 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
     n = J.dim
     if n == 0:
         empty = Subspace(0, np.zeros((0, 0)))
-        return FineStructure(0, (), (), (), np.zeros(0), empty, empty, empty)
+        return FineStructure(0, (), (), (), np.zeros(0), empty, empty, empty, 0.0)
 
     a_basis, S, G_ihalf, asym = _abelian_part(J)
     r = a_basis.dim
@@ -327,6 +336,7 @@ def _compute_fine_structure(J: NormalJAlgebra) -> FineStructure:
         s_minus1=s_m1,
         s_minushalf=s_mh,
         s_zero=s_z,
+        split_defect=asym,
     )
 
 
@@ -378,12 +388,12 @@ def _fundamental_order(J, fundamental_spaces, twice):
 # Subalgebras, products, presets
 # ---------------------------------------------------------------------------
 
-def subalgebra(J: NormalJAlgebra, basis: np.ndarray, labels=None) -> NormalJAlgebra:
+def subalgebra(J: NormalJAlgebra, basis: np.ndarray) -> NormalJAlgebra:
     """Normal j-algebra structure induced on a j-invariant subalgebra.
 
     ``basis`` columns must span a j-invariant subalgebra; the bracket, j and
-    omega are expressed in those columns.  Labels default to the dominant
-    ambient label of each column, deduplicated by suffixing.
+    omega are expressed in those columns.  Each column is labelled by its
+    dominant ambient label, deduplicated by suffixing.
     """
     B = np.asarray(basis, dtype=float)
     n, m = B.shape
@@ -399,16 +409,15 @@ def subalgebra(J: NormalJAlgebra, basis: np.ndarray, labels=None) -> NormalJAlge
     if np.max(np.abs(B @ j_sub - J.j @ B)) > 1e-7:
         raise InputError("subspace is not j-invariant")
     omega_sub = J.omega @ B
-    if labels is None:
-        labels = []
-        for a in range(m):
-            dom = J.L.basis_labels[int(np.argmax(np.abs(B[:, a])))]
-            lbl = dom
-            k = 2
-            while lbl in labels:
-                lbl = f"{dom}#{k}"
-                k += 1
-            labels.append(lbl)
+    labels = []
+    for a in range(m):
+        dom = J.L.basis_labels[int(np.argmax(np.abs(B[:, a])))]
+        lbl = dom
+        k = 2
+        while lbl in labels:
+            lbl = f"{dom}#{k}"
+            k += 1
+        labels.append(lbl)
     return NormalJAlgebra(LieAlgebraData(m, tuple(labels), c), j_sub, omega_sub)
 
 

@@ -115,7 +115,7 @@ def _block_diagonalize(A: np.ndarray, reps, sizes):
     return X, T, blocks
 
 
-def jordan_decompose(A: np.ndarray, tol: float = CLUSTER_RTOL) -> JordanParts:
+def jordan_decompose(A: np.ndarray) -> JordanParts:
     """Multiplicative decomposition A = elliptic * hyperbolic * unipotent.
 
     Defective eigenvalues split numerically far beyond machine precision,
@@ -138,7 +138,7 @@ def jordan_decompose(A: np.ndarray, tol: float = CLUSTER_RTOL) -> JordanParts:
         )
 
     last = None
-    for rtol in (tol, 100.0 * tol, 3e3 * tol):
+    for rtol in (CLUSTER_RTOL, 100.0 * CLUSTER_RTOL, 3e3 * CLUSTER_RTOL):
         try:
             return _decompose_at(A, rtol)
         except ClusterAmbiguous as exc:
@@ -173,15 +173,16 @@ def _decompose_at(A: np.ndarray, tol: float) -> JordanParts:
     return JordanParts(e, h, u, residual)
 
 
-def classify(A: np.ndarray, tol: float = 1e-8):
-    """Label the element by its non-identity factors."""
+def classify(A: np.ndarray):
+    """Label the element by its non-identity factors: those more than
+    ``1e-8 * n`` from the identity in Frobenius norm."""
     parts = jordan_decompose(A)
     n = A.shape[0]
     eye = np.eye(n)
     nontrivial = {
-        "elliptic": np.linalg.norm(parts.elliptic - eye) > tol * n,
-        "hyperbolic": np.linalg.norm(parts.hyperbolic - eye) > tol * n,
-        "unipotent": np.linalg.norm(parts.unipotent - eye) > tol * n,
+        "elliptic": np.linalg.norm(parts.elliptic - eye) > 1e-8 * n,
+        "hyperbolic": np.linalg.norm(parts.hyperbolic - eye) > 1e-8 * n,
+        "unipotent": np.linalg.norm(parts.unipotent - eye) > 1e-8 * n,
     }
     active = [k for k, v in nontrivial.items() if v]
     if len(active) == 0:
@@ -206,12 +207,7 @@ class Discreteness:
     order: int | None = None
 
 
-def cyclic_discreteness(
-    A: np.ndarray,
-    parts: JordanParts,
-    angle_tol: float = ANGLE_TOL,
-    max_denominator: int = MAX_DENOMINATOR,
-) -> Discreteness:
+def cyclic_discreteness(A: np.ndarray, parts: JordanParts) -> Discreteness:
     """Discreteness type of the cyclic group generated by the matrix.
 
     A nontrivial hyperbolic or unipotent factor forces an infinite discrete
@@ -227,11 +223,11 @@ def cyclic_discreteness(
     denoms = []
     for theta in _rotation_angles(parts.elliptic):
         x = theta / (2.0 * np.pi)
-        frac = Fraction(x).limit_denominator(max_denominator)
+        frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
         err = abs(x - float(frac))
-        if err <= angle_tol:
+        if err <= ANGLE_TOL:
             denoms.append(frac.denominator)
-        elif err <= 100.0 * angle_tol:
+        elif err <= 100.0 * ANGLE_TOL:
             return Discreteness("undecided")
         else:
             return Discreteness("indiscrete_closure")

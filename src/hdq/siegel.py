@@ -576,7 +576,7 @@ def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL) -> bool:
     return cone_contains(domain_defect(point, M), M, tol).inside
 
 
-def solve_orbit(point: DomainPoint, M: SiegelModel, tol: float = ORBIT_TOL) -> GroupElement:
+def solve_orbit(point: DomainPoint, M: SiegelModel) -> GroupElement:
     """The unique group element mapping the base point to ``point``.
 
     Layered: the half-block translation is read off the w-coordinate, the
@@ -586,7 +586,7 @@ def solve_orbit(point: DomainPoint, M: SiegelModel, tol: float = ORBIT_TOL) -> G
     if M.p == 0:
         return identity(M)
     defect = domain_defect(point, M)
-    cone = cone_contains(defect, M, min(tol, CONE_TOL))
+    cone = cone_contains(defect, M)
     if not cone.inside:
         raise NotInDomain(
             f"point is outside the domain or undecidable (cone residual {cone.residual:.2e})"
@@ -594,8 +594,8 @@ def solve_orbit(point: DomainPoint, M: SiegelModel, tol: float = ORBIT_TOL) -> G
     x_minus = np.concatenate([point.z.real, point.w])
     g = group_element(M, x_minus, cone.witness)
     res = act(g, M.base_point(), M).distance(point)
-    if not np.isfinite(res) or res > tol * max(1.0, float(np.linalg.norm(point.pack()))):
-        raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {tol:.2e}")
+    if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
+        raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {ORBIT_TOL:.2e}")
     return g
 
 

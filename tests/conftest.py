@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from hdq import jalgebra
-from hdq.lie_core import LieAlgebraData
+from hdq.lie_core import LieAlgebraData, bracket_table, derived_algebra, residual_outside, span
 
 # the CLI tests start `python -m hdq.cli` in a subprocess; let it import
 # the package from this checkout without an install
@@ -47,3 +47,44 @@ def _rebased(J, T):
 @pytest.fixture
 def rebased():
     return _rebased
+
+
+def _fibration_invariants(F):
+    """What one tower level promises, measured from the kept fields alone.
+
+    The fiber algebra is Heisenberg-like: its derived algebra commutes with
+    the frame line xi (``center``), brackets inside it land on that line
+    (``heisenberg``), and the half block pairs nondegenerately onto it
+    (``symplectic_det``).  The quotient map, in algebra coordinates
+    ``coords = Mq.C @ quotient_map @ M.Cinv``, commutes with j, is a
+    homomorphism onto the quotient algebra, kills the ideal (``kernel``),
+    and pulls the quotient metric back to the metric of the
+    omega-orthogonal projection ``P`` along the ideal (``projection``).
+    """
+    M, Mq = F.domain_model, F.quotient_model
+    J, Jq, Jb = M.J, Mq.J, F.fiber_model.J
+    fine = jalgebra.fine_structure(Jb)
+    xi = fine.xi[0]
+    D = derived_algebra(Jb.L).basis_matrix
+    second = bracket_table(D, D, Jb.L).reshape(-1, Jb.dim)
+    H = fine.s_minushalf.basis_matrix
+    pairing = bracket_table(H, H, Jb.L) @ xi / float(xi @ xi)
+    coords = Mq.C @ F.quotient_map @ M.Cinv
+    b, G = F.b_basis, jalgebra.gram(J)
+    P = np.eye(J.dim) - b @ np.linalg.solve(b.T @ G @ b, b.T @ G)
+    return {
+        "center": float(np.max(np.abs(bracket_table(xi[:, None], D, Jb.L)), initial=0.0)),
+        "heisenberg": float(np.max(residual_outside(second, span([xi], Jb.dim)), initial=0.0)),
+        "symplectic_det": abs(float(np.linalg.det(pairing))) if H.shape[1] else 1.0,
+        "j_commutes": float(np.max(np.abs(coords @ J.j - Jq.j @ coords), initial=0.0)),
+        "homomorphism": float(np.max(
+            np.abs(J.L.c @ coords.T - bracket_table(coords, coords, Jq.L)), initial=0.0
+        )),
+        "kernel": float(np.max(np.abs(coords @ b), initial=0.0)),
+        "projection": float(np.max(np.abs(coords.T @ jalgebra.gram(Jq) @ coords - P.T @ G @ P))),
+    }
+
+
+@pytest.fixture
+def fibration_invariants():
+    return _fibration_invariants

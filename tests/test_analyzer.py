@@ -4,7 +4,7 @@ import json
 import numpy as np
 import pytest
 
-from hdq import analyzer, lie_core
+from hdq import analyzer, jalgebra, lie_core
 from hdq.analyzer import (
     EQUIVARIANCE_SAMPLES,
     analyze,
@@ -312,21 +312,85 @@ def test_forged_fiber_conjugator_fails(phi):
     assert [r["kind"] for r in report if not r["ok"]] == ["fiber_case"]
 
 
-def test_each_algebra_is_measured_once(monkeypatch):
-    """analyze measures the input algebra and the ideal of its one tower
-    level once each, however often they are validated."""
-    measured = []
-    original = lie_core._measure_algebra
+def _benchmark_op0(workload, relabelled_polydisc):
+    """Operation 0 at seed 1 of the ball-fiber or polydisc-tower benchmark
+    workload, drawn as the workload draws it: (domain, phi)."""
+    rng = np.random.default_rng([1, 0])
+    if workload == "ball-fiber":
+        labels = preset("ball:8").L.basis_labels
+        coeffs = rng.uniform(-1.0, 1.0, len(labels))
+        d = labels.index("delta")
+        while 0.0 < abs(coeffs[d]) < 0.02:
+            coeffs[d] = rng.uniform(-1.0, 1.0)
+        return "ball:8", _exp_spec(coeffs, labels)
+    J, perm, scale = relabelled_polydisc(6, rng)
+    on_preset = np.zeros(J.dim)
+    while True:
+        coeffs = rng.uniform(-1.0, 1.0, J.dim)
+        on_preset[perm] = coeffs * scale
+        if np.min(np.diff(np.sort(np.append(on_preset[0::2], 0.0)))) >= 0.02:
+            return J, _exp_spec(coeffs, J.L.basis_labels)
 
-    def counting(L):
-        measured.append(L)
-        return original(L)
 
-    monkeypatch.setattr(lie_core, "_measure_algebra", counting)
-    cert = analyze("ball:8", "exp:0.5*delta + 0.3*zeta - 0.2*xi1 + 0.4*eta3")
-    assert cert["conclusion"] == "stein_certified"
-    assert [L.dim for L in measured] == [16, 16]
-    assert measured[0] is not measured[1]
+def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
+    """On operation 0 of the ball-fiber and polydisc-tower benchmarks,
+    analyze and verify each run the Jacobi identity once, on the input,
+    and decide split-solvability (with one derived series) once per
+    nonzero algebra of the tower: the input, each quotient and each ideal,
+    2 algebras for ball:8 and 12 for polydisc:6."""
+    calls = {}
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(arg):
+            calls.setdefault(name, []).append(arg)
+            return original(arg)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(lie_core, "jacobi_defect")
+    counting(lie_core, "derived_series")
+    counting(jalgebra, "_abelian_part")
+    for workload, algebras in (("ball-fiber", 2), ("polydisc-tower", 12)):
+        domain, phi = _benchmark_op0(workload, relabelled_polydisc)
+        for phase in ("analyze", "verify"):
+            calls.clear()
+            if phase == "analyze":
+                cert = analyze(domain, phi)
+                assert cert["conclusion"] == "stein_certified"
+            else:
+                assert verify(json.loads(dump_certificate(cert)))[0]
+            assert len(calls["jacobi_defect"]) == 1, (workload, phase)
+            measured = calls["_abelian_part"]
+            assert len({id(J) for J in measured}) == len(measured) == algebras, (workload, phase)
+            assert [L.dim for L in calls["derived_series"]] == [J.dim for J in measured], (workload, phase)
+
+
+def _forge_domain(cert, forgery):
+    domain = cert["domain"]
+    if forgery == "j":
+        domain["j"][0][1] += 1e-2
+    else:
+        domain["brackets"].append({"i": "zeta1", "j": "zeta2", "coeffs": {"delta1": 0.1}})
+    return cert
+
+
+@pytest.mark.parametrize("forgery, check", [("j", "j_squared"), ("bracket", "split_solvable")])
+def test_forged_domain_fails_validation(forgery, check):
+    """verify validates the domain as analyze does.  A j off by 1e-2 once
+    verified, and a bracket [zeta1, zeta2] = 0.1 delta1 once raised
+    RootPatternViolation; both now fail with one domain entry, and analyze
+    refuses the same domain."""
+    cert = json.loads(dump_certificate(analyze(preset("polydisc:2"), "exp:0.5*delta1 + 0.3*zeta1 - 0.2*delta2")))
+    assert verify(cert)[0]
+    cert = _forge_domain(cert, forgery)
+    ok, report = verify(cert)
+    assert not ok
+    assert [(r["kind"], r["ok"]) for r in report] == [("domain", False)]
+    assert f"domain fails validation: {check} defect" in report[0]["detail"]
+    with pytest.raises(InputError, match=f"domain fails validation: {check}"):
+        analyze(jalgebra.j_algebra_from_dict(cert["domain"]), cert["phi"])
 
 
 @pytest.mark.parametrize("forgery", ["elliptic", "x_zero"])

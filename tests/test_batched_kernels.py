@@ -19,7 +19,6 @@ from scipy.linalg import expm
 from hdq import lie_core
 from hdq.ball import sample_totally_real_points, totally_real_defect
 from hdq.errors import InputError
-from hdq.fibration import _homomorphism_defect
 from hdq.jalgebra import NormalJAlgebra, integrability_defect, preset, subalgebra
 from hdq.errors import DimensionMismatch
 from hdq.lie_core import LieAlgebraData, Subspace, bracket_table, residual_outside, span, subspace_equal
@@ -114,16 +113,6 @@ def _loop_subalgebra_tensor(J, B):
             c[a, b] = coords
             c[b, a] = -coords
     return c
-
-
-def _loop_homomorphism(J, proj):
-    worst, eye = 0.0, np.eye(J.dim)
-    for a in range(J.dim):
-        for b in range(a + 1, J.dim):
-            lhs = proj @ _pair(eye[a], eye[b], J.L)
-            rhs = _pair(proj @ eye[a], proj @ eye[b], J.L)
-            worst = max(worst, float(np.max(np.abs(lhs - rhs))))
-    return worst
 
 
 def _loop_hermitian(M):
@@ -221,10 +210,6 @@ def test_jalgebra_defects_match_loops(n):
     integ = integrability_defect(J)
     assert integ > 0.1
     assert abs(integ - _loop_integrability(J)) <= TOL * integ
-    proj = rng.standard_normal((n, n))
-    hom = _homomorphism_defect(J, proj)
-    assert hom > 0.1
-    assert abs(hom - _loop_homomorphism(J, proj)) <= TOL * hom
 
 
 def test_subalgebra_tensor_matches_loop():

@@ -68,6 +68,23 @@ def test_verify_roundtrip_and_tamper(tmp_path):
     assert "FAILS" in res.stdout
 
 
+def test_verify_invalid_domain_exits_1(tmp_path, capsys):
+    """A certificate whose domain fails validation fails verify (exit 1),
+    with the validation failure as its one entry."""
+    domain = tmp_path / "polydisc.json"
+    domain.write_text(json.dumps(jalgebra.j_algebra_to_dict(jalgebra.polydisc_jalgebra(2))))
+    out = tmp_path / "cert.json"
+    assert cli.main(["analyze", "--domain", str(domain), "--phi", "exp:0.5*delta1 - 0.2*delta2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["domain"]["j"][0][1] += 1e-2
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "certificate FAILS"
+    assert lines[:-1] == ["step -1 domain               FAIL (domain fails validation: j_squared defect 1.00e-02)"]
+
+
 def test_fibration_tower():
     res = run_cli("fibration", "--domain", "polydisc:3", "--samples", "20")
     assert res.returncode == 0, res.stderr

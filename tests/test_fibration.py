@@ -11,7 +11,7 @@ from hdq.fibration import (
     tower,
 )
 from hdq.jalgebra import ball_jalgebra, fine_structure, polydisc_jalgebra, preset
-from hdq.lie_core import bracket, residual_outside
+from hdq.lie_core import residual_outside, span
 from hdq.siegel import DomainPoint, act, group_element, random_element, solve_orbit
 
 
@@ -22,21 +22,21 @@ def poly2():
 
 def test_polydisc_split_is_factor_split(poly2):
     F = poly2
-    assert F.fiber_dim == 1
-    assert F.s_prime.dim == 2
+    assert F.fiber_model.dim_complex == 1
+    assert F.quotient_model.J.dim == 2
     # the ideal is the second half-plane factor: spanned by delta2, zeta2
     J = polydisc_jalgebra(2)
     for lbl in ("delta2", "zeta2"):
         v = J.L.basis_vector(lbl)
-        assert residual_outside(v, F.b_ideal) < 1e-9
+        assert residual_outside(v, span(F.b_basis.T, J.dim)) < 1e-9
     # and the quotient keeps the first factor's labels
-    assert set(F.s_prime.L.basis_labels) == {"delta1", "zeta1"}
+    assert set(F.quotient_model.J.L.basis_labels) == {"delta1", "zeta1"}
 
 
 def test_rank_one_split_has_point_target():
     F = split_last_root(ball_jalgebra(2))
-    assert F.s_prime.dim == 0
-    assert F.fiber_dim == 2
+    assert F.quotient_model.J.dim == 0
+    assert F.fiber_model.dim_complex == 2
     assert F.quotient_model.dim_complex == 0
     # any point projects to the unique point
     p = F.domain_model.base_point()
@@ -49,33 +49,32 @@ def test_product_split_is_deterministic():
     F = split_last_root(J)
     # the recorded ordering puts the two-ball factor first, so the ideal is
     # the half-plane factor
-    assert F.fiber_dim == 1
-    assert F.s_prime.dim == 4
-    fs = fine_structure(F.b_jalgebra)
+    assert F.fiber_model.dim_complex == 1
+    assert F.quotient_model.J.dim == 4
+    fs = fine_structure(F.fiber_model.J)
     assert fs.rank == 1
 
 
-def test_heisenberg_and_symplectic_checks():
+def test_heisenberg_and_symplectic_checks(fibration_invariants):
     for name in ("ball:3", "polydisc:3", "product:[ball:2,ball:1]"):
         steps = tower(preset(name))
         for F in steps:
-            assert F.residuals["center"] < 1e-9
-            assert F.residuals["heisenberg"] < 1e-9
-            assert F.residuals["symplectic_det"] > 1e-10
-            fs = fine_structure(F.b_jalgebra)
+            inv = fibration_invariants(F)
+            assert inv["center"] < 1e-9
+            assert inv["heisenberg"] < 1e-9
+            assert inv["symplectic_det"] > 1e-10
+            fs = fine_structure(F.fiber_model.J)
             assert fs.rank == 1
 
 
-def test_projection_invariants(poly2):
-    F = poly2
-    J = polydisc_jalgebra(2)
-    # pi o j = j o pi
-    assert F.residuals["proj_j_commutes"] < 1e-10
-    assert F.residuals["proj_homomorphism"] < 1e-9
-    # kernel is the ideal
-    for i in range(F.b_ideal.dim):
-        v = F.b_ideal.basis_matrix[:, i]
-        assert np.linalg.norm(F.proj @ v) < 1e-9
+def test_projection_invariants(poly2, fibration_invariants):
+    inv = fibration_invariants(poly2)
+    # pi o j = j o pi, and pi is a homomorphism
+    assert inv["j_commutes"] < 1e-10
+    assert inv["homomorphism"] < 1e-9
+    # kernel is the ideal: it kills the ideal and has full rank on the rest
+    assert inv["kernel"] < 1e-9
+    assert np.linalg.matrix_rank(poly2.quotient_map) == poly2.quotient_model.J.dim
 
 
 def test_project_point_examples(poly2):
@@ -141,17 +140,19 @@ def _per_sample_residual(F, samples, seed):
 
 
 @pytest.mark.parametrize("name", ["polydisc:3", "product:[ball:2,ball:1]", "relabelled:4"])
-def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydisc):
+def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydisc, fibration_invariants):
     if name.startswith("relabelled"):
         J = relabelled_polydisc(4, np.random.default_rng([4, 1]))[0]
     else:
         J = preset(name)
     rng = np.random.default_rng(3)
     for F in tower(J):
-        M, Mq = F.domain_model, F.quotient_model
-        # the stored map is the ambient projection in adapted coordinates
-        ref = Mq.Cinv @ np.linalg.pinv(F.s_prime_basis) @ F.proj @ M.C
-        np.testing.assert_allclose(F.quotient_map, ref, atol=1e-12)
+        # the stored map is the ambient projection in adapted coordinates:
+        # a j-linear homomorphism that kills the ideal and is isometric on
+        # the omega-orthogonal complement
+        inv = fibration_invariants(F)
+        for key in ("j_commutes", "homomorphism", "kernel", "projection"):
+            assert inv[key] < 1e-12, (key, inv[key])
         stacked = check_equivariance(F, 40, seed=5)
         assert stacked < 1e-12
         assert abs(stacked - _per_sample_residual(F, 40, 5)) <= 1e-12

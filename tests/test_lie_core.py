@@ -13,6 +13,7 @@ from hdq.lie_core import (
     bracket,
     derived_algebra,
     is_ideal,
+    is_solvable,
     is_subalgebra,
     max_imag_ad_eigenvalue,
     span,
@@ -58,7 +59,7 @@ def test_bracket_dimension_mismatch(b2):
 def test_validate_b2(b2):
     rep = validate_algebra(b2)
     assert rep.passed
-    assert rep.flags["solvable"] and max_imag_ad_eigenvalue(b2) <= 1e-8
+    assert is_solvable(b2) and max_imag_ad_eigenvalue(b2) <= 1e-8
 
 
 def test_validate_perturbed_scale_keeps_jacobi(b2):
@@ -71,7 +72,7 @@ def test_validate_perturbed_scale_keeps_jacobi(b2):
     L = LieAlgebraData(b2.dim, b2.basis_labels, c)
     rep = validate_algebra(L)
     assert rep.checks["jacobi"]["defect"] < 1e-9
-    assert rep.flags["solvable"] and max_imag_ad_eigenvalue(L) <= 1e-8
+    assert is_solvable(L) and max_imag_ad_eigenvalue(L) <= 1e-8
 
 
 def test_validate_so3_not_split():
@@ -82,7 +83,7 @@ def test_validate_so3_not_split():
     L = LieAlgebraData(3, ("e1", "e2", "e3"), c)
     rep = validate_algebra(L)
     assert rep.checks["jacobi"]["defect"] < 1e-12
-    assert not rep.flags["solvable"]
+    assert not is_solvable(L)
     assert max_imag_ad_eigenvalue(L) > 0.5
 
 
