@@ -31,7 +31,10 @@ step, only the witnesses a check cannot recompute; the check derives the
 rest:
 
 - ``jordan_split``: ``matrix`` and the three factors; the check measures
-  their product, commutators and spectra.
+  their product, commutators and spectra, and binds ``matrix`` to the
+  input: it must equal the homogenized matrix of ``phi`` (an ``exp:``
+  string through ``siegel.element_from_vector``, a mapping as given),
+  which ``verify`` derives when it replays this step.
 - ``discreteness``: ``kind`` and ``order``, re-decided from the factors;
   ``finite_case``: the ``order``.
 - ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
@@ -59,7 +62,6 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import jalgebra
 from .ball import (
@@ -75,16 +77,16 @@ from .errors import HdqError, InputError, MalformedCertificate
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
-from .lie_core import Subspace, ad_matrix
+from .lie_core import Subspace
 from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
     _aligned_basis,
-    ad_log,
     build_model,
     contains,
-    group_adjoint,
+    element_from_vector,
+    element_log,
     group_element,
     random_interior_point,
     solve_orbit,
@@ -158,20 +160,6 @@ def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
     return x
 
 
-def element_from_vector(M: SiegelModel, x_amb: np.ndarray) -> GroupElement:
-    """Group element exp(x) rewritten in layered (x_minus, x_zero) form."""
-    x0 = M.to_adapted(x_amb)[M.p + M.q :]
-    K = expm(-ad_matrix(x_amb, M.J.L)) @ expm(ad_matrix(M.C[:, M.p + M.q :] @ x0, M.J.L))
-    if not np.all(np.isfinite(K)):
-        raise InputError("the exponential of the element overflows")
-    return group_element(M, ad_log(K, ad_matrix(M.C[:, : M.p + M.q].T, M.J.L)), x0)
-
-
-def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
-    """Single ambient log vector of exp(x_minus) exp(x_zero)."""
-    return ad_log(group_adjoint(g, M), M.J.L.c.transpose(0, 2, 1))
-
-
 def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
     n = mat.shape[0]
     A = np.eye(n + 1)
@@ -187,20 +175,18 @@ class PhiInput:
     off: np.ndarray
 
 
-def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int) -> PhiInput:
+def phi_affine(phi_spec, M: SiegelModel):
+    """(linear, translation) on packed coordinates of an ``exp:`` string or
+    of a mapping with ``linear`` and ``translation``; ``InputError`` when it
+    does not parse or does not fit the domain."""
     if isinstance(phi_spec, str) and phi_spec.startswith("exp:"):
-        g = element_from_vector(M, parse_combination(phi_spec[4:], J))
-        return PhiInput(phi_spec, g.affine_matrix, g.affine_offset)
-    if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
-        with open(phi_spec[7:], "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    elif isinstance(phi_spec, dict):
-        data = phi_spec
-    else:
+        g = element_from_vector(M, parse_combination(phi_spec[4:], M.J))
+        return g.affine_matrix, g.affine_offset
+    if not isinstance(phi_spec, dict):
         raise InputError(f"phi must be 'exp:<expr>', 'affine:<file>' or a mapping, got {phi_spec!r}")
     try:
-        mat = np.asarray(data["linear"], dtype=float)
-        off = np.asarray(data["translation"], dtype=float)
+        mat = np.asarray(phi_spec["linear"], dtype=float)
+        off = np.asarray(phi_spec["translation"], dtype=float)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad affine map: {exc}") from exc
     dim = 2 * M.p + M.q
@@ -210,14 +196,23 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int) -> PhiIn
         )
     if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
         raise InputError("affine map has non-finite entries")
-    # sanity screen: 20 sampled interior points must stay inside
-    rng = np.random.default_rng(seed)
-    for _ in range(20):
-        pt = random_interior_point(M, rng)
-        img = DomainPoint.unpack(mat @ pt.pack() + off, M.p, M.q)
-        if not contains(img, M, 1e-7):
-            raise InputError("affine map does not preserve the domain on a sample")
-    return PhiInput(data, mat, off)
+    return mat, off
+
+
+def resolve_phi(phi_spec, M: SiegelModel, seed: int) -> PhiInput:
+    if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
+        with open(phi_spec[7:], "r", encoding="utf-8") as fh:
+            phi_spec = json.load(fh)
+    mat, off = phi_affine(phi_spec, M)
+    if isinstance(phi_spec, dict):
+        # sanity screen: 20 sampled interior points must stay inside
+        rng = np.random.default_rng(seed)
+        for _ in range(20):
+            pt = random_interior_point(M, rng)
+            img = DomainPoint.unpack(mat @ pt.pack() + off, M.p, M.q)
+            if not contains(img, M, 1e-7):
+                raise InputError("affine map does not preserve the domain on a sample")
+    return PhiInput(phi_spec, mat, off)
 
 
 # ---------------------------------------------------------------------------
@@ -253,7 +248,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         raise InputError(invalid)
     M = build_model(J)
 
-    phi = resolve_phi(phi_spec, J, M, seed)
+    phi = resolve_phi(phi_spec, M, seed)
     cert = {
         "version": 1,
         "domain": domain_echo,
@@ -263,10 +258,10 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, int(seed))
+    A = _homogenize(phi.mat, phi.off)
+    state = ReplayState(M, int(seed), phi_matrix=A)
 
     # (1) Jordan split of the homogenized affine matrix
-    A = _homogenize(phi.mat, phi.off)
     parts = jordan_decompose(A)
     e, h, u = parts.elliptic, parts.hyperbolic, parts.unipotent
     if not _record(cert, state, "jordan_split", {"matrix": A, "elliptic": e, "hyperbolic": h, "unipotent": u}):
@@ -415,11 +410,13 @@ class StepRejected(Exception):
 @dataclass
 class ReplayState:
     """What a check reads besides its payload: the level-1 model, the
-    certificate's seed, the fibration tower (split lazily, one level at a
-    time), and what earlier steps established."""
+    certificate's seed and phi, the fibration tower (split lazily, one level
+    at a time), and what earlier steps established."""
 
     model: SiegelModel
     seed: int
+    phi: object = None                    # the certificate's phi
+    phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
     tower: list = field(default_factory=list)
     jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
@@ -432,6 +429,14 @@ class ReplayState:
             M = top.quotient_model if top else self.model
             self.tower.append(split_last_root(M.J, M))
         return self.tower[level - 1]
+
+    def homogenized_phi(self) -> np.ndarray:
+        if self.phi_matrix is None:
+            try:
+                self.phi_matrix = _homogenize(*phi_affine(self.phi, self.model))
+            except InputError as exc:
+                raise StepRejected(f"phi does not resolve on this domain: {exc}") from exc
+        return self.phi_matrix
 
 
 def _established(value, kind):
@@ -447,7 +452,11 @@ def _array(payload, key):
 def _check_jordan(payload, state: ReplayState, level) -> float:
     A, e, h, u = (_array(payload, k) for k in ("matrix", "elliptic", "hyperbolic", "unipotent"))
     n = A.shape[0]
-    res = float(np.linalg.norm(e @ h @ u - A)) / max(1.0, float(np.linalg.norm(A)))
+    A_phi = state.homogenized_phi()
+    if A.shape != A_phi.shape:
+        raise StepRejected(f"matrix of shape {A.shape}, phi gives {A_phi.shape}")
+    scale = max(1.0, float(np.linalg.norm(A)))
+    res = max(float(np.linalg.norm(e @ h @ u - A)), float(np.linalg.norm(A - A_phi))) / scale
     for X, Y in ((e, h), (e, u), (h, u)):
         res = max(res, float(np.linalg.norm(X @ Y - Y @ X)))
     res = max(res, float(np.max(np.abs(np.abs(np.linalg.eigvals(e)) - 1.0))))
@@ -573,15 +582,16 @@ def verify(cert: dict):
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
 
-    J = (
-        jalgebra.j_algebra_from_dict(domain)
-        if isinstance(domain, dict)
-        else jalgebra.preset(domain)
-    )
+    if isinstance(domain, dict):
+        J = jalgebra.j_algebra_from_dict(domain)
+    elif isinstance(domain, str):
+        J = jalgebra.preset(domain)
+    else:
+        raise MalformedCertificate(f"domain must be a preset name or a mapping, not {type(domain).__name__}")
     invalid = _validation_failure(J)
     if invalid:
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
-    state = ReplayState(build_model(J), seed)
+    state = ReplayState(build_model(J), seed, cert.get("phi"))
     report = []
     for idx, step in enumerate(steps):
         try:

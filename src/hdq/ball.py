@@ -29,7 +29,6 @@ from .siegel import (
     SiegelModel,
     _expm,
     build_model,
-    compose,
     group_adjoint,
     group_element,
     identity,
@@ -197,9 +196,10 @@ def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     """Group element whose adjoint moves x into the abelian frame line.
 
     Two exact conjugations: one along the half component (its bracket with
-    the frame rescales it), then one along the center line; both are
-    nilpotent directions, so the coordinates are closed-form in the
-    semisimple coefficient.
+    the frame rescales it), then one along the center line.  Both are
+    nilpotent directions and the center line commutes with the half block,
+    so their product is exp of the sum, closed-form in the semisimple
+    coefficient.
     """
     _require_rank_one(M)
     x = np.asarray(x, dtype=float)
@@ -210,13 +210,7 @@ def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     b = float(coords[0])
     u = coords[M.p : M.p + M.q]
 
-    g_half = group_element(
-        M, np.concatenate([[0.0], (2.0 / a) * u]), np.zeros(1)
-    )
-    g_center = group_element(
-        M, np.concatenate([[b / a], np.zeros(M.q)]), np.zeros(1)
-    )
-    g = compose(g_center, g_half, M)
+    g = group_element(M, np.concatenate([[b / a], (2.0 / a) * u]), np.zeros(1))
     res = nilpotent_residual(x, g.x_minus, M)
     if res > NILPOTENT_RESIDUAL and abs(a) > 1e-3 * max(1.0, float(np.linalg.norm(x))):
         raise SolverDiverged(

@@ -32,9 +32,6 @@ class JordanParts:
     unipotent: np.ndarray
     residual: float
 
-    def reconstruction(self) -> np.ndarray:
-        return self.elliptic @ self.hyperbolic @ self.unipotent
-
 
 def _cluster_eigenvalues(vals: np.ndarray, rtol: float):
     """Group eigenvalues by single-linkage with a relative distance cutoff."""

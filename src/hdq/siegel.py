@@ -16,6 +16,16 @@ displayed action
 with the group-level adjoint realized as expm(-ad(x_zero)): one-parameter
 flows compose with the opposite bracket, and this choice is what makes the
 formula reproduce the closed-form flows of the half-plane generators.
+
+One bridge joins layered coordinates and the algebra.  ``group_adjoint``
+maps (x_minus, x_zero) to the adjoint matrix K = expm(-ad x_minus)
+expm(-ad x_zero).  ``element_from_vector`` (K = expm(-ad x)) and
+``compose`` (K the product of two adjoints) map back through the delta
+read-off: ad(delta) grades the algebra into degrees -1, -1/2 and 0, so
+exp(x_zero) fixes delta, and for v in s_{-1} + s_{-1/2} the series
+expm(-ad v) delta = delta - v_{-1} - v_{-1/2}/2 stops after its linear
+term; x_minus is read linearly off K delta.  ``element_log`` is the one
+full matrix logarithm.
 """
 
 from __future__ import annotations
@@ -23,10 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, expm_frechet, logm
+from scipy.linalg import expm, logm
 
 from .errors import (
     DimensionMismatch,
+    InputError,
     NotInDomain,
     PositivityUnfixable,
     SolverDiverged,
@@ -158,7 +169,6 @@ class SiegelModel:
     jhalf: np.ndarray      # j restricted to the half block, adapted coords
     ad1_gens: np.ndarray   # (p0, p, p): ad of the 0-basis on the (-1)-block
     adh_gens: np.ndarray   # (p0, q, q)
-    hermitian_defect: float
 
     @property
     def rank(self) -> int:
@@ -187,9 +197,6 @@ class SiegelModel:
 
     def to_adapted(self, v_ambient: np.ndarray) -> np.ndarray:
         return self.Cinv @ np.asarray(v_ambient, dtype=float)
-
-    def to_ambient(self, coords: np.ndarray) -> np.ndarray:
-        return self.C @ np.asarray(coords, dtype=float)
 
     def split_coords(self, v_ambient: np.ndarray):
         """Adapted (s_{-1}, s_{-1/2}, s_0) coordinates over leading stack axes."""
@@ -343,10 +350,8 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
         jhalf=jhalf,
         ad1_gens=ad1,
         adh_gens=adh,
-        hermitian_defect=0.0,
     )
     defect = _hermitian_defect(model)
-    object.__setattr__(model, "hermitian_defect", defect)
     if defect > 1e-8:
         raise PositivityUnfixable(
             f"Hermitian axioms fail by {defect:.2e} after orientation fix"
@@ -430,39 +435,11 @@ def act(g: GroupElement, point: DomainPoint, M: SiegelModel) -> DomainPoint:
 
 
 def compose(g: GroupElement, h: GroupElement, M: SiegelModel) -> GroupElement:
-    """Product g h in exponential coordinates.
-
-    The minus-part combines through the 2-step nilpotent Baker-Campbell-
-    Hausdorff formula after conjugating h's translation part by g's
-    0-component; the 0-parts multiply through a matrix log in the adjoint
-    picture.
-    """
-    p, q = M.p, M.q
-    A1, Ah = _ad_blocks(M, g.x_zero)
-    c_xi = _expm(-A1) @ h.x_minus[:p]
-    c_xip = _expm(-Ah) @ h.x_minus[p:]
-    corr = (
-        np.einsum("i,j,ijk->k", g.x_minus[p:], c_xip, M.hb)
-        if q
-        else np.zeros(p)
-    )
-    x_minus = np.concatenate(
-        [g.x_minus[:p] + c_xi - 0.5 * corr, g.x_minus[p:] + c_xip]
-    )
-    x_zero = _combine_zero(M, g.x_zero, h.x_zero)
-    return group_element(M, x_minus, x_zero)
-
-
-def _combine_zero(M: SiegelModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if M.p0 == 0:
-        return np.zeros(0)
-    if np.linalg.norm(a) < 1e-15:
-        return b.copy()
-    if np.linalg.norm(b) < 1e-15:
-        return a.copy()
-    gens = ad_matrix(M.C[:, M.p + M.q :].T, M.J.L)
-    K = _expm(-np.einsum("a,aij->ij", a, gens)) @ _expm(-np.einsum("a,aij->ij", b, gens))
-    return ad_log(K, gens)
+    """Product g h, read back from the product of the two adjoints; its
+    0-part is the log of the product of the (-1)-block actions."""
+    p = M.p
+    x_zero = ad_log(g.affine_matrix[:p, :p] @ h.affine_matrix[:p, :p], M.ad1_gens)
+    return _from_adjoint(M, group_adjoint(g, M) @ group_adjoint(h, M), x_zero)
 
 
 def ad_log(K: np.ndarray, gens: np.ndarray) -> np.ndarray:
@@ -484,13 +461,31 @@ def group_adjoint(g: GroupElement, M: SiegelModel) -> np.ndarray:
     return _expm(-ad_matrix(v_minus, M.J.L)) @ _expm(-ad_matrix(v_zero, M.J.L))
 
 
-def inverse(g: GroupElement, M: SiegelModel) -> GroupElement:
-    """Inverse element: exp(x0)^-1 exp(-x_minus) reassembled in layer form."""
-    p, q = M.p, M.q
-    A1, Ah = _ad_blocks(M, g.x_zero)
-    y_xi = -(_expm(A1) @ g.x_minus[:p])
-    y_xip = -(_expm(Ah) @ g.x_minus[p:])
-    return group_element(M, np.concatenate([y_xi, y_xip]), -g.x_zero)
+def _from_adjoint(M: SiegelModel, K: np.ndarray, x_zero: np.ndarray) -> GroupElement:
+    """The element with adjoint matrix K and 0-part x_zero.
+
+    K delta = delta - v_{-1} - v_{-1/2}/2 for the minus part v, so x_minus
+    is the minus block of delta - K delta with its half block doubled.
+    """
+    delta = M.C[:, M.p + M.q :] @ M.delta0_coords
+    x_minus = M.Cinv[: M.p + M.q] @ (delta - K @ delta)
+    x_minus[M.p :] *= 2.0
+    return group_element(M, x_minus, x_zero)
+
+
+def element_from_vector(M: SiegelModel, x_ambient) -> GroupElement:
+    """exp(x) in layered (x_minus, x_zero) form: x_zero is the 0-block part
+    of x, and x_minus is read off K = expm(-ad x)."""
+    x_ambient = np.asarray(x_ambient, dtype=float)
+    K = _expm(-ad_matrix(x_ambient, M.J.L))
+    if not np.all(np.isfinite(K)):
+        raise InputError("the exponential of the element overflows")
+    return _from_adjoint(M, K, M.to_adapted(x_ambient)[M.p + M.q :])
+
+
+def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
+    """Single ambient log vector of exp(x_minus) exp(x_zero)."""
+    return ad_log(group_adjoint(g, M), M.J.L.c.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -536,12 +531,13 @@ def cone_contains(x, M: SiegelModel, tol: float = CONE_TOL) -> ConeResult:
         best = min(best, rn)
         if rn < tol:
             return ConeResult(True, rn, g)
+        # column a is the derivative of expm(A - t G_a) xi0 at t = 0: the
+        # upper-right block of expm([[A, -G_a], [0, A]]), one stack over a
         A = -np.einsum("a,aij->ij", g, M.ad1_gens)
-        Jcols = []
-        for a in range(M.p0):
-            _, dE = expm_frechet(A, -M.ad1_gens[a])
-            Jcols.append(dE @ xi0)
-        Jmat = np.column_stack(Jcols)
+        B = np.zeros((M.p0, 2 * M.p, 2 * M.p))
+        B[:, : M.p, : M.p] = B[:, M.p :, M.p :] = A
+        B[:, : M.p, M.p :] = -M.ad1_gens
+        Jmat = (_expm_stack(B)[:, : M.p, M.p :] @ xi0).T
         step, *_ = np.linalg.lstsq(Jmat, -r, rcond=None)
         if not np.all(np.isfinite(step)):
             break

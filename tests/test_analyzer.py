@@ -9,8 +9,6 @@ from hdq.analyzer import (
     EQUIVARIANCE_SAMPLES,
     analyze,
     dump_certificate,
-    element_from_vector,
-    element_log,
     load_certificate,
     parse_combination,
     verify,
@@ -19,7 +17,7 @@ from hdq.errors import InputError, MalformedCertificate
 from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
 from hdq.lie_core import LieAlgebraData
-from hdq.siegel import act, build_model
+from hdq.siegel import act, build_model, element_from_vector
 
 
 def rotation_phi(theta, dilation=0.0):
@@ -58,16 +56,6 @@ def test_parse_combination_scientific_notation():
     for bad in ("1e-9delta", "nan*delta", "inf*zeta"):
         with pytest.raises(InputError):
             parse_combination(bad, J)
-
-
-def test_element_from_vector_roundtrip():
-    J = preset("polydisc:2")
-    M = build_model(J)
-    rng = np.random.default_rng(0)
-    for _ in range(10):
-        x = rng.uniform(-1, 1, J.dim)
-        g = element_from_vector(M, x)
-        np.testing.assert_allclose(element_log(M, g), x, atol=1e-9)
 
 
 def test_analyze_ball_dilation():
@@ -184,6 +172,42 @@ def test_certificate_file_roundtrip(tmp_path):
     loaded = load_certificate(path)
     ok, _ = verify(loaded)
     assert ok
+
+
+def test_swapped_phi_fails_verify():
+    """verify binds the Jordan matrix to phi: a genuine certificate with its
+    phi swapped for another element once verified."""
+    cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
+    assert verify(cert)[0]
+    cert["phi"] = "exp:0.3*delta + zeta"
+    ok, report = verify(cert)
+    assert not ok
+    assert report[0]["kind"] == "jordan_split" and not report[0]["ok"]
+    assert report[0]["residual"] > 1e-2
+
+
+def test_moved_affine_entry_fails_verify():
+    cert = json.loads(dump_certificate(analyze("ball:2", rotation_phi(1.0, dilation=0.25))))
+    assert verify(cert)[0]
+    cert["phi"]["linear"][0][1] += 1e-3
+    ok, report = verify(cert)
+    assert not ok
+    assert report[0]["kind"] == "jordan_split" and not report[0]["ok"]
+
+
+@pytest.mark.parametrize(
+    "phi",
+    ["exp:0.7*nope", "affine:cert.json", {"linear": [[1.0]], "translation": [0.0]}, {"linear": 1}],
+    ids=["unknown-label", "affine-file", "wrong-shape", "no-translation"],
+)
+def test_unresolvable_phi_fails_jordan_split(phi):
+    """A phi that does not parse or does not fit the domain fails the
+    jordan_split step with a reason, never an exception."""
+    cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
+    cert["phi"] = phi
+    ok, report = verify(cert)
+    assert not ok
+    assert report[0]["kind"] == "jordan_split" and report[0]["detail"].startswith("phi does not resolve")
 
 
 def test_affine_input_matching_exp():

@@ -85,6 +85,19 @@ def test_verify_invalid_domain_exits_1(tmp_path, capsys):
     assert lines[:-1] == ["step -1 domain               FAIL (domain fails validation: j_squared defect 1.00e-02)"]
 
 
+def test_verify_non_mapping_domain_is_malformed(tmp_path, capsys):
+    """A certificate whose domain is neither a preset name nor a mapping is
+    malformed (exit 4); it once ended in an AttributeError."""
+    out = tmp_path / "cert.json"
+    assert cli.main(["analyze", "--domain", "ball:2", "--phi", "exp:0.7*delta", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["domain"] = 5
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_INPUT
+    assert "domain must be a preset name or a mapping" in capsys.readouterr().err
+
+
 def test_fibration_tower():
     res = run_cli("fibration", "--domain", "polydisc:3", "--samples", "20")
     assert res.returncode == 0, res.stderr

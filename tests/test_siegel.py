@@ -1,22 +1,27 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
+from hdq import siegel
 from hdq.errors import DimensionMismatch, NotInDomain
 from hdq.jalgebra import ball_jalgebra, polydisc_jalgebra, preset
 from hdq.siegel import (
     DomainPoint,
+    _hermitian_defect,
     act,
     build_model,
     compose,
     cone_contains,
     contains,
     domain_defect,
+    element_from_vector,
+    element_log,
     group_element,
     identity,
-    inverse,
     random_element,
     random_interior_point,
     solve_orbit,
+    vector_field,
 )
 
 
@@ -59,9 +64,9 @@ def test_ball1_is_half_plane(H1):
 
 def test_hermitian_axioms(H2, P2):
     for M in (H2, P2):
-        assert M.hermitian_defect < 1e-10
+        assert _hermitian_defect(M) < 1e-10
     mixed = build_model(preset("product:[ball:2,ball:1]"))
-    assert mixed.hermitian_defect < 1e-10
+    assert _hermitian_defect(mixed) < 1e-10
 
 
 def test_cone_base_ray(H2):
@@ -188,16 +193,6 @@ def test_simple_transitivity(name):
         assert np.max(np.abs(s.affine_offset - s2.affine_offset)) < 1e-7
 
 
-def test_inverse(H2):
-    rng = np.random.default_rng(2)
-    for _ in range(10):
-        g = random_element(H2, rng, 1.5)
-        gi = inverse(g, H2)
-        e = compose(g, gi, H2)
-        assert np.linalg.norm(e.x_minus) < 1e-9
-        assert np.linalg.norm(e.x_zero) < 1e-9
-
-
 def test_defect_is_action_invariant_under_nilpotent_part(H2):
     # translations along the minus-block leave im(z) - |w|^2 unchanged
     rng = np.random.default_rng(9)
@@ -223,3 +218,74 @@ def test_stacked_group_element_equals_row_builds(name):
         np.testing.assert_array_equal(g.affine_offset[i], row.affine_offset)
     with pytest.raises(DimensionMismatch):
         group_element(M, x_minus, x_zero[:6])
+
+
+# the half block is empty on polydisc:2; ball:3, the product and the
+# rebased ball:4 reach the doubled half block of the delta read-off
+BRIDGE_DOMAINS = ["polydisc:2", "ball:3", "product:[ball:2,polydisc:1]", "rebased-ball:4"]
+
+
+def _bridge_model(name, rebased):
+    if name == "rebased-ball:4":
+        J = preset("ball:4")
+        Q, _ = np.linalg.qr(np.random.default_rng(3).standard_normal((J.dim, J.dim)))
+        scale = np.random.default_rng(203).uniform(0.5, 2.0, J.dim)
+        return build_model(rebased(J, scale[:, None] * Q))
+    return build_model(preset(name))
+
+
+@pytest.mark.parametrize("name", BRIDGE_DOMAINS)
+def test_element_from_vector_roundtrip(rebased, name):
+    M = _bridge_model(name, rebased)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        x = rng.uniform(-1, 1, M.J.dim)
+        g = element_from_vector(M, x)
+        np.testing.assert_allclose(element_log(M, g), x, atol=1e-9)
+
+
+def _homogenized_generator(x, M):
+    """The vector field of x as an affine field on packed (z, w), in
+    homogeneous form: its values at 0 and at the unit vectors."""
+    dim = 2 * M.p + M.q
+    pts = DomainPoint.unpack(np.vstack([np.zeros(dim), np.eye(dim)]), M.p, M.q)
+    fields = vector_field(x, pts, M)
+    packed = np.array([
+        np.concatenate([f[: M.p].real, f[: M.p].imag, M.from_complex_w(f[M.p :])]) for f in fields
+    ])
+    G = np.zeros((dim + 1, dim + 1))
+    G[:dim, :dim] = (packed[1:] - packed[0]).T
+    G[:dim, dim] = packed[0]
+    return G
+
+
+@pytest.mark.parametrize("name", BRIDGE_DOMAINS + ["ball:2", "product:[ball:2,ball:2]"])
+def test_element_from_vector_is_the_flow_of_its_field(rebased, name):
+    """Oracle sharing no code with the read-off: the affine map of exp(x)
+    is the time-one flow of the vector field of x."""
+    M = _bridge_model(name, rebased)
+    rng = np.random.default_rng(4)
+    dim = 2 * M.p + M.q
+    for _ in range(5):
+        x = rng.uniform(-1, 1, M.J.dim)
+        g = element_from_vector(M, x)
+        flow = expm(_homogenized_generator(x, M))
+        np.testing.assert_allclose(g.affine_matrix, flow[:dim, :dim], rtol=0, atol=1e-11)
+        np.testing.assert_allclose(g.affine_offset, flow[:dim, dim], rtol=0, atol=1e-11)
+
+
+def test_bridge_takes_no_matrix_log(monkeypatch):
+    """exp: inputs reach their group element without a matrix logarithm;
+    element_log is the one full logarithm."""
+    calls = []
+
+    def counting_logm(K):
+        calls.append(K.shape)
+        return logm(K)
+
+    monkeypatch.setattr(siegel, "logm", counting_logm)
+    M = build_model(preset("product:[ball:2,polydisc:1]"))
+    g = element_from_vector(M, np.random.default_rng(6).uniform(-1, 1, M.J.dim))
+    assert calls == []
+    element_log(M, g)
+    assert calls == [(M.J.dim, M.J.dim)]
