@@ -8,23 +8,25 @@ fibration tower.  If the element sits in the ball-like fiber the
 totally-real subalgebra witnesses are produced; otherwise it is pushed to
 the lower-rank quotient domain and the descent continues.
 
-The contract between ``analyze`` and ``verify``:
+The contract between ``analyze`` and ``verify``: the reduction's branches
+exist once, in ``_walk``, which asks its ``take`` for each step's payload
+and branches only on checked payloads or on what a check set in the
+:class:`ReplayState`.  Each checked kind has one check in ``CHECKS`` and
+one tolerance in ``STEP_TOL``; an unchecked kind (``finite_case``,
+``bundle_quotient``, ``base_case``) must equal what the walk builds.
 
-- each step kind has exactly one check, a function of the step's payload
-  and a :class:`ReplayState` (the level-1 model, the certificate's seed,
-  the fibration tower split lazily, and what earlier steps established),
-  in ``CHECKS``;
-- each checked kind has one tolerance, in ``STEP_TOL``;
-- ``analyze`` runs the check on every payload it builds and records the
-  step, with the check's residual, only if it passes within the
-  tolerance; a failed check ends the analysis ``undecided`` with a reason
-  in ``assumptions``;
-- both validate the domain first, with ``validate_j_algebra``: ``analyze``
-  refuses an invalid domain with an ``InputError``, and ``verify`` fails
-  the certificate with one ``domain`` entry and replays nothing;
-- ``verify`` runs the same checks on the stored payloads and accepts each
-  within ``VERIFY_SLACK`` times the tolerance.  It reads no threshold from
-  the certificate: a stored ``tolerance`` is a note for the reader.
+- ``analyze``'s take builds, checks and records each step; a failed check
+  stops the walk ``undecided``, with the reason in ``assumptions``.
+- ``verify``'s take hands over the next stored step, which must be the
+  ``(kind, level)`` the walk expects ("the replay expects ...") and must
+  replay within ``VERIFY_SLACK`` times the tolerance.  A residual over it
+  fails the entry and the walk goes on with the stored payload; a step
+  that cannot pass stops the walk, and the steps after it fail as "not
+  reached by the replay".  When every step replayed, a stored conclusion
+  other than the walk's adds a failing ``conclusion`` entry.  A stored
+  ``tolerance`` is a note for the reader, never read.
+- Both validate the domain first: ``analyze`` refuses an invalid one with
+  an ``InputError``, and ``verify`` fails with one ``domain`` entry.
 
 A certificate stores its input (``domain``, ``phi``, ``seed``) and, per
 step, only the witnesses a check cannot recompute; the check derives the
@@ -258,50 +260,8 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    A = _homogenize(phi.mat, phi.off)
-    state = ReplayState(M, int(seed), phi_matrix=A)
-
-    # (1) Jordan split of the homogenized affine matrix
-    parts = jordan_decompose(A)
-    e, h, u = parts.elliptic, parts.hyperbolic, parts.unipotent
-    if not _record(cert, state, "jordan_split", {"matrix": A, "elliptic": e, "hyperbolic": h, "unipotent": u}):
-        return cert
-
-    # (2) discreteness of the cyclic group
-    disc = cyclic_discreteness(A, parts)
-    if not _record(cert, state, "discreteness", {"kind": disc.kind, "order": disc.order}):
-        return cert
-    if disc.kind == "finite":
-        _record(cert, state, "finite_case", {"order": disc.order})
-        cert["conclusion"] = "stein_by_citation"
-        return cert
-    if disc.kind == "indiscrete_closure":
-        cert["conclusion"] = "not_applicable"
-        cert["assumptions"].append("the cyclic group is not discrete; the quotient is not a complex space in the intended sense")
-        return cert
-    if disc.kind == "undecided":
-        cert["conclusion"] = "undecided"
-        return cert
-
-    # (3) drop the elliptic factor: the check derives phi' = h u
-    if not _record(cert, state, "elliptic_reduction", {}):
-        return cert
-    phi_mat, phi_off = state.phi_prime
-
-    # (4) exponential coordinates inside the split solvable group
-    try:
-        s = solve_orbit(DomainPoint.unpack(phi_mat @ M.base_point().pack() + phi_off, M.p, M.q), M)
-    except HdqError as exc:
-        cert["conclusion"] = "undecided"
-        cert["assumptions"].append(f"conjugation into the split solvable group unsupported: {exc}")
-        return cert
-    if not _record(cert, state, "conjugation_into_S", {"x_minus": s.x_minus, "x_zero": s.x_zero}):
-        return cert
-
-    # (5)-(6) descent down the fibration tower
-    if _descend(s, state, cert):
-        cert["conclusion"] = "stein_certified"
-        cert["assumptions"].extend(CITED_WITHOUT_COMPUTATION)
+    state = ReplayState(M, int(seed), phi_matrix=_homogenize(phi.mat, phi.off))
+    _walk(state, cert, _recorder(cert, state))
     return cert
 
 
@@ -315,10 +275,29 @@ def _validation_failure(J: NormalJAlgebra) -> str | None:
     return f"domain fails validation: {name} defect {defect:.2e}" + (f" ({reason})" if reason else "")
 
 
-def _descend(s: GroupElement, state: ReplayState, cert) -> bool:
-    """Push s down the tower until it lies in a fiber; True when the
-    terminal step is recorded."""
-    level, M = 1, state.model
+def _walk(state: ReplayState, out: dict, take) -> None:
+    """The reduction, shared by analyze and verify: ``take(kind, level,
+    build)`` returns the next step's payload once its check has run, or None
+    to stop, which leaves ``out["conclusion"]`` undecided."""
+    out["conclusion"] = "undecided"
+    if take("jordan_split", 0, lambda: _jordan_payload(state)) is None:
+        return
+    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(*state.jordan)))
+    if disc is None or disc["kind"] == "undecided":
+        return
+    if disc["kind"] == "finite":
+        if take("finite_case", 0, lambda: {"order": disc["order"]}) is not None:
+            out["conclusion"] = "stein_by_citation"
+        return
+    if disc["kind"] == "indiscrete_closure":
+        out["conclusion"] = "not_applicable"
+        out["assumptions"].append("the cyclic group is not discrete; the quotient is not a complex space in the intended sense")
+        return
+    if take("elliptic_reduction", 0, dict) is None or take("conjugation_into_S", 0, lambda: _orbit_payload(state)) is None:
+        return
+
+    # descent down the fibration tower until the element lies in a fiber
+    level, M, s = 1, state.model, state.element
     while M.J.dim:
         F = state.fibration(level)
         pushed = push_group(s, F)
@@ -326,55 +305,79 @@ def _descend(s: GroupElement, state: ReplayState, cert) -> bool:
         push_norm = float(np.linalg.norm(pushed.x_minus) + np.linalg.norm(pushed.x_zero))
         ratio = push_norm / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
-            return _fiber_case(F, M, s, level, state, cert)
+            d = F.fiber_model.dim_complex
+            if take("fiber_case", level, lambda: _fiber_payload(F, M, s)) is None:
+                return
+            if d <= 1 and F.quotient_model.J.dim == 0 and take("base_case", level, lambda: {"dim_complex": d}) is None:
+                return
+            break
         if ratio < FIBER_BAND:
-            cert["conclusion"] = "undecided"
-            cert["assumptions"].append(
-                f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})"
-            )
-            return False
-        if not _record(cert, state, "tower_descend", {"dim_quotient_algebra": F.quotient_model.J.dim}, level):
-            return False
-        _record(cert, state, "bundle_quotient", {}, level)
+            out["assumptions"].append(f"fiber membership is numerically ambiguous (projection ratio {ratio:.2e})")
+            return
+        descend = take("tower_descend", level, lambda: {"dim_quotient_algebra": F.quotient_model.J.dim})
+        if descend is None or take("bundle_quotient", level, dict) is None:
+            return
         s, M, level = pushed, F.quotient_model, level + 1
-    return _record(cert, state, "base_case", {"dim_complex": 0}, level)
+    else:  # the tower ran down to a point without meeting a fiber
+        if take("base_case", level, lambda: {"dim_complex": 0}) is None:
+            return
+    out["conclusion"] = "stein_certified"
+    out["assumptions"].extend(CITED_WITHOUT_COMPUTATION)
 
 
-def _fiber_case(F: FibrationStep, M, s, level, state, cert) -> bool:
+def _jordan_payload(state: ReplayState) -> dict:
+    A = state.homogenized_phi()
+    parts = jordan_decompose(A)
+    return {"matrix": A, "elliptic": parts.elliptic, "hyperbolic": parts.hyperbolic, "unipotent": parts.unipotent}
+
+
+def _orbit_payload(state: ReplayState) -> dict:
+    """Exponential coordinates of phi' inside the split solvable group."""
+    mat, off = state.phi_prime
+    M = state.model
+    try:
+        s = solve_orbit(DomainPoint.unpack(mat @ M.base_point().pack() + off, M.p, M.q), M)
+    except HdqError as exc:
+        raise StepRejected(f"conjugation into the split solvable group unsupported: {exc}") from exc
+    return {"x_minus": s.x_minus, "x_zero": s.x_zero}
+
+
+def _fiber_payload(F: FibrationStep, M: SiegelModel, s: GroupElement) -> dict:
     x_b = np.linalg.pinv(F.b_basis) @ element_log(M, s)
-    Mf = F.fiber_model
-    V, g = totally_real_subalgebra(x_b, Mf)
-    payload = {
-        "fiber_dim": Mf.dim_complex,
+    V, g = totally_real_subalgebra(x_b, F.fiber_model)
+    return {
+        "fiber_dim": F.fiber_model.dim_complex,
         "log_in_fiber": x_b,
         "subalgebra": _aligned_basis(V),
         "conjugator_x_minus": g.x_minus,
     }
-    if not _record(cert, state, "fiber_case", payload, level):
-        return False
-    if Mf.dim_complex <= 1 and F.quotient_model.J.dim == 0:
-        _record(cert, state, "base_case", {"dim_complex": int(Mf.dim_complex)}, level)
-    return True
 
 
-def _record(cert, state, kind, payload, level=0) -> bool:
-    """Run the check of ``kind`` on ``payload`` and append the step if it
-    passes within its tolerance; otherwise end the analysis undecided."""
-    payload = _jsonify(payload)
-    residual, failure = _replay(kind, payload, state, level, 1.0)
-    if failure is None:
+def _recorder(cert: dict, state: ReplayState):
+    """analyze's ``take``: build the payload, check it and record the step
+    if it passes within its tolerance; otherwise note why and stop."""
+
+    def take(kind, level, build):
+        try:
+            payload = _jsonify(build())
+        except StepRejected as exc:
+            cert["assumptions"].append(str(exc))
+            return None
+        residual, failure = _replay(kind, payload, state, level, 1.0, build)
+        if failure is not None:
+            cert["assumptions"].append(f"{FAILED[kind].format(level=level)} ({failure})")
+            return None
         cert["steps"].append({
             "kind": kind,
-            "citation": CITATIONS.get(kind, ""),
+            "citation": CITATIONS[kind],
             "payload": payload,
             "residual": float(residual),
             "tolerance": STEP_TOL.get(kind, 1.0),
             "level": int(level),
         })
-        return True
-    cert["conclusion"] = "undecided"
-    cert["assumptions"].append(f"{FAILED[kind].format(level=level)} ({failure})")
-    return False
+        return payload
+
+    return take
 
 
 # ---------------------------------------------------------------------------
@@ -395,7 +398,6 @@ VERIFY_SLACK = 10.0
 # the assumption analyze adds when a step fails its check
 FAILED = {
     "jordan_split": "the Jordan split of the affine matrix does not replay",
-    "discreteness": "the discreteness type of the cyclic group does not replay",
     "elliptic_reduction": "removing the elliptic factor does not leave an affine map",
     "conjugation_into_S": "the element does not lie in the split solvable group as given; general conjugation is not implemented",
     "tower_descend": "the fibration at level {level} is not numerically equivariant",
@@ -420,13 +422,11 @@ class ReplayState:
     tower: list = field(default_factory=list)
     jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
+    element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
 
     def fibration(self, level: int) -> FibrationStep:
-        if level < 1:
-            raise StepRejected(f"no fibration at level {level}")
         while len(self.tower) < level:
-            top = self.tower[-1] if self.tower else None
-            M = top.quotient_model if top else self.model
+            M = self.tower[-1].quotient_model if self.tower else self.model
             self.tower.append(split_last_root(M.J, M))
         return self.tower[level - 1]
 
@@ -437,12 +437,6 @@ class ReplayState:
             except InputError as exc:
                 raise StepRejected(f"phi does not resolve on this domain: {exc}") from exc
         return self.phi_matrix
-
-
-def _established(value, kind):
-    if value is None:
-        raise StepRejected(f"no {kind} step before this one")
-    return value
 
 
 def _array(payload, key):
@@ -470,7 +464,7 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
 
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
-    disc = cyclic_discreteness(*_established(state.jordan, "jordan_split"))
+    disc = cyclic_discreteness(*state.jordan)
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(
             f"discreteness replays as {disc.kind} (order {disc.order}), "
@@ -480,7 +474,7 @@ def _check_discreteness(payload, state: ReplayState, level) -> float:
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
-    _, parts = _established(state.jordan, "jordan_split")
+    _, parts = state.jordan
     hu = parts.hyperbolic @ parts.unipotent
     N = hu.shape[0] - 1
     state.phi_prime = (hu[:N, :N], hu[:N, N])
@@ -488,8 +482,8 @@ def _check_reduction(payload, state: ReplayState, level) -> float:
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
-    mat, off = _established(state.phi_prime, "elliptic_reduction")
-    g = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
+    mat, off = state.phi_prime
+    g = state.element = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
     return max(
         float(np.max(np.abs(g.affine_matrix - mat))),
         float(np.max(np.abs(g.affine_offset - off))),
@@ -531,28 +525,30 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
     return max(res, nilpotent_residual(x, conj, Mf))
 
 
-def _no_check(payload, state, level) -> float:
-    return 0.0
-
-
 CHECKS = {
     "jordan_split": _check_jordan,
     "discreteness": _check_discreteness,
-    "finite_case": _no_check,
     "elliptic_reduction": _check_reduction,
     "conjugation_into_S": _check_conjugation,
     "tower_descend": _check_tower,
-    "bundle_quotient": _no_check,
     "fiber_case": _check_fiber,
-    "base_case": _no_check,
 }
 
 
-def _replay(kind, payload, state, level, slack):
-    """(residual, None) when the check of ``kind`` passes within ``slack``
-    times its tolerance, else (residual or None, why it failed)."""
+def _replay(kind, payload, state, level, slack, build):
+    """(residual, why it failed): no failure when the check of ``kind``
+    passes within ``slack`` times its tolerance, and no residual when the
+    step cannot pass whatever the tolerance.
+
+    A kind with no check (``finite_case``, ``bundle_quotient``,
+    ``base_case``) stores only what the walk builds from checked state, so
+    its payload must equal ``build()``.
+    """
     if kind not in CHECKS:
-        return None, f"unknown step kind {kind!r}"
+        built = _jsonify(build())
+        if {k: payload[k] for k in built} != built:
+            return None, f"stored payload differs from {built}"
+        return 0.0, None
     try:
         res = CHECKS[kind](payload, state, level)
     except StepRejected as exc:
@@ -568,18 +564,21 @@ def _replay(kind, payload, state, level, slack):
 # ---------------------------------------------------------------------------
 
 def verify(cert: dict):
-    """Validate the domain, then replay every step through its check, in
-    order.
+    """Validate the domain, then run the walk with the stored steps as its
+    ``take``: each must be the step the walk expects next, and replays
+    through its check.
 
-    Returns (ok, report): one entry per step; a checked kind's entry
-    carries the replayed ``residual`` beside the ``recorded`` one.
+    Returns (ok, report): one entry per stored step, in order; a checked
+    kind's entry carries the replayed ``residual`` beside the ``recorded``
+    one.  A ``conclusion`` entry follows when every step replayed and the
+    walk concludes other than the certificate.
     """
     try:
-        steps = cert["steps"]
+        steps = [(s["kind"], s.get("level"), s["payload"], s.get("residual")) for s in cert["steps"]]
         conclusion = cert["conclusion"]
         domain = cert["domain"]
         seed = int(cert["seed"])
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
 
     if isinstance(domain, dict):
@@ -593,29 +592,34 @@ def verify(cert: dict):
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
     state = ReplayState(build_model(J), seed, cert.get("phi"))
     report = []
-    for idx, step in enumerate(steps):
-        try:
-            kind, payload = step["kind"], step["payload"]
-        except (KeyError, TypeError) as exc:
-            raise MalformedCertificate(f"step {idx} missing field: {exc}") from exc
-        entry = {"index": idx, "kind": kind, "ok": True, "detail": ""}
-        try:
-            res, failure = _replay(kind, payload, state, int(step.get("level", 1)), VERIFY_SLACK)
-            if kind in STEP_TOL and res is not None:
-                entry.update(residual=res, recorded=step.get("residual"))
-        except (HdqError, KeyError, ValueError, IndexError, TypeError) as exc:
-            failure = f"replay failed: {exc}"
+
+    def take(kind, level, build):
+        if len(report) == len(steps):
+            return None
+        found, found_level, payload, recorded = steps[len(report)]
+        entry = {"index": len(report), "kind": found, "ok": True, "detail": ""}
+        report.append(entry)
+        res, failure = None, f"the replay expects {kind} at level {level} here"
+        if (found, found_level) == (kind, level):
+            try:
+                res, failure = _replay(kind, payload, state, level, VERIFY_SLACK, build)
+            except (HdqError, KeyError, ValueError, IndexError, TypeError) as exc:
+                failure = f"replay failed: {exc}"
+        if res is not None and kind in STEP_TOL:
+            entry.update(residual=res, recorded=recorded)
         if failure is not None:
             entry.update(ok=False, detail=failure)
-        report.append(entry)
+        return None if res is None else payload
 
-    ok = all(entry["ok"] for entry in report)
-    if conclusion == "stein_certified" and not any(
-        s["kind"] in ("fiber_case", "base_case") for s in steps
-    ):
-        ok = False
-        report.append({"index": -1, "kind": "conclusion", "ok": False, "detail": "certified without terminal witnesses"})
-    return ok, report
+    walked = {"assumptions": []}
+    _walk(state, walked, take)
+    replayed = len(report) == len(steps) and all(entry["ok"] for entry in report)
+    for idx in range(len(report), len(steps)):
+        report.append({"index": idx, "kind": steps[idx][0], "ok": False, "detail": "not reached by the replay"})
+    if replayed and walked["conclusion"] != conclusion:
+        detail = f"the certificate concludes {conclusion}, the replay {walked['conclusion']}"
+        report.append({"index": -1, "kind": "conclusion", "ok": False, "detail": detail})
+    return all(entry["ok"] for entry in report), report
 
 
 # ---------------------------------------------------------------------------

@@ -195,14 +195,8 @@ def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> f
 
 def tower(J: NormalJAlgebra):
     """Iterate the split until the quotient is a point; rank steps down by 1."""
-    steps = []
-    current = J
-    while True:
-        fine = fine_structure(current)
-        if fine.rank == 0:
-            break
-        F = split_last_root(current)
-        steps.append(F)
-        current = F.quotient_model.J
-        assert fine_structure(current).rank == fine.rank - 1
+    steps, M = [], build_model(J)
+    while M.J.dim:
+        steps.append(split_last_root(M.J, M))
+        M = steps[-1].quotient_model
     return steps

@@ -147,6 +147,9 @@ def test_strong_contraction_is_certified():
 
 
 def test_empty_certificate_verifies():
+    """A certificate with no steps claims nothing: concluding undecided it
+    verifies with an empty report, and concluding not_applicable (which
+    once verified too) it fails with one conclusion entry."""
     cert = {
         "version": 1,
         "domain": "ball:2",
@@ -154,10 +157,14 @@ def test_empty_certificate_verifies():
         "seed": 42,
         "steps": [],
         "assumptions": [],
-        "conclusion": "not_applicable",
+        "conclusion": "undecided",
     }
+    assert verify(cert) == (True, [])
+    cert["conclusion"] = "not_applicable"
     ok, report = verify(cert)
-    assert ok and report == []
+    assert not ok
+    assert [(r["kind"], r["ok"]) for r in report] == [("conclusion", False)]
+    assert report[0]["detail"] == "the certificate concludes not_applicable, the replay undecided"
 
 
 def test_malformed_certificate():
@@ -548,3 +555,110 @@ def test_stored_subalgebra_is_canonical():
         cert = analyze("ball:8", _exp_spec(coeffs, labels))
         stored.append(np.asarray(next(s for s in cert["steps"] if s["kind"] == "fiber_case")["payload"]["subalgebra"]))
     assert np.max(np.abs(stored[0] - stored[1])) < 1e-12
+
+
+def _genuine(domain, phi):
+    return json.loads(dump_certificate(analyze(domain, phi)))
+
+
+@pytest.mark.parametrize(
+    "domain, phi, kind, key, value",
+    [
+        ("ball:2", rotation_phi(2 * np.pi / 5), "finite_case", "order", 7),
+        ("polydisc:2", "exp:delta1 + zeta2", "base_case", "dim_complex", 9),
+    ],
+    ids=["finite-order", "base-dimension"],
+)
+def test_unchecked_payload_must_match_the_replay(domain, phi, kind, key, value):
+    """A step kind with no check stores only what the walk builds from
+    checked state, and verify compares the two: a finite order of 7 for a
+    rotation by 2 pi / 5, or a disc of complex dimension 9, once verified."""
+    cert = _genuine(domain, phi)
+    assert verify(cert)[0]
+    step = next(s for s in cert["steps"] if s["kind"] == kind)
+    step["payload"][key] = value
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["kind"] for r in report if not r["ok"]] == [kind]
+
+
+def _forgery(name):
+    """The forged certificates that verified before verify replayed the
+    reduction's walk."""
+    if name == "base-case-only":
+        cert = _genuine("polydisc:2", "exp:delta1 + zeta2")
+        cert["steps"] = [s for s in cert["steps"] if s["kind"] == "base_case"]
+    elif name.startswith("relabelled-rotation"):
+        cert = _genuine("ball:2", rotation_phi(1.0))
+        cert["conclusion"] = "stein_by_citation"
+        if name.endswith("certified"):
+            cert["conclusion"] = "stein_certified"
+            cert["steps"].append({"kind": "base_case", "citation": "", "payload": {"dim_complex": 1}, "level": 1})
+    elif name == "finite-cut-to-finite-case":
+        cert = _genuine("ball:2", rotation_phi(2 * np.pi / 3))
+        cert["steps"] = [s for s in cert["steps"] if s["kind"] == "finite_case"]
+    elif name == "descent-deleted":
+        cert = _genuine("polydisc:2", "exp:delta1 + zeta2")
+        cert["steps"] = [s for s in cert["steps"] if s["kind"] != "tower_descend"]
+    else:
+        cert = _genuine("ball:3", "exp:0.5*delta + zeta - 0.3*xi1")
+        cert["steps"] = cert["steps"] * 2
+    return cert
+
+
+# each forgery, with the kind and detail of its first failing entry
+FORGERIES = {
+    "base-case-only": ("base_case", "the replay expects jordan_split at level 0 here"),
+    "relabelled-rotation": ("conclusion", "concludes stein_by_citation, the replay not_applicable"),
+    "relabelled-rotation-certified": ("base_case", "not reached by the replay"),
+    "finite-cut-to-finite-case": ("finite_case", "the replay expects jordan_split at level 0 here"),
+    "descent-deleted": ("bundle_quotient", "the replay expects tower_descend at level 1 here"),
+    "steps-listed-twice": ("jordan_split", "not reached by the replay"),
+}
+
+
+@pytest.mark.parametrize("name", list(FORGERIES))
+def test_forged_step_list_fails(name):
+    """Each forgery fails, first at the entry where the replayed walk and
+    the stored steps part."""
+    ok, report = verify(_forgery(name))
+    assert not ok
+    first = next(r for r in report if not r["ok"])
+    kind, detail = FORGERIES[name]
+    assert first["kind"] == kind and detail in first["detail"]
+
+
+MUTATION_INPUTS = {
+    "ball:3": ("ball:3", "exp:0.5*delta + zeta - 0.3*xi1"),
+    "polydisc:2": ("polydisc:2", "exp:delta1 + zeta2"),
+    "finite-rotation": ("ball:2", rotation_phi(2 * np.pi / 3)),
+    "irrational-rotation": ("ball:2", rotation_phi(1.0)),
+    "undecided": ("polydisc:2", "exp:15*delta1"),
+}
+CONCLUSIONS = ("stein_certified", "stein_by_citation", "not_applicable", "undecided")
+
+
+def _mutations(cert):
+    steps = cert["steps"]
+    for k in range(len(steps)):
+        yield f"drop {k}", steps[:k] + steps[k + 1:], cert["conclusion"]
+        yield f"duplicate {k}", steps[: k + 1] + steps[k:], cert["conclusion"]
+    for k in range(len(steps) - 1):
+        yield f"swap {k}", steps[:k] + [steps[k + 1], steps[k]] + steps[k + 2:], cert["conclusion"]
+    for conclusion in CONCLUSIONS:
+        if conclusion != cert["conclusion"]:
+            yield f"relabel {conclusion}", steps, conclusion
+
+
+@pytest.mark.parametrize("name", list(MUTATION_INPUTS))
+def test_mutated_step_lists_fail(name):
+    """Every single mutation of a genuine certificate's step list or
+    conclusion fails verify: dropping, duplicating or swapping adjacent
+    steps, or relabelling the conclusion.  Truncating an undecided
+    certificate is the one exception: it still claims nothing."""
+    cert = _genuine(*MUTATION_INPUTS[name])
+    assert verify(cert)[0]
+    for label, steps, conclusion in _mutations(cert):
+        truncated = steps == cert["steps"][: len(steps)]
+        ok, _ = verify(dict(cert, steps=steps, conclusion=conclusion))
+        assert ok == (truncated and conclusion == cert["conclusion"] == "undecided"), label

@@ -85,6 +85,21 @@ def test_verify_invalid_domain_exits_1(tmp_path, capsys):
     assert lines[:-1] == ["step -1 domain               FAIL (domain fails validation: j_squared defect 1.00e-02)"]
 
 
+def test_verify_dropped_step_exits_1(tmp_path, capsys):
+    """A certificate with its tower_descend step deleted fails verify
+    (exit 1), with a FAIL line naming the step the replay expected."""
+    out = tmp_path / "cert.json"
+    assert cli.main(["analyze", "--domain", "polydisc:2", "--phi", "exp:delta1 + zeta2", "--out", str(out)]) == 0
+    cert = json.loads(out.read_text())
+    cert["steps"] = [s for s in cert["steps"] if s["kind"] != "tower_descend"]
+    out.write_text(json.dumps(cert))
+    capsys.readouterr()
+    assert cli.main(["verify", str(out)]) == cli.EXIT_VERIFY_FAILED
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == "certificate FAILS"
+    assert "step  4 bundle_quotient      FAIL (the replay expects tower_descend at level 1 here)" in lines
+
+
 def test_verify_non_mapping_domain_is_malformed(tmp_path, capsys):
     """A certificate whose domain is neither a preset name nor a mapping is
     malformed (exit 4); it once ended in an AttributeError."""
