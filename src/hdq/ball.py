@@ -15,9 +15,9 @@ import numpy as np
 
 from .errors import (
     DimensionMismatch,
+    HeisenbergCheckFailed,
     InputError,
     NotInNilradical,
-    SolverDiverged,
     TotallyRealCheckFailed,
     ZeroSemisimplePart,
 )
@@ -36,7 +36,6 @@ from .siegel import (
 )
 
 DEFECT_MIN = 1e-6
-NILPOTENT_RESIDUAL = 1e-8
 # bound on the residual of totally_real_residuals for an accepted witness
 WITNESS_RESIDUAL = 1e-9
 
@@ -135,9 +134,19 @@ def sample_totally_real_points(M: SiegelModel, count: int, rng) -> DomainPoint:
 # rank-one constructions
 # ---------------------------------------------------------------------------
 
-def _require_rank_one(M: SiegelModel):
+def require_ball_like(M: SiegelModel):
+    """Raise ``HeisenbergCheckFailed`` unless M is the model of a ball:
+    rank one, (-1)- and 0-blocks of dimension one, and a half block whose
+    bracket pairs nondegenerately onto the (-1)-coordinate.  Then the
+    nilradical is a Heisenberg algebra whose center is the full-root line.
+    """
     if M.rank != 1 or M.p != 1 or M.p0 != 1:
-        raise InputError("construction requires a rank-one model")
+        raise HeisenbergCheckFailed(
+            f"rank {M.rank} with (-1)- and 0-blocks of dimension {M.p} and {M.p0}, expected 1, 1 and 1"
+        )
+    det = abs(float(np.linalg.det(M.hb[:, :, 0])))
+    if det < 1e-10:
+        raise HeisenbergCheckFailed(f"symplectic pairing is degenerate (|det| {det:.2e})")
 
 
 def _symplectic_pairs(M: SiegelModel):
@@ -177,7 +186,7 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     direction per pair (the pair component when present, the first pair
     vector otherwise) together with the center line.
     """
-    _require_rank_one(M)
+    require_ball_like(M)
     x = np.asarray(x, dtype=float)
     coords = M.to_adapted(x)
     if abs(coords[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(x))):
@@ -201,7 +210,7 @@ def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     so their product is exp of the sum, closed-form in the semisimple
     coefficient.
     """
-    _require_rank_one(M)
+    require_ball_like(M)
     x = np.asarray(x, dtype=float)
     coords = M.to_adapted(x)
     a = float(coords[-1])
@@ -210,13 +219,7 @@ def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     b = float(coords[0])
     u = coords[M.p : M.p + M.q]
 
-    g = group_element(M, np.concatenate([[b / a], (2.0 / a) * u]), np.zeros(1))
-    res = nilpotent_residual(x, g.x_minus, M)
-    if res > NILPOTENT_RESIDUAL and abs(a) > 1e-3 * max(1.0, float(np.linalg.norm(x))):
-        raise SolverDiverged(
-            f"conjugation residual {res:.2e} exceeds {NILPOTENT_RESIDUAL:.0e}"
-        )
-    return g
+    return group_element(M, np.concatenate([[b / a], (2.0 / a) * u]), np.zeros(1))
 
 
 def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
@@ -243,9 +246,9 @@ def totally_real_subalgebra(x, M: SiegelModel):
     frame line and the split subalgebra (frame + one Lagrangian half of
     each symplectic pair) is pulled back; otherwise the abelian
     construction applies and g is the identity.  Nothing is checked here:
-    :func:`totally_real_residuals` measures the result.
+    :func:`totally_real_residuals` measures V and g.
     """
-    _require_rank_one(M)
+    require_ball_like(M)
     if abelian_branch(x, M):
         return abelian_subalgebra_containing(x, M), identity(M)
     g = conjugate_into_a(x, M)
@@ -256,11 +259,16 @@ def totally_real_subalgebra(x, M: SiegelModel):
     return span(cols, M.J.dim), g
 
 
-def totally_real_residuals(x, V: Subspace, M: SiegelModel, points: DomainPoint):
-    """(residual, min |det|) of V as a totally-real witness through x.
+def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: DomainPoint):
+    """(residual, min |det|) of V, with the x_minus ``conjugator`` of its
+    construction, as a totally-real witness through x: the one acceptance
+    rule, a residual within ``WITNESS_RESIDUAL`` and min |det| above
+    ``DEFECT_MIN``.
 
-    The residual is the larger of the distance of x from V, relative to
-    max(1, |x|), and the closure residual of V; min |det| is the smallest
+    The residual is the largest of the distance of x from V, relative to
+    max(1, |x|), the closure residual of V and, when x has a frame
+    coefficient, the ``nilpotent_residual`` of the conjugator; an x
+    without one takes no conjugator.  min |det| is the smallest
     determinant modulus of the fields of V over the stacked ``points``.
     """
     if V.dim != M.dim_complex:
@@ -268,10 +276,18 @@ def totally_real_residuals(x, V: Subspace, M: SiegelModel, points: DomainPoint):
             f"totally-real subalgebra has dimension {V.dim}, not the complex dimension {M.dim_complex}"
         )
     x = np.asarray(x, dtype=float)
+    conjugator = np.asarray(conjugator, dtype=float)
+    if conjugator.shape != (M.p + M.q,):
+        raise TotallyRealCheckFailed(f"conjugator of shape {conjugator.shape}, need {(M.p + M.q,)}")
     res = max(
         residual_outside(x, V) / max(1.0, float(np.linalg.norm(x))),
         closure_residual(V, M.J.L),
     )
+    if abelian_branch(x, M):
+        if np.any(conjugator):
+            raise TotallyRealCheckFailed("an element with no frame coefficient takes no conjugator")
+    else:
+        res = max(res, nilpotent_residual(x, conjugator, M))
     return res, float(np.min(np.abs(totally_real_defect(points, V, M))))
 
 
@@ -281,14 +297,16 @@ def totally_real_subalgebra_containing(
     rng=None,
     samples: int = 50,
 ):
-    """:func:`totally_real_subalgebra`, checked: the residual must stay
-    within ``WITNESS_RESIDUAL`` and every determinant above ``DEFECT_MIN``
-    at ``samples`` interior points drawn from ``rng``."""
+    """:func:`totally_real_subalgebra`, checked by
+    :func:`totally_real_residuals` at ``samples`` interior points drawn
+    from ``rng``."""
     V, g = totally_real_subalgebra(x, M)
     pts = sample_totally_real_points(M, samples, rng if rng is not None else np.random.default_rng(0))
-    res, min_det = totally_real_residuals(x, V, M, pts)
+    res, min_det = totally_real_residuals(x, V, g.x_minus, M, pts)
     if not res <= WITNESS_RESIDUAL:
-        raise TotallyRealCheckFailed(f"subalgebra misses the input vector or is not closed (residual {res:.2e})")
+        raise TotallyRealCheckFailed(
+            f"subalgebra misses the input vector, is not closed or is badly conjugated (residual {res:.2e})"
+        )
     if not min_det > DEFECT_MIN:
         raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
     return V, g

@@ -162,12 +162,12 @@ def cmd_ball(args) -> int:
         raise InputError(f"need {B.J.dim} coefficients for n={args.n}")
     V, g = totally_real_subalgebra(x, B.model)
     pts = sample_totally_real_points(B.model, args.samples, np.random.default_rng(args.seed))
-    res, min_det = totally_real_residuals(x, V, B.model, pts)
+    res, min_det = totally_real_residuals(x, V, g.x_minus, B.model, pts)
     print("subalgebra basis columns (rows = algebra coordinates):")
     for row in V.basis_matrix:
         print("  " + "  ".join(f"{v: .6f}" for v in row))
     print(f"conjugator x_minus = {g.x_minus.tolist()}")
-    print(f"containment/closure residual: {res:.3e}")
+    print(f"containment/closure/conjugator residual: {res:.3e}")
     print(f"min |det| over {args.samples} interior samples: {min_det:.6e}")
     if not (res <= WITNESS_RESIDUAL and min_det > DEFECT_MIN):
         raise TotallyRealCheckFailed("the subalgebra is not a totally-real witness through the vector")

@@ -45,10 +45,6 @@ class HeisenbergCheckFailed(HdqError):
     pass
 
 
-class ImageOutsideDomain(HdqError):
-    """A projected point left the target domain; signals an internal error."""
-
-
 class NotInNilradical(HdqError):
     pass
 

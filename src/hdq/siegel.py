@@ -163,6 +163,7 @@ class SiegelModel:
     q: int                 # dim s_{-1/2}
     p0: int                # dim s_0
     half_pairs: tuple      # (offset, m_k) per half-root space, in Ch coords
+    frame_indices: tuple   # per column of C, the frame indices its root involves
     phi_re: np.ndarray     # (q, q, p)
     phi_im: np.ndarray
     hb: np.ndarray         # bracket of half-block pairs onto s_{-1} coords
@@ -271,25 +272,26 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
     n = J.dim
     r = fine.rank
 
-    # (-1)-block: frame vectors first, then aligned sum-root bases
-    c1_cols = list(fine.xi)
+    # (-1)-block: the xi frame, then aligned sum-root bases; (-1/2)-block:
+    # complex pairs per half-root space; 0-block: the eta frame, then
+    # aligned difference-root bases.  Each column's root involves the frame
+    # indices label[1:], and xi_k and eta_k involve k.
+    frame = [(k,) for k in range(r)]
+    c1_cols, ch_cols, c0_cols = list(fine.xi), [], list(fine.eta)
+    c1_idx, ch_idx, c0_idx = list(frame), [], list(frame)
+    half_pairs, off = [], 0
     for rt in fine.roots:
-        if rt.label[0] == "sum":
-            c1_cols.extend(_aligned_basis(rt.space).T)
-    # (-1/2)-block: complex pairs per half-root space
-    ch_cols, half_pairs, off = [], [], 0
-    for rt in fine.roots:
-        if rt.label[0] == "half":
-            aligned = _aligned_basis(rt.space)
-            paired, m = _complex_pairs(aligned, J.j)
+        kind, idx = rt.label[0], rt.label[1:]
+        if kind == "half":
+            paired, m = _complex_pairs(_aligned_basis(rt.space), J.j)
             ch_cols.extend(paired.T)
+            ch_idx += [idx] * (2 * m)
             half_pairs.append((off, m))
             off += 2 * m
-    # 0-block: eta frame, then aligned difference-root bases
-    c0_cols = list(fine.eta)
-    for rt in fine.roots:
-        if rt.label[0] == "diff":
-            c0_cols.extend(_aligned_basis(rt.space).T)
+        elif kind in ("sum", "diff"):
+            cols, idxs = (c1_cols, c1_idx) if kind == "sum" else (c0_cols, c0_idx)
+            cols.extend(_aligned_basis(rt.space).T)
+            idxs += [idx] * rt.space.dim
 
     p, q, p0 = len(c1_cols), len(ch_cols), len(c0_cols)
     if n:
@@ -344,6 +346,7 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
         q=q,
         p0=p0,
         half_pairs=tuple(half_pairs),
+        frame_indices=tuple(c1_idx + ch_idx + c0_idx),
         phi_re=phi_re,
         phi_im=phi_im,
         hb=hb,

@@ -234,7 +234,7 @@ def test_criterion_4_action_transitivity():
 
 def test_criterion_5_fibration(fibration_invariants):
     for name in ("polydisc:2", "polydisc:3", "product:[ball:2,ball:1]"):
-        F = split_last_root(preset(name))
+        F = split_last_root(build_model(preset(name)))
         res = check_equivariance(F, 100, seed=5)
         assert res < 1e-8, (name, res)
     steps = tower(preset("polydisc:3"))

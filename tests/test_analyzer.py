@@ -202,6 +202,17 @@ def test_moved_affine_entry_fails_verify():
     assert report[0]["kind"] == "jordan_split" and not report[0]["ok"]
 
 
+def test_jordan_factors_of_the_wrong_shape_fail_verify():
+    """The factors are compared with the matrix derived from phi; 1x1
+    factors would broadcast against it."""
+    cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
+    for key in ("elliptic", "hyperbolic", "unipotent"):
+        cert["steps"][0]["payload"][key] = [[1.0]]
+    ok, report = verify(cert)
+    assert not ok
+    assert report[0]["detail"].startswith("Jordan factors of shapes (1, 1)")
+
+
 @pytest.mark.parametrize(
     "phi",
     ["exp:0.7*nope", "affine:cert.json", {"linear": [[1.0]], "translation": [0.0]}, {"linear": 1}],
@@ -279,7 +290,7 @@ def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, monkeypatch
     so the gate fires whatever the rounding of the residual is.
     """
     J, phi = _rescaled_polydisc_input(relabelled_polydisc, [2, 0])
-    F = split_last_root(J, build_model(J))
+    F = split_last_root(build_model(J))
     level1 = check_equivariance(F, EQUIVARIANCE_SAMPLES, seed=42 + 1)  # analyze's default seed, level 1
     assert level1 > 0.0
     monkeypatch.setitem(analyzer.STEP_TOL, "tower_descend", 0.5 * level1)
@@ -501,7 +512,7 @@ def test_failed_conjugation_is_omitted():
 
 
 PAYLOAD_KEYS = {
-    "jordan_split": {"matrix", "elliptic", "hyperbolic", "unipotent"},
+    "jordan_split": {"elliptic", "hyperbolic", "unipotent"},
     "discreteness": {"kind", "order"},
     "finite_case": {"order"},
     "elliptic_reduction": set(),

@@ -1,22 +1,37 @@
 import numpy as np
 import pytest
 
+import dataclasses
+
 from hdq.ball import (
+    WITNESS_RESIDUAL,
     abelian_subalgebra_containing,
     ball_algebra,
     ball_to_siegel,
     conjugate_into_a,
     group_adjoint,
     nilpotent_residual,
+    require_ball_like,
     sample_totally_real_points,
     siegel_to_ball,
     table1_flow,
     totally_real_defect,
+    totally_real_residuals,
+    totally_real_subalgebra,
     totally_real_subalgebra_containing,
 )
-from hdq.errors import DimensionMismatch, InputError, NotInNilradical, ZeroSemisimplePart
+from hdq.errors import (
+    DimensionMismatch,
+    HeisenbergCheckFailed,
+    InputError,
+    NotInNilradical,
+    TotallyRealCheckFailed,
+    ZeroSemisimplePart,
+)
+from hdq.fibration import tower
+from hdq.jalgebra import preset
 from hdq.lie_core import Subspace, bracket, residual_outside, span
-from hdq.siegel import DomainPoint, act, group_element
+from hdq.siegel import DomainPoint, act, build_model, group_element
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +199,35 @@ def test_conjugate_into_a_half_component(B2):
 def test_conjugate_requires_semisimple_part(B2):
     with pytest.raises(ZeroSemisimplePart):
         conjugate_into_a(algvec(B2, zeta=1), B2.model)
+
+
+def test_require_ball_like_refuses_non_balls():
+    # rank two
+    with pytest.raises(HeisenbergCheckFailed, match="rank 2"):
+        require_ball_like(build_model(preset("polydisc:2")))
+    # a fiber model whose half block pairs to zero
+    Mf = tower(preset("ball:2"))[0].fiber_model
+    require_ball_like(Mf)
+    with pytest.raises(HeisenbergCheckFailed, match="degenerate"):
+        require_ball_like(dataclasses.replace(Mf, hb=np.zeros_like(Mf.hb)))
+
+
+def test_witness_residual_includes_the_conjugator(B2):
+    M = B2.model
+    pts = sample_totally_real_points(M, 10, np.random.default_rng(0))
+    x = algvec(B2, delta=1, xi1=1, zeta=0.5)
+    V, g = totally_real_subalgebra(x, M)
+    res, min_det = totally_real_residuals(x, V, g.x_minus, M, pts)
+    assert res <= WITNESS_RESIDUAL and min_det > 1e-6
+    # the same subalgebra with a wrong conjugator is refused by its residual
+    bad, _ = totally_real_residuals(x, V, np.zeros_like(g.x_minus), M, pts)
+    assert bad > 1e-3
+    # an element with no frame coefficient takes no conjugator
+    y = algvec(B2, zeta=1, xi1=0.5)
+    W, h = totally_real_subalgebra(y, M)
+    assert not np.any(h.x_minus)
+    with pytest.raises(TotallyRealCheckFailed, match="no conjugator"):
+        totally_real_residuals(y, W, g.x_minus, M, pts)
 
 
 def test_totally_real_subalgebra_examples(B2):

@@ -10,14 +10,14 @@ from hdq.fibration import (
     split_last_root,
     tower,
 )
-from hdq.jalgebra import ball_jalgebra, fine_structure, polydisc_jalgebra, preset
+from hdq.jalgebra import ball_jalgebra, fine_structure, gram, polydisc_jalgebra, preset
 from hdq.lie_core import residual_outside, span
-from hdq.siegel import DomainPoint, act, group_element, random_element, solve_orbit
+from hdq.siegel import DomainPoint, act, build_model, group_element, random_element, solve_orbit
 
 
 @pytest.fixture(scope="module")
 def poly2():
-    return split_last_root(polydisc_jalgebra(2))
+    return split_last_root(build_model(polydisc_jalgebra(2)))
 
 
 def test_polydisc_split_is_factor_split(poly2):
@@ -34,7 +34,7 @@ def test_polydisc_split_is_factor_split(poly2):
 
 
 def test_rank_one_split_has_point_target():
-    F = split_last_root(ball_jalgebra(2))
+    F = split_last_root(build_model(ball_jalgebra(2)))
     assert F.quotient_model.J.dim == 0
     assert F.fiber_model.dim_complex == 2
     assert F.quotient_model.dim_complex == 0
@@ -46,13 +46,40 @@ def test_rank_one_split_has_point_target():
 
 def test_product_split_is_deterministic():
     J = preset("product:[ball:2,ball:1]")
-    F = split_last_root(J)
+    F = split_last_root(build_model(J))
     # the recorded ordering puts the two-ball factor first, so the ideal is
     # the half-plane factor
     assert F.fiber_model.dim_complex == 1
     assert F.quotient_model.J.dim == 4
     fs = fine_structure(F.fiber_model.J)
     assert fs.rank == 1
+
+
+@pytest.mark.parametrize(
+    "name", ["ball:3", "polydisc:3", "product:[ball:2,ball:1]", "rebased-product:[ball:2,ball:2]"]
+)
+def test_split_follows_root_labels(name, rebased):
+    """At every level, each root space whose label involves the last frame
+    index lies in the ideal, and every other root space, with the eta
+    frame, in the quotient's basis, lifted to the domain algebra as the
+    metric dual of the quotient map's rows.  The rebased copy takes an
+    orthonormal basis, which mixes the half-root spaces with the rest."""
+    J = preset(name.removeprefix("rebased-"))
+    if name.startswith("rebased"):
+        J = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
+    for F in tower(J):
+        M, Mq = F.domain_model, F.quotient_model
+        fine, last = M.fine, M.rank - 1
+        coords = Mq.C @ F.quotient_map @ M.Cinv
+        ideal = span(F.b_basis.T, M.J.dim)
+        quotient = span(np.linalg.solve(gram(M.J), coords.T).T, M.J.dim)
+        assert ideal.dim + quotient.dim == M.J.dim
+        spaces = [(rt.label[1:], rt.space.basis_matrix) for rt in fine.roots]
+        spaces += [((k,), eta[:, None]) for k, eta in enumerate(fine.eta)]
+        for involved, B in spaces:
+            target = ideal if last in involved else quotient
+            worst = max(residual_outside(v, target) for v in B.T)
+            assert worst < 1e-9, (name, involved, worst)
 
 
 def test_heisenberg_and_symplectic_checks(fibration_invariants):
@@ -111,11 +138,11 @@ def test_push_group_examples(poly2):
 
 
 def test_equivariance_residuals():
-    F = split_last_root(polydisc_jalgebra(2))
+    F = split_last_root(build_model(polydisc_jalgebra(2)))
     assert check_equivariance(F, 100, seed=1) < 1e-10
-    F3 = split_last_root(preset("product:[ball:2,ball:1]"))
+    F3 = split_last_root(build_model(preset("product:[ball:2,ball:1]")))
     assert check_equivariance(F3, 100, seed=1) < 1e-8
-    Fb = split_last_root(ball_jalgebra(2))
+    Fb = split_last_root(build_model(ball_jalgebra(2)))
     assert check_equivariance(Fb, 10, seed=1) == 0.0
 
 
@@ -133,7 +160,7 @@ def _per_sample_residual(F, samples, seed):
     worst = 0.0
     for _ in range(samples):
         s = random_element(M, rng, 1.0)
-        lhs = project_point(act(s, M.base_point(), M), F, check=False)
+        lhs = project_point(act(s, M.base_point(), M), F)
         rhs = act(push_group(s, F), Mq.base_point(), Mq)
         worst = max(worst, lhs.distance(rhs))
     return worst
