@@ -74,7 +74,7 @@ from .ball import (
     totally_real_residuals,
     totally_real_subalgebra,
 )
-from .errors import HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
+from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
 from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
@@ -325,7 +325,10 @@ def _walk(state: ReplayState, out: dict, take) -> None:
 
 
 def _jordan_payload(state: ReplayState) -> dict:
-    parts = jordan_decompose(state.homogenized_phi())
+    try:
+        parts = jordan_decompose(state.homogenized_phi())
+    except ClusterAmbiguous as exc:
+        raise StepRejected(str(exc)) from exc
     return {"elliptic": parts.elliptic, "hyperbolic": parts.hyperbolic, "unipotent": parts.unipotent}
 
 

@@ -3,11 +3,15 @@
 Dropping the last fundamental root splits the algebra along the model's
 own adapted basis: the columns of ``M.C`` whose root involves the last
 frame index (``SiegelModel.frame_indices``) span a j-invariant ideal, and
-the other columns a j-invariant subalgebra.  The ideal is the rank-one
-algebra of a unit ball, which ``ball.require_ball_like`` checks on its
-model.  The omega-orthogonal projection onto the subalgebra is an algebra
-homomorphism; complexified on the (-1)-block it realizes the equivariant
-submersion between the two Siegel domains.
+the other columns a j-invariant subalgebra.  Both are spanned by root
+spaces of the input, so both are split solvable, and their models are
+assembled on these columns with no new root decomposition.  The quotient
+keeps its columns as they are.  The ideal is the rank-one algebra of a
+unit ball (``ball.require_ball_like`` checks its model), regraded: xi and
+eta of the last root are its (-1)- and 0-blocks, and every other column
+joins its half block.  The omega-orthogonal projection onto the
+subalgebra is an algebra homomorphism; complexified on the (-1)-block it
+realizes the equivariant submersion between the two Siegel domains.
 """
 
 from __future__ import annotations
@@ -23,7 +27,9 @@ from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
+    _complex_pairs,
     act,
+    assemble_model,
     build_model,
     group_element,
 )
@@ -37,8 +43,9 @@ class FibrationStep:
 
     ``b_basis`` holds the columns of the domain model's ``C`` whose root
     involves the last frame index, in their order there; the quotient
-    algebra ``quotient_model.J`` is built on the other columns, and the
-    fiber algebra ``fiber_model.J`` on ``b_basis``.  ``quotient_map`` is
+    algebra ``quotient_model.J`` is built on the other columns, with ``C``
+    the identity, and the fiber algebra ``fiber_model.J`` on ``b_basis``,
+    with its half block paired anew under j.  ``quotient_map`` is
     the projection from the domain's adapted coordinates (the model's
     ``C`` basis, blocks s_{-1} | s_{-1/2} | s_0) to the quotient's adapted
     coordinates: the omega-orthogonal projection onto the subalgebra, in
@@ -68,9 +75,20 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     B_ideal = np.ascontiguousarray(M.C[:, ideal])
     G = gram(J)
     coords = np.linalg.solve(B_prime.T @ G @ B_prime, B_prime.T @ G)
-    fiber_model = build_model(subalgebra(J, B_ideal))
+    # the fiber: xi_{r-1} leads the ideal's columns and eta_{r-1} its 0-block;
+    # every other column is a half column of the fiber, paired under j
+    Jb = subalgebra(J, B_ideal)
+    E, eta = np.eye(Jb.dim), int(np.sum(ideal[: M.p + M.q]))
+    paired, m = _complex_pairs(np.delete(E, [0, eta], axis=1), Jb.j)
+    fiber_layout = (1, 2 * m, ((0, m),) if m else (), ((0,),) * Jb.dim)
+    fiber_model = assemble_model(Jb, np.column_stack([E[:, 0], paired, E[:, eta]]), 1, fiber_layout)
     require_ball_like(fiber_model)
-    quotient_model = build_model(subalgebra(J, B_prime))
+    # the quotient keeps the rest of the parent's columns, in their order
+    kept = ~ideal[M.p : M.p + M.q]
+    half_pairs = tuple((int(np.sum(kept[:o])), size) for o, size in M.half_pairs if kept[o])
+    frame_indices = tuple(idx for idx, i in zip(M.frame_indices, ideal) if not i)
+    layout = (int(np.sum(~ideal[: M.p])), int(np.sum(kept)), half_pairs, frame_indices)
+    quotient_model = assemble_model(subalgebra(J, B_prime), np.eye(len(frame_indices)), r - 1, layout)
     return FibrationStep(
         domain_model=M,
         quotient_model=quotient_model,

@@ -4,6 +4,9 @@ The model keeps coordinates adapted to the grading: the (-1)-block basis
 starts with the frame vectors xi_1..xi_r (so the cone sits over the
 all-ones direction), the 0-block starts with eta_1..eta_r, and the
 (-1/2)-block is organized in complex pairs (u, j u) per half-root space.
+``build_model`` reads these columns off the fine structure of an input;
+``assemble_model`` derives the rest of the model from them, and the
+fibration tower calls it on columns its children inherit.
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the
@@ -42,7 +45,7 @@ from .errors import (
     PositivityUnfixable,
     SolverDiverged,
 )
-from .jalgebra import NormalJAlgebra, FineStructure, fine_structure
+from .jalgebra import NormalJAlgebra, fine_structure
 from .lie_core import Subspace, ad_matrix, bracket_table
 
 CONE_TOL = 1e-9
@@ -155,7 +158,7 @@ def _complex_pairs(space_basis: np.ndarray, j: np.ndarray):
 @dataclass(frozen=True, eq=False)
 class SiegelModel:
     J: NormalJAlgebra
-    fine: FineStructure
+    rank: int              # number of frame vectors xi_k (and eta_k)
     sigma: int
     C: np.ndarray          # adapted basis, columns [C1 | Ch | C0]
     Cinv: np.ndarray
@@ -170,10 +173,6 @@ class SiegelModel:
     jhalf: np.ndarray      # j restricted to the half block, adapted coords
     ad1_gens: np.ndarray   # (p0, p, p): ad of the 0-basis on the (-1)-block
     adh_gens: np.ndarray   # (p0, q, q)
-
-    @property
-    def rank(self) -> int:
-        return self.fine.rank
 
     @property
     def dim_complex(self) -> int:
@@ -267,9 +266,8 @@ class GroupElement:
 
 
 def build_model(J: NormalJAlgebra) -> SiegelModel:
-    """Assemble the Siegel data; fixes the orientation sign of the form."""
+    """The Siegel model of J on graded columns read off its fine structure."""
     fine = fine_structure(J)
-    n = J.dim
     r = fine.rank
 
     # (-1)-block: the xi frame, then aligned sum-root bases; (-1/2)-block:
@@ -293,39 +291,38 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
             cols.extend(_aligned_basis(rt.space).T)
             idxs += [idx] * rt.space.dim
 
-    p, q, p0 = len(c1_cols), len(ch_cols), len(c0_cols)
-    if n:
-        C = np.column_stack(c1_cols + ch_cols + c0_cols)
-        if C.shape != (n, n):
-            raise DimensionMismatch("adapted basis does not fill the algebra")
-        Cinv = np.linalg.inv(C)
-    else:
-        C = np.zeros((0, 0))
-        Cinv = np.zeros((0, 0))
+    C = np.column_stack(c1_cols + ch_cols + c0_cols) if J.dim else np.zeros((0, 0))
+    layout = (len(c1_cols), len(ch_cols), tuple(half_pairs), tuple(c1_idx + ch_idx + c0_idx))
+    return assemble_model(J, C, r, layout)
+
+
+def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -> SiegelModel:
+    """The Siegel model of J on the adapted basis C (columns over J's
+    basis), laid out as ``layout`` = (p, q, half_pairs, frame_indices)
+    says: the (-1)-, half and 0-blocks, the outer two led by the ``rank``
+    frame vectors xi_k and eta_k.  Fixes the orientation sign of the form
+    and gates its Hermitian defect."""
+    n = J.dim
+    p, q, half_pairs, frame_indices = layout
+    if C.shape != (n, n):
+        raise DimensionMismatch("adapted basis does not fill the algebra")
+    Cinv = np.linalg.inv(C) if n else np.zeros((0, 0))
+    p0 = n - p - q
 
     Ch = C[:, p : p + q]
     # bracket tensors of the half block, in s_{-1} coordinates
     hb = bracket_table(Ch, Ch, J.L) @ Cinv[:p].T
     jhb = bracket_table(J.j @ Ch, Ch, J.L) @ Cinv[:p].T
 
-    # orientation: the diagonal of the form on each half-root space sits on
-    # the matching frame coordinate; one global sign must make it positive
-    diag_coeffs = []
-    for off, m in half_pairs:
-        for i in range(off, off + 2 * m):
-            diag_coeffs.append(0.25 * jhb[i, i])
-    if diag_coeffs:
-        stacked = np.array([d[np.argmax(np.abs(d))] for d in diag_coeffs])
-        if np.all(stacked > 1e-12):
-            sigma = 1
-        elif np.all(stacked < -1e-12):
-            sigma = -1
-        else:
-            raise PositivityUnfixable(
-                "no global sign makes the Hermitian form cone-positive"
-            )
-    else:
+    # orientation: the diagonal of the form on each half-block column sits on
+    # its frame coordinate; one global sign must make it positive
+    stacked = np.array([d[np.argmax(np.abs(d))] for d in 0.25 * np.diagonal(jhb).T])
+    if np.all(stacked > 1e-12):  # also with no half block
         sigma = 1
+    elif np.all(stacked < -1e-12):
+        sigma = -1
+    else:
+        raise PositivityUnfixable("no global sign makes the Hermitian form cone-positive")
     phi_re = sigma * 0.25 * jhb
     phi_im = sigma * 0.25 * hb
 
@@ -338,15 +335,15 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
 
     model = SiegelModel(
         J=J,
-        fine=fine,
+        rank=rank,
         sigma=sigma,
         C=C,
         Cinv=Cinv,
         p=p,
         q=q,
         p0=p0,
-        half_pairs=tuple(half_pairs),
-        frame_indices=tuple(c1_idx + ch_idx + c0_idx),
+        half_pairs=half_pairs,
+        frame_indices=frame_indices,
         phi_re=phi_re,
         phi_im=phi_im,
         hb=hb,

@@ -49,6 +49,43 @@ def rebased():
     return _rebased
 
 
+def _sym2_tube():
+    """The tube over the cone of positive 2x2 symmetric matrices, the first
+    algebra here with sum and diff roots.  Basis (h1, e, h2, a11, a12, a22)
+    of the affine vector fields Z -> t Z + Z t^T + A on Sym(2, C), with t
+    lower triangular [[h1, 0], [e, h2]] and A = [[a11, a12], [a12, a22]];
+    j pulls back multiplication by i at the base point iI, and omega is
+    -(a11 + a22)."""
+
+    def fields(v):
+        return np.array([[v[0], 0.0], [v[1], v[2]]]), np.array([[v[3], v[4]], [v[4], v[5]]])
+
+    def pack(t, A):
+        return np.array([t[0, 0], t[1, 0], t[1, 1], A[0, 0], A[0, 1], A[1, 1]])
+
+    def bracket(u, v):
+        (t1, A1), (t2, A2) = fields(u), fields(v)
+        return pack(t2 @ t1 - t1 @ t2, t2 @ A1 + A1 @ t2.T - t1 @ A2 - A2 @ t1.T)
+
+    def at_base(v):
+        t, A = fields(v)
+        Z = 1j * (t + t.T) + A
+        return np.concatenate([Z[np.triu_indices(2)].real, Z[np.triu_indices(2)].imag])
+
+    E = np.eye(6)
+    c = np.array([[bracket(a, b) for b in E] for a in E])
+    ev = np.column_stack([at_base(a) for a in E])
+    i = np.block([[np.zeros((3, 3)), -np.eye(3)], [np.eye(3), np.zeros((3, 3))]])
+    labels = ("h1", "e", "h2", "a11", "a12", "a22")
+    omega = np.array([0.0, 0.0, 0.0, -1.0, 0.0, -1.0])
+    return jalgebra.NormalJAlgebra(LieAlgebraData(6, labels, c), np.linalg.solve(ev, i @ ev), omega)
+
+
+@pytest.fixture
+def sym2_tube():
+    return _sym2_tube
+
+
 def _fibration_invariants(F):
     """What one tower level promises, measured from the kept fields alone.
 

@@ -376,10 +376,10 @@ def _benchmark_op0(workload, relabelled_polydisc):
 
 def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
     """On operation 0 of the ball-fiber and polydisc-tower benchmarks,
-    analyze and verify each run the Jacobi identity once, on the input,
-    and decide split-solvability (with one derived series) once per
-    nonzero algebra of the tower: the input, each quotient and each ideal,
-    2 algebras for ball:8 and 12 for polydisc:6."""
+    analyze and verify each run the Jacobi identity once and decide
+    split-solvability (with one derived series) once, all on the input:
+    every quotient and fiber model of the tower is built from the input's
+    root columns, so no child algebra is measured again."""
     calls = {}
 
     def counting(module, name):
@@ -394,7 +394,7 @@ def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
     counting(lie_core, "jacobi_defect")
     counting(lie_core, "derived_series")
     counting(jalgebra, "_abelian_part")
-    for workload, algebras in (("ball-fiber", 2), ("polydisc-tower", 12)):
+    for workload in ("ball-fiber", "polydisc-tower"):
         domain, phi = _benchmark_op0(workload, relabelled_polydisc)
         for phase in ("analyze", "verify"):
             calls.clear()
@@ -405,7 +405,7 @@ def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
                 assert verify(json.loads(dump_certificate(cert)))[0]
             assert len(calls["jacobi_defect"]) == 1, (workload, phase)
             measured = calls["_abelian_part"]
-            assert len({id(J) for J in measured}) == len(measured) == algebras, (workload, phase)
+            assert len(measured) == 1, (workload, phase)
             assert [L.dim for L in calls["derived_series"]] == [J.dim for J in measured], (workload, phase)
 
 

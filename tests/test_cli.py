@@ -42,6 +42,24 @@ def test_analyze_input_error():
     assert res.returncode == 4
 
 
+def test_ambiguous_eigenvalue_clusters_end_undecided(tmp_path):
+    """An element whose Jordan split cannot tell two eigenvalue clusters
+    apart ends undecided (exit 3) and names them; it once raised
+    ClusterAmbiguous and exited 4, as on an input error."""
+    out = tmp_path / "cert.json"
+    phi = (
+        "exp:- 2.860292172405*delta1 - 3.427455895897*zeta1 + 5.942695609637*delta2"
+        " - 2.652193941482*zeta2 - 3.908851516811*delta3 + 1.317468708711*zeta3"
+    )
+    res = run_cli("analyze", "--domain", "polydisc:3", "--phi", phi, "--out", str(out))
+    assert res.returncode == 3, res.stderr
+    cert = json.loads(out.read_text())
+    assert cert["conclusion"] == "undecided"
+    assert "eigenvalue clusters at" in cert["assumptions"][-1]
+    res = run_cli("verify", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
 def test_verify_roundtrip_and_tamper(tmp_path):
     out = tmp_path / "cert.json"
     assert run_cli("analyze", "--domain", "polydisc:2", "--phi", "exp:delta1 + zeta2", "--out", str(out)).returncode == 0

@@ -10,7 +10,7 @@ from hdq.fibration import (
     split_last_root,
     tower,
 )
-from hdq.jalgebra import ball_jalgebra, fine_structure, gram, polydisc_jalgebra, preset
+from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, fine_structure, gram, polydisc_jalgebra, preset
 from hdq.lie_core import residual_outside, span
 from hdq.siegel import DomainPoint, act, build_model, group_element, random_element, solve_orbit
 
@@ -69,7 +69,7 @@ def test_split_follows_root_labels(name, rebased):
         J = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
     for F in tower(J):
         M, Mq = F.domain_model, F.quotient_model
-        fine, last = M.fine, M.rank - 1
+        fine, last = fine_structure(M.J), M.rank - 1
         coords = Mq.C @ F.quotient_map @ M.Cinv
         ideal = span(F.b_basis.T, M.J.dim)
         quotient = span(np.linalg.solve(gram(M.J), coords.T).T, M.J.dim)
@@ -201,3 +201,42 @@ def test_exact_polydisc_tower_is_equivariant(rank):
     steps = tower(polydisc_jalgebra(rank))
     assert len(steps) == rank
     assert max(check_equivariance(F, samples=20) for F in steps) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "ball:3",
+        "polydisc:6",
+        "product:[ball:2,ball:1]",
+        "product:[ball:2,polydisc:2]",
+        "rebased-product:[ball:2,ball:2]",
+        "relabelled:6",
+        "sym2-tube",
+    ],
+)
+def test_inherited_models_match_fresh_ones(name, rebased, relabelled_polydisc, sym2_tube):
+    """Each quotient and fiber model, built from its parent's columns,
+    equals the model ``build_model`` reads off a fresh fine structure of
+    a copy of the same child algebra, at every level of the tower.  On the
+    tube over Sym+(2) the sum and diff columns of the last root join the
+    fiber's half block."""
+    if name.startswith("relabelled"):
+        J = relabelled_polydisc(6, np.random.default_rng([4, 1]))[0]
+    elif name == "sym2-tube":
+        J = sym2_tube()
+        assert [rt.label[0] for rt in fine_structure(J).roots] == ["diff", "full", "full", "sum"]
+    else:
+        J = preset(name.removeprefix("rebased-"))
+    if name.startswith("rebased"):
+        J = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
+    for level, F in enumerate(tower(J), 1):
+        for child in (F.quotient_model, F.fiber_model):
+            fresh = build_model(NormalJAlgebra(child.J.L, child.J.j, child.J.omega))
+            for field in dataclasses.fields(child):
+                a, b = getattr(child, field.name), getattr(fresh, field.name)
+                if isinstance(a, np.ndarray):
+                    assert a.shape == b.shape, (name, level, field.name)
+                    assert np.max(np.abs(a - b), initial=0.0) < 1e-12, (name, level, field.name)
+                elif field.name != "J":
+                    assert a == b, (name, level, field.name)
