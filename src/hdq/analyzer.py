@@ -220,20 +220,6 @@ def resolve_phi(phi_spec, M: SiegelModel, seed: int) -> PhiInput:
 # the pipeline
 # ---------------------------------------------------------------------------
 
-def _jsonify(obj):
-    if isinstance(obj, np.ndarray):
-        return [_jsonify(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    if isinstance(obj, dict):
-        return {k: _jsonify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonify(v) for v in obj]
-    return obj
-
-
 def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
@@ -253,7 +239,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     cert = {
         "version": 1,
         "domain": domain_echo,
-        "phi": _jsonify(phi.echo),
+        "phi": phi.echo,
         "seed": int(seed),
         "steps": [],
         "assumptions": list(BASE_ASSUMPTIONS),
@@ -360,7 +346,7 @@ def _recorder(cert: dict, state: ReplayState):
 
     def take(kind, level, build):
         try:
-            payload = _jsonify(build())
+            payload = build()
         except StepRejected as exc:
             cert["assumptions"].append(str(exc))
             return None
@@ -543,7 +529,7 @@ def _replay(kind, payload, state, level, slack, build):
     its payload must equal ``build()``.
     """
     if kind not in CHECKS:
-        built = _jsonify(build())
+        built = build()
         if {k: payload[k] for k in built} != built:
             return None, f"stored payload differs from {built}"
         return 0.0, None
@@ -625,7 +611,7 @@ def verify(cert: dict):
 # ---------------------------------------------------------------------------
 
 def dump_certificate(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2) + "\n"
+    return json.dumps(cert, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
 
 
 def load_certificate(path) -> dict:

@@ -29,7 +29,6 @@ from .siegel import (
     SiegelModel,
     _expm,
     build_model,
-    group_adjoint,
     group_element,
     identity,
     vector_field,
@@ -252,7 +251,8 @@ def totally_real_subalgebra(x, M: SiegelModel):
     if abelian_branch(x, M):
         return abelian_subalgebra_containing(x, M), identity(M)
     g = conjugate_into_a(x, M)
-    adj_inv = np.linalg.inv(group_adjoint(g, M))
+    # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
+    adj_inv = _expm(ad_matrix(M.C[:, : M.p + M.q] @ g.x_minus, M.J.L))
     cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
     for e, _, _ in _symplectic_pairs(M):
         cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))

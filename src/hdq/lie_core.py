@@ -19,7 +19,6 @@ read (:func:`is_solvable`).
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -216,19 +215,6 @@ def closure_residual(V: Subspace, L: LieAlgebraData) -> float:
     return _relative_residual(_bracket_columns(V, V, L), V)
 
 
-def is_subalgebra(V: Subspace, L: LieAlgebraData, tol: float = 1e-8) -> bool:
-    if V.ambient_dim != L.dim:
-        raise DimensionMismatch("subspace lives in the wrong ambient space")
-    return closure_residual(V, L) <= tol
-
-
-def is_ideal(V: Subspace, L: LieAlgebraData, tol: float = 1e-8) -> bool:
-    if V.ambient_dim != L.dim:
-        raise DimensionMismatch("subspace lives in the wrong ambient space")
-    full = Subspace(L.dim, np.eye(L.dim))
-    return _relative_residual(_bracket_columns(full, V, L), V) <= tol
-
-
 # ---------------------------------------------------------------------------
 # Validation
 # ---------------------------------------------------------------------------
@@ -353,8 +339,3 @@ def algebra_to_dict(L: LieAlgebraData) -> dict:
             if coeffs:
                 brackets.append({"i": L.basis_labels[i], "j": L.basis_labels[j], "coeffs": coeffs})
     return {"dim": L.dim, "basis": list(L.basis_labels), "brackets": brackets}
-
-
-def load_algebra(path) -> LieAlgebraData:
-    with open(path, "r", encoding="utf-8") as fh:
-        return algebra_from_dict(json.load(fh))

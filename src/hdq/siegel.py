@@ -20,15 +20,13 @@ with the group-level adjoint realized as expm(-ad(x_zero)): one-parameter
 flows compose with the opposite bracket, and this choice is what makes the
 formula reproduce the closed-form flows of the half-plane generators.
 
-One bridge joins layered coordinates and the algebra.  ``group_adjoint``
-maps (x_minus, x_zero) to the adjoint matrix K = expm(-ad x_minus)
-expm(-ad x_zero).  ``element_from_vector`` (K = expm(-ad x)) and
-``compose`` (K the product of two adjoints) map back through the delta
+One bridge joins layered coordinates and the algebra, the delta
 read-off: ad(delta) grades the algebra into degrees -1, -1/2 and 0, so
 exp(x_zero) fixes delta, and for v in s_{-1} + s_{-1/2} the series
 expm(-ad v) delta = delta - v_{-1} - v_{-1/2}/2 stops after its linear
-term; x_minus is read linearly off K delta.  ``element_log`` is the one
-full matrix logarithm.
+term.  ``element_from_vector`` reads x_minus linearly off K delta with
+K = expm(-ad x); ``element_log`` inverts that read-off with one linear
+solve per graded block, and no matrix logarithm is taken.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm, logm
+from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatch,
@@ -434,58 +432,48 @@ def act(g: GroupElement, point: DomainPoint, M: SiegelModel) -> DomainPoint:
     return DomainPoint.unpack(v, M.p, M.q)
 
 
-def compose(g: GroupElement, h: GroupElement, M: SiegelModel) -> GroupElement:
-    """Product g h, read back from the product of the two adjoints; its
-    0-part is the log of the product of the (-1)-block actions."""
-    p = M.p
-    x_zero = ad_log(g.affine_matrix[:p, :p] @ h.affine_matrix[:p, :p], M.ad1_gens)
-    return _from_adjoint(M, group_adjoint(g, M) @ group_adjoint(h, M), x_zero)
-
-
-def ad_log(K: np.ndarray, gens: np.ndarray) -> np.ndarray:
-    """Coefficients v with exp(-sum_a v_a gens[a]) = K: the real matrix log
-    of the adjoint matrix K, solved by least squares against the stack
-    (k, n, n) of ad generators."""
-    k = gens.shape[0]
-    if K.size == 0 or k == 0:
-        return np.zeros(k)
-    X = np.real_if_close(logm(K), tol=1e6).real
-    v, *_ = np.linalg.lstsq(gens.reshape(k, -1).T, -X.ravel(), rcond=None)
-    return v
-
-
-def group_adjoint(g: GroupElement, M: SiegelModel) -> np.ndarray:
-    """Adjoint matrix of exp(x_minus) exp(x_zero) on the ambient algebra."""
-    v_minus = M.C[:, : M.p + M.q] @ g.x_minus
-    v_zero = M.C[:, M.p + M.q :] @ g.x_zero
-    return _expm(-ad_matrix(v_minus, M.J.L)) @ _expm(-ad_matrix(v_zero, M.J.L))
-
-
-def _from_adjoint(M: SiegelModel, K: np.ndarray, x_zero: np.ndarray) -> GroupElement:
-    """The element with adjoint matrix K and 0-part x_zero.
-
-    K delta = delta - v_{-1} - v_{-1/2}/2 for the minus part v, so x_minus
-    is the minus block of delta - K delta with its half block doubled.
-    """
-    delta = M.C[:, M.p + M.q :] @ M.delta0_coords
-    x_minus = M.Cinv[: M.p + M.q] @ (delta - K @ delta)
-    x_minus[M.p :] *= 2.0
-    return group_element(M, x_minus, x_zero)
-
-
 def element_from_vector(M: SiegelModel, x_ambient) -> GroupElement:
     """exp(x) in layered (x_minus, x_zero) form: x_zero is the 0-block part
-    of x, and x_minus is read off K = expm(-ad x)."""
+    of x, and x_minus is the minus block of delta - K delta, K = expm(-ad x),
+    with its half block doubled (K delta = delta - v_{-1} - v_{-1/2}/2 for
+    x = v in the minus block)."""
     x_ambient = np.asarray(x_ambient, dtype=float)
     K = _expm(-ad_matrix(x_ambient, M.J.L))
     if not np.all(np.isfinite(K)):
         raise InputError("the exponential of the element overflows")
-    return _from_adjoint(M, K, M.to_adapted(x_ambient)[M.p + M.q :])
+    delta = M.C[:, M.p + M.q :] @ M.delta0_coords
+    x_minus = M.Cinv[: M.p + M.q] @ (delta - K @ delta)
+    x_minus[M.p :] *= 2.0
+    return group_element(M, x_minus, M.to_adapted(x_ambient)[M.p + M.q :])
+
+
+def _phi(D: np.ndarray) -> np.ndarray:
+    """phi(D) = int_0^1 expm(-s D) ds, the upper-right block of
+    expm([[-D, I], [0, 0]])."""
+    k = D.shape[0]
+    B = np.zeros((2 * k, 2 * k))
+    B[:k, :k] = -D
+    B[:k, k:] = np.eye(k)
+    return _expm_stack(B)[:k, k:]
 
 
 def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
-    """Single ambient log vector of exp(x_minus) exp(x_zero)."""
-    return ad_log(group_adjoint(g, M), M.J.L.c.transpose(0, 2, 1))
+    """The ambient vector y with exp(y) = exp(x_minus) exp(x_zero): the
+    inverse of :func:`element_from_vector`, by graded linear solves.
+
+    The 0-part of y is x_zero, since s -> s / (s_{-1} + s_{-1/2}) is a
+    homomorphism.  The read-off of y is delta - K delta =
+    phi(ad y)(y_{-1} + y_{-1/2}/2); ad y keeps the minus block invariant
+    and acts there through ad x_zero on the diagonal, so y_{-1/2} =
+    phi(Ah)^{-1} x_{-1/2}, and y_{-1} = phi(A1)^{-1} (x_{-1} - c) with c
+    the (-1)-block read-off of y without its (-1)-part.
+    """
+    p = M.p
+    A1, Ah = _ad_blocks(M, g.x_zero)
+    y_half = np.linalg.solve(_phi(Ah), g.x_minus[p:])
+    c = element_from_vector(M, M.C[:, p:] @ np.concatenate([y_half, g.x_zero])).x_minus[:p]
+    y_one = np.linalg.solve(_phi(A1), g.x_minus[:p] - c)
+    return M.C @ np.concatenate([y_one, y_half, g.x_zero])
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.linalg import expm, logm
 
 from hdq import jalgebra
-from hdq.lie_core import LieAlgebraData, bracket_table, derived_algebra, residual_outside, span
+from hdq.lie_core import LieAlgebraData, ad_matrix, bracket_table, derived_algebra, residual_outside, span
+from hdq.siegel import group_element
 
 # the CLI tests start `python -m hdq.cli` in a subprocess; let it import
 # the package from this checkout without an install
@@ -47,6 +49,33 @@ def _rebased(J, T):
 @pytest.fixture
 def rebased():
     return _rebased
+
+
+def _compose(g, h, M):
+    """Product oracle: the element g h, read back from the product K of the
+    two adjoint matrices expm(-ad x_minus) expm(-ad x_zero).  Its 0-part is
+    the matrix log of the product of the (-1)-block actions, solved by least
+    squares against the ad generators; its minus part is the delta read-off
+    of K, the minus block of delta - K delta with its half block doubled."""
+
+    def adjoint(e):
+        v_minus = M.C[:, : M.p + M.q] @ e.x_minus
+        v_zero = M.C[:, M.p + M.q :] @ e.x_zero
+        return expm(-ad_matrix(v_minus, M.J.L)) @ expm(-ad_matrix(v_zero, M.J.L))
+
+    p, k = M.p, M.p0
+    X = np.real_if_close(logm(g.affine_matrix[:p, :p] @ h.affine_matrix[:p, :p]), tol=1e6).real
+    x_zero, *_ = np.linalg.lstsq(M.ad1_gens.reshape(k, -1).T, -X.ravel(), rcond=None)
+    delta = M.C[:, p + M.q :] @ M.delta0_coords
+    K = adjoint(g) @ adjoint(h)
+    x_minus = M.Cinv[: p + M.q] @ (delta - K @ delta)
+    x_minus[p:] *= 2.0
+    return group_element(M, x_minus, x_zero)
+
+
+@pytest.fixture
+def compose():
+    return _compose
 
 
 def _sym2_tube():

@@ -31,7 +31,6 @@ from hdq.lie_core import LieAlgebraData, residual_outside
 from hdq.siegel import (
     act,
     build_model,
-    compose,
     group_element,
     random_element,
     random_interior_point,
@@ -210,7 +209,7 @@ def test_criterion_3_jordan():
 
 # -- 4 ----------------------------------------------------------------------
 
-def test_criterion_4_action_transitivity():
+def test_criterion_4_action_transitivity(compose):
     rng = np.random.default_rng(4)
     for name in PRESETS:
         M = build_model(preset(name))

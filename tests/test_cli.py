@@ -26,6 +26,19 @@ def test_analyze_certified(tmp_path):
     assert cert["conclusion"] == "stein_certified"
 
 
+def test_analyze_stderr_is_the_conclusion_alone(tmp_path):
+    """A certified polydisc:2 input at coefficient scale 5 prints only its
+    conclusion to stderr; a matrix logarithm once added a RuntimeWarning
+    in the middle of it."""
+    out = tmp_path / "cert.json"
+    phi = "exp:3.672733875724*delta1 + 3.929477581908*zeta1 - 3.384876730530*delta2 - 4.732976499137*zeta2"
+    res = run_cli("analyze", "--domain", "polydisc:2", "--phi", phi, "--out", str(out))
+    assert res.returncode == 0, res.stderr
+    assert res.stderr.splitlines() == ["conclusion: stein_certified"]
+    res = run_cli("verify", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+
+
 def test_analyze_not_applicable(tmp_path):
     theta = 1.0
     lin = np.eye(4)
