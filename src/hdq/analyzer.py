@@ -89,7 +89,7 @@ from .siegel import (
     element_from_vector,
     element_log,
     group_element,
-    random_interior_point,
+    random_interior_points,
     solve_orbit,
 )
 
@@ -206,13 +206,12 @@ def resolve_phi(phi_spec, M: SiegelModel, seed: int) -> PhiInput:
             phi_spec = json.load(fh)
     mat, off = phi_affine(phi_spec, M)
     if isinstance(phi_spec, dict):
-        # sanity screen: 20 sampled interior points must stay inside
-        rng = np.random.default_rng(seed)
-        for _ in range(20):
-            pt = random_interior_point(M, rng)
-            img = DomainPoint.unpack(mat @ pt.pack() + off, M.p, M.q)
-            if not contains(img, M, 1e-7):
-                raise InputError("affine map does not preserve the domain on a sample")
+        # screen: the images of 20 interior points drawn from the seed must
+        # stay inside, all tested by one stacked cone solve
+        pts = random_interior_points(M, 20, np.random.default_rng(seed))
+        img = DomainPoint.unpack(pts.pack() @ mat.T + off, M.p, M.q)
+        if not np.all(contains(img, M, 1e-7)):
+            raise InputError("affine map does not preserve the domain on a sample")
     return PhiInput(phi_spec, mat, off)
 
 

@@ -27,7 +27,7 @@ from .siegel import (
     DomainPoint,
     GroupElement,
     SiegelModel,
-    _expm,
+    _expm_stack,
     build_model,
     group_element,
     identity,
@@ -226,7 +226,7 @@ def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
     exponential of -ad(x_minus)."""
     x = np.asarray(x, dtype=float)
     v = M.C[:, : M.p + M.q] @ np.asarray(x_minus, dtype=float)
-    coords = M.to_adapted(_expm(-ad_matrix(v, M.J.L)) @ x)
+    coords = M.to_adapted(_expm_stack(-ad_matrix(v, M.J.L)) @ x)
     return float(np.linalg.norm(coords[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
 
 
@@ -252,7 +252,7 @@ def totally_real_subalgebra(x, M: SiegelModel):
         return abelian_subalgebra_containing(x, M), identity(M)
     g = conjugate_into_a(x, M)
     # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
-    adj_inv = _expm(ad_matrix(M.C[:, : M.p + M.q] @ g.x_minus, M.J.L))
+    adj_inv = _expm_stack(ad_matrix(M.C[:, : M.p + M.q] @ g.x_minus, M.J.L))
     cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
     for e, _, _ in _symplectic_pairs(M):
         cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))

@@ -8,6 +8,7 @@ its replay.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -27,7 +28,10 @@ EXIT_UNDECIDED = 3
 EXIT_INPUT = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: ``parse_args`` gives
+    every call its own namespace."""
     parser = argparse.ArgumentParser(
         prog="hdq",
         description="Homogeneous Siegel domains: validation, fibrations, and Stein certificates for cyclic quotients.",

@@ -34,7 +34,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import (
     DimensionMismatch,
@@ -49,10 +48,6 @@ from .lie_core import Subspace, ad_matrix, bracket_table
 CONE_TOL = 1e-9
 CONE_MAX_ITER = 100
 ORBIT_TOL = 1e-7
-
-
-def _expm(A):
-    return A.copy() if A.size == 0 else expm(A)
 
 
 # Pade-13 numerator coefficients, divided by the constant one so that the
@@ -89,7 +84,9 @@ def _expm_stack(A):
     # s = ceil(log2(|A|_1 / theta)), at least 0; frexp gives 0 for 0, inf, nan
     m, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
     s = np.maximum(e - (m == 0.5), 0)
-    A = np.ldexp(A, -s[:, None, None])
+    squarings = int(s.max())
+    if squarings:
+        A = np.ldexp(A, -s[:, None, None])
     b = _PADE13
     eye = np.eye(k)
     A2 = A @ A
@@ -98,9 +95,12 @@ def _expm_stack(A):
     U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
     V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
     E = np.linalg.solve(V - U, V + U)
-    for step in range(int(s.max())):
+    for step in range(squarings):
         todo = s > step
-        E[todo] = E[todo] @ E[todo]
+        if todo.all():
+            E = E @ E
+        else:
+            E[todo] = E[todo] @ E[todo]
     return E.reshape(stack + (k, k))
 
 
@@ -438,7 +438,7 @@ def element_from_vector(M: SiegelModel, x_ambient) -> GroupElement:
     with its half block doubled (K delta = delta - v_{-1} - v_{-1/2}/2 for
     x = v in the minus block)."""
     x_ambient = np.asarray(x_ambient, dtype=float)
-    K = _expm(-ad_matrix(x_ambient, M.J.L))
+    K = _expm_stack(-ad_matrix(x_ambient, M.J.L))
     if not np.all(np.isfinite(K)):
         raise InputError("the exponential of the element overflows")
     delta = M.C[:, M.p + M.q :] @ M.delta0_coords
@@ -482,81 +482,146 @@ def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeResult:
-    inside: bool
-    residual: float
+    """The answer to one cone query, or to a stack of them.
+
+    For a (p,) query: ``inside`` a bool, ``residual`` a float and
+    ``witness`` the (p0,) solution or None.  For a (k, p) stack: ``inside``
+    (k,) bool, ``residual`` (k,) and ``witness`` (k, p0), NaN on the rows
+    that are not inside.
+    """
+
+    inside: bool | np.ndarray
+    residual: float | np.ndarray
     witness: np.ndarray | None
 
 
+def _cone_points(M: SiegelModel, g: np.ndarray) -> np.ndarray:
+    """Ad(exp g) xi0 = expm(-ad g) xi0 for a (k, p0) stack of 0-block
+    coordinates, from one ``_expm_stack``."""
+    A = (g @ M.ad1_gens.reshape(M.p0, -1)).reshape(-1, M.p, M.p)
+    return _expm_stack(-A)[..., : M.rank].sum(axis=-1)
+
+
+def _cone_jacobians(M: SiegelModel, g: np.ndarray):
+    """Ad(exp g) xi0, (k, p), and its Jacobian in g, (k, p, p0), for a
+    (k, p0) stack, from one ``_expm_stack`` of the k p0 Frechet blocks
+    [[A, -G_a], [0, A]], A = -ad g: their exponential is expm(A) on the
+    diagonal and d/dt expm(A - t G_a) at t = 0 in the upper-right block."""
+    p = M.p
+    B = np.zeros((len(g), M.p0, 2 * p, 2 * p))
+    B[..., :p, :p] = B[..., p:, p:] = -(g @ M.ad1_gens.reshape(M.p0, -1)).reshape(-1, 1, p, p)
+    B[..., :p, p:] = -M.ad1_gens
+    E = _expm_stack(B)[..., :p, : p + M.rank]
+    return E[:, 0, :, : M.rank].sum(axis=-1), E[..., p:].sum(axis=-1).transpose(0, 2, 1)
+
+
 def cone_contains(x, M: SiegelModel, tol: float = CONE_TOL) -> ConeResult:
-    """Gauss-Newton solve of Ad(exp g) xi0 = x over the 0-block.
+    """Gauss-Newton solve of Ad(exp g) xi0 = x over the 0-block, for one
+    (p,) query or a (k, p) stack of them in one solve.
 
     The 0-group acts simply transitively on the cone, so membership in the
     open cone is exactly solvability; divergence is reported as outside
-    (or numerically undecidable) with the best residual seen.
+    (or numerically undecidable) with the residual where the solve stopped.
+    Each query keeps its own convergence test and step halving, so its
+    answer does not depend on the rest of the stack.
     """
     x = np.asarray(x, dtype=float)
-    if x.shape != (M.p,):
+    if x.ndim not in (1, 2) or x.shape[-1] != M.p:
         raise DimensionMismatch("cone query must live in the (-1)-block")
-    if M.p == 0:
-        return ConeResult(True, 0.0, np.zeros(M.p0))
+    X = x.reshape(-1, M.p)
+    if M.p:
+        nx = np.linalg.norm(X, axis=1)
+        live = nx >= 1e-13 * max(1.0, np.sqrt(M.rank))  # |xi0| = sqrt(rank)
+        witness, residual = np.empty((len(X), M.p0)), nx.copy()
+        witness[live], residual[live] = _cone_solve(X[live], nx[live], M, tol)
+        inside = live & (residual < tol)
+        witness[~inside] = np.nan
+    else:
+        inside, residual, witness = np.ones(len(X), dtype=bool), np.zeros(len(X)), np.zeros((len(X), M.p0))
+    if x.ndim == 2:
+        return ConeResult(inside, residual, witness)
+    return ConeResult(bool(inside[0]), float(residual[0]), witness[0] if inside[0] else None)
+
+
+def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
+    """The Gauss-Newton iterations of :func:`cone_contains` on a (k, p)
+    stack of nonzero queries of norms ``nx``: the (k, p0) iterate where
+    each query stopped, and its residual relative to max(1, |x|).
+
+    A query stops when it converges, when its Jacobian or step is not
+    finite, or when 30 halvings of its step find no smaller residual
+    within norm 80.  The others go on as a compacted active set, and
+    every trial point's residual and Jacobian come from one
+    ``_cone_jacobians`` over the stack.
+    """
+    p, p0 = M.p, M.p0
+    rcond = np.finfo(float).eps * max(p, p0)  # lstsq's default cutoff
+    g_out, res_out = np.empty((len(X), p0)), np.empty(len(X))
+    scale = np.maximum(1.0, nx)
+    # start on the ray through x: delta0 grades the (-1)-block (ad delta0
+    # = -1 there), so g = log(lam) delta0 acts on it as the scalar lam,
+    # Ad(exp g) xi0 = lam xi0, and the Jacobian there is -lam G_a xi0
     xi0 = M.xi0_coords
-    nx = float(np.linalg.norm(x))
-    if nx < 1e-13 * max(1.0, float(np.linalg.norm(xi0))):
-        return ConeResult(False, nx, None)
-    scale = max(1.0, nx)
+    lam = nx / np.sqrt(M.rank)
+    g = np.log(lam)[:, None] * M.delta0_coords
+    r = lam[:, None] * xi0 - X
+    J = -lam[:, None, None] * (M.ad1_gens @ xi0).T
+    rn = np.linalg.norm(r, axis=1)
+    idx = np.arange(len(X))
 
-    lam = nx / float(np.linalg.norm(xi0))
-    g = np.log(lam) * M.delta0_coords
+    def retire(mask):
+        nonlocal g, r, rn, J, X, scale, idx
+        if mask.any():
+            g_out[idx[mask]], res_out[idx[mask]] = g[mask], rn[mask] / scale[mask]
+            keep = ~mask
+            g, r, rn, J, X, scale, idx = (a[keep] for a in (g, r, rn, J, X, scale, idx))
 
-    def residual(gv):
-        E = _expm(-np.einsum("a,aij->ij", gv, M.ad1_gens))
-        return E @ xi0 - x
-
-    r = residual(g)
-    best = float(np.linalg.norm(r)) / scale
     for _ in range(CONE_MAX_ITER):
-        rn = float(np.linalg.norm(r)) / scale
-        best = min(best, rn)
-        if rn < tol:
-            return ConeResult(True, rn, g)
-        # column a is the derivative of expm(A - t G_a) xi0 at t = 0: the
-        # upper-right block of expm([[A, -G_a], [0, A]]), one stack over a
-        A = -np.einsum("a,aij->ij", g, M.ad1_gens)
-        B = np.zeros((M.p0, 2 * M.p, 2 * M.p))
-        B[:, : M.p, : M.p] = B[:, M.p :, M.p :] = A
-        B[:, : M.p, M.p :] = -M.ad1_gens
-        Jmat = (_expm_stack(B)[:, : M.p, M.p :] @ xi0).T
-        step, *_ = np.linalg.lstsq(Jmat, -r, rcond=None)
-        if not np.all(np.isfinite(step)):
+        retire((rn / scale < tol) | ~np.isfinite(J).all(axis=(1, 2)))
+        if not len(idx):
             break
-        # halve the step while the residual grows
-        accepted = False
+        # least-squares steps, one batched SVD
+        U, s, Vt = np.linalg.svd(J, full_matrices=False)
+        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
+        step = -(Vt.transpose(0, 2, 1) @ (s_inv * (r[:, None, :] @ U)[:, 0])[..., None])[..., 0]
+        # halve each step while it leaves the norm-80 ball or does not
+        # lower the residual
+        pending = np.isfinite(step).all(axis=1)
+        moved = np.zeros(len(idx), dtype=bool)
         for _ in range(30):
-            g_new = g + step
-            if np.linalg.norm(g_new) > 80.0:
-                step = 0.5 * step
-                continue
-            r_new = residual(g_new)
-            if np.linalg.norm(r_new) < np.linalg.norm(r):
-                g, r = g_new, r_new
-                accepted = True
+            trial = g + step
+            t = np.flatnonzero(pending & (np.linalg.norm(trial, axis=1) <= 80.0))
+            cone, J_t = _cone_jacobians(M, trial[t])
+            r_t = cone - X[t]
+            rn_t = np.linalg.norm(r_t, axis=1)
+            better = rn_t < rn[t]
+            if len(t) == len(idx) and better.all():  # every whole step taken
+                g, r, rn, J, moved = trial, r_t, rn_t, J_t, better
+                break
+            hit = t[better]
+            g[hit], r[hit], rn[hit], J[hit] = trial[hit], r_t[better], rn_t[better], J_t[better]
+            moved[hit] = True
+            pending[hit] = False
+            if not pending.any():
                 break
             step = 0.5 * step
-        if not accepted:
+        retire(~moved)
+        if not len(idx):
             break
-    rn = float(np.linalg.norm(r)) / scale
-    return ConeResult(rn < tol, min(best, rn), g if rn < tol else None)
+    retire(np.ones(len(idx), dtype=bool))
+    return g_out, res_out
 
 
 def domain_defect(point: DomainPoint, M: SiegelModel) -> np.ndarray:
-    """im(z) - Phi(w, w), the vector whose cone membership defines D."""
-    quad = np.einsum("i,j,ijk->k", point.w, point.w, M.phi_re) if M.q else np.zeros(M.p)
+    """im(z) - Phi(w, w), the vector whose cone membership defines D; a
+    stack of points gives a (k, p) stack."""
+    quad = np.einsum("...i,...j,ijk->...k", point.w, point.w, M.phi_re) if M.q else 0.0
     return point.z.imag - quad
 
 
-def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL) -> bool:
-    if M.p == 0:
-        return True
+def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL):
+    """Whether ``point`` lies in D; a stack of k points gives a (k,) bool
+    array from one stacked cone solve."""
     return cone_contains(domain_defect(point, M), M, tol).inside
 
 
@@ -610,15 +675,23 @@ def random_element(M: SiegelModel, rng, bound: float = 1.0) -> GroupElement:
     )
 
 
-def random_interior_point(M: SiegelModel, rng) -> DomainPoint:
-    """Sample from the interior: im(z) = Phi(w,w) + (cone point)."""
-    w = rng.uniform(-1.0, 1.0, M.q)
-    if M.q:
-        nw = np.linalg.norm(w)
-        if nw > 1.0:
-            w = w / nw * rng.uniform(0.2, 1.0)
-    g0 = rng.uniform(-1.0, 1.0, M.p0)
-    cone_pt = _expm(-np.einsum("a,aij->ij", g0, M.ad1_gens)) @ M.xi0_coords
-    quad = np.einsum("i,j,ijk->k", w, w, M.phi_re) if M.q else np.zeros(M.p)
-    z = rng.uniform(-2.0, 2.0, M.p) + 1j * (quad + cone_pt)
+def random_interior_points(M: SiegelModel, count: int, rng) -> DomainPoint:
+    """``count`` interior points as one stacked ``DomainPoint``:
+    im(z) = Phi(w, w) + Ad(exp g0) xi0.
+
+    Point k takes row k of a single ``rng.random((count, q + 1 + p0 + p))``
+    draw: w uniform in [-1, 1]^q, moved to a radius uniform in [0.2, 1]
+    (the next column) when it falls outside the unit ball; g0 uniform in
+    [-1, 1]^p0; re(z) uniform in [-2, 2]^p.  The cone points come from one
+    ``_expm_stack``.
+    """
+    q, p0 = M.q, M.p0
+    u = rng.random((count, q + 1 + p0 + M.p))
+    w = -1.0 + 2.0 * u[:, :q]
+    nw = np.linalg.norm(w, axis=1, keepdims=True)
+    radius = 0.2 + 0.8 * u[:, q : q + 1]
+    w = w * np.where(nw > 1.0, radius / np.maximum(nw, 1.0), 1.0)
+    cone = _cone_points(M, -1.0 + 2.0 * u[:, q + 1 : q + 1 + p0])
+    quad = np.einsum("...i,...j,ijk->...k", w, w, M.phi_re) if q else 0.0
+    z = (-2.0 + 4.0 * u[:, q + 1 + p0 :]) + 1j * (quad + cone)
     return DomainPoint(z, w)

@@ -33,7 +33,7 @@ from hdq.siegel import (
     build_model,
     group_element,
     random_element,
-    random_interior_point,
+    random_interior_points,
     solve_orbit,
 )
 
@@ -214,15 +214,13 @@ def test_criterion_4_action_transitivity(compose):
     for name in PRESETS:
         M = build_model(preset(name))
         z0 = M.base_point()
-        for _ in range(100):
-            p = random_interior_point(M, rng)
+        for p in random_interior_points(M, 100, rng):
             g = solve_orbit(p, M)
             res = act(g, z0, M).distance(p)
             assert res < 1e-7 * max(1.0, np.linalg.norm(p.pack())), (name, res)
-        for _ in range(100):
+        for p in random_interior_points(M, 100, rng):
             g = random_element(M, rng, 2.0)
             h = random_element(M, rng, 2.0)
-            p = random_interior_point(M, rng)
             lhs = act(compose(g, h, M), p, M)
             rhs = act(g, act(h, p, M), M)
             assert lhs.distance(rhs) < 1e-8, name
@@ -272,8 +270,7 @@ def test_criterion_6_ball_lemmas():
         gens = ["zeta", "delta"] + [f"xi{k}" for k in range(1, n)] + [
             f"eta{k}" for k in range(1, n)
         ]
-        for _ in range(20):
-            pt = random_interior_point(M, rng)
+        for pt in random_interior_points(M, 20, rng):
             t = rng.uniform(-1.5, 1.5)
             for gen in gens:
                 vec = np.zeros(2 * n)

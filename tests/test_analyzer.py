@@ -17,7 +17,8 @@ from hdq.errors import InputError, MalformedCertificate
 from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
 from hdq.lie_core import LieAlgebraData
-from hdq.siegel import act, build_model, element_from_vector
+from hdq import cli
+from hdq.siegel import act, build_model, contains, domain_defect, element_from_vector
 
 
 def rotation_phi(theta, dilation=0.0):
@@ -248,6 +249,48 @@ def test_domain_screen_rejects_non_automorphism():
     lin[2, 2] = 3.0  # inflates |w| without moving z: leaves the domain
     with pytest.raises(InputError):
         analyze("ball:2", {"linear": lin.tolist(), "translation": [0.0] * 4})
+
+
+def _leaving_involution():
+    """An involution of ball:2's packed coordinates that leaves the domain:
+    w1 -> 5 re(z) - w1."""
+    lin = np.eye(4)
+    lin[2][0] = 5.0
+    lin[2][2] = -1.0
+    return {"linear": lin.tolist(), "translation": [0.0] * 4}
+
+
+def test_domain_screen_rejects_a_domain_leaving_involution(tmp_path, capsys):
+    with pytest.raises(InputError, match="does not preserve the domain"):
+        analyze("ball:2", _leaving_involution())
+    phi = tmp_path / "phi.json"
+    phi.write_text(json.dumps(_leaving_involution()))
+    assert cli.main(["analyze", "--domain", "ball:2", "--phi", f"affine:{phi}"]) == cli.EXIT_INPUT
+    assert "does not preserve the domain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("domain", ["ball:2", "product:[ball:3,ball:3]", "polydisc:3"])
+def test_screen_samples_are_interior_and_depend_only_on_the_seed(domain, monkeypatch):
+    """The screen draws 20 points from its seed alone, all interior, and
+    tests their images with one stacked cone query at 1e-7."""
+    M = build_model(preset(domain))
+    drawn, queries = [], []
+    sampler, solver = analyzer.random_interior_points, analyzer.contains
+    monkeypatch.setattr(analyzer, "random_interior_points", lambda *a: drawn.append(sampler(*a)) or drawn[-1])
+    monkeypatch.setattr(analyzer, "contains", lambda *a: queries.append(a) or solver(*a))
+    dim = 2 * M.p + M.q
+    identity = {"linear": np.eye(dim).tolist(), "translation": [0.0] * dim}
+    for seed, noise in ((7, 1), (7, 2), (8, 1)):
+        np.random.seed(noise)  # the global generator must not matter
+        analyzer.resolve_phi(identity, M, seed)
+    assert [len(pts.z) for pts in drawn] == [20, 20, 20]
+    assert [(len(q[0].z), q[2]) for q in queries] == [(20, 1e-7)] * 3
+    np.testing.assert_array_equal(drawn[0].pack(), drawn[1].pack())
+    assert not np.array_equal(drawn[0].pack(), drawn[2].pack())
+    for pts in drawn:
+        assert np.all(contains(pts, M, 1e-9))
+        if M.p == 1:  # a ball: the cone is the positive ray
+            assert np.all(domain_defect(pts, M) > 0)
 
 
 def test_recursion_depth_bounded_by_rank():

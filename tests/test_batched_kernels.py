@@ -9,7 +9,9 @@ loops', so agreement is required to 1e-12, not bit for bit; the stacked
 samples are required to equal the per-point draws exactly.
 """
 
+import ast
 import dataclasses
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -29,6 +31,9 @@ from hdq.siegel import (
     _expm_stack,
     _hermitian_defect,
     build_model,
+    cone_contains,
+    domain_defect,
+    random_interior_points,
     vector_field,
 )
 
@@ -160,6 +165,42 @@ def _loop_samples(M, count, rng):
         z = rng.uniform(-2.0, 2.0, M.p) + 1j * (quad + M.xi0_coords)
         pts.append(DomainPoint(z, w))
     return pts
+
+
+def _loop_cone_contains(x, M, tol):
+    """The former one-query Gauss-Newton loop: (inside, witness or None)."""
+    xi0 = M.xi0_coords
+    nx = float(np.linalg.norm(x))
+    if nx < 1e-13 * max(1.0, float(np.linalg.norm(xi0))):
+        return False, None
+    scale = max(1.0, nx)
+    g = np.log(nx / float(np.linalg.norm(xi0))) * M.delta0_coords
+
+    def residual(gv):
+        return expm(-np.einsum("a,aij->ij", gv, M.ad1_gens)) @ xi0 - x
+
+    r = residual(g)
+    for _ in range(100):
+        if np.linalg.norm(r) / scale < tol:
+            return True, g
+        B = np.zeros((M.p0, 2 * M.p, 2 * M.p))
+        B[:, : M.p, : M.p] = B[:, M.p :, M.p :] = -np.einsum("a,aij->ij", g, M.ad1_gens)
+        B[:, : M.p, M.p :] = -M.ad1_gens
+        Jmat = (np.array([expm(b) for b in B])[:, : M.p, M.p :] @ xi0).T
+        step, *_ = np.linalg.lstsq(Jmat, -r, rcond=None)
+        if not np.all(np.isfinite(step)):
+            break
+        for _ in range(30):
+            if np.linalg.norm(g + step) <= 80.0:
+                r_new = residual(g + step)
+                if np.linalg.norm(r_new) < np.linalg.norm(r):
+                    g, r = g + step, r_new
+                    break
+            step = 0.5 * step
+        else:
+            break
+    inside = np.linalg.norm(r) / scale < tol
+    return inside, g if inside else None
 
 
 # -- comparisons ------------------------------------------------------------
@@ -360,6 +401,40 @@ def test_expm_stack_slices_do_not_depend_on_the_stack():
     E = _expm_stack(X)
     for k in range(6):
         np.testing.assert_array_equal(E[k], _expm_stack(X[k]))
+
+
+@pytest.mark.parametrize("name", ["ball:3", "polydisc:3", "product:[ball:2,ball:1]", "sym2_tube"])
+def test_stacked_cone_solve_matches_loop(name, sym2_tube):
+    M = build_model(sym2_tube() if name == "sym2_tube" else preset(name))
+    rng = np.random.default_rng(90)
+    queries = np.concatenate([
+        domain_defect(random_interior_points(M, 8, rng), M),
+        rng.standard_normal((6, M.p)),
+        rng.uniform(1e-3, 1e3, (3, 1)) * rng.standard_normal((3, M.p)),
+    ])
+    for tol in (1e-9, 1e-7):
+        res = cone_contains(queries, M, tol)
+        assert res.inside.any() and not res.inside.all()
+        for k, x in enumerate(queries):
+            inside, witness = _loop_cone_contains(x, M, tol)
+            assert res.inside[k] == inside
+            if inside:
+                np.testing.assert_allclose(res.witness[k], witness, rtol=0, atol=1e-7)
+
+
+def test_no_module_uses_scipys_expm():
+    """Every exponential in the package goes through ``_expm_stack``; scipy's
+    ``expm`` stays here as an oracle only."""
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hdq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+                names = [f"{node.module}.{n}" for n in names]
+            if isinstance(node, ast.Attribute):
+                names = [node.attr]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[-1] == "expm"]
+    assert not found
 
 
 def test_span_ignores_zero_rows():

@@ -57,3 +57,18 @@ def test_traced_tower_measures_the_input_only(monkeypatch):
     metrics = result["metrics"]
     assert metrics["jalgebra.fine_structure_calls"]["value"] <= 4
     assert metrics["siegel.build_model_calls"]["value"] <= 2
+
+
+def test_traced_affine_screen_is_one_stacked_cone_query(monkeypatch):
+    """A traced one-round affine-elliptic run is correct, and each pair
+    makes at most two cone queries: the domain screen's 20 points go to
+    ``cone_contains`` as one stack, and ``solve_orbit`` adds at most one."""
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        monkeypatch.setenv(var, "1")
+    spec = importlib.util.spec_from_file_location("hdq_bench_run", TRACING.parent / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    result, lines = module.run("affine-elliptic", 1, 0.0, True, min_ops=6)
+    assert result["correct"] and result["failed"] == 0, lines
+    assert result["metrics"]["siegel.cone_contains_calls"]["value"] <= 2

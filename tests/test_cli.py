@@ -144,6 +144,26 @@ def test_verify_non_mapping_domain_is_malformed(tmp_path, capsys):
     assert "domain must be a preset name or a mapping" in capsys.readouterr().err
 
 
+def test_consecutive_main_calls_get_independent_namespaces(monkeypatch):
+    """The parser is built once; each ``main`` call parses into a fresh
+    namespace, so no option leaks from one call into the next."""
+    seen = []
+    for name in ("cmd_fibration", "cmd_validate", "cmd_ball"):
+        monkeypatch.setattr(cli, name, lambda args: seen.append(args) or cli.EXIT_OK)
+    assert cli.build_parser() is cli.build_parser()
+    assert cli.main(["fibration", "--domain", "ball:2", "--samples", "7", "--seed", "3"]) == 0
+    assert cli.main(["validate", "algebra.json"]) == 0
+    assert cli.main(["fibration", "--domain", "polydisc:2"]) == 0
+    assert cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0"]) == 0
+    assert [vars(a) for a in seen] == [
+        {"command": "fibration", "domain": "ball:2", "samples": 7, "seed": 3},
+        {"command": "validate", "file": "algebra.json"},
+        {"command": "fibration", "domain": "polydisc:2", "samples": 100, "seed": 0},
+        {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0", "samples": 50, "seed": 0},
+    ]
+    assert len({id(a) for a in seen}) == 4
+
+
 def test_fibration_tower():
     res = run_cli("fibration", "--domain", "polydisc:3", "--samples", "20")
     assert res.returncode == 0, res.stderr

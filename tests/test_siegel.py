@@ -20,7 +20,7 @@ from hdq.siegel import (
     group_element,
     identity,
     random_element,
-    random_interior_point,
+    random_interior_points,
     solve_orbit,
     vector_field,
 )
@@ -86,6 +86,74 @@ def test_cone_polydisc_witness(P2):
     res = cone_contains(np.array([1.0, 3.0]), P2)
     assert res.inside and res.residual < 1e-9
     np.testing.assert_allclose(res.witness, [0.0, np.log(3.0)], atol=1e-7)
+
+
+def _closed_form_cone(name, sym2_tube):
+    """(model, inside) for a domain whose cone has a closed form: the
+    orthant for polydisc:6 and product:[ball:3,ball:3], the ray for
+    ball:4, and Sym+(2) for the tube, whose ad generators do not commute."""
+    if name == "sym2_tube":
+        M = build_model(sym2_tube())
+        # adapted (-1)-coordinates (x1, x2, x3) are [[x1, x3], [x3, x2]]
+        margin = lambda x: np.linalg.eigvalsh(np.array([[x[0], x[2]], [x[2], x[1]]]))[0]
+    else:
+        M = build_model(preset(name))
+        margin = np.min
+    return M, margin
+
+
+@pytest.mark.parametrize("name", ["polydisc:6", "product:[ball:3,ball:3]", "ball:4", "sym2_tube"])
+def test_stacked_cone_solve_matches_closed_forms(name, sym2_tube):
+    M, margin = _closed_form_cone(name, sym2_tube)
+    rng = np.random.default_rng(31)
+    drawn = np.concatenate([
+        domain_defect(random_interior_points(M, 12, rng), M),  # inside
+        rng.standard_normal((12, M.p)),                         # either side
+        rng.uniform(0.1, 3.0, (4, M.p)) * rng.choice([-1.0, 1.0], (4, M.p)),
+    ])
+    # keep a query only where its side of the boundary is clear
+    drawn = np.array([x for x in drawn if abs(margin(x)) > 1e-3 * np.linalg.norm(x)])
+    xi0 = M.xi0_coords
+    queries = np.concatenate([drawn, [np.zeros(M.p), -1e6 * xi0, 1e6 * xi0, 1e8 * (xi0 - 2.0 * drawn[0])]])
+    want = np.array([margin(x) > 0 for x in queries])
+    want[len(drawn)] = False  # the zero query is not in the open cone
+    assert want.any() and not want.all()
+
+    res = cone_contains(queries, M)
+    assert res.inside.shape == res.residual.shape == (len(queries),)
+    assert res.witness.shape == (len(queries), M.p0)
+    np.testing.assert_array_equal(res.inside, want)
+    assert np.all(np.isnan(res.witness[~want]))
+    # each witness carries the base point's cone vector onto its query
+    for x, w in zip(queries[want], res.witness[want]):
+        pt = act(group_element(M, np.zeros(M.p + M.q), w), M.base_point(), M)
+        assert np.linalg.norm(pt.z.imag - x) <= 1e-8 * max(1.0, np.linalg.norm(x))
+    if name == "polydisc:6":
+        np.testing.assert_allclose(res.witness[want], np.log(queries[want]), atol=1e-7)
+
+    # a slice of the stack is the same query solved alone
+    for k, x in enumerate(queries):
+        alone = cone_contains(x, M)
+        assert alone.inside == res.inside[k]
+        assert alone.residual == res.residual[k]
+        if alone.inside:
+            np.testing.assert_array_equal(alone.witness, res.witness[k])
+        else:
+            assert alone.witness is None
+
+
+def test_contains_takes_stacked_points(H2):
+    pts = DomainPoint([[2j], [-1j], [0j], [3j]], [[1.0, 0.0], [0.0, 0.0], [0.0, 0.0], [0.0, 2.0]])
+    np.testing.assert_array_equal(contains(pts, H2), [True, False, False, False])
+    assert contains(pts, H2).dtype == bool
+
+
+def test_cone_query_shapes(H2):
+    with pytest.raises(DimensionMismatch):
+        cone_contains(np.ones(2), H2)
+    with pytest.raises(DimensionMismatch):
+        cone_contains(np.ones((2, 2, 1)), H2)
+    assert cone_contains(np.ones((0, 1)), H2).inside.shape == (0,)
 
 
 def test_contains_examples(H2):
@@ -172,9 +240,8 @@ def test_action_group_law(name, compose):
 def test_domain_preservation(name):
     M = build_model(preset(name))
     rng = np.random.default_rng(5)
-    for _ in range(100):
+    for pt in random_interior_points(M, 100, rng):
         s = random_element(M, rng, 1.0)
-        pt = random_interior_point(M, rng)
         assert contains(pt, M, 1e-9)
         assert contains(act(s, pt, M), M, 1e-7)
 
@@ -197,9 +264,8 @@ def test_simple_transitivity(name):
 def test_defect_is_action_invariant_under_nilpotent_part(H2):
     # translations along the minus-block leave im(z) - |w|^2 unchanged
     rng = np.random.default_rng(9)
-    for _ in range(10):
+    for pt in random_interior_points(H2, 10, rng):
         g = group_element(H2, rng.uniform(-1, 1, 3), np.zeros(1))
-        pt = random_interior_point(H2, rng)
         d0 = domain_defect(pt, H2)
         d1 = domain_defect(act(g, pt, H2), H2)
         np.testing.assert_allclose(d0, d1, atol=1e-10)
