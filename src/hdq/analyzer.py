@@ -43,8 +43,14 @@ rest:
   how far it is from affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′.
 - ``tower_descend``: ``dim_quotient_algebra``, compared with the
-  recomputed tower; ``EQUIVARIANCE_SAMPLES`` samples use seed
-  ``seed + level``.
+  recomputed tower (``fibration.split_last_root``, one level at a time).
+  The check draws ``EQUIVARIANCE_SAMPLES`` exponential coordinates with
+  seed ``seed + level`` and measures both sides of the equivariance
+  square as orbit points of the base point (``siegel.orbit_points``):
+  those of the samples, projected by the level's ``quotient_map``, and
+  those of their pushed coordinates on the quotient.  The walk carries
+  the element down the tower as exponential coordinates and builds no
+  quotient group element.
 - ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
   ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
   ``conjugator_x_minus``; ``FIBER_SAMPLE_POINTS`` interior points are
@@ -280,13 +286,14 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     if take("elliptic_reduction", 0, dict) is None or take("conjugation_into_S", 0, lambda: _orbit_payload(state)) is None:
         return
 
-    # descent down the fibration tower until the element lies in a fiber
-    level, M, s = 1, state.model, state.element
+    # descent down the fibration tower until the element lies in a fiber;
+    # the element travels as its exponential coordinates (x_minus, x_zero)
+    level, M, s = 1, state.model, (state.element.x_minus, state.element.x_zero)
     while M.J.dim:
         F = state.fibration(level)
-        pushed = push_group(s, F)
-        total = float(np.linalg.norm(s.x_minus) + np.linalg.norm(s.x_zero))
-        push_norm = float(np.linalg.norm(pushed.x_minus) + np.linalg.norm(pushed.x_zero))
+        pushed = push_group(*s, F)
+        total = float(np.linalg.norm(s[0]) + np.linalg.norm(s[1]))
+        push_norm = float(np.linalg.norm(pushed[0]) + np.linalg.norm(pushed[1]))
         ratio = push_norm / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
             d = F.fiber_model.dim_complex
@@ -328,8 +335,8 @@ def _orbit_payload(state: ReplayState) -> dict:
     return {"x_minus": s.x_minus, "x_zero": s.x_zero}
 
 
-def _fiber_payload(F: FibrationStep, M: SiegelModel, s: GroupElement) -> dict:
-    x_b = np.linalg.pinv(F.b_basis) @ element_log(M, s)
+def _fiber_payload(F: FibrationStep, M: SiegelModel, s: tuple) -> dict:
+    x_b = np.linalg.pinv(F.b_basis) @ element_log(M, *s)
     V, g = totally_real_subalgebra(x_b, F.fiber_model)
     return {
         "fiber_dim": F.fiber_model.dim_complex,

@@ -4,14 +4,29 @@ Dropping the last fundamental root splits the algebra along the model's
 own adapted basis: the columns of ``M.C`` whose root involves the last
 frame index (``SiegelModel.frame_indices``) span a j-invariant ideal, and
 the other columns a j-invariant subalgebra.  Both are spanned by root
-spaces of the input, so both are split solvable, and their models are
-assembled on these columns with no new root decomposition.  The quotient
-keeps its columns as they are.  The ideal is the rank-one algebra of a
-unit ball (``ball.require_ball_like`` checks its model), regraded: xi and
-eta of the last root are its (-1)- and 0-blocks, and every other column
-joins its half block.  The omega-orthogonal projection onto the
-subalgebra is an algebra homomorphism; complexified on the (-1)-block it
-realizes the equivariant submersion between the two Siegel domains.
+spaces of the input (Vinberg, Gindikin and Pyatetskii-Shapiro 1963), so
+in the adapted basis each is a coordinate slice.  The algebra is rebased
+into that basis once, at the top of the tower (``jalgebra.adapted``);
+every level below works in it already.
+
+- The quotient is the subalgebra on the kept columns.  Its algebra and
+  its model are index slices of the parent's (``jalgebra.subalgebra``,
+  ``siegel.restrict_model``), with ``C`` the identity, and no new root
+  decomposition or inverse is computed.
+- The ideal is the rank-one algebra of a unit ball
+  (``ball.require_ball_like`` checks its model), regraded: xi and eta of
+  the last root are its (-1)- and 0-blocks, and every other column joins
+  its half block, paired anew under j.
+- The gates are block residuals of the adapted bracket and j: the kept
+  columns must be closed under the bracket and j-invariant, the dropped
+  ones a j-invariant ideal, and the form must keep its orientation and
+  Hermitian axioms on every model.
+
+The omega-orthogonal projection onto the subalgebra is an algebra
+homomorphism; complexified on the (-1)-block it realizes the equivariant
+submersion between the two Siegel domains.  ``quotient_map`` is that
+projection, computed from the adapted Gram matrix; it is not the
+coordinate selection, and ``check_equivariance`` measures it.
 """
 
 from __future__ import annotations
@@ -22,16 +37,15 @@ import numpy as np
 
 from .ball import require_ball_like
 from .errors import RootPatternViolation
-from .jalgebra import NormalJAlgebra, gram, subalgebra
+from .jalgebra import NormalJAlgebra, adapted, gram, subalgebra
 from .siegel import (
     DomainPoint,
-    GroupElement,
     SiegelModel,
     _complex_pairs,
-    act,
     assemble_model,
     build_model,
-    group_element,
+    orbit_points,
+    restrict_model,
 )
 
 
@@ -43,16 +57,15 @@ class FibrationStep:
 
     ``b_basis`` holds the columns of the domain model's ``C`` whose root
     involves the last frame index, in their order there; the quotient
-    algebra ``quotient_model.J`` is built on the other columns, with ``C``
-    the identity, and the fiber algebra ``fiber_model.J`` on ``b_basis``,
-    with its half block paired anew under j.  ``quotient_map`` is
-    the projection from the domain's adapted coordinates (the model's
-    ``C`` basis, blocks s_{-1} | s_{-1/2} | s_0) to the quotient's adapted
-    coordinates: the omega-orthogonal projection onto the subalgebra, in
-    its basis, between ``M.C`` and ``Mq.Cinv``; it is computed once per
-    split.  It is graded, so ``project_point`` and ``push_group`` apply its
-    diagonal blocks to stacks of rows, and ``check_equivariance`` pushes
-    all its samples through it in one product per side.
+    algebra ``quotient_model.J`` is the domain's adapted algebra on the
+    other columns, with ``C`` the identity, and the fiber algebra
+    ``fiber_model.J`` the one on ``b_basis``, with its half block paired
+    anew under j.  ``quotient_map`` is the projection from the domain's
+    adapted coordinates (the model's ``C`` basis, blocks s_{-1} | s_{-1/2}
+    | s_0) to the quotient's: the omega-orthogonal projection onto the
+    subalgebra, in its basis, computed once per split.  It is graded, so
+    ``project_point`` and ``push_group`` apply its diagonal blocks to
+    stacks of rows.
     """
 
     domain_model: SiegelModel
@@ -67,39 +80,30 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     r = M.rank
     if r < 1:
         raise RootPatternViolation("need rank at least one to split")
-    J = M.J
-    ideal = np.array([r - 1 in idx for idx in M.frame_indices])
-    # C-ordered like a column stack: masked columns come out Fortran-ordered,
-    # and products with them differ in the last digits
-    B_prime = np.ascontiguousarray(M.C[:, ~ideal])
-    B_ideal = np.ascontiguousarray(M.C[:, ideal])
-    G = gram(J)
-    coords = np.linalg.solve(B_prime.T @ G @ B_prime, B_prime.T @ G)
+    J = adapted(M.J, M.C)
+    ideal = np.array([r - 1 in idx for idx in M.frame_indices], dtype=bool)
+    kept = ~ideal
+    quotient_model = restrict_model(M, subalgebra(J, kept), kept, r - 1)
     # the fiber: xi_{r-1} leads the ideal's columns and eta_{r-1} its 0-block;
     # every other column is a half column of the fiber, paired under j
-    Jb = subalgebra(J, B_ideal)
+    Jb = subalgebra(J, ideal, ideal=True)
     E, eta = np.eye(Jb.dim), int(np.sum(ideal[: M.p + M.q]))
     paired, m = _complex_pairs(np.delete(E, [0, eta], axis=1), Jb.j)
     fiber_layout = (1, 2 * m, ((0, m),) if m else (), ((0,),) * Jb.dim)
     fiber_model = assemble_model(Jb, np.column_stack([E[:, 0], paired, E[:, eta]]), 1, fiber_layout)
     require_ball_like(fiber_model)
-    # the quotient keeps the rest of the parent's columns, in their order
-    kept = ~ideal[M.p : M.p + M.q]
-    half_pairs = tuple((int(np.sum(kept[:o])), size) for o, size in M.half_pairs if kept[o])
-    frame_indices = tuple(idx for idx, i in zip(M.frame_indices, ideal) if not i)
-    layout = (int(np.sum(~ideal[: M.p])), int(np.sum(kept)), half_pairs, frame_indices)
-    quotient_model = assemble_model(subalgebra(J, B_prime), np.eye(len(frame_indices)), r - 1, layout)
+    G = gram(J)
     return FibrationStep(
         domain_model=M,
         quotient_model=quotient_model,
         fiber_model=fiber_model,
-        b_basis=B_ideal,
-        quotient_map=quotient_model.Cinv @ coords @ M.C,
+        b_basis=np.ascontiguousarray(M.C[:, ideal]),
+        quotient_map=np.linalg.solve(G[np.ix_(kept, kept)], G[kept]),
     )
 
 
 # ---------------------------------------------------------------------------
-# the submersion on points and group elements
+# the submersion on points and exponential coordinates
 # ---------------------------------------------------------------------------
 
 def project_point(point: DomainPoint, F: FibrationStep) -> DomainPoint:
@@ -111,30 +115,30 @@ def project_point(point: DomainPoint, F: FibrationStep) -> DomainPoint:
     return DomainPoint(z_q, w_q)
 
 
-def push_group(g: GroupElement, F: FibrationStep) -> GroupElement:
+def push_group(x_minus, x_zero, F: FibrationStep):
     """Push exponential coordinates (of one element or a stack) through the
-    quotient homomorphism."""
+    quotient homomorphism: the quotient's ``(x_minus, x_zero)``."""
     M, Mq = F.domain_model, F.quotient_model
     Q = F.quotient_map
     k, kq = M.p + M.q, Mq.p + Mq.q
-    return group_element(Mq, g.x_minus @ Q[:kq, :k].T, g.x_zero @ Q[kq:, k:].T)
+    return x_minus @ Q[:kq, :k].T, x_zero @ Q[kq:, k:].T
 
 
 def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> float:
     """Max over random group elements s of |pi(s . z0) - pi_*(s) . pi(z0)|.
 
     The ``samples`` elements are drawn in one call, uniform in [-1, 1] per
-    exponential coordinate, and both sides of the square are evaluated as
-    stacks: one batched ``group_element`` on each domain and one product
-    with the stored ``quotient_map`` on each side.
+    exponential coordinate.  Both sides of the square are stacks of orbit
+    points (``siegel.orbit_points``): of s on the domain, projected by the
+    stored ``quotient_map``, and of the pushed coordinates on the quotient.
     """
     rng = np.random.default_rng(seed)
     M, Mq = F.domain_model, F.quotient_model
     k = M.p + M.q
     coords = rng.uniform(-1.0, 1.0, (samples, k + M.p0))
-    s = group_element(M, coords[:, :k], coords[:, k:])
-    lhs = project_point(act(s, M.base_point(), M), F)
-    rhs = act(push_group(s, F), Mq.base_point(), Mq)
+    x_minus, x_zero = coords[:, :k], coords[:, k:]
+    lhs = project_point(orbit_points(M, x_minus, x_zero), F)
+    rhs = orbit_points(Mq, *push_group(x_minus, x_zero, F))
     dist = np.linalg.norm(lhs.z - rhs.z, axis=-1) + np.linalg.norm(lhs.w - rhs.w, axis=-1)
     return float(np.max(dist, initial=0.0))
 

@@ -388,37 +388,49 @@ def _fundamental_order(J, fundamental_spaces, twice):
 # Subalgebras, products, presets
 # ---------------------------------------------------------------------------
 
-def subalgebra(J: NormalJAlgebra, basis: np.ndarray) -> NormalJAlgebra:
-    """Normal j-algebra structure induced on a j-invariant subalgebra.
-
-    ``basis`` columns must span a j-invariant subalgebra; the bracket, j and
-    omega are expressed in those columns.  Each column is labelled by its
-    dominant ambient label, deduplicated by suffixing.
-    """
-    B = np.asarray(basis, dtype=float)
-    n, m = B.shape
-    if m == 0:
-        return empty_algebra()
-    pinv = np.linalg.pinv(B)
-    brackets = bracket_table(B, B, J.L)
-    c = brackets @ pinv.T
-    off = np.linalg.norm(c @ B.T - brackets, axis=-1)
-    if np.any(off > 1e-7 * np.maximum(1.0, np.linalg.norm(brackets, axis=-1))):
-        raise InputError("basis does not span a subalgebra")
-    j_sub = pinv @ (J.j @ B)
-    if np.max(np.abs(B @ j_sub - J.j @ B)) > 1e-7:
-        raise InputError("subspace is not j-invariant")
-    omega_sub = J.omega @ B
+def adapted(J: NormalJAlgebra, C: np.ndarray) -> NormalJAlgebra:
+    """J over the basis of the columns of the invertible C: the bracket, j
+    and omega expressed in those columns, each labelled by its dominant
+    ambient label, deduplicated by suffixing.  J itself when C is the
+    identity."""
+    n = J.dim
+    if np.array_equal(C, np.eye(n)):
+        return J
+    Cinv = np.linalg.inv(C)
     labels = []
-    for a in range(m):
-        dom = J.L.basis_labels[int(np.argmax(np.abs(B[:, a])))]
-        lbl = dom
-        k = 2
+    for a in range(n):
+        dom = J.L.basis_labels[int(np.argmax(np.abs(C[:, a])))]
+        lbl, k = dom, 2
         while lbl in labels:
             lbl = f"{dom}#{k}"
             k += 1
         labels.append(lbl)
-    return NormalJAlgebra(LieAlgebraData(m, tuple(labels), c), j_sub, omega_sub)
+    c = bracket_table(C, C, J.L) @ Cinv.T
+    return NormalJAlgebra(LieAlgebraData(n, tuple(labels), c), Cinv @ J.j @ C, J.omega @ C)
+
+
+def subalgebra(J: NormalJAlgebra, keep, ideal: bool = False) -> NormalJAlgebra:
+    """The normal j-algebra on the basis vectors of J that the mask
+    ``keep`` selects: the bracket, j, omega and labels sliced.
+
+    Raises ``InputError`` unless those vectors span a j-invariant
+    subalgebra (with ``ideal``, a j-invariant ideal): the bracket of two
+    kept vectors (of a kept vector with any basis vector) may leave the
+    span by at most 1e-7 times max(1, its norm), and j by at most 1e-7.
+    """
+    keep = np.asarray(keep, dtype=bool)
+    if not keep.any():
+        return empty_algebra()
+    k, d = np.flatnonzero(keep), np.flatnonzero(~keep)
+    inner = J.L.c[k][:, k]
+    brackets = J.L.c[k] if ideal else inner
+    off = np.linalg.norm(brackets[..., d], axis=-1)
+    if np.any(off > 1e-7 * np.maximum(1.0, np.linalg.norm(brackets, axis=-1))):
+        raise InputError("basis does not span an ideal" if ideal else "basis does not span a subalgebra")
+    if np.max(np.abs(J.j[d][:, k]), initial=0.0) > 1e-7:
+        raise InputError("subspace is not j-invariant")
+    labels = tuple(J.L.basis_labels[a] for a in k)
+    return NormalJAlgebra(LieAlgebraData(len(k), labels, inner[..., k]), J.j[k][:, k], J.omega[k])
 
 
 def product(J1: NormalJAlgebra, J2: NormalJAlgebra) -> NormalJAlgebra:

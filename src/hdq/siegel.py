@@ -5,8 +5,9 @@ starts with the frame vectors xi_1..xi_r (so the cone sits over the
 all-ones direction), the 0-block starts with eta_1..eta_r, and the
 (-1/2)-block is organized in complex pairs (u, j u) per half-root space.
 ``build_model`` reads these columns off the fine structure of an input;
-``assemble_model`` derives the rest of the model from them, and the
-fibration tower calls it on columns its children inherit.
+``assemble_model`` derives the rest of the model from them (the fibration
+tower calls it for each fiber), and ``restrict_model`` slices a quotient's
+model out of its parent's, with the identity as its basis.
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the
@@ -19,6 +20,8 @@ displayed action
 with the group-level adjoint realized as expm(-ad(x_zero)): one-parameter
 flows compose with the opposite bracket, and this choice is what makes the
 formula reproduce the closed-form flows of the half-plane generators.
+Where only the image of the base point is read, ``orbit_points`` gives
+s . z0 directly from the coordinates, and no affine map is built.
 
 One bridge joins layered coordinates and the algebra, the delta
 read-off: ad(delta) grades the algebra into degrees -1, -1/2 and 0, so
@@ -27,10 +30,18 @@ expm(-ad v) delta = delta - v_{-1} - v_{-1/2}/2 stops after its linear
 term.  ``element_from_vector`` reads x_minus linearly off K delta with
 K = expm(-ad x); ``element_log`` inverts that read-off with one linear
 solve per graded block, and no matrix logarithm is taken.
+
+Every exponential goes through one kernel, ``_expm_stack``: a stack of
+matrices in one pass, each slice scaled by its own power of two and
+evaluated by the degree-16 Taylor polynomial in Paterson-Stockmeyer form,
+with matrix products only.  The scaling is read off the slice's third
+and fourth powers, which the polynomial needs anyway, so a nilpotent
+slice of large norm is not squared at all.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,57 +61,73 @@ CONE_MAX_ITER = 100
 ORBIT_TOL = 1e-7
 
 
-# Pade-13 numerator coefficients, divided by the constant one so that the
-# zero matrix maps to the identity exactly, and the 1-norm up to which the
-# degree-13 approximant is accurate to double precision without scaling
-# (Higham, "The scaling and squaring method for the matrix exponential
-# revisited", SIAM J. Matrix Anal. Appl. 26, 2005, Table 2.3)
-_PADE13 = tuple(
-    b / 64764752532480000.0
-    for b in (
-        64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-        1187353796428800.0, 129060195264000.0, 10559470521600.0,
-        670442572800.0, 33522128640.0, 1323241920.0, 40840800.0, 960960.0,
-        16380.0, 182.0, 1.0,
+# The degree-16 Taylor polynomial in Paterson-Stockmeyer blocks: row j
+# holds the coefficients 1/k! of I, A, A^2, A^3 in the block of degrees
+# 4j..4j+3, and the top row also that of A^4.  Up to
+# max(|A^3|^(1/3), |A^4|^(1/4)) = _THETA16 its relative backward error
+# stays below 2^-53 (Al-Mohy and Higham, "A new scaling and squaring
+# algorithm for the matrix exponential", SIAM J. Matrix Anal. Appl. 31,
+# 2009, Theorem 4.2 with p = 3, and Table 4.1).
+_PS16 = np.array([[1.0 / math.factorial(4 * j + l) if l < 4 or j == 3 else 0.0 for l in range(5)] for j in range(4)])
+_THETA16 = 0.7802874256626574
+
+
+def _scaled_powers(A):
+    """(I, A, A^2, A^3, A^4) of each slice of a (n, k, k) stack, as one
+    (n, 5, k, k) array with slice i scaled by 2^-s[i], and the (n,)
+    squarings s.
+
+    s is the least integer with max(|A^3|^(1/3), |A^4|^(1/4)) 2^-s <=
+    ``_THETA16`` in the Frobenius norm, and at least 0: a slice's own
+    powers bound its scaling, so a nilpotent slice of large norm takes
+    none.  The powers are formed once, unscaled, and rescaled by exact
+    powers of two; a slice whose fourth power overflows comes out
+    non-finite.
+    """
+    n, k = len(A), A.shape[-1]
+    W = np.empty((n, 5, k, k))
+    W[:, 0] = np.eye(k)
+    W[:, 1] = A
+    np.matmul(A, A, out=W[:, 2])
+    np.matmul(W[:, 2], A, out=W[:, 3])
+    np.matmul(W[:, 2], W[:, 2], out=W[:, 4])
+    alpha = np.maximum(
+        np.einsum("nij,nij->n", W[:, 3], W[:, 3]) ** (1.0 / 6.0),
+        np.einsum("nij,nij->n", W[:, 4], W[:, 4]) ** 0.125,
     )
-)
-_THETA13 = 5.371920351148152
+    # frexp gives 0 for 0, inf and nan
+    m, e = np.frexp(alpha / _THETA16)
+    s = np.maximum(e - (m == 0.5), 0)
+    if s.any():
+        W *= np.ldexp(1.0, -np.arange(5)[:, None, None] * s[:, None, None, None])
+    return W, s
 
 
 def _expm_stack(A):
     """exp of each (k, k) slice of a (..., k, k) stack, in one pass; a
     single (k, k) matrix goes through as a stack of one.
 
-    Each slice is scaled by its own power of two, so its result does not
-    depend on the rest of the stack; the Pade-13 approximant is evaluated
-    with batched products and one batched solve, and a slice is squared
+    The degree-16 Taylor polynomial in Paterson-Stockmeyer form, products
+    only: the four blocks (``_PS16``) from one batched product with the
+    scaled powers, then Horner's rule in A^4, six matrix products in all.
+    Each slice is scaled by its own power of two (``_scaled_powers``), so
+    its result does not depend on the rest of the stack, and is squared
     back only as often as it was scaled.
     """
     A = np.asarray(A, dtype=float)
     if A.size == 0:
         return A.copy()
     stack, k = A.shape[:-2], A.shape[-1]
-    A = A.reshape((-1, k, k))
-    # s = ceil(log2(|A|_1 / theta)), at least 0; frexp gives 0 for 0, inf, nan
-    m, e = np.frexp(np.abs(A).sum(axis=-2).max(axis=-1) / _THETA13)
-    s = np.maximum(e - (m == 0.5), 0)
-    squarings = int(s.max())
-    if squarings:
-        A = np.ldexp(A, -s[:, None, None])
-    b = _PADE13
-    eye = np.eye(k)
-    A2 = A @ A
-    A4 = A2 @ A2
-    A6 = A4 @ A2
-    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + eye
-    E = np.linalg.solve(V - U, V + U)
-    for step in range(squarings):
+    W, s = _scaled_powers(A.reshape((-1, k, k)))
+    n = len(W)
+    P = (_PS16 @ W.reshape(n, 5, k * k)).reshape(n, 4, k, k)
+    E = P[:, 3]
+    for j in (2, 1, 0):
+        E = W[:, 4] @ E
+        E += P[:, j]
+    for step in range(int(s.max())):
         todo = s > step
-        if todo.all():
-            E = E @ E
-        else:
-            E[todo] = E[todo] @ E[todo]
+        E = E @ E if todo.all() else np.where(todo[:, None, None], E @ E, E)
     return E.reshape(stack + (k, k))
 
 
@@ -312,15 +339,7 @@ def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -
     hb = bracket_table(Ch, Ch, J.L) @ Cinv[:p].T
     jhb = bracket_table(J.j @ Ch, Ch, J.L) @ Cinv[:p].T
 
-    # orientation: the diagonal of the form on each half-block column sits on
-    # its frame coordinate; one global sign must make it positive
-    stacked = np.array([d[np.argmax(np.abs(d))] for d in 0.25 * np.diagonal(jhb).T])
-    if np.all(stacked > 1e-12):  # also with no half block
-        sigma = 1
-    elif np.all(stacked < -1e-12):
-        sigma = -1
-    else:
-        raise PositivityUnfixable("no global sign makes the Hermitian form cone-positive")
+    sigma = _orientation(0.25 * jhb)
     phi_re = sigma * 0.25 * jhb
     phi_im = sigma * 0.25 * hb
 
@@ -349,12 +368,66 @@ def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -
         ad1_gens=ad1,
         adh_gens=adh,
     )
-    defect = _hermitian_defect(model)
-    if defect > 1e-8:
-        raise PositivityUnfixable(
-            f"Hermitian axioms fail by {defect:.2e} after orientation fix"
-        )
+    _require_hermitian(model)
     return model
+
+
+def restrict_model(M: SiegelModel, J: NormalJAlgebra, keep: np.ndarray, rank: int) -> SiegelModel:
+    """The model of J, the subalgebra of ``M.J`` on the adapted columns
+    that the mask ``keep`` selects, led by ``rank`` frame vectors.
+
+    Every tensor is a slice of M's and ``C`` is the identity: the columns
+    are unions of root spaces, and ``keep`` keeps or drops each complex
+    pair of the half block whole.  The form keeps M's orientation sign,
+    and the orientation and Hermitian gates run on the slices.
+    """
+    p, q = M.p, M.q
+    kh = keep[p : p + q]
+    i1, ih, i0 = (np.flatnonzero(b) for b in (keep[:p], kh, keep[p + q :]))
+    model = SiegelModel(
+        J=J,
+        rank=rank,
+        sigma=M.sigma if len(ih) else 1,  # assemble_model's sign with no half block
+        C=np.eye(J.dim),
+        Cinv=np.eye(J.dim),
+        p=len(i1),
+        q=len(ih),
+        p0=len(i0),
+        half_pairs=tuple((int(np.sum(kh[:o])), m) for o, m in M.half_pairs if kh[o]),
+        frame_indices=tuple(idx for idx, k in zip(M.frame_indices, keep) if k),
+        phi_re=M.phi_re[ih][:, ih][..., i1],
+        phi_im=M.phi_im[ih][:, ih][..., i1],
+        hb=M.hb[ih][:, ih][..., i1],
+        jhalf=M.jhalf[ih][:, ih],
+        ad1_gens=M.ad1_gens[i0][:, i1][..., i1],
+        adh_gens=M.adh_gens[i0][:, ih][..., ih],
+    )
+    if _orientation(model.phi_re) != 1:
+        raise PositivityUnfixable("the restricted form is not cone-positive")
+    _require_hermitian(model)
+    return model
+
+
+def _orientation(form: np.ndarray) -> int:
+    """The sign that makes the real part ``form`` (q, q, p) of a Hermitian
+    form cone-positive: the diagonal on each half-block column is largest
+    on its frame coordinate, and one global sign must make those entries
+    positive (+1 with no half block)."""
+    if not len(form):
+        return 1
+    d = np.diagonal(form).T
+    lead = np.take_along_axis(d, np.argmax(np.abs(d), axis=1)[:, None], axis=1)
+    if np.all(lead > 1e-12):
+        return 1
+    if np.all(lead < -1e-12):
+        return -1
+    raise PositivityUnfixable("no global sign makes the Hermitian form cone-positive")
+
+
+def _require_hermitian(M: SiegelModel) -> None:
+    defect = _hermitian_defect(M)
+    if defect > 1e-8:
+        raise PositivityUnfixable(f"Hermitian axioms fail by {defect:.2e} after orientation fix")
 
 
 def _hermitian_defect(M: SiegelModel) -> float:
@@ -365,6 +438,8 @@ def _hermitian_defect(M: SiegelModel) -> float:
     ``Phi(j e_i, e_j) - i T[i, j]``, ``T[j, i] - conj(T[i, j])`` and
     ``imag T[i, i]``.
     """
+    if not M.q:
+        return 0.0
     T = M.phi_re + 1j * M.phi_im
     lin = np.tensordot(M.jhalf, T, ([0], [0])) - 1j * T
     herm = T.transpose(1, 0, 2) - T.conj()
@@ -438,13 +513,19 @@ def element_from_vector(M: SiegelModel, x_ambient) -> GroupElement:
     with its half block doubled (K delta = delta - v_{-1} - v_{-1/2}/2 for
     x = v in the minus block)."""
     x_ambient = np.asarray(x_ambient, dtype=float)
+    return group_element(M, _delta_readoff(M, x_ambient), M.to_adapted(x_ambient)[M.p + M.q :])
+
+
+def _delta_readoff(M: SiegelModel, x_ambient: np.ndarray) -> np.ndarray:
+    """x_minus of exp(x): the minus block of delta - K delta, K =
+    expm(-ad x), with its half block doubled."""
     K = _expm_stack(-ad_matrix(x_ambient, M.J.L))
     if not np.all(np.isfinite(K)):
         raise InputError("the exponential of the element overflows")
     delta = M.C[:, M.p + M.q :] @ M.delta0_coords
     x_minus = M.Cinv[: M.p + M.q] @ (delta - K @ delta)
     x_minus[M.p :] *= 2.0
-    return group_element(M, x_minus, M.to_adapted(x_ambient)[M.p + M.q :])
+    return x_minus
 
 
 def _phi(D: np.ndarray) -> np.ndarray:
@@ -457,9 +538,10 @@ def _phi(D: np.ndarray) -> np.ndarray:
     return _expm_stack(B)[:k, k:]
 
 
-def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
+def element_log(M: SiegelModel, x_minus, x_zero) -> np.ndarray:
     """The ambient vector y with exp(y) = exp(x_minus) exp(x_zero): the
-    inverse of :func:`element_from_vector`, by graded linear solves.
+    inverse of :func:`element_from_vector`, by graded linear solves on the
+    exponential coordinates alone.
 
     The 0-part of y is x_zero, since s -> s / (s_{-1} + s_{-1/2}) is a
     homomorphism.  The read-off of y is delta - K delta =
@@ -469,11 +551,11 @@ def element_log(M: SiegelModel, g: GroupElement) -> np.ndarray:
     the (-1)-block read-off of y without its (-1)-part.
     """
     p = M.p
-    A1, Ah = _ad_blocks(M, g.x_zero)
-    y_half = np.linalg.solve(_phi(Ah), g.x_minus[p:])
-    c = element_from_vector(M, M.C[:, p:] @ np.concatenate([y_half, g.x_zero])).x_minus[:p]
-    y_one = np.linalg.solve(_phi(A1), g.x_minus[:p] - c)
-    return M.C @ np.concatenate([y_one, y_half, g.x_zero])
+    A1, Ah = _ad_blocks(M, x_zero)
+    y_half = np.linalg.solve(_phi(Ah), x_minus[p:])
+    c = _delta_readoff(M, M.C[:, p:] @ np.concatenate([y_half, x_zero]))[:p]
+    y_one = np.linalg.solve(_phi(A1), x_minus[:p] - c)
+    return M.C @ np.concatenate([y_one, y_half, x_zero])
 
 
 # ---------------------------------------------------------------------------
@@ -496,9 +578,9 @@ class ConeResult:
 
 
 def _cone_points(M: SiegelModel, g: np.ndarray) -> np.ndarray:
-    """Ad(exp g) xi0 = expm(-ad g) xi0 for a (k, p0) stack of 0-block
-    coordinates, from one ``_expm_stack``."""
-    A = (g @ M.ad1_gens.reshape(M.p0, -1)).reshape(-1, M.p, M.p)
+    """Ad(exp g) xi0 = expm(-ad g) xi0 for 0-block coordinates g (..., p0),
+    from one ``_expm_stack``."""
+    A = (g @ M.ad1_gens.reshape(M.p0, M.p * M.p)).reshape(g.shape[:-1] + (M.p, M.p))
     return _expm_stack(-A)[..., : M.rank].sum(axis=-1)
 
 
@@ -641,11 +723,24 @@ def solve_orbit(point: DomainPoint, M: SiegelModel) -> GroupElement:
             f"point is outside the domain or undecidable (cone residual {cone.residual:.2e})"
         )
     x_minus = np.concatenate([point.z.real, point.w])
-    g = group_element(M, x_minus, cone.witness)
-    res = act(g, M.base_point(), M).distance(point)
+    res = orbit_points(M, x_minus, cone.witness).distance(point)
     if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
         raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {ORBIT_TOL:.2e}")
-    return g
+    return group_element(M, x_minus, cone.witness)
+
+
+def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:
+    """s . z0 for s = exp(x_minus) exp(x_zero), over common leading stack
+    axes of the coordinates.
+
+    At the base point (i xi0, 0) the displayed action reads z = xi +
+    i Ad(exp x_zero) xi0 + i Phi(xi', xi') and w = xi': one
+    ``_cone_points`` and one Phi, and no group element.
+    """
+    x_minus = np.asarray(x_minus, dtype=float)
+    xi, xip = x_minus[..., : M.p], x_minus[..., M.p :]
+    cone = _cone_points(M, np.asarray(x_zero, dtype=float))
+    return DomainPoint(xi + 1j * (cone + M.phi(xip, xip)), xip)
 
 
 # ---------------------------------------------------------------------------
@@ -676,14 +771,14 @@ def random_element(M: SiegelModel, rng, bound: float = 1.0) -> GroupElement:
 
 
 def random_interior_points(M: SiegelModel, count: int, rng) -> DomainPoint:
-    """``count`` interior points as one stacked ``DomainPoint``:
-    im(z) = Phi(w, w) + Ad(exp g0) xi0.
+    """``count`` interior points as one stacked ``DomainPoint``: the
+    orbit points of exp(re z, w) exp(g0), so im(z) = Phi(w, w) +
+    Ad(exp g0) xi0.
 
     Point k takes row k of a single ``rng.random((count, q + 1 + p0 + p))``
     draw: w uniform in [-1, 1]^q, moved to a radius uniform in [0.2, 1]
     (the next column) when it falls outside the unit ball; g0 uniform in
-    [-1, 1]^p0; re(z) uniform in [-2, 2]^p.  The cone points come from one
-    ``_expm_stack``.
+    [-1, 1]^p0; re(z) uniform in [-2, 2]^p.
     """
     q, p0 = M.q, M.p0
     u = rng.random((count, q + 1 + p0 + M.p))
@@ -691,7 +786,5 @@ def random_interior_points(M: SiegelModel, count: int, rng) -> DomainPoint:
     nw = np.linalg.norm(w, axis=1, keepdims=True)
     radius = 0.2 + 0.8 * u[:, q : q + 1]
     w = w * np.where(nw > 1.0, radius / np.maximum(nw, 1.0), 1.0)
-    cone = _cone_points(M, -1.0 + 2.0 * u[:, q + 1 : q + 1 + p0])
-    quad = np.einsum("...i,...j,ijk->...k", w, w, M.phi_re) if q else 0.0
-    z = (-2.0 + 4.0 * u[:, q + 1 + p0 :]) + 1j * (quad + cone)
-    return DomainPoint(z, w)
+    re_z = -2.0 + 4.0 * u[:, q + 1 + p0 :]
+    return orbit_points(M, np.concatenate([re_z, w], axis=1), -1.0 + 2.0 * u[:, q + 1 : q + 1 + p0])

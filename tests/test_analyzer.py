@@ -452,6 +452,36 @@ def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
             assert [L.dim for L in calls["derived_series"]] == [J.dim for J in measured], (workload, phase)
 
 
+def test_walk_builds_no_quotient_group_elements(monkeypatch, relabelled_polydisc):
+    """One polydisc:6 analyze + verify pair (operation 0 of the
+    polydisc-tower benchmark) descends five levels and builds group
+    elements only on the input domain: for phi, for the orbit solve and
+    the conjugation check, and in the fiber case.  The equivariance
+    square evaluates orbit points and the walk pushes exponential
+    coordinates.  Before this the pair built 39 group elements and made
+    91 exponential calls."""
+    from hdq import ball, fibration, siegel
+
+    calls = {"group_element": 0, "_expm_stack": 0}
+    for name in calls:
+        original = getattr(siegel, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for module in (siegel, ball, fibration, analyzer):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    domain, phi = _benchmark_op0("polydisc-tower", relabelled_polydisc)
+    cert = analyze(domain, phi)
+    assert cert["conclusion"] == "stein_certified"
+    assert sum(s["kind"] == "tower_descend" for s in cert["steps"]) == 5
+    assert verify(json.loads(dump_certificate(cert)))[0]
+    assert calls["group_element"] <= 7, calls
+    assert calls["_expm_stack"] <= 50, calls
+
+
 def _forge_domain(cert, forgery):
     domain = cert["domain"]
     if forgery == "j":

@@ -21,15 +21,15 @@ from scipy.linalg import expm
 from hdq import lie_core
 from hdq.ball import sample_totally_real_points, totally_real_defect
 from hdq.errors import InputError
-from hdq.jalgebra import NormalJAlgebra, integrability_defect, preset, subalgebra
+from hdq.jalgebra import NormalJAlgebra, adapted, integrability_defect, preset, subalgebra
 from hdq.errors import DimensionMismatch
 from hdq.lie_core import LieAlgebraData, Subspace, bracket_table, residual_outside, span, subspace_equal
 from hdq.siegel import (
-    _THETA13,
     DomainPoint,
     _ad_blocks,
     _expm_stack,
     _hermitian_defect,
+    _scaled_powers,
     build_model,
     cone_contains,
     domain_defect,
@@ -254,18 +254,28 @@ def test_jalgebra_defects_match_loops(n):
 
 
 def test_subalgebra_tensor_matches_loop():
+    """The package rebases into a square basis once (``adapted``) and
+    slices coordinate subalgebras from there; the per-pair loop over a
+    general basis is the oracle for both."""
     rng = np.random.default_rng(30)
     J = _random_jalgebra(6, rng)
     # every bracket lies in the span of a square basis
     B = rng.standard_normal((6, 6))
-    sub = subalgebra(J, B)
+    sub = adapted(J, B)
     ref = LieAlgebraData(6, sub.L.basis_labels, _loop_subalgebra_tensor(J, B))
     np.testing.assert_allclose(sub.L.c, ref.c, rtol=0, atol=1e-12 * np.max(np.abs(ref.c)))
     # a random plane is not closed: both reject it
     with pytest.raises(InputError):
         _loop_subalgebra_tensor(J, B[:, :2])
     with pytest.raises(InputError):
-        subalgebra(J, B[:, :2])
+        subalgebra(sub, np.arange(6) < 2)
+    # the kept columns of a tower level: the slice of the adapted algebra
+    # is the subalgebra on those columns of the model's basis
+    M = build_model(preset("product:[ball:2,ball:1]"))
+    kept = np.array([M.rank - 1 not in idx for idx in M.frame_indices])
+    sliced = subalgebra(adapted(M.J, M.C), kept)
+    ref = _loop_subalgebra_tensor(M.J, M.C[:, kept])
+    np.testing.assert_allclose(sliced.L.c, ref, rtol=0, atol=1e-12 * np.max(np.abs(ref)))
 
 
 @pytest.mark.parametrize("name", ["ball:3", "product:[ball:3,ball:2]"])
@@ -344,7 +354,11 @@ def _exact_expm(X):
         return np.array(mpmath.expm(mpmath.matrix(X.tolist())).tolist(), dtype=float)
 
 
-# 1-norms that take 0, 1, 2, 3 and 4 squarings: ceil(log2(norm / theta_13))
+# the 1-norm up to which the Pade-13 approximant needs no scaling (Higham
+# 2005), and 1-norms that took it 0, 1, 2, 3 and 4 squarings:
+# ceil(log2(norm / theta_13)); the Taylor kernel scales these by their
+# powers, and takes more squarings
+_THETA13 = 5.371920351148152
 SQUARING_NORMS = _THETA13 * np.array([0.5, 1.5, 3.0, 6.0, 12.0])
 
 
@@ -393,6 +407,20 @@ def test_expm_stack_special_inputs():
     # zero-size stacks and blocks keep their shape
     for shape in [(0, 3, 3), (5, 0, 0), (0, 0)]:
         assert _expm_stack(np.zeros(shape)).shape == shape
+
+
+def test_nilpotent_slice_takes_no_squarings():
+    """-ad v for v in the minus block of ball:8 is nilpotent, (ad v)^3 = 0,
+    as in ``ball.nilpotent_residual``.  At 1-norm 320 a scaling read off
+    the 1-norm took 6 squarings; the kernel reads it off the third and
+    fourth powers and takes none, and the result is I + A + A^2 / 2."""
+    M = build_model(preset("ball:8"))
+    v = M.C[:, : M.p + M.q] @ np.random.default_rng(74).uniform(-1.0, 1.0, M.p + M.q)
+    A = _with_norm(-lie_core.ad_matrix(v, M.J.L), 320.0)
+    _, squarings = _scaled_powers(A[None])
+    assert squarings.tolist() == [0]
+    exact = np.eye(len(A)) + A + 0.5 * A @ A
+    np.testing.assert_allclose(_expm_stack(A), exact, rtol=0, atol=1e-13 * np.linalg.norm(exact))
 
 
 def test_expm_stack_slices_do_not_depend_on_the_stack():
