@@ -43,14 +43,11 @@ rest:
   how far it is from affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′.
 - ``tower_descend``: ``dim_quotient_algebra``, compared with the
-  recomputed tower (``fibration.split_last_root``, one level at a time).
-  The check draws ``EQUIVARIANCE_SAMPLES`` exponential coordinates with
-  seed ``seed + level`` and measures both sides of the equivariance
-  square as orbit points of the base point (``siegel.orbit_points``):
-  those of the samples, projected by the level's ``quotient_map``, and
-  those of their pushed coordinates on the quotient.  The walk carries
-  the element down the tower as exponential coordinates and builds no
-  quotient group element.
+  recomputed tower (``fibration.Tower``, one level at a time).  The check
+  is the level's structural residual (``Tower.residual``), which bounds
+  how far the coordinate selection is from the equivariant projection;
+  it draws no samples.  The walk carries the element down the tower as
+  exponential coordinates and builds no quotient group element.
 - ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
   ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
   ``conjugator_x_minus``; ``FIBER_SAMPLE_POINTS`` interior points are
@@ -81,7 +78,7 @@ from .ball import (
     totally_real_subalgebra,
 )
 from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
-from .fibration import FibrationStep, check_equivariance, push_group, split_last_root
+from .fibration import FibrationStep, Tower, push_group
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
 from .lie_core import Subspace
@@ -122,9 +119,7 @@ CITED_WITHOUT_COMPUTATION = [
 ]
 
 
-# equivariance samples per tower level, and totally-real determinant
-# samples of the fiber case, drawn alike by analyze and verify
-EQUIVARIANCE_SAMPLES = 100
+# totally-real determinant samples of the fiber case, drawn alike by analyze and verify
 FIBER_SAMPLE_POINTS = 50
 # the element is in the fiber below FIBER_RATIO (|pushed| / |element|), and
 # membership is undecided below FIBER_BAND
@@ -290,7 +285,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     # the element travels as its exponential coordinates (x_minus, x_zero)
     level, M, s = 1, state.model, (state.element.x_minus, state.element.x_zero)
     while M.J.dim:
-        F = state.fibration(level)
+        F = state.tower[level]
         pushed = push_group(*s, F)
         total = float(np.linalg.norm(s[0]) + np.linalg.norm(s[1]))
         push_norm = float(np.linalg.norm(pushed[0]) + np.linalg.norm(pushed[1]))
@@ -412,16 +407,13 @@ class ReplayState:
     seed: int
     phi: object = None                    # the certificate's phi
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
-    tower: list = field(default_factory=list)
+    tower: Tower = field(init=False)
     jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
 
-    def fibration(self, level: int) -> FibrationStep:
-        while len(self.tower) < level:
-            M = self.tower[-1].quotient_model if self.tower else self.model
-            self.tower.append(split_last_root(M))
-        return self.tower[level - 1]
+    def __post_init__(self):
+        self.tower = Tower(self.model)
 
     def homogenized_phi(self) -> np.ndarray:
         if self.phi_matrix is None:
@@ -483,15 +475,13 @@ def _check_conjugation(payload, state: ReplayState, level) -> float:
 
 
 def _check_tower(payload, state: ReplayState, level) -> float:
-    F = state.fibration(level)
-    if payload["dim_quotient_algebra"] != F.quotient_model.J.dim:
+    if payload["dim_quotient_algebra"] != state.tower[level].quotient_model.J.dim:
         raise StepRejected("quotient algebra dimension does not match the recomputed tower")
-    return check_equivariance(F, EQUIVARIANCE_SAMPLES, seed=state.seed + level)
+    return state.tower.residual(level)
 
 
 def _check_fiber(payload, state: ReplayState, level) -> float:
-    F = state.fibration(level)
-    Mf = F.fiber_model
+    Mf = state.tower[level].fiber_model
     if int(payload["fiber_dim"]) != Mf.dim_complex:
         raise StepRejected("fiber dimension does not match the recomputed tower")
     basis = _array(payload, "subalgebra")

@@ -22,11 +22,11 @@ every level below works in it already.
   ones a j-invariant ideal, and the form must keep its orientation and
   Hermitian axioms on every model.
 
-The omega-orthogonal projection onto the subalgebra is an algebra
-homomorphism; complexified on the (-1)-block it realizes the equivariant
-submersion between the two Siegel domains.  ``quotient_map`` is that
-projection, computed from the adapted Gram matrix; it is not the
-coordinate selection, and ``check_equivariance`` measures it.
+Root spaces are orthogonal for <x, y> = omega([j x, y]), so once the
+gates pass, the omega-orthogonal projection onto the subalgebra, the
+homomorphism that realizes the equivariant submersion, is the coordinate
+selection ``quotient_map`` up to a structural residual (``Tower.residual``).
+``check_equivariance`` samples the square instead, as a diagnostic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ import numpy as np
 
 from .ball import require_ball_like
 from .errors import RootPatternViolation
-from .jalgebra import NormalJAlgebra, adapted, gram, subalgebra
+from .jalgebra import NormalJAlgebra, adapted, gram, leakage, subalgebra
 from .siegel import (
     DomainPoint,
     SiegelModel,
@@ -52,20 +52,15 @@ from .siegel import (
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
     """One level of the tower: the domain, quotient and fiber models, the
-    ideal's basis in the domain algebra (``b_basis``, the fiber algebra's
-    basis), and the quotient map.
+    fiber algebra's basis in the domain algebra (``b_basis``), the quotient
+    map, and the domain's adapted ``algebra`` with its ``ideal`` mask.
 
     ``b_basis`` holds the columns of the domain model's ``C`` whose root
-    involves the last frame index, in their order there; the quotient
-    algebra ``quotient_model.J`` is the domain's adapted algebra on the
-    other columns, with ``C`` the identity, and the fiber algebra
-    ``fiber_model.J`` the one on ``b_basis``, with its half block paired
-    anew under j.  ``quotient_map`` is the projection from the domain's
-    adapted coordinates (the model's ``C`` basis, blocks s_{-1} | s_{-1/2}
-    | s_0) to the quotient's: the omega-orthogonal projection onto the
-    subalgebra, in its basis, computed once per split.  It is graded, so
-    ``project_point`` and ``push_group`` apply its diagonal blocks to
-    stacks of rows.
+    involves the last frame index; the quotient and fiber algebras are
+    ``algebra`` on the other columns and on those.  ``quotient_map``
+    selects the kept adapted coordinates (blocks s_{-1} | s_{-1/2} | s_0);
+    it is graded, so ``project_point`` and ``push_group`` apply its
+    diagonal blocks to stacks of rows.
     """
 
     domain_model: SiegelModel
@@ -73,6 +68,8 @@ class FibrationStep:
     fiber_model: SiegelModel
     b_basis: np.ndarray
     quotient_map: np.ndarray
+    algebra: NormalJAlgebra
+    ideal: np.ndarray
 
 
 def split_last_root(M: SiegelModel) -> FibrationStep:
@@ -92,14 +89,45 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     fiber_layout = (1, 2 * m, ((0, m),) if m else (), ((0,),) * Jb.dim)
     fiber_model = assemble_model(Jb, np.column_stack([E[:, 0], paired, E[:, eta]]), 1, fiber_layout)
     require_ball_like(fiber_model)
-    G = gram(J)
     return FibrationStep(
         domain_model=M,
         quotient_model=quotient_model,
         fiber_model=fiber_model,
         b_basis=np.ascontiguousarray(M.C[:, ideal]),
-        quotient_map=np.linalg.solve(G[np.ix_(kept, kept)], G[kept]),
+        quotient_map=np.eye(J.dim)[kept],
+        algebra=J,
+        ideal=ideal,
     )
+
+
+class Tower:
+    """The tower of the model ``M``, split lazily: ``tower[k]`` is level k.
+    Level k drops frame index rank - k, so the columns of M's adapted basis
+    in its domain are those whose roots involve no higher index: masks read
+    off ``M.frame_indices`` once.  The level-1 Gram matrix is computed once."""
+
+    def __init__(self, M: SiegelModel):
+        self.model, self.steps, self.gram = M, [], None
+        top = np.array([max(idx) for idx in M.frame_indices], dtype=int)
+        self.domains = [top <= M.rank - k for k in range(1, M.rank + 1)]
+
+    def __getitem__(self, level: int) -> FibrationStep:
+        while len(self.steps) < level:
+            self.steps.append(split_last_root(self.steps[-1].quotient_model if self.steps else self.model))
+        return self.steps[level - 1]
+
+    def residual(self, level: int) -> float:
+        """The largest bracket and j ``leakage`` of the level's kept and
+        ideal columns, and metric cosine |G[a, b]| / sqrt(G[a, a] G[b, b])
+        over kept a and ideal b: 0 when the selection is the projection."""
+        F, d = self[level], self.domains[level - 1]
+        if self.gram is None:
+            self.gram = gram(self[1].algebra)
+        G = self.gram[d][:, d]
+        kept, ideal, norms = ~F.ideal, F.ideal, np.sqrt(np.diag(G))
+        cosine = np.abs(G[kept][:, ideal]) / np.outer(norms[kept], norms[ideal])
+        leak = leakage(F.algebra, kept) + leakage(F.algebra, ideal, ideal=True)
+        return max(*leak, float(np.max(cosine, initial=0.0)))
 
 
 # ---------------------------------------------------------------------------
@@ -108,30 +136,23 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
 
 def project_point(point: DomainPoint, F: FibrationStep) -> DomainPoint:
     """Apply the complexified projection to a point or a stack of points."""
-    M, Mq = F.domain_model, F.quotient_model
-    Q = F.quotient_map
-    z_q = point.z @ Q[: Mq.p, : M.p].T
-    w_q = point.w @ Q[Mq.p : Mq.p + Mq.q, M.p : M.p + M.q].T
-    return DomainPoint(z_q, w_q)
+    M, Mq, Q = F.domain_model, F.quotient_model, F.quotient_map
+    return DomainPoint(point.z @ Q[: Mq.p, : M.p].T, point.w @ Q[Mq.p : Mq.p + Mq.q, M.p : M.p + M.q].T)
 
 
 def push_group(x_minus, x_zero, F: FibrationStep):
     """Push exponential coordinates (of one element or a stack) through the
     quotient homomorphism: the quotient's ``(x_minus, x_zero)``."""
-    M, Mq = F.domain_model, F.quotient_model
-    Q = F.quotient_map
+    M, Mq, Q = F.domain_model, F.quotient_model, F.quotient_map
     k, kq = M.p + M.q, Mq.p + Mq.q
     return x_minus @ Q[:kq, :k].T, x_zero @ Q[kq:, k:].T
 
 
 def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> float:
-    """Max over random group elements s of |pi(s . z0) - pi_*(s) . pi(z0)|.
-
-    The ``samples`` elements are drawn in one call, uniform in [-1, 1] per
-    exponential coordinate.  Both sides of the square are stacks of orbit
-    points (``siegel.orbit_points``): of s on the domain, projected by the
-    stored ``quotient_map``, and of the pushed coordinates on the quotient.
-    """
+    """Max of |pi(s . z0) - pi_*(s) . pi(z0)| over ``samples`` group elements
+    s, uniform in [-1, 1] per exponential coordinate: both sides as stacks
+    of orbit points (``siegel.orbit_points``).  A diagnostic; the walk reads
+    ``Tower.residual``."""
     rng = np.random.default_rng(seed)
     M, Mq = F.domain_model, F.quotient_model
     k = M.p + M.q
@@ -144,9 +165,6 @@ def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> f
 
 
 def tower(J: NormalJAlgebra):
-    """Iterate the split until the quotient is a point; rank steps down by 1."""
-    steps, M = [], build_model(J)
-    while M.J.dim:
-        steps.append(split_last_root(M))
-        M = steps[-1].quotient_model
-    return steps
+    """Every level of J's tower; rank steps down by 1 to a point."""
+    T = Tower(build_model(J))
+    return [T[k] for k in range(1, T.model.rank + 1)]

@@ -79,12 +79,8 @@ class NormalJAlgebra:
 
 def gram(J: NormalJAlgebra) -> np.ndarray:
     """Matrix of <x, y> = omega([j x, y]) over the algebra basis."""
-    n = J.dim
-    if n == 0:
-        return np.zeros((0, 0))
-    # G[a, b] = omega([j e_a, e_b])
-    jb = J.j  # columns are j e_a
-    return np.einsum("ia,ibk,k->ab", jb, J.L.c, J.omega)
+    # G[a, b] = omega([j e_a, e_b]) = sum_i j[i, a] omega([e_i, e_b])
+    return J.j.T @ (J.L.c @ J.omega)
 
 
 def integrability_defect(J: NormalJAlgebra) -> float:
@@ -94,12 +90,9 @@ def integrability_defect(J: NormalJAlgebra) -> float:
     With ``jb[a, b] = [j e_a, e_b]`` the middle terms are ``j jb[a, b]``
     and ``-j jb[b, a]``, so the whole table is four array terms.
     """
-    n = J.dim
-    if n == 0:
-        return 0.0
-    jb = bracket_table(J.j, np.eye(n), J.L)
+    jb = bracket_table(J.j, np.eye(J.dim), J.L)
     t = J.L.c + (jb - jb.transpose(1, 0, 2)) @ J.j.T - bracket_table(J.j, J.j, J.L)
-    return float(np.max(np.abs(t)))
+    return float(np.max(np.abs(t), initial=0.0))
 
 
 def validate_j_algebra(J: NormalJAlgebra) -> ValidationReport:
@@ -111,17 +104,11 @@ def validate_j_algebra(J: NormalJAlgebra) -> ValidationReport:
     an infinite defect and its reason.
     """
     report = lie_core.validate_algebra(J.L)
-    n = J.dim
-    jsq = float(np.max(np.abs(J.j @ J.j + np.eye(n)))) if n else 0.0
-    report.record("j_squared", jsq, J_TOL)
+    report.record("j_squared", float(np.max(np.abs(J.j @ J.j + np.eye(J.dim)), initial=0.0)), J_TOL)
     report.record("integrability", integrability_defect(J), J_TOL)
     G = gram(J)
-    sym = float(np.max(np.abs(G - G.T))) if n else 0.0
-    report.record("gram_symmetry", sym, J_TOL)
-    if n:
-        lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (G + G.T))))
-    else:
-        lam_min = 1.0
+    report.record("gram_symmetry", float(np.max(np.abs(G - G.T), initial=0.0)), J_TOL)
+    lam_min = float(np.min(np.linalg.eigvalsh(0.5 * (G + G.T)), initial=1.0))
     report.flags["gram_min_eigenvalue"] = lam_min
     report.record("gram_positive", max(0.0, -lam_min), J_TOL)
     if lam_min > 0:  # the metric split-solvability is measured in
@@ -409,28 +396,30 @@ def adapted(J: NormalJAlgebra, C: np.ndarray) -> NormalJAlgebra:
     return NormalJAlgebra(LieAlgebraData(n, tuple(labels), c), Cinv @ J.j @ C, J.omega @ C)
 
 
+def leakage(J: NormalJAlgebra, keep, ideal: bool = False) -> tuple[float, float]:
+    """(bracket, j) of the basis vectors that the boolean ``keep`` selects:
+    the largest part outside their span of the bracket of two of them
+    (with ``ideal``, of one with any basis vector), relative to max(1, its
+    norm), and the largest entry of j from one of them to a dropped one."""
+    drop = ~keep
+    sq = np.square(J.L.c[keep] if ideal else J.L.c[keep][:, keep])
+    off = np.sqrt(sq[..., drop].sum(axis=-1) / np.maximum(1.0, sq.sum(axis=-1)))
+    return float(off.max(initial=0.0)), float(np.abs(J.j[drop][:, keep]).max(initial=0.0))
+
+
 def subalgebra(J: NormalJAlgebra, keep, ideal: bool = False) -> NormalJAlgebra:
     """The normal j-algebra on the basis vectors of J that the mask
-    ``keep`` selects: the bracket, j, omega and labels sliced.
-
-    Raises ``InputError`` unless those vectors span a j-invariant
-    subalgebra (with ``ideal``, a j-invariant ideal): the bracket of two
-    kept vectors (of a kept vector with any basis vector) may leave the
-    span by at most 1e-7 times max(1, its norm), and j by at most 1e-7.
-    """
+    ``keep`` selects: the bracket, j, omega and labels sliced.  Raises
+    ``InputError`` unless both parts of their ``leakage`` are at most 1e-7,
+    so that they span a j-invariant subalgebra (with ``ideal``, ideal)."""
     keep = np.asarray(keep, dtype=bool)
     if not keep.any():
         return empty_algebra()
-    k, d = np.flatnonzero(keep), np.flatnonzero(~keep)
-    inner = J.L.c[k][:, k]
-    brackets = J.L.c[k] if ideal else inner
-    off = np.linalg.norm(brackets[..., d], axis=-1)
-    if np.any(off > 1e-7 * np.maximum(1.0, np.linalg.norm(brackets, axis=-1))):
-        raise InputError("basis does not span an ideal" if ideal else "basis does not span a subalgebra")
-    if np.max(np.abs(J.j[d][:, k]), initial=0.0) > 1e-7:
-        raise InputError("subspace is not j-invariant")
-    labels = tuple(J.L.basis_labels[a] for a in k)
-    return NormalJAlgebra(LieAlgebraData(len(k), labels, inner[..., k]), J.j[k][:, k], J.omega[k])
+    if max(leakage(J, keep, ideal)) > 1e-7:
+        raise InputError(f"basis does not span a j-invariant {'ideal' if ideal else 'subalgebra'}")
+    labels = tuple(lbl for lbl, k in zip(J.L.basis_labels, keep) if k)
+    c = J.L.c[keep][:, keep][..., keep]
+    return NormalJAlgebra(LieAlgebraData(len(labels), labels, c), J.j[keep][:, keep], J.omega[keep])
 
 
 def product(J1: NormalJAlgebra, J2: NormalJAlgebra) -> NormalJAlgebra:

@@ -125,9 +125,11 @@ def _expm_stack(A):
     for j in (2, 1, 0):
         E = W[:, 4] @ E
         E += P[:, j]
-    for step in range(int(s.max())):
-        todo = s > step
-        E = E @ E if todo.all() else np.where(todo[:, None, None], E @ E, E)
+    # an overflowing slice squares to inf or nan; callers test finiteness
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(int(s.max())):
+            todo = s > step
+            E = E @ E if todo.all() else np.where(todo[:, None, None], E @ E, E)
     return E.reshape(stack + (k, k))
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 from pathlib import Path
 
@@ -49,6 +50,22 @@ def _rebased(J, T):
 @pytest.fixture
 def rebased():
     return _rebased
+
+
+def _tilted_ideal(F, size):
+    """The tower level F with its adapted algebra rebased so that the first
+    ideal column leans by ``size`` toward the first kept one: the masks
+    then select a subspace that is not the ideal, off G-orthogonality to
+    the kept columns and out of the bracket and j blocks by about
+    ``size``."""
+    T = np.eye(F.algebra.dim)
+    T[np.argmax(F.ideal), np.argmin(F.ideal)] = size
+    return dataclasses.replace(F, algebra=_rebased(F.algebra, T))
+
+
+@pytest.fixture
+def tilted_ideal():
+    return _tilted_ideal
 
 
 def _compose(g, h, M):

@@ -1,12 +1,12 @@
 import copy
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from hdq import analyzer, jalgebra, lie_core
+from hdq import analyzer, fibration, jalgebra, lie_core
 from hdq.analyzer import (
-    EQUIVARIANCE_SAMPLES,
     analyze,
     dump_certificate,
     load_certificate,
@@ -14,7 +14,6 @@ from hdq.analyzer import (
     verify,
 )
 from hdq.errors import InputError, MalformedCertificate
-from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
 from hdq.lie_core import LieAlgebraData
 from hdq import cli
@@ -325,22 +324,31 @@ def _rescaled_polydisc_input(relabelled_polydisc, key, per_vector=True):
     return J, _exp_spec(on_preset[perm] / scale, J.L.basis_labels)
 
 
-def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, monkeypatch):
-    """A tower level whose equivariance residual exceeds the tolerance ends
-    the analysis undecided, with no tower_descend step for that level.
-
-    The tolerance is set below the level-1 residual that analyze computes,
-    so the gate fires whatever the rounding of the residual is.
-    """
+def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, tilted_ideal, monkeypatch):
+    """A tower level whose structural residual exceeds the step tolerance
+    ends the analysis undecided, with no tower_descend step for that
+    level, and fails that entry when verify replays a clean certificate.
+    Level 1 is made non-equivariant on purpose: split_last_root's output
+    there has its ideal tilted by 1e-6 off G-orthogonality.  The tolerance
+    is the step's own."""
     J, phi = _rescaled_polydisc_input(relabelled_polydisc, [2, 0])
-    F = split_last_root(build_model(J))
-    level1 = check_equivariance(F, EQUIVARIANCE_SAMPLES, seed=42 + 1)  # analyze's default seed, level 1
-    assert level1 > 0.0
-    monkeypatch.setitem(analyzer.STEP_TOL, "tower_descend", 0.5 * level1)
+    clean = analyze(J, phi)
+    assert clean["conclusion"] == "stein_certified"
+    assert any(s["kind"] == "tower_descend" and s["level"] == 1 for s in clean["steps"])
+    split = fibration.split_last_root
+    monkeypatch.setattr(
+        fibration, "split_last_root", lambda M: tilted_ideal(split(M), 1e-6) if M.rank == 6 else split(M)
+    )
+    assert fibration.Tower(build_model(J)).residual(1) > 10 * analyzer.STEP_TOL["tower_descend"]
     cert = analyze(J, phi)
     assert cert["conclusion"] == "undecided"
     assert not any(s["kind"] == "tower_descend" and s["level"] == 1 for s in cert["steps"])
-    assert "the fibration at level 1 is not numerically equivariant" in cert["assumptions"][-1]
+    assert analyzer.FAILED["tower_descend"].format(level=1) in cert["assumptions"][-1]
+    ok, report = verify(json.loads(dump_certificate(clean)))
+    assert not ok
+    failed = [e for e in report if not e["ok"]]
+    assert [e["kind"] for e in failed] == ["tower_descend"]
+    assert failed[0]["residual"] > analyzer.VERIFY_SLACK * analyzer.STEP_TOL["tower_descend"]
 
 
 @pytest.mark.parametrize("copy_index", [0, 1, 2, 3, 4, 5, 6, 261, 324, 357])
@@ -456,10 +464,9 @@ def test_walk_builds_no_quotient_group_elements(monkeypatch, relabelled_polydisc
     """One polydisc:6 analyze + verify pair (operation 0 of the
     polydisc-tower benchmark) descends five levels and builds group
     elements only on the input domain: for phi, for the orbit solve and
-    the conjugation check, and in the fiber case.  The equivariance
-    square evaluates orbit points and the walk pushes exponential
-    coordinates.  Before this the pair built 39 group elements and made
-    91 exponential calls."""
+    the conjugation check, and in the fiber case.  The walk pushes
+    exponential coordinates.  Before this the pair built 39 group
+    elements and made 91 exponential calls."""
     from hdq import ball, fibration, siegel
 
     calls = {"group_element": 0, "_expm_stack": 0}
@@ -480,6 +487,31 @@ def test_walk_builds_no_quotient_group_elements(monkeypatch, relabelled_polydisc
     assert verify(json.loads(dump_certificate(cert)))[0]
     assert calls["group_element"] <= 7, calls
     assert calls["_expm_stack"] <= 50, calls
+
+
+def test_tower_walk_draws_no_samples(monkeypatch, relabelled_polydisc):
+    """polydisc:6 and a relabelled copy certify and verify with the sampled
+    equivariance check raising under every name the package binds it to,
+    and each phase computes one Gram matrix for its whole tower."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the walk sampled the equivariance square")
+
+    bound = [m for name, m in sys.modules.items() if name.startswith("hdq") and getattr(m, "check_equivariance", None) is fibration.check_equivariance]
+    assert fibration in bound and cli in bound
+    for module in bound:
+        monkeypatch.setattr(module, "check_equivariance", refuse)
+    grams = []
+    gram = fibration.gram
+    monkeypatch.setattr(fibration, "gram", lambda J: grams.append(J.dim) or gram(J))
+    preset_phi = " + ".join(f"{c}*delta{k} + 0.2*zeta{k}" for k, c in enumerate([0.3, 0.5, 0.7, 0.9, -0.4, -0.6], 1))
+    for domain, phi in (("polydisc:6", "exp:" + preset_phi), _rescaled_polydisc_input(relabelled_polydisc, [2, 0])):
+        grams.clear()
+        cert = analyze(domain, phi)
+        assert cert["conclusion"] == "stein_certified"
+        assert sum(s["kind"] == "tower_descend" for s in cert["steps"]) == 5
+        assert grams == [12]
+        assert verify(json.loads(dump_certificate(cert)))[0]
+        assert grams == [12, 12]
 
 
 def _forge_domain(cert, forgery):

@@ -237,6 +237,7 @@ def test_overflowing_exp_element_is_input_error(domain, phi):
     assert res.returncode == 4, res.stderr
     assert res.stdout == ""
     assert "Traceback" not in res.stderr
+    assert "RuntimeWarning" not in res.stderr
 
 
 def test_ill_conditioned_matrix_names_its_condition_number(capsys):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hdq.fibration import (
+    Tower,
     check_equivariance,
     project_point,
     push_group,
@@ -219,9 +220,11 @@ def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydis
         J = preset(name)
     rng = np.random.default_rng(3)
     for F in tower(J):
-        # the stored map is the ambient projection in adapted coordinates:
-        # a j-linear homomorphism that kills the ideal and is isometric on
-        # the omega-orthogonal complement
+        # the stored map is the selection of the kept columns, which is the
+        # ambient projection in adapted coordinates to rounding: a j-linear
+        # homomorphism that kills the ideal and is isometric on the
+        # omega-orthogonal complement
+        assert np.array_equal(F.quotient_map, np.eye(F.algebra.dim)[~F.ideal])
         inv = fibration_invariants(F)
         for key in ("j_commutes", "homomorphism", "kernel", "projection"):
             assert inv[key] < 1e-12, (key, inv[key])
@@ -237,6 +240,58 @@ def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydis
                 stacked = check_equivariance(bent, 40, seed=5)
                 assert stacked > floor, (size, stacked)
                 assert abs(stacked - _per_sample_residual(bent, 40, 5)) <= 1e-12
+
+
+STRUCTURAL_INPUTS = [
+    *(f"{kind}{name}" for kind in ("", "rebased-") for name in ("polydisc:6", "ball:3", "product:[ball:2,polydisc:2]", "sym2-tube")),
+    *(f"relabelled-{key}" for key in (0, 261, 324, 357)),
+]
+
+
+@pytest.mark.parametrize("name", STRUCTURAL_INPUTS)
+def test_structural_residual_reads_rounding(name, rebased, relabelled_polydisc, sym2_tube, tilted_ideal):
+    """On presets, on their copies rebased by an orthogonal matrix, and on
+    copies of polydisc:6 rescaled per basis vector (among them [2, 324],
+    whose split once lost omega-orthogonality by 2.7e-8), every level's
+    structural residual reads rounding, and the sampled square, kept as
+    the oracle, agrees with the selection map.  A bent map and a tilted
+    ideal read above the step tolerance."""
+    base = name.removeprefix("rebased-")
+    if base.startswith("relabelled-"):
+        J = relabelled_polydisc(6, np.random.default_rng([2, int(base.split("-")[1])]), per_vector=True)[0]
+    else:
+        J = sym2_tube() if base == "sym2-tube" else preset(base)
+    if name.startswith("rebased-"):
+        J = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
+    T = Tower(build_model(J))
+    rng = np.random.default_rng(3)
+    for level in range(1, T.model.rank + 1):
+        F = T[level]
+        assert np.array_equal(F.quotient_map, np.eye(F.algebra.dim)[~F.ideal])
+        assert T.residual(level) <= 1e-14, (level, T.residual(level))
+        assert check_equivariance(F, 100, seed=level) <= 1e-12
+        bent = dataclasses.replace(F, quotient_map=F.quotient_map + 1e-6 * rng.standard_normal(F.quotient_map.shape))
+        if bent.quotient_map.size:
+            assert check_equivariance(bent, 100, seed=level) > STEP_TOL["tower_descend"]
+    for level in range(1, T.model.rank):  # the last level keeps no column
+        tilted = Tower(T.model)
+        tilted.steps = list(T.steps)
+        tilted.steps[level - 1] = tilted_ideal(T[level], 1e-6)
+        assert tilted.residual(level) > STEP_TOL["tower_descend"], level
+
+
+def test_structural_residual_reads_the_metric_cosine():
+    """A kept and an ideal column whose Gram entry is off zero by 1e-6
+    of their norms raise the residual to that cosine, with no bracket or
+    j leakage."""
+    T = Tower(build_model(preset("polydisc:3")))
+    assert T.residual(1) == 0.0
+    G = T.gram.copy()
+    a, b = np.argmin(T[1].ideal), np.argmax(T[1].ideal)
+    G[a, b] = G[b, a] = 1e-6 * np.sqrt(G[a, a] * G[b, b])
+    T.gram = G
+    assert T.residual(1) == pytest.approx(1e-6, rel=1e-12)
+    assert T.residual(1) > STEP_TOL["tower_descend"]
 
 
 @pytest.mark.parametrize("rank", [16, 24])

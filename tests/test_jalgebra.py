@@ -194,3 +194,29 @@ def test_ad_a_not_self_adjoint_is_not_split_solvable():
     with pytest.raises(NotSplitSolvable, match="not self-adjoint"):
         fine_structure(J)
     assert validate_j_algebra(J).checks["split_solvable"]["defect"] > 0.5
+
+
+def _einsum_gram(J):
+    return np.einsum("ia,ibk,k->ab", J.j, J.L.c, J.omega)
+
+
+@pytest.mark.parametrize("name", ["ball:2", "ball:32", "polydisc:6", "product:[ball:2,polydisc:2]", "product:[ball:3,ball:3]"])
+def test_gram_is_the_einsum_on_presets(name):
+    """The two products j^T (c omega) give the three-operand einsum's
+    numbers bit for bit on the presets."""
+    J = preset(name)
+    assert np.array_equal(gram(J), _einsum_gram(J))
+
+
+@pytest.mark.parametrize("kind", ["rebased", "relabelled"])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_gram_matches_the_einsum_on_copies(kind, seed, rebased, relabelled_polydisc):
+    """On copies rebased by an orthogonal matrix or relabelled per basis
+    vector, the two forms differ by rounding only."""
+    if kind == "rebased":
+        J = preset("product:[ball:2,polydisc:2]")
+        J = rebased(J, np.linalg.qr(np.random.default_rng(seed).standard_normal((J.dim, J.dim)))[0])
+    else:
+        J = relabelled_polydisc(6, np.random.default_rng([2, seed]), per_vector=True)[0]
+    G, E = gram(J), _einsum_gram(J)
+    assert np.max(np.abs(G - E)) <= 1e-15 * np.max(np.abs(E))
