@@ -50,7 +50,12 @@ rest:
   exponential coordinates and builds no quotient group element.
 - ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
   ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
-  ``conjugator_x_minus``; ``FIBER_SAMPLE_POINTS`` interior points are
+  ``conjugator_x_minus``.  ``log_in_fiber`` must be within the step's
+  tolerance of the log of the element the walk carries, in the fiber's
+  coordinates, which the walk derives once for the build and the check
+  (``ReplayState.fiber_log``).  A replay that has already failed a step
+  over its tolerance carries an element in doubt and skips that tie; its
+  report fails either way.  ``FIBER_SAMPLE_POINTS`` interior points are
   drawn with ``default_rng(seed + 7 * level + 1)``.  The witness is
   accepted by ``ball.totally_real_residuals``: the conjugator must move
   ``log_in_fiber`` onto the frame line, or be zero when ``log_in_fiber``
@@ -292,7 +297,8 @@ def _walk(state: ReplayState, out: dict, take) -> None:
         ratio = push_norm / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
             d = F.fiber_model.dim_complex
-            if take("fiber_case", level, lambda: _fiber_payload(F, M, s)) is None:
+            state.fiber_log = np.linalg.pinv(F.b_basis) @ element_log(M, *s)
+            if take("fiber_case", level, lambda: _fiber_payload(F, state.fiber_log)) is None:
                 return
             if d <= 1 and F.quotient_model.J.dim == 0 and take("base_case", level, lambda: {"dim_complex": d}) is None:
                 return
@@ -330,8 +336,7 @@ def _orbit_payload(state: ReplayState) -> dict:
     return {"x_minus": s.x_minus, "x_zero": s.x_zero}
 
 
-def _fiber_payload(F: FibrationStep, M: SiegelModel, s: tuple) -> dict:
-    x_b = np.linalg.pinv(F.b_basis) @ element_log(M, *s)
+def _fiber_payload(F: FibrationStep, x_b: np.ndarray) -> dict:
     V, g = totally_real_subalgebra(x_b, F.fiber_model)
     return {
         "fiber_dim": F.fiber_model.dim_complex,
@@ -411,6 +416,8 @@ class ReplayState:
     jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
+    fiber_log: np.ndarray | None = None  # the carried element's log in fiber coordinates, set by the walk
+    replayed: bool = True  # no step so far exceeded its tolerance
 
     def __post_init__(self):
         self.tower = Tower(self.model)
@@ -484,6 +491,12 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
     Mf = state.tower[level].fiber_model
     if int(payload["fiber_dim"]) != Mf.dim_complex:
         raise StepRejected("fiber dimension does not match the recomputed tower")
+    x_b = _array(payload, "log_in_fiber")
+    if x_b.shape != state.fiber_log.shape:
+        raise StepRejected(f"log_in_fiber of shape {x_b.shape}, need {state.fiber_log.shape}")
+    drift = float(np.max(np.abs(x_b - state.fiber_log), initial=0.0))
+    if state.replayed and not drift <= STEP_TOL["fiber_case"]:
+        raise StepRejected(f"log_in_fiber is {drift:.2e} from the log of the element the walk carries")
     basis = _array(payload, "subalgebra")
     if basis.shape != (Mf.J.dim, Mf.dim_complex):
         raise StepRejected(f"totally-real subalgebra of shape {basis.shape}, need {(Mf.J.dim, Mf.dim_complex)}")
@@ -495,9 +508,7 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
         Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
     )
     try:
-        res, min_det = totally_real_residuals(
-            _array(payload, "log_in_fiber"), V, _array(payload, "conjugator_x_minus"), Mf, pts
-        )
+        res, min_det = totally_real_residuals(x_b, V, _array(payload, "conjugator_x_minus"), Mf, pts)
     except TotallyRealCheckFailed as exc:
         raise StepRejected(str(exc)) from exc
     if not min_det > DEFECT_MIN:
@@ -535,6 +546,7 @@ def _replay(kind, payload, state, level, slack, build):
         return None, str(exc)
     tol = STEP_TOL.get(kind)
     if tol is not None and not res <= slack * tol:
+        state.replayed = False
         return res, f"residual {res:.2e} exceeds {slack * tol:.0e}"
     return res, None
 

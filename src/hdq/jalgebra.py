@@ -36,7 +36,6 @@ from .lie_core import (
     ValidationReport,
     ad_matrix,
     bracket_table,
-    derived_algebra,
     span,
     residual_outside,
 )
@@ -209,7 +208,8 @@ def _abelian_part(J: NormalJAlgebra):
     nilpotent that makes the algebra split solvable, and the asymmetry
     (the largest entry of S - S^T) measures how far it is from that.
     """
-    if not lie_core.is_solvable(J.L):
+    series = lie_core.derived_series(J.L)
+    if series[-1].dim:
         raise NotSplitSolvable("algebra is not solvable")
     G = gram(J)
     G = 0.5 * (G + G.T)
@@ -220,7 +220,7 @@ def _abelian_part(J: NormalJAlgebra):
     G_half = (evecs * root) @ evecs.T
     G_ihalf = (evecs / root) @ evecs.T
 
-    nil = derived_algebra(J.L)
+    nil = series[1]  # [s, s]
     if nil.dim:
         _, s, vt = np.linalg.svd(nil.basis_matrix.T @ G)
         a_basis = span(vt[int(np.sum(s > lie_core.RANK_RTOL * s[0])):], J.dim)

@@ -7,9 +7,17 @@ averaging ``c`` against ``-c.transpose(1, 0, 2)``.
 
 Structure identities are checked over whole bases at once: the kernel
 :func:`bracket_table` contracts two basis matrices against ``c`` in a fixed
-order, one ``tensordot`` and one batched matrix product, ``ad_matrix``
-takes stacks of elements, and the Jacobi defect is a tensor identity with
-no loop over pairs.
+order, one ``tensordot`` and one batched matrix product, and ``ad_matrix``
+takes stacks of elements.
+
+The Jacobi defect is priced by the nonzeros of ``c``.  Each term
+[e_k, [e_i, e_j]] is a sum over m of c[i, j, m] c[k, m, :], so the
+nonzero triples (i, j, m) are joined with the nonzero triples (k, m, b)
+on m, and the products summed by cyclic class of (i, j, k) with one sort
+(``np.unique``) and one ``bincount``.  An input whose join would take more
+than n^4 products (a rebased algebra, with c dense) takes a dense
+contraction instead, blocked over ``JACOBI_BLOCK`` rows of ``c`` so that
+it holds a few arrays of that many times n^3 entries, never n^4.
 
 A :class:`Subspace` is factored once, by one thin SVD, when it is built.
 :func:`validate_algebra` checks the one axiom antisymmetric storage leaves
@@ -29,6 +37,8 @@ from .errors import DimensionMismatch, InputError
 # singular value; scale-invariant for hand-authored constants.
 RANK_RTOL = 1e-8
 JACOBI_TOL = 1e-9
+# rows of c per block of the dense Jacobi contraction
+JACOBI_BLOCK = 8
 
 
 def _readonly(a):
@@ -247,34 +257,70 @@ class ValidationReport:
 def jacobi_defect(L: LieAlgebraData) -> float:
     """Max norm of [e_i,[e_j,e_k]] + cyclic over all basis triples.
 
-    ``X[i, j, k] = [e_k, [e_i, e_j]]`` is one contraction; the other two
-    cyclic terms are its axis rotations.
+    The sum S[i, j, k] = X[i, j, k] + X[j, k, i] + X[k, i, j], with
+    ``X[i, j, k] = [e_k, [e_i, e_j]]``, is invariant under rotating
+    (i, j, k), so each cyclic class takes one value.  The path follows the
+    input: the join of the nonzeros of c on m when its product count
+    sum_m nnz(c[:, :, m]) nnz(c[:, m, :]) is at most n^4, and the blocked
+    dense contraction otherwise.
     """
-    if L.dim == 0:
-        return 0.0
-    X = np.tensordot(L.c, L.c, ([2], [1]))
-    S = X + X.transpose(2, 0, 1, 3)
-    S += X.transpose(1, 2, 0, 3)
-    return float(np.max(np.abs(S)))
+    i, j, m = np.nonzero(L.c)
+    per_m = np.bincount(j, minlength=L.dim)  # nnz(c[:, m, :])
+    if int(per_m[m].sum()) > L.dim**4:
+        return _jacobi_blocked(L.c)
+    return _jacobi_join(L.c, i, j, m)
 
 
-def derived_series(L: LieAlgebraData):
-    """Sequence of derived-subalgebra dimensions until stabilization."""
-    dims = [L.dim]
-    floor = 1e-10 * max(1.0, float(np.max(np.abs(L.c))) if L.dim else 1.0)
-    current = Subspace(L.dim, np.eye(L.dim)) if L.dim else Subspace(0, np.zeros((0, 0)))
-    while current.dim > 0:
-        nxt = span(_bracket_columns(current, current, L), L.dim, floor=floor)
-        if nxt.dim == current.dim:
-            dims.append(nxt.dim)
+def _jacobi_join(c: np.ndarray, i, j, m) -> float:
+    """S summed over products c[i, j, m] c[k, m, b] of nonzeros, keyed by
+    the least rotation of (i, j, k) and by b."""
+    n, v = len(c), c[i, j, m]
+    # the same triples read as (k, m, b) and grouped by their middle index
+    order = np.argsort(j, kind="stable")
+    k, mid, b, w = i[order], j[order], m[order], v[order]
+    count = np.bincount(mid, minlength=n)
+    start = np.cumsum(count) - count
+    reps = count[m]
+    left = np.repeat(np.arange(len(v)), reps)
+    # the run of products of triple t starts at first[t] and reads the
+    # (k, m, b) triples from start[m[t]] on
+    first = np.cumsum(reps) - reps
+    right = np.arange(len(left)) - np.repeat(first - start[m], reps)
+    I, Jx, K = i[left], j[left], k[right]
+    rot = np.minimum(np.minimum((I * n + Jx) * n + K, (Jx * n + K) * n + I), (K * n + I) * n + Jx)
+    _, cls = np.unique(rot * n + b[right], return_inverse=True)
+    return float(np.max(np.abs(np.bincount(cls, weights=v[left] * w[right])), initial=0.0))
+
+
+def _jacobi_blocked(c: np.ndarray) -> float:
+    """S over blocks of ``JACOBI_BLOCK`` rows i, with j and k from the
+    block's first row on: every cyclic class has a rotation that starts
+    with its least index."""
+    worst = 0.0
+    for i0 in range(0, len(c), JACOBI_BLOCK):
+        rows, rest = slice(i0, i0 + JACOBI_BLOCK), c[i0:]
+        S = np.tensordot(c[rows, i0:], rest, ([2], [1]))
+        S += np.tensordot(rest[:, i0:], c[rows], ([2], [1])).transpose(2, 0, 1, 3)
+        S += np.tensordot(rest[:, rows], rest, ([2], [1])).transpose(1, 2, 0, 3)
+        worst = max(worst, float(np.max(np.abs(S))))
+    return worst
+
+
+def derived_series(L: LieAlgebraData) -> list:
+    """The derived series s, [s, s], ... as subspaces, until two terms
+    have the same dimension."""
+    floor = 1e-10 * max(1.0, float(np.max(np.abs(L.c), initial=0.0)))
+    series = [Subspace(L.dim, np.eye(L.dim))]
+    while series[-1].dim > 0:
+        current = series[-1]
+        series.append(span(_bracket_columns(current, current, L), L.dim, floor=floor))
+        if series[-1].dim == current.dim:
             break
-        dims.append(nxt.dim)
-        current = nxt
-    return dims
+    return series
 
 
 def is_solvable(L: LieAlgebraData) -> bool:
-    return derived_series(L)[-1] == 0
+    return derived_series(L)[-1].dim == 0
 
 
 def max_imag_ad_eigenvalue(L: LieAlgebraData) -> float:

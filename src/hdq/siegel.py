@@ -133,52 +133,57 @@ def _expm_stack(A):
     return E.reshape(stack + (k, k))
 
 
+def _off(v: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """v less its part in the span of the orthonormal columns of Q,
+    projected off twice (Gram-Schmidt with one reorthogonalization)."""
+    for _ in range(2):
+        v = v - Q @ (Q.T @ v)
+    return v
+
+
 def _aligned_basis(V: Subspace) -> np.ndarray:
-    """Deterministic orthonormal basis of V aligned with ambient coordinates."""
+    """Deterministic orthonormal basis of V aligned with ambient coordinates:
+    each coordinate vector in turn, projected onto V and off the columns
+    taken so far, is taken when more than 1e-8 of it is left."""
     n, d = V.ambient_dim, V.dim
-    if d == 0:
-        return np.zeros((n, 0))
     q = V.orthonormal()
-    cols = []
-    for i in range(n):
-        v = q @ (q.T @ np.eye(n)[i])
-        for c in cols:
-            v = v - c * (c @ v)
+    B, k = np.empty((n, d)), 0
+    for row in q:  # q @ q[i] projects e_i onto V
+        if k == d:
+            break
+        v = _off(q @ row, B[:, :k])
         nv = np.linalg.norm(v)
         if nv > 1e-8:
-            cols.append(v / nv)
-        if len(cols) == d:
-            break
-    if len(cols) != d:
+            B[:, k] = v / nv
+            k += 1
+    if k != d:
         raise DimensionMismatch("could not align a basis with the coordinates")
-    return np.column_stack(cols)
+    return B
 
 
 def _complex_pairs(space_basis: np.ndarray, j: np.ndarray):
-    """Split a j-invariant space into columns U with the space = [U | jU]."""
+    """Split a j-invariant space into columns U with the space = [U | jU]:
+    each column of ``space_basis`` in turn, off span(U, jU) of the columns
+    taken so far, is taken when at least 1e-8 of it is left.  ``Q`` keeps
+    an orthonormal basis of that span."""
     n, d = space_basis.shape
     if d % 2:
         raise DimensionMismatch("j-invariant space has odd dimension")
     m = d // 2
-    us = []
-    taken = np.zeros((n, 0))
-    for i in range(d):
-        v = space_basis[:, i]
-        # remove components on span(us, j us)
-        if taken.shape[1]:
-            q, _ = np.linalg.qr(taken)
-            v = v - q @ (q.T @ v)
+    U, Q, k = np.empty((n, m)), np.empty((n, d)), 0
+    for v in space_basis.T:
+        if k == m:
+            break
+        v = _off(v, Q[:, : 2 * k])
         nv = np.linalg.norm(v)
         if nv < 1e-8:
             continue
-        v = v / nv
-        us.append(v)
-        taken = np.column_stack([taken, v, j @ v])
-        if len(us) == m:
-            break
-    if len(us) != m:
+        U[:, k] = Q[:, 2 * k] = v / nv
+        w = _off(j @ U[:, k], Q[:, : 2 * k + 1])
+        Q[:, 2 * k + 1] = w / np.linalg.norm(w)
+        k += 1
+    if k != m:
         raise DimensionMismatch("could not pair the half-space basis under j")
-    U = np.column_stack(us) if us else np.zeros((n, 0))
     return np.hstack([U, j @ U]), m
 
 

@@ -17,7 +17,8 @@ from hdq.errors import InputError, MalformedCertificate
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
 from hdq.lie_core import LieAlgebraData
 from hdq import cli
-from hdq.siegel import act, build_model, contains, domain_defect, element_from_vector
+from hdq.ball import totally_real_subalgebra
+from hdq.siegel import _aligned_basis, act, build_model, contains, domain_defect, element_from_vector
 
 
 def rotation_phi(theta, dilation=0.0):
@@ -403,6 +404,27 @@ def test_forged_fiber_conjugator_fails(phi):
     ok, report = verify(cert)
     assert not ok
     assert [r["kind"] for r in report if not r["ok"]] == ["fiber_case"]
+
+
+def test_forged_fiber_log_fails():
+    """verify ties the stored log_in_fiber to the element the walk carries.
+    A fiber_case whose log is 7 e_1, with that vector's own totally-real
+    subalgebra and conjugator, once verified; the witness itself passes
+    its check, so only the tie refuses it."""
+    cert = json.loads(dump_certificate(analyze("ball:3", "exp:0.5*delta + zeta - 0.3*xi1")))
+    step = next(s for s in cert["steps"] if s["kind"] == "fiber_case")
+    Mf = fibration.Tower(build_model(preset("ball:3")))[step["level"]].fiber_model
+    x = 7.0 * np.eye(Mf.J.dim)[1]
+    V, g = totally_real_subalgebra(x, Mf)
+    step["payload"].update(log_in_fiber=x.tolist(), subalgebra=_aligned_basis(V).tolist(), conjugator_x_minus=g.x_minus.tolist())
+    ok, report = verify(cert)
+    assert not ok
+    assert [(r["kind"], r["detail"]) for r in report if not r["ok"]] == [
+        ("fiber_case", "log_in_fiber is 7.30e+00 from the log of the element the walk carries")
+    ]
+    # the same vector as the stored log replays its witness within tolerance
+    state = analyzer.ReplayState(build_model(preset("ball:3")), cert["seed"], fiber_log=x)
+    assert analyzer._check_fiber(step["payload"], state, step["level"]) <= analyzer.STEP_TOL["fiber_case"]
 
 
 def _benchmark_op0(workload, relabelled_polydisc):

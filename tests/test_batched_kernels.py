@@ -241,7 +241,7 @@ def test_lie_core_defects_match_loops(n):
 @pytest.mark.parametrize("name", ["ball:4", "polydisc:3", "product:[ball:3,ball:2]", "random:6"])
 def test_derived_series_matches_loop(name):
     L = _random_algebra(6, np.random.default_rng(6)) if name.startswith("random") else preset(name).L
-    assert lie_core.derived_series(L) == _loop_derived_series(L)
+    assert [V.dim for V in lie_core.derived_series(L)] == _loop_derived_series(L)
 
 
 @pytest.mark.parametrize("n", [4, 8])
