@@ -46,18 +46,20 @@ rest:
   recomputed tower (``fibration.Tower``, one level at a time).  The check
   is the level's structural residual (``Tower.residual``), which bounds
   how far the coordinate selection is from the equivariant projection;
-  it draws no samples.  The walk carries the element down the tower as
-  exponential coordinates and builds no quotient group element.
+  it draws no samples.  The walk takes the log y of φ′ once, in level-1
+  adapted coordinates, where each quotient map selects columns: a level
+  descends with y[~ideal] while |y[~ideal]| / |y| is at least
+  ``FIBER_BAND``, and builds no quotient group element.
 - ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
   ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
-  ``conjugator_x_minus``.  ``log_in_fiber`` must be within the step's
-  tolerance of the log of the element the walk carries, in the fiber's
-  coordinates, which the walk derives once for the build and the check
-  (``ReplayState.fiber_log``).  A replay that has already failed a step
-  over its tolerance carries an element in doubt and skips that tie; its
-  report fails either way.  ``FIBER_SAMPLE_POINTS`` interior points are
-  drawn with ``default_rng(seed + 7 * level + 1)``.  The witness is
-  accepted by ``ball.totally_real_residuals``: the conjugator must move
+  ``conjugator_x_minus``, taken below ``FIBER_RATIO``.  ``log_in_fiber``
+  must be within the step's tolerance of y[ideal], which the walk sets
+  once for the build and the check (``ReplayState.fiber_log``).  A
+  replay that has already failed a step over its tolerance carries an
+  element in doubt and skips that tie; its report fails either way.
+  ``FIBER_SAMPLE_POINTS`` interior points are drawn with
+  ``default_rng(seed + 7 * level + 1)``.  The witness is accepted by
+  ``ball.totally_real_residuals``: the conjugator must move
   ``log_in_fiber`` onto the frame line, or be zero when ``log_in_fiber``
   has no frame coefficient.
 
@@ -83,7 +85,7 @@ from .ball import (
     totally_real_subalgebra,
 )
 from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
-from .fibration import FibrationStep, Tower, push_group
+from .fibration import FibrationStep, Tower
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
 from .lie_core import Subspace
@@ -126,8 +128,9 @@ CITED_WITHOUT_COMPUTATION = [
 
 # totally-real determinant samples of the fiber case, drawn alike by analyze and verify
 FIBER_SAMPLE_POINTS = 50
-# the element is in the fiber below FIBER_RATIO (|pushed| / |element|), and
-# membership is undecided below FIBER_BAND
+# the element is in a level's fiber when its log y, in the level's adapted
+# coordinates, has |y[~ideal]| / |y| below FIBER_RATIO; membership is
+# undecided below FIBER_BAND
 FIBER_RATIO = 1e-8
 FIBER_BAND = 1e-6
 
@@ -286,18 +289,18 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     if take("elliptic_reduction", 0, dict) is None or take("conjugation_into_S", 0, lambda: _orbit_payload(state)) is None:
         return
 
-    # descent down the fibration tower until the element lies in a fiber;
-    # the element travels as its exponential coordinates (x_minus, x_zero)
-    level, M, s = 1, state.model, (state.element.x_minus, state.element.x_zero)
+    # descent down the fibration tower until the element lies in a fiber; its
+    # log y is taken once, in level-1 adapted coordinates, where every
+    # quotient map selects the columns off the level's ideal mask
+    level, M = 1, state.model
+    y = M.to_adapted(element_log(M, state.element.x_minus, state.element.x_zero))
     while M.J.dim:
         F = state.tower[level]
-        pushed = push_group(*s, F)
-        total = float(np.linalg.norm(s[0]) + np.linalg.norm(s[1]))
-        push_norm = float(np.linalg.norm(pushed[0]) + np.linalg.norm(pushed[1]))
-        ratio = push_norm / total if total > 0 else 0.0
+        total = float(np.linalg.norm(y))
+        ratio = float(np.linalg.norm(y[~F.ideal])) / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
             d = F.fiber_model.dim_complex
-            state.fiber_log = np.linalg.pinv(F.b_basis) @ element_log(M, *s)
+            state.fiber_log = y[F.ideal]
             if take("fiber_case", level, lambda: _fiber_payload(F, state.fiber_log)) is None:
                 return
             if d <= 1 and F.quotient_model.J.dim == 0 and take("base_case", level, lambda: {"dim_complex": d}) is None:
@@ -309,7 +312,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
         descend = take("tower_descend", level, lambda: {"dim_quotient_algebra": F.quotient_model.J.dim})
         if descend is None or take("bundle_quotient", level, dict) is None:
             return
-        s, M, level = pushed, F.quotient_model, level + 1
+        y, M, level = y[~F.ideal], F.quotient_model, level + 1
     else:  # the tower ran down to a point without meeting a fiber
         if take("base_case", level, lambda: {"dim_complex": 0}) is None:
             return
@@ -330,19 +333,19 @@ def _orbit_payload(state: ReplayState) -> dict:
     mat, off = state.phi_prime
     M = state.model
     try:
-        s = solve_orbit(DomainPoint.unpack(mat @ M.base_point().pack() + off, M.p, M.q), M)
+        x_minus, x_zero = solve_orbit(DomainPoint.unpack(mat @ M.base_point().pack() + off, M.p, M.q), M)
     except HdqError as exc:
         raise StepRejected(f"conjugation into the split solvable group unsupported: {exc}") from exc
-    return {"x_minus": s.x_minus, "x_zero": s.x_zero}
+    return {"x_minus": x_minus, "x_zero": x_zero}
 
 
 def _fiber_payload(F: FibrationStep, x_b: np.ndarray) -> dict:
-    V, g = totally_real_subalgebra(x_b, F.fiber_model)
+    V, x_minus = totally_real_subalgebra(x_b, F.fiber_model)
     return {
         "fiber_dim": F.fiber_model.dim_complex,
         "log_in_fiber": x_b,
         "subalgebra": _aligned_basis(V),
-        "conjugator_x_minus": g.x_minus,
+        "conjugator_x_minus": x_minus,
     }
 
 

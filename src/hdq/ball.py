@@ -23,16 +23,7 @@ from .errors import (
 )
 from .jalgebra import NormalJAlgebra, ball_jalgebra
 from .lie_core import Subspace, ad_matrix, closure_residual, residual_outside, span
-from .siegel import (
-    DomainPoint,
-    GroupElement,
-    SiegelModel,
-    _expm_stack,
-    build_model,
-    group_element,
-    identity,
-    vector_field,
-)
+from .siegel import DomainPoint, SiegelModel, _expm_stack, build_model, vector_field
 
 DEFECT_MIN = 1e-6
 # bound on the residual of totally_real_residuals for an accepted witness
@@ -200,8 +191,9 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     return span(cols, M.J.dim)
 
 
-def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
-    """Group element whose adjoint moves x into the abelian frame line.
+def conjugate_into_a(x, M: SiegelModel) -> np.ndarray:
+    """x_minus of the group element whose adjoint moves x into the abelian
+    frame line.
 
     Two exact conjugations: one along the half component (its bracket with
     the frame rescales it), then one along the center line.  Both are
@@ -215,10 +207,7 @@ def conjugate_into_a(x, M: SiegelModel) -> GroupElement:
     a = float(coords[-1])
     if abs(a) <= 1e-10 * max(1.0, float(np.linalg.norm(x))):
         raise ZeroSemisimplePart("the frame coefficient vanishes")
-    b = float(coords[0])
-    u = coords[M.p : M.p + M.q]
-
-    return group_element(M, np.concatenate([[b / a], (2.0 / a) * u]), np.zeros(1))
+    return np.concatenate([[coords[0] / a], (2.0 / a) * coords[M.p : M.p + M.q]])
 
 
 def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
@@ -239,24 +228,24 @@ def abelian_branch(x, M: SiegelModel) -> bool:
 
 def totally_real_subalgebra(x, M: SiegelModel):
     """Full-dimension subalgebra V through x meant to have totally real
-    orbits, with the conjugator g of the construction.
+    orbits, with the x_minus of the conjugator of the construction.
 
     With a nonzero frame coefficient the vector is conjugated onto the
     frame line and the split subalgebra (frame + one Lagrangian half of
     each symplectic pair) is pulled back; otherwise the abelian
-    construction applies and g is the identity.  Nothing is checked here:
-    :func:`totally_real_residuals` measures V and g.
+    construction applies and the conjugator is the identity (x_minus 0).
+    Nothing is checked here: :func:`totally_real_residuals` measures both.
     """
     require_ball_like(M)
     if abelian_branch(x, M):
-        return abelian_subalgebra_containing(x, M), identity(M)
-    g = conjugate_into_a(x, M)
+        return abelian_subalgebra_containing(x, M), np.zeros(M.p + M.q)
+    x_minus = conjugate_into_a(x, M)
     # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
-    adj_inv = _expm_stack(ad_matrix(M.C[:, : M.p + M.q] @ g.x_minus, M.J.L))
+    adj_inv = _expm_stack(ad_matrix(M.C[:, : M.p + M.q] @ x_minus, M.J.L))
     cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
     for e, _, _ in _symplectic_pairs(M):
         cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))
-    return span(cols, M.J.dim), g
+    return span(cols, M.J.dim), x_minus
 
 
 def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: DomainPoint):
@@ -300,16 +289,16 @@ def totally_real_subalgebra_containing(
     """:func:`totally_real_subalgebra`, checked by
     :func:`totally_real_residuals` at ``samples`` interior points drawn
     from ``rng``."""
-    V, g = totally_real_subalgebra(x, M)
+    V, x_minus = totally_real_subalgebra(x, M)
     pts = sample_totally_real_points(M, samples, rng if rng is not None else np.random.default_rng(0))
-    res, min_det = totally_real_residuals(x, V, g.x_minus, M, pts)
+    res, min_det = totally_real_residuals(x, V, x_minus, M, pts)
     if not res <= WITNESS_RESIDUAL:
         raise TotallyRealCheckFailed(
             f"subalgebra misses the input vector, is not closed or is badly conjugated (residual {res:.2e})"
         )
     if not min_det > DEFECT_MIN:
         raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
-    return V, g
+    return V, x_minus
 
 
 # ---------------------------------------------------------------------------

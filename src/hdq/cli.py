@@ -18,8 +18,9 @@ from . import analyzer, jalgebra, lie_core
 from .ball import DEFECT_MIN, WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
 from .ball import totally_real_residuals, totally_real_subalgebra
 from .errors import HdqError, InputError, TotallyRealCheckFailed
-from .fibration import check_equivariance, tower
+from .fibration import Tower
 from .jordan import classify, cyclic_discreteness
+from .siegel import build_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -49,8 +50,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fibration", help="print the fibration tower of a domain")
     p.add_argument("--domain", required=True)
-    p.add_argument("--samples", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("jordan", help="Jordan-decompose a matrix from a JSON file")
     p.add_argument("--matrix", required=True, help="JSON file with a row-major square matrix")
@@ -101,15 +100,14 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fibration(args) -> int:
-    J = jalgebra.resolve_domain(args.domain)
-    steps = tower(J)
-    for k, F in enumerate(steps, start=1):
-        res = check_equivariance(F, args.samples, seed=args.seed + k)
+    T = Tower(build_model(jalgebra.resolve_domain(args.domain)))
+    for k in range(1, T.model.rank + 1):
+        F = T[k]
         print(
             f"step {k}: dim b = {F.fiber_model.J.dim}, dim s' = {F.quotient_model.J.dim}, "
-            f"equivariance residual = {res:.3e}"
+            f"structural residual = {T.residual(k):.3e}"
         )
-    print(f"tower depth {len(steps)}")
+    print(f"tower depth {T.model.rank}")
     return EXIT_OK
 
 
@@ -164,13 +162,13 @@ def cmd_ball(args) -> int:
         raise InputError(f"bad coefficient list: {exc}") from exc
     if x.shape != (B.J.dim,):
         raise InputError(f"need {B.J.dim} coefficients for n={args.n}")
-    V, g = totally_real_subalgebra(x, B.model)
+    V, x_minus = totally_real_subalgebra(x, B.model)
     pts = sample_totally_real_points(B.model, args.samples, np.random.default_rng(args.seed))
-    res, min_det = totally_real_residuals(x, V, g.x_minus, B.model, pts)
+    res, min_det = totally_real_residuals(x, V, x_minus, B.model, pts)
     print("subalgebra basis columns (rows = algebra coordinates):")
     for row in V.basis_matrix:
         print("  " + "  ".join(f"{v: .6f}" for v in row))
-    print(f"conjugator x_minus = {g.x_minus.tolist()}")
+    print(f"conjugator x_minus = {x_minus.tolist()}")
     print(f"containment/closure/conjugator residual: {res:.3e}")
     print(f"min |det| over {args.samples} interior samples: {min_det:.6e}")
     if not (res <= WITNESS_RESIDUAL and min_det > DEFECT_MIN):

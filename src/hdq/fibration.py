@@ -26,7 +26,10 @@ Root spaces are orthogonal for <x, y> = omega([j x, y]), so once the
 gates pass, the omega-orthogonal projection onto the subalgebra, the
 homomorphism that realizes the equivariant submersion, is the coordinate
 selection ``quotient_map`` up to a structural residual (``Tower.residual``).
-``check_equivariance`` samples the square instead, as a diagnostic.
+Every level's adapted basis is a slice of level 1's, so a log in level-1
+adapted coordinates descends the tower by indexing with each ``ideal``
+mask.  ``check_equivariance`` samples the square on points instead, as a
+diagnostic that no step of the walk reads.
 """
 
 from __future__ import annotations
@@ -52,21 +55,21 @@ from .siegel import (
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
     """One level of the tower: the domain, quotient and fiber models, the
-    fiber algebra's basis in the domain algebra (``b_basis``), the quotient
-    map, and the domain's adapted ``algebra`` with its ``ideal`` mask.
+    quotient map, and the domain's adapted ``algebra`` with its ``ideal``
+    mask.
 
-    ``b_basis`` holds the columns of the domain model's ``C`` whose root
-    involves the last frame index; the quotient and fiber algebras are
-    ``algebra`` on the other columns and on those.  ``quotient_map``
-    selects the kept adapted coordinates (blocks s_{-1} | s_{-1/2} | s_0);
-    it is graded, so ``project_point`` and ``push_group`` apply its
-    diagonal blocks to stacks of rows.
+    ``ideal`` marks the adapted columns whose root involves the last frame
+    index; the fiber and quotient algebras are ``algebra`` on those columns
+    and on the others, so a vector y in adapted coordinates has fiber part
+    ``y[ideal]`` and quotient image ``y[~ideal]``.  ``quotient_map`` is
+    that selection as a matrix (blocks s_{-1} | s_{-1/2} | s_0); it is
+    graded, so ``project_point`` and ``push_group`` apply its diagonal
+    blocks to stacks of rows.
     """
 
     domain_model: SiegelModel
     quotient_model: SiegelModel
     fiber_model: SiegelModel
-    b_basis: np.ndarray
     quotient_map: np.ndarray
     algebra: NormalJAlgebra
     ideal: np.ndarray
@@ -93,7 +96,6 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
         domain_model=M,
         quotient_model=quotient_model,
         fiber_model=fiber_model,
-        b_basis=np.ascontiguousarray(M.C[:, ideal]),
         quotient_map=np.eye(J.dim)[kept],
         algebra=J,
         ideal=ideal,

@@ -208,11 +208,6 @@ def subspace_equal(V: Subspace, W: Subspace, tol: float = 1e-8) -> bool:
     return float(np.linalg.norm(qv - qw @ (qw.T @ qv))) <= tol
 
 
-def derived_algebra(L: LieAlgebraData) -> Subspace:
-    """Span of all brackets of basis pairs."""
-    return span(L.c, L.dim)  # rows c[i, j] = [e_i, e_j]
-
-
 def _bracket_columns(V: Subspace, W: Subspace, L: LieAlgebraData) -> np.ndarray:
     """Brackets of the basis columns of V with those of W, one per row."""
     return bracket_table(V.basis_matrix, W.basis_matrix, L).reshape(-1, L.dim)

@@ -504,10 +504,6 @@ def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
     return GroupElement(x_minus, x_zero, mat, off)
 
 
-def identity(M: SiegelModel) -> GroupElement:
-    return group_element(M, np.zeros(M.p + M.q), np.zeros(M.p0))
-
-
 def act(g: GroupElement, point: DomainPoint, M: SiegelModel) -> DomainPoint:
     """g . point; stacks of elements and of points broadcast against each other."""
     v = (g.affine_matrix @ point.pack()[..., None])[..., 0] + g.affine_offset
@@ -714,15 +710,16 @@ def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL):
     return cone_contains(domain_defect(point, M), M, tol).inside
 
 
-def solve_orbit(point: DomainPoint, M: SiegelModel) -> GroupElement:
-    """The unique group element mapping the base point to ``point``.
+def solve_orbit(point: DomainPoint, M: SiegelModel):
+    """Exponential coordinates ``(x_minus, x_zero)`` of the unique group
+    element mapping the base point to ``point``.
 
     Layered: the half-block translation is read off the w-coordinate, the
     0-part comes from the cone witness of im(z) - Phi(w,w), and the
     remaining translation is re(z).
     """
     if M.p == 0:
-        return identity(M)
+        return np.zeros(M.p + M.q), np.zeros(M.p0)
     defect = domain_defect(point, M)
     cone = cone_contains(defect, M)
     if not cone.inside:
@@ -733,7 +730,7 @@ def solve_orbit(point: DomainPoint, M: SiegelModel) -> GroupElement:
     res = orbit_points(M, x_minus, cone.witness).distance(point)
     if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
         raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {ORBIT_TOL:.2e}")
-    return group_element(M, x_minus, cone.witness)
+    return x_minus, cone.witness
 
 
 def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm, logm
 
 from hdq import jalgebra
-from hdq.lie_core import LieAlgebraData, ad_matrix, bracket_table, derived_algebra, residual_outside, span
+from hdq.lie_core import LieAlgebraData, ad_matrix, bracket_table, derived_series, residual_outside, span
 from hdq.siegel import group_element
 
 # the CLI tests start `python -m hdq.cli` in a subprocess; let it import
@@ -148,12 +148,12 @@ def _fibration_invariants(F):
     J, Jq, Jb = M.J, Mq.J, F.fiber_model.J
     fine = jalgebra.fine_structure(Jb)
     xi = fine.xi[0]
-    D = derived_algebra(Jb.L).basis_matrix
+    D = derived_series(Jb.L)[1].basis_matrix
     second = bracket_table(D, D, Jb.L).reshape(-1, Jb.dim)
     H = fine.s_minushalf.basis_matrix
     pairing = bracket_table(H, H, Jb.L) @ xi / float(xi @ xi)
     coords = Mq.C @ F.quotient_map @ M.Cinv
-    b, G = F.b_basis, jalgebra.gram(J)
+    b, G = F.domain_model.C[:, F.ideal], jalgebra.gram(J)
     P = np.eye(J.dim) - b @ np.linalg.solve(b.T @ G @ b, b.T @ G)
     return {
         "center": float(np.max(np.abs(bracket_table(xi[:, None], D, Jb.L)), initial=0.0)),

@@ -416,7 +416,7 @@ def test_forged_fiber_log_fails():
     Mf = fibration.Tower(build_model(preset("ball:3")))[step["level"]].fiber_model
     x = 7.0 * np.eye(Mf.J.dim)[1]
     V, g = totally_real_subalgebra(x, Mf)
-    step["payload"].update(log_in_fiber=x.tolist(), subalgebra=_aligned_basis(V).tolist(), conjugator_x_minus=g.x_minus.tolist())
+    step["payload"].update(log_in_fiber=x.tolist(), subalgebra=_aligned_basis(V).tolist(), conjugator_x_minus=g.tolist())
     ok, report = verify(cert)
     assert not ok
     assert [(r["kind"], r["detail"]) for r in report if not r["ok"]] == [
@@ -519,7 +519,7 @@ def test_tower_walk_draws_no_samples(monkeypatch, relabelled_polydisc):
         raise AssertionError("the walk sampled the equivariance square")
 
     bound = [m for name, m in sys.modules.items() if name.startswith("hdq") and getattr(m, "check_equivariance", None) is fibration.check_equivariance]
-    assert fibration in bound and cli in bound
+    assert fibration in bound
     for module in bound:
         monkeypatch.setattr(module, "check_equivariance", refuse)
     grams = []
@@ -534,6 +534,46 @@ def test_tower_walk_draws_no_samples(monkeypatch, relabelled_polydisc):
         assert grams == [12]
         assert verify(json.loads(dump_certificate(cert)))[0]
         assert grams == [12, 12]
+
+
+def _descent_levels(domain, x):
+    """(rank, fiber_case levels, assumptions) of the walk for exp(x), with
+    canned payloads up to the conjugation step, where the element is set
+    to exp(x) directly: the descent alone decides, with no Jordan split."""
+    M = build_model(preset(domain))
+    state = analyzer.ReplayState(M, 0)
+    canned = {"jordan_split": {}, "discreteness": {"kind": "infinite_discrete", "order": None}}
+    levels = []
+
+    def take(kind, level, build):
+        if kind == "conjugation_into_S":
+            state.element = element_from_vector(M, x)
+        if kind == "fiber_case":
+            levels.append(level)
+        return canned.get(kind, {})
+
+    out = {"assumptions": []}
+    analyzer._walk(state, out, take)
+    return M.rank, levels, out["assumptions"]
+
+
+@pytest.mark.parametrize("domain", ["polydisc:2", "polydisc:3", "product:[ball:1,ball:1]", "product:[ball:2,ball:2]"])
+def test_descent_decides_on_the_algebra_log(domain):
+    """exp(x) with every factor of x nonzero reaches a fiber only at the
+    last level.  The layered coordinates grow like e^|x| along the
+    dilations, so a ratio taken on them takes some of these draws into the
+    level-1 fiber or stops them as numerically ambiguous."""
+    dim = preset(domain).dim
+    draws = [s * np.random.default_rng(1000 + k).uniform(-1, 1, dim) for s in (20, 40) for k in (2, 3, 8, 10, 14, 21)]
+    if domain == "polydisc:2":
+        draws.append(parse_combination(
+            "-5.850135627850*delta1 - 20.017495574103*zeta1 + 28.349660595077*delta2 - 6.958477109843*zeta2",
+            preset(domain),
+        ))
+    for x in draws:
+        rank, levels, assumptions = _descent_levels(domain, x)
+        assert levels == [rank], x
+        assert not any("numerically ambiguous" in a for a in assumptions), (x, assumptions)
 
 
 def _forge_domain(cert, forgery):

@@ -175,15 +175,14 @@ def test_conjugate_into_a_base_case():
     M = B1.model
     x = np.array([1.0, 2.0])  # delta + 2 zeta
     g = conjugate_into_a(x, M)
-    np.testing.assert_allclose(g.x_minus, [2.0], atol=1e-10)
-    np.testing.assert_allclose(g.x_zero, [0.0], atol=1e-10)
-    y = expm(-ad_matrix(M.C[:, : M.p + M.q] @ g.x_minus, M.J.L)) @ x
+    np.testing.assert_allclose(g, [2.0], atol=1e-10)
+    y = expm(-ad_matrix(M.C[:, : M.p + M.q] @ g, M.J.L)) @ x
     np.testing.assert_allclose(y, [1.0, 0.0], atol=1e-10)
 
 
 def test_conjugate_into_a_identity(B2):
     g = conjugate_into_a(algvec(B2, delta=1), B2.model)
-    assert np.linalg.norm(g.x_minus) < 1e-12 and np.linalg.norm(g.x_zero) < 1e-12
+    assert np.linalg.norm(g) < 1e-12
 
 
 def test_conjugate_into_a_half_component(B2):
@@ -192,8 +191,8 @@ def test_conjugate_into_a_half_component(B2):
     x = algvec(B2, delta=1, xi1=1)
     g = conjugate_into_a(x, M)
     c = M.to_adapted(algvec(B2, xi1=2.0))
-    np.testing.assert_allclose(g.x_minus, c[: M.p + M.q], atol=1e-10)
-    assert nilpotent_residual(x, g.x_minus, M) < 1e-10
+    np.testing.assert_allclose(g, c[: M.p + M.q], atol=1e-10)
+    assert nilpotent_residual(x, g, M) < 1e-10
 
 
 def test_conjugate_requires_semisimple_part(B2):
@@ -217,17 +216,17 @@ def test_witness_residual_includes_the_conjugator(B2):
     pts = sample_totally_real_points(M, 10, np.random.default_rng(0))
     x = algvec(B2, delta=1, xi1=1, zeta=0.5)
     V, g = totally_real_subalgebra(x, M)
-    res, min_det = totally_real_residuals(x, V, g.x_minus, M, pts)
+    res, min_det = totally_real_residuals(x, V, g, M, pts)
     assert res <= WITNESS_RESIDUAL and min_det > 1e-6
     # the same subalgebra with a wrong conjugator is refused by its residual
-    bad, _ = totally_real_residuals(x, V, np.zeros_like(g.x_minus), M, pts)
+    bad, _ = totally_real_residuals(x, V, np.zeros_like(g), M, pts)
     assert bad > 1e-3
     # an element with no frame coefficient takes no conjugator
     y = algvec(B2, zeta=1, xi1=0.5)
     W, h = totally_real_subalgebra(y, M)
-    assert not np.any(h.x_minus)
+    assert not np.any(h)
     with pytest.raises(TotallyRealCheckFailed, match="no conjugator"):
-        totally_real_residuals(y, W, g.x_minus, M, pts)
+        totally_real_residuals(y, W, g, M, pts)
 
 
 def test_totally_real_subalgebra_examples(B2):
@@ -237,7 +236,7 @@ def test_totally_real_subalgebra_examples(B2):
     from hdq.lie_core import subspace_equal
 
     assert subspace_equal(V, span([algvec(B2, delta=1), algvec(B2, xi1=1)], 4), 1e-8)
-    assert np.linalg.norm(g.x_minus) < 1e-12
+    assert np.linalg.norm(g) < 1e-12
 
     V2, g2 = totally_real_subalgebra_containing(algvec(B2, xi1=1), M, rng)
     assert subspace_equal(V2, span([algvec(B2, zeta=1), algvec(B2, xi1=1)], 4), 1e-8)
@@ -269,7 +268,7 @@ def test_nilpotent_residual_bound(B3):
         if abs(M.to_adapted(x)[-1]) / np.linalg.norm(x) <= 1e-3:
             continue
         g = conjugate_into_a(x, M)
-        assert nilpotent_residual(x, g.x_minus, M) < 1e-8
+        assert nilpotent_residual(x, g, M) < 1e-8
 
 
 def test_cayley_roundtrip():

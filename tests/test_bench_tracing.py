@@ -44,7 +44,9 @@ def test_traced_tower_measures_the_input_only(monkeypatch):
     """A traced polydisc-tower run of two pairs is correct, and each
     analyze + verify pair computes the fine structure and the Siegel model
     of its input only, once per phase and once inside validation: the tower
-    builds every quotient and fiber model from the input's root columns."""
+    builds every quotient and fiber model from the input's root columns.
+    The walk descends by slicing the element's log and pushes nothing
+    through ``push_group``."""
     # run.py prepends to sys.path and pins the numeric threads on import
     monkeypatch.setattr(sys, "path", list(sys.path))
     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
@@ -57,6 +59,7 @@ def test_traced_tower_measures_the_input_only(monkeypatch):
     metrics = result["metrics"]
     assert metrics["jalgebra.fine_structure_calls"]["value"] <= 4
     assert metrics["siegel.build_model_calls"]["value"] <= 2
+    assert metrics["fibration.push_group_calls"]["value"] == 0
 
 
 def test_traced_affine_screen_is_one_stacked_cone_query(monkeypatch):

@@ -151,21 +151,21 @@ def test_consecutive_main_calls_get_independent_namespaces(monkeypatch):
     for name in ("cmd_fibration", "cmd_validate", "cmd_ball"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(args) or cli.EXIT_OK)
     assert cli.build_parser() is cli.build_parser()
-    assert cli.main(["fibration", "--domain", "ball:2", "--samples", "7", "--seed", "3"]) == 0
+    assert cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", "--samples", "7", "--seed", "3"]) == 0
     assert cli.main(["validate", "algebra.json"]) == 0
     assert cli.main(["fibration", "--domain", "polydisc:2"]) == 0
     assert cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0"]) == 0
     assert [vars(a) for a in seen] == [
-        {"command": "fibration", "domain": "ball:2", "samples": 7, "seed": 3},
+        {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0", "samples": 7, "seed": 3},
         {"command": "validate", "file": "algebra.json"},
-        {"command": "fibration", "domain": "polydisc:2", "samples": 100, "seed": 0},
+        {"command": "fibration", "domain": "polydisc:2"},
         {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0", "samples": 50, "seed": 0},
     ]
     assert len({id(a) for a in seen}) == 4
 
 
 def test_fibration_tower():
-    res = run_cli("fibration", "--domain", "polydisc:3", "--samples", "20")
+    res = run_cli("fibration", "--domain", "polydisc:3")
     assert res.returncode == 0, res.stderr
     assert "tower depth 3" in res.stdout
     assert res.stdout.count("step") == 3

@@ -12,7 +12,7 @@ from hdq.lie_core import (
     Subspace,
     bracket,
     bracket_table,
-    derived_algebra,
+    derived_series,
     is_solvable,
     max_imag_ad_eigenvalue,
     span,
@@ -102,7 +102,7 @@ def test_validate_cli_reports_split_only_for_plain_algebras(tmp_path, capsys, b2
 
 
 def test_derived_algebra_b2(b2):
-    der = derived_algebra(b2)
+    der = derived_series(b2)[1]
     expected = span(
         [vec(b2, zeta=1), vec(b2, xi1=1), vec(b2, eta1=1)], b2.dim
     )
