@@ -50,18 +50,16 @@ rest:
   adapted coordinates, where each quotient map selects columns: a level
   descends with y[~ideal] while |y[~ideal]| / |y| is at least
   ``FIBER_BAND``, and builds no quotient group element.
-- ``fiber_case``: ``fiber_dim``, ``log_in_fiber``, the totally-real
-  ``subalgebra`` (an orthonormal basis aligned with the coordinates) and
-  ``conjugator_x_minus``, taken below ``FIBER_RATIO``.  ``log_in_fiber``
-  must be within the step's tolerance of y[ideal], which the walk sets
-  once for the build and the check (``ReplayState.fiber_log``).  A
-  replay that has already failed a step over its tolerance carries an
-  element in doubt and skips that tie; its report fails either way.
-  ``FIBER_SAMPLE_POINTS`` interior points are drawn with
-  ``default_rng(seed + 7 * level + 1)``.  The witness is accepted by
-  ``ball.totally_real_residuals``: the conjugator must move
-  ``log_in_fiber`` onto the frame line, or be zero when ``log_in_fiber``
-  has no frame coefficient.
+- ``fiber_case``: the totally-real ``subalgebra`` (an orthonormal basis
+  aligned with the coordinates, one column per complex dimension of the
+  fiber) and ``conjugator_x_minus``, taken below ``FIBER_RATIO``.  They
+  witness for y[ideal], the fiber log the walk sets once for the build and
+  the check (``ReplayState.fiber_log``).  The check draws
+  ``FIBER_SAMPLE_POINTS`` interior points with
+  ``default_rng(seed + 7 * level + 1)`` and makes one call,
+  ``ball.totally_real_residuals``: the conjugator must move the log onto
+  the frame line, or be zero when the log has no frame coefficient, and
+  every sampled determinant must exceed ``ball.DEFECT_MIN``.
 
 Conclusions are certificates of the cited structure theory applied to
 verified hypotheses, never independent proofs: the assumption list names
@@ -77,15 +75,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import jalgebra
-from .ball import (
-    DEFECT_MIN,
-    WITNESS_RESIDUAL,
-    sample_totally_real_points,
-    totally_real_residuals,
-    totally_real_subalgebra,
-)
-from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate, TotallyRealCheckFailed
-from .fibration import FibrationStep, Tower
+from .ball import WITNESS_RESIDUAL, sample_totally_real_points, totally_real_residuals, totally_real_subalgebra
+from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate
+from .fibration import Tower
 from .jalgebra import NormalJAlgebra
 from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
 from .lie_core import Subspace
@@ -178,13 +170,6 @@ def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
     return A
 
 
-@dataclass
-class PhiInput:
-    echo: object      # what the user supplied
-    mat: np.ndarray   # affine linear part on packed coordinates
-    off: np.ndarray
-
-
 def phi_affine(phi_spec, M: SiegelModel):
     """(linear, translation) on packed coordinates of an ``exp:`` string or
     of a mapping with ``linear`` and ``translation``; ``InputError`` when it
@@ -209,7 +194,8 @@ def phi_affine(phi_spec, M: SiegelModel):
     return mat, off
 
 
-def resolve_phi(phi_spec, M: SiegelModel, seed: int) -> PhiInput:
+def resolve_phi(phi_spec, M: SiegelModel, seed: int):
+    """(what the user supplied, the homogenized matrix of phi)."""
     if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
         with open(phi_spec[7:], "r", encoding="utf-8") as fh:
             phi_spec = json.load(fh)
@@ -221,7 +207,7 @@ def resolve_phi(phi_spec, M: SiegelModel, seed: int) -> PhiInput:
         img = DomainPoint.unpack(pts.pack() @ mat.T + off, M.p, M.q)
         if not np.all(contains(img, M, 1e-7)):
             raise InputError("affine map does not preserve the domain on a sample")
-    return PhiInput(phi_spec, mat, off)
+    return phi_spec, _homogenize(mat, off)
 
 
 # ---------------------------------------------------------------------------
@@ -243,17 +229,17 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         raise InputError(invalid)
     M = build_model(J)
 
-    phi = resolve_phi(phi_spec, M, seed)
+    phi_echo, phi_matrix = resolve_phi(phi_spec, M, seed)
     cert = {
         "version": 1,
         "domain": domain_echo,
-        "phi": phi.echo,
+        "phi": phi_echo,
         "seed": int(seed),
         "steps": [],
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, int(seed), phi_matrix=_homogenize(phi.mat, phi.off))
+    state = ReplayState(M, int(seed), phi_matrix=phi_matrix)
     _walk(state, cert, _recorder(cert, state))
     return cert
 
@@ -275,7 +261,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     out["conclusion"] = "undecided"
     if take("jordan_split", 0, lambda: _jordan_payload(state)) is None:
         return
-    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(*state.jordan)))
+    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(state.jordan)))
     if disc is None or disc["kind"] == "undecided":
         return
     if disc["kind"] == "finite":
@@ -301,7 +287,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
         if ratio < FIBER_RATIO:
             d = F.fiber_model.dim_complex
             state.fiber_log = y[F.ideal]
-            if take("fiber_case", level, lambda: _fiber_payload(F, state.fiber_log)) is None:
+            if take("fiber_case", level, lambda: _fiber_payload(F.fiber_model, state.fiber_log)) is None:
                 return
             if d <= 1 and F.quotient_model.J.dim == 0 and take("base_case", level, lambda: {"dim_complex": d}) is None:
                 return
@@ -339,14 +325,9 @@ def _orbit_payload(state: ReplayState) -> dict:
     return {"x_minus": x_minus, "x_zero": x_zero}
 
 
-def _fiber_payload(F: FibrationStep, x_b: np.ndarray) -> dict:
-    V, x_minus = totally_real_subalgebra(x_b, F.fiber_model)
-    return {
-        "fiber_dim": F.fiber_model.dim_complex,
-        "log_in_fiber": x_b,
-        "subalgebra": _aligned_basis(V),
-        "conjugator_x_minus": x_minus,
-    }
+def _fiber_payload(Mf: SiegelModel, x_b: np.ndarray) -> dict:
+    V, x_minus = totally_real_subalgebra(x_b, Mf)
+    return {"subalgebra": _aligned_basis(V), "conjugator_x_minus": x_minus}
 
 
 def _recorder(cert: dict, state: ReplayState):
@@ -416,11 +397,10 @@ class ReplayState:
     phi: object = None                    # the certificate's phi
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
     tower: Tower = field(init=False)
-    jordan: tuple | None = None      # (matrix, JordanParts) of jordan_split
+    jordan: JordanParts | None = None  # the factors of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
     fiber_log: np.ndarray | None = None  # the carried element's log in fiber coordinates, set by the walk
-    replayed: bool = True  # no step so far exceeded its tolerance
 
     def __post_init__(self):
         self.tower = Tower(self.model)
@@ -453,12 +433,12 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
     if np.min(hv.real) <= 0:
         res = max(res, 1.0)
     res = max(res, float(np.linalg.norm(np.linalg.matrix_power(u - np.eye(n), n))))
-    state.jordan = (A, JordanParts(e, h, u, res))
+    state.jordan = JordanParts(e, h, u, res)
     return res
 
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
-    disc = cyclic_discreteness(*state.jordan)
+    disc = cyclic_discreteness(state.jordan)
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(
             f"discreteness replays as {disc.kind} (order {disc.order}), "
@@ -468,8 +448,7 @@ def _check_discreteness(payload, state: ReplayState, level) -> float:
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
-    _, parts = state.jordan
-    hu = parts.hyperbolic @ parts.unipotent
+    hu = state.jordan.hyperbolic @ state.jordan.unipotent
     N = hu.shape[0] - 1
     state.phi_prime = (hu[:N, :N], hu[:N, N])
     return max(float(np.max(np.abs(hu[N, :N]))), abs(float(hu[N, N]) - 1.0))
@@ -492,31 +471,14 @@ def _check_tower(payload, state: ReplayState, level) -> float:
 
 def _check_fiber(payload, state: ReplayState, level) -> float:
     Mf = state.tower[level].fiber_model
-    if int(payload["fiber_dim"]) != Mf.dim_complex:
-        raise StepRejected("fiber dimension does not match the recomputed tower")
-    x_b = _array(payload, "log_in_fiber")
-    if x_b.shape != state.fiber_log.shape:
-        raise StepRejected(f"log_in_fiber of shape {x_b.shape}, need {state.fiber_log.shape}")
-    drift = float(np.max(np.abs(x_b - state.fiber_log), initial=0.0))
-    if state.replayed and not drift <= STEP_TOL["fiber_case"]:
-        raise StepRejected(f"log_in_fiber is {drift:.2e} from the log of the element the walk carries")
-    basis = _array(payload, "subalgebra")
-    if basis.shape != (Mf.J.dim, Mf.dim_complex):
-        raise StepRejected(f"totally-real subalgebra of shape {basis.shape}, need {(Mf.J.dim, Mf.dim_complex)}")
-    try:
-        V = Subspace(Mf.J.dim, basis)
-    except HdqError as exc:
-        raise StepRejected(f"stored totally-real subalgebra is degenerate: {exc}") from exc
     pts = sample_totally_real_points(
         Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
     )
     try:
-        res, min_det = totally_real_residuals(x_b, V, _array(payload, "conjugator_x_minus"), Mf, pts)
-    except TotallyRealCheckFailed as exc:
+        V = Subspace(Mf.J.dim, _array(payload, "subalgebra"))
+        return totally_real_residuals(state.fiber_log, V, _array(payload, "conjugator_x_minus"), Mf, pts)[0]
+    except HdqError as exc:
         raise StepRejected(str(exc)) from exc
-    if not min_det > DEFECT_MIN:
-        raise StepRejected(f"totally-real determinant check failed (min |det| {min_det:.2e})")
-    return res
 
 
 CHECKS = {
@@ -549,7 +511,6 @@ def _replay(kind, payload, state, level, slack, build):
         return None, str(exc)
     tol = STEP_TOL.get(kind)
     if tol is not None and not res <= slack * tol:
-        state.replayed = False
         return res, f"residual {res:.2e} exceeds {slack * tol:.0e}"
     return res, None
 

@@ -169,6 +169,14 @@ def _symplectic_pairs(M: SiegelModel):
     return pairs
 
 
+def abelian_branch(x, M: SiegelModel) -> bool:
+    """Whether x has no frame coefficient: one at most ``WITNESS_RESIDUAL``
+    relative to max(1, |x|), the bound the witness is held to, is noise.
+    Then :func:`totally_real_subalgebra` takes the abelian construction."""
+    x = np.asarray(x, dtype=float)
+    return abs(float(M.to_adapted(x)[-1])) <= WITNESS_RESIDUAL * max(1.0, float(np.linalg.norm(x)))
+
+
 def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     """Abelian subalgebra of the nilradical through x, of full complex dim.
 
@@ -177,11 +185,9 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     vector otherwise) together with the center line.
     """
     require_ball_like(M)
-    x = np.asarray(x, dtype=float)
-    coords = M.to_adapted(x)
-    if abs(coords[-1]) > 1e-9 * max(1.0, float(np.linalg.norm(x))):
+    if not abelian_branch(x, M):
         raise NotInNilradical("vector has a semisimple component")
-    xh = coords[M.p : M.p + M.q]
+    xh = M.to_adapted(np.asarray(x, dtype=float))[M.p : M.p + M.q]
     cols = [M.C[:, 0]]  # the center line of the nilradical
     P = M.hb[:, :, 0] if M.q else np.zeros((0, 0))
     for e, f, s in _symplectic_pairs(M):
@@ -202,11 +208,10 @@ def conjugate_into_a(x, M: SiegelModel) -> np.ndarray:
     coefficient.
     """
     require_ball_like(M)
-    x = np.asarray(x, dtype=float)
-    coords = M.to_adapted(x)
-    a = float(coords[-1])
-    if abs(a) <= 1e-10 * max(1.0, float(np.linalg.norm(x))):
+    if abelian_branch(x, M):
         raise ZeroSemisimplePart("the frame coefficient vanishes")
+    coords = M.to_adapted(np.asarray(x, dtype=float))
+    a = float(coords[-1])
     return np.concatenate([[coords[0] / a], (2.0 / a) * coords[M.p : M.p + M.q]])
 
 
@@ -217,13 +222,6 @@ def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
     v = M.C[:, : M.p + M.q] @ np.asarray(x_minus, dtype=float)
     coords = M.to_adapted(_expm_stack(-ad_matrix(v, M.J.L)) @ x)
     return float(np.linalg.norm(coords[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
-
-
-def abelian_branch(x, M: SiegelModel) -> bool:
-    """Whether x has no frame coefficient, relative to max(1, |x|), so that
-    :func:`totally_real_subalgebra` takes the abelian construction."""
-    x = np.asarray(x, dtype=float)
-    return abs(float(M.to_adapted(x)[-1])) <= 1e-10 * max(1.0, float(np.linalg.norm(x)))
 
 
 def totally_real_subalgebra(x, M: SiegelModel):
@@ -250,9 +248,11 @@ def totally_real_subalgebra(x, M: SiegelModel):
 
 def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: DomainPoint):
     """(residual, min |det|) of V, with the x_minus ``conjugator`` of its
-    construction, as a totally-real witness through x: the one acceptance
-    rule, a residual within ``WITNESS_RESIDUAL`` and min |det| above
-    ``DEFECT_MIN``.
+    construction, as a totally-real witness through x.  This is the one
+    acceptance rule: it raises ``TotallyRealCheckFailed`` for a wrong
+    dimension or conjugator shape and when min |det| is at most
+    ``DEFECT_MIN``, and its callers accept a residual within
+    ``WITNESS_RESIDUAL``.
 
     The residual is the largest of the distance of x from V, relative to
     max(1, |x|), the closure residual of V and, when x has a frame
@@ -277,7 +277,10 @@ def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: D
             raise TotallyRealCheckFailed("an element with no frame coefficient takes no conjugator")
     else:
         res = max(res, nilpotent_residual(x, conjugator, M))
-    return res, float(np.min(np.abs(totally_real_defect(points, V, M))))
+    min_det = float(np.min(np.abs(totally_real_defect(points, V, M))))
+    if not min_det > DEFECT_MIN:
+        raise TotallyRealCheckFailed(f"totally-real determinant check failed (min |det| {min_det:.2e})")
+    return res, min_det
 
 
 def totally_real_subalgebra_containing(
@@ -291,13 +294,11 @@ def totally_real_subalgebra_containing(
     from ``rng``."""
     V, x_minus = totally_real_subalgebra(x, M)
     pts = sample_totally_real_points(M, samples, rng if rng is not None else np.random.default_rng(0))
-    res, min_det = totally_real_residuals(x, V, x_minus, M, pts)
+    res, _ = totally_real_residuals(x, V, x_minus, M, pts)
     if not res <= WITNESS_RESIDUAL:
         raise TotallyRealCheckFailed(
             f"subalgebra misses the input vector, is not closed or is badly conjugated (residual {res:.2e})"
         )
-    if not min_det > DEFECT_MIN:
-        raise TotallyRealCheckFailed("determinant criterion failed at a sample point")
     return V, x_minus
 
 

