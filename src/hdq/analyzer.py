@@ -41,22 +41,25 @@ rest:
   ``finite_case``: the ``order``.
 - ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
   how far it is from affine.
-- ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′.
+- ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
+  entry by entry relative to max(1, the largest entry of φ′).
 - ``tower_descend``: ``dim_quotient_algebra``, compared with the
   recomputed tower (``fibration.Tower``, one level at a time).  The check
   is the level's structural residual (``Tower.residual``), which bounds
   how far the coordinate selection is from the equivariant projection;
-  it draws no samples.  The walk takes the log y of φ′ once, in level-1
-  adapted coordinates, where each quotient map selects columns: a level
-  descends with y[~ideal] while |y[~ideal]| / |y| is at least
+  it draws no samples.  The walk takes the log y of φ′ once, in the
+  level-1 model's coordinates, where each quotient map selects columns:
+  a level descends with y[~ideal] while |y[~ideal]| / |y| is at least
   ``FIBER_BAND``, and builds no quotient group element.
 - ``fiber_case``: the totally-real ``subalgebra`` (an orthonormal basis
   aligned with the coordinates, one column per complex dimension of the
-  fiber) and ``conjugator_x_minus``, taken below ``FIBER_RATIO``.  They
-  witness for y[ideal], the fiber log the walk sets once for the build and
-  the check (``ReplayState.fiber_log``).  The check draws
-  ``FIBER_SAMPLE_POINTS`` interior points with
-  ``default_rng(seed + 7 * level + 1)`` and makes one call,
+  fiber) and ``conjugator_x_minus``, taken below ``FIBER_RATIO``, both in
+  the fiber model's coordinates.  They witness for the fiber log, y[ideal]
+  over the fiber's pairing basis (``solve(fiber_model.basis, y[ideal])``),
+  which the walk sets once for the build and the check
+  (``ReplayState.fiber_log``).  The check draws ``FIBER_SAMPLE_POINTS``
+  interior points with ``default_rng(seed + 7 * level + 1)`` and makes
+  one call,
   ``ball.totally_real_residuals``: the conjugator must move the log onto
   the frame line, or be zero when the log has no frame coefficient, and
   every sampled determinant must exceed ``ball.DEFECT_MIN``.
@@ -170,12 +173,14 @@ def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
     return A
 
 
-def phi_affine(phi_spec, M: SiegelModel):
-    """(linear, translation) on packed coordinates of an ``exp:`` string or
-    of a mapping with ``linear`` and ``translation``; ``InputError`` when it
-    does not parse or does not fit the domain."""
+def phi_affine(phi_spec, J: NormalJAlgebra, M: SiegelModel):
+    """(linear, translation) on packed coordinates of an ``exp:`` string
+    over the labels of the input algebra J, or of a mapping with ``linear``
+    and ``translation``; ``InputError`` when it does not parse or does not
+    fit the domain.  The string's vector is in J's coordinates, and enters
+    the model's through ``M.basis``."""
     if isinstance(phi_spec, str) and phi_spec.startswith("exp:"):
-        g = element_from_vector(M, parse_combination(phi_spec[4:], M.J))
+        g = element_from_vector(M, np.linalg.solve(M.basis, parse_combination(phi_spec[4:], J)))
         return g.affine_matrix, g.affine_offset
     if not isinstance(phi_spec, dict):
         raise InputError(f"phi must be 'exp:<expr>', 'affine:<file>' or a mapping, got {phi_spec!r}")
@@ -194,12 +199,13 @@ def phi_affine(phi_spec, M: SiegelModel):
     return mat, off
 
 
-def resolve_phi(phi_spec, M: SiegelModel, seed: int):
-    """(what the user supplied, the homogenized matrix of phi)."""
+def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
+    """(what the user supplied, the homogenized matrix of phi) on the input
+    algebra J and its model M."""
     if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
         with open(phi_spec[7:], "r", encoding="utf-8") as fh:
             phi_spec = json.load(fh)
-    mat, off = phi_affine(phi_spec, M)
+    mat, off = phi_affine(phi_spec, J, M)
     if isinstance(phi_spec, dict):
         # screen: the images of 20 interior points drawn from the seed must
         # stay inside, all tested by one stacked cone solve
@@ -229,7 +235,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         raise InputError(invalid)
     M = build_model(J)
 
-    phi_echo, phi_matrix = resolve_phi(phi_spec, M, seed)
+    phi_echo, phi_matrix = resolve_phi(phi_spec, J, M, seed)
     cert = {
         "version": 1,
         "domain": domain_echo,
@@ -276,17 +282,17 @@ def _walk(state: ReplayState, out: dict, take) -> None:
         return
 
     # descent down the fibration tower until the element lies in a fiber; its
-    # log y is taken once, in level-1 adapted coordinates, where every
+    # log y is taken once, in the level-1 model's coordinates, where every
     # quotient map selects the columns off the level's ideal mask
     level, M = 1, state.model
-    y = M.to_adapted(element_log(M, state.element.x_minus, state.element.x_zero))
+    y = element_log(M, state.element.x_minus, state.element.x_zero)
     while M.J.dim:
         F = state.tower[level]
         total = float(np.linalg.norm(y))
         ratio = float(np.linalg.norm(y[~F.ideal])) / total if total > 0 else 0.0
         if ratio < FIBER_RATIO:
             d = F.fiber_model.dim_complex
-            state.fiber_log = y[F.ideal]
+            state.fiber_log = np.linalg.solve(F.fiber_model.basis, y[F.ideal])
             if take("fiber_case", level, lambda: _fiber_payload(F.fiber_model, state.fiber_log)) is None:
                 return
             if d <= 1 and F.quotient_model.J.dim == 0 and take("base_case", level, lambda: {"dim_complex": d}) is None:
@@ -389,12 +395,14 @@ class StepRejected(Exception):
 @dataclass
 class ReplayState:
     """What a check reads besides its payload: the level-1 model, the
-    certificate's seed and phi, the fibration tower (split lazily, one level
-    at a time), and what earlier steps established."""
+    certificate's seed and phi (with the input ``algebra`` an ``exp:`` phi
+    is written over), the fibration tower (split lazily, one level at a
+    time), and what earlier steps established."""
 
     model: SiegelModel
     seed: int
     phi: object = None                    # the certificate's phi
+    algebra: NormalJAlgebra | None = None  # the input algebra, whose labels phi uses
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
     tower: Tower = field(init=False)
     jordan: JordanParts | None = None  # the factors of jordan_split
@@ -408,7 +416,7 @@ class ReplayState:
     def homogenized_phi(self) -> np.ndarray:
         if self.phi_matrix is None:
             try:
-                self.phi_matrix = _homogenize(*phi_affine(self.phi, self.model))
+                self.phi_matrix = _homogenize(*phi_affine(self.phi, self.algebra, self.model))
             except InputError as exc:
                 raise StepRejected(f"phi does not resolve on this domain: {exc}") from exc
         return self.phi_matrix
@@ -455,12 +463,15 @@ def _check_reduction(payload, state: ReplayState, level) -> float:
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
+    """The largest entry of the difference of the affine maps of the stored
+    element and of phi', relative to max(1, the largest entry of phi')."""
     mat, off = state.phi_prime
     g = state.element = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
+    scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)), float(np.max(np.abs(off), initial=0.0)))
     return max(
         float(np.max(np.abs(g.affine_matrix - mat))),
-        float(np.max(np.abs(g.affine_offset - off))),
-    )
+        float(np.max(np.abs(g.affine_offset - off), initial=0.0)),
+    ) / scale
 
 
 def _check_tower(payload, state: ReplayState, level) -> float:
@@ -546,7 +557,7 @@ def verify(cert: dict):
     invalid = _validation_failure(J)
     if invalid:
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
-    state = ReplayState(build_model(J), seed, cert.get("phi"))
+    state = ReplayState(build_model(J), seed, cert.get("phi"), J)
     report = []
 
     def take(kind, level, build):

@@ -2,9 +2,10 @@
 subalgebra construction.
 
 The constructive lemmas are implemented for any rank-one model, not just
-the canonical basis: the fibration tower produces ball-like ideals in
-whatever coordinates the root spaces came in, and the same two-step
-conjugation and symplectic-pair constructions apply there verbatim.
+the canonical preset: the fibration tower produces ball-like fibers whose
+half blocks come from half, sum and diff roots, and the same two-step
+conjugation and symplectic-pair constructions apply there verbatim.  Every
+vector here is in the model's coordinates (xi, half block, eta).
 """
 
 from __future__ import annotations
@@ -174,7 +175,7 @@ def abelian_branch(x, M: SiegelModel) -> bool:
     relative to max(1, |x|), the bound the witness is held to, is noise.
     Then :func:`totally_real_subalgebra` takes the abelian construction."""
     x = np.asarray(x, dtype=float)
-    return abs(float(M.to_adapted(x)[-1])) <= WITNESS_RESIDUAL * max(1.0, float(np.linalg.norm(x)))
+    return abs(float(x[-1])) <= WITNESS_RESIDUAL * max(1.0, float(np.linalg.norm(x)))
 
 
 def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
@@ -187,13 +188,14 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     require_ball_like(M)
     if not abelian_branch(x, M):
         raise NotInNilradical("vector has a semisimple component")
-    xh = M.to_adapted(np.asarray(x, dtype=float))[M.p : M.p + M.q]
-    cols = [M.C[:, 0]]  # the center line of the nilradical
+    xh = np.asarray(x, dtype=float)[M.p : M.p + M.q]
+    E = np.eye(M.J.dim)
+    cols = [E[0]]  # the center line of the nilradical
     P = M.hb[:, :, 0] if M.q else np.zeros((0, 0))
     for e, f, s in _symplectic_pairs(M):
         comp = (float(e @ P @ xh) / s) * f - (float(f @ P @ xh) / s) * e
         chosen = comp if np.linalg.norm(comp) > 1e-10 * max(1.0, np.linalg.norm(xh)) else e
-        cols.append(M.C[:, M.p : M.p + M.q] @ chosen)
+        cols.append(E[:, M.p : M.p + M.q] @ chosen)
     return span(cols, M.J.dim)
 
 
@@ -210,18 +212,18 @@ def conjugate_into_a(x, M: SiegelModel) -> np.ndarray:
     require_ball_like(M)
     if abelian_branch(x, M):
         raise ZeroSemisimplePart("the frame coefficient vanishes")
-    coords = M.to_adapted(np.asarray(x, dtype=float))
-    a = float(coords[-1])
-    return np.concatenate([[coords[0] / a], (2.0 / a) * coords[M.p : M.p + M.q]])
+    x = np.asarray(x, dtype=float)
+    a = float(x[-1])
+    return np.concatenate([[x[0] / a], (2.0 / a) * x[M.p : M.p + M.q]])
 
 
 def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
     """Relative size of the non-frame part of Ad(exp x_minus) x, from one
     exponential of -ad(x_minus)."""
     x = np.asarray(x, dtype=float)
-    v = M.C[:, : M.p + M.q] @ np.asarray(x_minus, dtype=float)
-    coords = M.to_adapted(_expm_stack(-ad_matrix(v, M.J.L)) @ x)
-    return float(np.linalg.norm(coords[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
+    v = np.concatenate([np.asarray(x_minus, dtype=float), np.zeros(M.p0)])
+    moved = _expm_stack(-ad_matrix(v, M.J.L)) @ x
+    return float(np.linalg.norm(moved[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
 
 
 def totally_real_subalgebra(x, M: SiegelModel):
@@ -239,10 +241,10 @@ def totally_real_subalgebra(x, M: SiegelModel):
         return abelian_subalgebra_containing(x, M), np.zeros(M.p + M.q)
     x_minus = conjugate_into_a(x, M)
     # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
-    adj_inv = _expm_stack(ad_matrix(M.C[:, : M.p + M.q] @ x_minus, M.J.L))
-    cols = [adj_inv @ M.C[:, -1]]  # the frame line eta_1
+    adj_inv = _expm_stack(ad_matrix(np.concatenate([x_minus, np.zeros(M.p0)]), M.J.L))
+    cols = [adj_inv[:, -1]]  # the frame line eta_1
     for e, _, _ in _symplectic_pairs(M):
-        cols.append(adj_inv @ (M.C[:, M.p : M.p + M.q] @ e))
+        cols.append(adj_inv[:, M.p : M.p + M.q] @ e)
     return span(cols, M.J.dim), x_minus
 
 

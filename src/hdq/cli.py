@@ -57,11 +57,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="validate an algebra or j-algebra file")
     p.add_argument("file")
 
-    p = sub.add_parser("ball", help="unit-ball constructions")
+    p = sub.add_parser("ball", help="unit-ball constructions on the preset ball:n")
     bsub = p.add_subparsers(dest="ball_command", required=True)
-    b = bsub.add_parser("check-totally-real", help="totally-real subalgebra through a vector")
+    b = bsub.add_parser("check-totally-real", help="totally-real subalgebra through a vector, printed over the --xi coordinates")
     b.add_argument("--n", type=int, required=True)
-    b.add_argument("--xi", required=True, help="comma-separated coefficients over (delta, zeta, xi_k.., eta_k..)")
+    b.add_argument("--xi", required=True, help="comma-separated coefficients over the preset's basis (delta, zeta, xi_k.., eta_k..)")
     b.add_argument("--samples", type=int, default=50)
     b.add_argument("--seed", type=int, default=0)
     return parser
@@ -162,11 +162,13 @@ def cmd_ball(args) -> int:
         raise InputError(f"bad coefficient list: {exc}") from exc
     if x.shape != (B.J.dim,):
         raise InputError(f"need {B.J.dim} coefficients for n={args.n}")
-    V, x_minus = totally_real_subalgebra(x, B.model)
-    pts = sample_totally_real_points(B.model, args.samples, np.random.default_rng(args.seed))
-    res, min_det = totally_real_residuals(x, V, x_minus, B.model, pts)
+    M = B.model
+    x = np.linalg.solve(M.basis, x)  # the model's coordinates
+    V, x_minus = totally_real_subalgebra(x, M)
+    pts = sample_totally_real_points(M, args.samples, np.random.default_rng(args.seed))
+    res, min_det = totally_real_residuals(x, V, x_minus, M, pts)
     print("subalgebra basis columns (rows = algebra coordinates):")
-    for row in V.basis_matrix:
+    for row in M.basis @ V.basis_matrix:
         print("  " + "  ".join(f"{v: .6f}" for v in row))
     print(f"conjugator x_minus = {x_minus.tolist()}")
     print(f"containment/closure/conjugator residual: {res:.3e}")

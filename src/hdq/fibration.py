@@ -1,33 +1,36 @@
 """The equivariant submersion onto a lower-rank Siegel domain.
 
-Dropping the last fundamental root splits the algebra along the model's
-own adapted basis: the columns of ``M.C`` whose root involves the last
-frame index (``SiegelModel.frame_indices``) span a j-invariant ideal, and
-the other columns a j-invariant subalgebra.  Both are spanned by root
-spaces of the input (Vinberg, Gindikin and Pyatetskii-Shapiro 1963), so
-in the adapted basis each is a coordinate slice.  The algebra is rebased
-into that basis once, at the top of the tower (``jalgebra.adapted``);
-every level below works in it already.
+Dropping the last fundamental root splits the model's algebra ``M.J``,
+which is already over the model's own basis: the columns whose root
+involves the last frame index (``SiegelModel.frame_indices``) span a
+j-invariant ideal, and the other columns a j-invariant subalgebra.  Both
+are spanned by root spaces of the input (Vinberg, Gindikin and
+Pyatetskii-Shapiro 1963), so each is a coordinate slice, and no level
+rebases again.
 
-- The quotient is the subalgebra on the kept columns.  Its algebra and
-  its model are index slices of the parent's (``jalgebra.subalgebra``,
-  ``siegel.restrict_model``), with ``C`` the identity, and no new root
-  decomposition or inverse is computed.
+- The quotient is the subalgebra on the kept columns
+  (``jalgebra.subalgebra``), and its model is ``siegel.assemble_model`` on
+  it with the identity basis: every tensor is again a slice, and no root
+  decomposition or inverse is computed.  Its form must keep the parent's
+  orientation sign.
 - The ideal is the rank-one algebra of a unit ball
   (``ball.require_ball_like`` checks its model), regraded: xi and eta of
   the last root are its (-1)- and 0-blocks, and every other column joins
-  its half block, paired anew under j.
-- The gates are block residuals of the adapted bracket and j: the kept
-  columns must be closed under the bracket and j-invariant, the dropped
-  ones a j-invariant ideal, and the form must keep its orientation and
+  its half block, paired anew under j.  The fiber model's basis is that
+  pairing: to rounding, a signed permutation of the ideal's columns on
+  the presets, their relabelled and rebased copies and the tube over
+  Sym+(2).
+- The gates are block residuals of the bracket and j: the kept columns
+  must be closed under the bracket and j-invariant, the dropped ones a
+  j-invariant ideal, and the form must keep its orientation and
   Hermitian axioms on every model.
 
 Root spaces are orthogonal for <x, y> = omega([j x, y]), so once the
 gates pass, the omega-orthogonal projection onto the subalgebra, the
 homomorphism that realizes the equivariant submersion, is the coordinate
 selection ``quotient_map`` up to a structural residual (``Tower.residual``).
-Every level's adapted basis is a slice of level 1's, so a log in level-1
-adapted coordinates descends the tower by indexing with each ``ideal``
+Every level's basis is a slice of level 1's, so a log in the level-1
+model's coordinates descends the tower by indexing with each ``ideal``
 mask.  ``check_equivariance`` samples the square on points instead, as a
 diagnostic that no step of the walk reads.
 """
@@ -39,30 +42,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .ball import require_ball_like
-from .errors import RootPatternViolation
-from .jalgebra import NormalJAlgebra, adapted, gram, leakage, subalgebra
-from .siegel import (
-    DomainPoint,
-    SiegelModel,
-    _complex_pairs,
-    assemble_model,
-    build_model,
-    orbit_points,
-    restrict_model,
-)
+from .errors import PositivityUnfixable, RootPatternViolation
+from .jalgebra import gram, leakage, subalgebra
+from .siegel import DomainPoint, SiegelModel, _complex_pairs, assemble_model, orbit_points
 
 
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
     """One level of the tower: the domain, quotient and fiber models, the
-    quotient map, and the domain's adapted ``algebra`` with its ``ideal``
-    mask.
+    quotient map, and the ``ideal`` mask over the domain model's columns.
 
-    ``ideal`` marks the adapted columns whose root involves the last frame
-    index; the fiber and quotient algebras are ``algebra`` on those columns
-    and on the others, so a vector y in adapted coordinates has fiber part
-    ``y[ideal]`` and quotient image ``y[~ideal]``.  ``quotient_map`` is
-    that selection as a matrix (blocks s_{-1} | s_{-1/2} | s_0); it is
+    ``ideal`` marks the columns whose root involves the last frame index;
+    the quotient algebra is ``domain_model.J`` on the other columns, and
+    the fiber model's algebra is ``domain_model.J`` on these, over the
+    fiber's pairing basis (``fiber_model.basis``).  A vector y in the
+    domain model's coordinates has quotient image ``y[~ideal]`` and fiber
+    part ``solve(fiber_model.basis, y[ideal])``.  ``quotient_map`` is the
+    quotient selection as a matrix (blocks s_{-1} | s_{-1/2} | s_0); it is
     graded, so ``project_point`` and ``push_group`` apply its diagonal
     blocks to stacks of rows.
     """
@@ -71,19 +67,29 @@ class FibrationStep:
     quotient_model: SiegelModel
     fiber_model: SiegelModel
     quotient_map: np.ndarray
-    algebra: NormalJAlgebra
     ideal: np.ndarray
 
 
 def split_last_root(M: SiegelModel) -> FibrationStep:
     """Split off the last fundamental root; see the module docstring."""
-    r = M.rank
+    r, J = M.rank, M.J
     if r < 1:
         raise RootPatternViolation("need rank at least one to split")
-    J = adapted(M.J, M.C)
     ideal = np.array([r - 1 in idx for idx in M.frame_indices], dtype=bool)
     kept = ~ideal
-    quotient_model = restrict_model(M, subalgebra(J, kept), kept, r - 1)
+    # the kept columns keep their order; so does each complex pair of the
+    # half block, which the columns keep or drop whole
+    kh = kept[M.p : M.p + M.q]
+    layout = (
+        int(np.sum(kept[: M.p])),
+        int(np.sum(kh)),
+        tuple((int(np.sum(kh[:o])), m) for o, m in M.half_pairs if kh[o]),
+        tuple(idx for idx, k in zip(M.frame_indices, kept) if k),
+    )
+    Jq = subalgebra(J, kept)
+    quotient_model = assemble_model(Jq, np.eye(Jq.dim), r - 1, layout)
+    if quotient_model.q and quotient_model.sigma != M.sigma:
+        raise PositivityUnfixable("the quotient's form is not cone-positive in its parent's orientation")
     # the fiber: xi_{r-1} leads the ideal's columns and eta_{r-1} its 0-block;
     # every other column is a half column of the fiber, paired under j
     Jb = subalgebra(J, ideal, ideal=True)
@@ -97,15 +103,14 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
         quotient_model=quotient_model,
         fiber_model=fiber_model,
         quotient_map=np.eye(J.dim)[kept],
-        algebra=J,
         ideal=ideal,
     )
 
 
 class Tower:
     """The tower of the model ``M``, split lazily: ``tower[k]`` is level k.
-    Level k drops frame index rank - k, so the columns of M's adapted basis
-    in its domain are those whose roots involve no higher index: masks read
+    Level k drops frame index rank - k, so the columns of M's basis in its
+    domain are those whose roots involve no higher index: masks read
     off ``M.frame_indices`` once.  The level-1 Gram matrix is computed once."""
 
     def __init__(self, M: SiegelModel):
@@ -124,11 +129,12 @@ class Tower:
         over kept a and ideal b: 0 when the selection is the projection."""
         F, d = self[level], self.domains[level - 1]
         if self.gram is None:
-            self.gram = gram(self[1].algebra)
+            self.gram = gram(self[1].domain_model.J)
         G = self.gram[d][:, d]
         kept, ideal, norms = ~F.ideal, F.ideal, np.sqrt(np.diag(G))
         cosine = np.abs(G[kept][:, ideal]) / np.outer(norms[kept], norms[ideal])
-        leak = leakage(F.algebra, kept) + leakage(F.algebra, ideal, ideal=True)
+        J = F.domain_model.J
+        leak = leakage(J, kept) + leakage(J, ideal, ideal=True)
         return max(*leak, float(np.max(cosine, initial=0.0)))
 
 
@@ -165,8 +171,3 @@ def check_equivariance(F: FibrationStep, samples: int = 100, seed: int = 0) -> f
     dist = np.linalg.norm(lhs.z - rhs.z, axis=-1) + np.linalg.norm(lhs.w - rhs.w, axis=-1)
     return float(np.max(dist, initial=0.0))
 
-
-def tower(J: NormalJAlgebra):
-    """Every level of J's tower; rank steps down by 1 to a point."""
-    T = Tower(build_model(J))
-    return [T[k] for k in range(1, T.model.rank + 1)]

@@ -50,6 +50,9 @@ ROOT_CLUSTER_TOL = 1e-7
 ROOT_MERGE_RTOL = 1e-3
 # largest asymmetry of ad(a) in the G^(1/2) coordinates of a split algebra
 SPLIT_TOL = 1e-6
+# entries of a rebased bracket or j at most this times their largest are
+# rounding: over a basis of root vectors both follow the root pattern
+ADAPTED_RTOL = 1e-12
 
 
 @dataclass(frozen=True, eq=False)
@@ -379,11 +382,14 @@ def adapted(J: NormalJAlgebra, C: np.ndarray) -> NormalJAlgebra:
     """J over the basis of the columns of the invertible C: the bracket, j
     and omega expressed in those columns, each labelled by its dominant
     ambient label, deduplicated by suffixing.  J itself when C is the
-    identity."""
+    identity.  Entries of the bracket and of j within ``ADAPTED_RTOL`` of
+    zero, relative to their largest, are set to zero, so that an algebra
+    given over a dense basis is as sparse over a basis of root vectors as
+    its root pattern."""
     n = J.dim
     if np.array_equal(C, np.eye(n)):
         return J
-    Cinv = np.linalg.inv(C)
+    inverse = np.linalg.inv(C)
     labels = []
     for a in range(n):
         dom = J.L.basis_labels[int(np.argmax(np.abs(C[:, a])))]
@@ -392,8 +398,11 @@ def adapted(J: NormalJAlgebra, C: np.ndarray) -> NormalJAlgebra:
             lbl = f"{dom}#{k}"
             k += 1
         labels.append(lbl)
-    c = bracket_table(C, C, J.L) @ Cinv.T
-    return NormalJAlgebra(LieAlgebraData(n, tuple(labels), c), Cinv @ J.j @ C, J.omega @ C)
+    c = bracket_table(C, C, J.L) @ inverse.T
+    c, j = 0.5 * (c - c.transpose(1, 0, 2)), inverse @ J.j @ C
+    for a in (c, j):
+        a[np.abs(a) <= ADAPTED_RTOL * np.max(np.abs(a), initial=0.0)] = 0.0
+    return NormalJAlgebra(LieAlgebraData(n, tuple(labels), c), j, J.omega @ C)
 
 
 def leakage(J: NormalJAlgebra, keep, ideal: bool = False) -> tuple[float, float]:

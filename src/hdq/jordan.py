@@ -107,9 +107,7 @@ def _block_diagonalize(A: np.ndarray, reps, sizes):
     for _, sl in blocks:
         q, _ = np.linalg.qr(X[:, sl])
         X[:, sl] = q
-    Xinv = np.linalg.inv(X)
-    T = Xinv @ A.astype(complex) @ X
-    return X, T, blocks
+    return X, blocks
 
 
 def jordan_decompose(A: np.ndarray) -> JordanParts:
@@ -147,7 +145,7 @@ def _decompose_at(A: np.ndarray, tol: float) -> JordanParts:
     n = A.shape[0]
     vals = np.linalg.eigvals(A)
     reps, groups = _cluster_eigenvalues(vals, tol)
-    X, T, blocks = _block_diagonalize(A, reps, [len(g) for g in groups])
+    X, blocks = _block_diagonalize(A, reps, [len(g) for g in groups])
     Xinv = np.linalg.inv(X)
 
     def from_scalars(f):

@@ -14,10 +14,12 @@ The Jacobi defect is priced by the nonzeros of ``c``.  Each term
 [e_k, [e_i, e_j]] is a sum over m of c[i, j, m] c[k, m, :], so the
 nonzero triples (i, j, m) are joined with the nonzero triples (k, m, b)
 on m, and the products summed by cyclic class of (i, j, k) with one sort
-(``np.unique``) and one ``bincount``.  An input whose join would take more
-than n^4 products (a rebased algebra, with c dense) takes a dense
-contraction instead, blocked over ``JACOBI_BLOCK`` rows of ``c`` so that
-it holds a few arrays of that many times n^3 entries, never n^4.
+(``np.unique``) and one ``bincount``.  The join holds a few integer arrays
+as long as its product count, so an input whose join would take more
+products than one dense block has entries, ``JACOBI_BLOCK`` n^3, or than
+n^4 (a rebased algebra, with c dense), takes a dense contraction instead,
+blocked over ``JACOBI_BLOCK`` rows of ``c`` so that it holds a few arrays
+of that many times n^3 entries, never n^4.
 
 A :class:`Subspace` is factored once, by one thin SVD, when it is built.
 :func:`validate_algebra` checks the one axiom antisymmetric storage leaves
@@ -256,12 +258,14 @@ def jacobi_defect(L: LieAlgebraData) -> float:
     ``X[i, j, k] = [e_k, [e_i, e_j]]``, is invariant under rotating
     (i, j, k), so each cyclic class takes one value.  The path follows the
     input: the join of the nonzeros of c on m when its product count
-    sum_m nnz(c[:, :, m]) nnz(c[:, m, :]) is at most n^4, and the blocked
-    dense contraction otherwise.
+    sum_m nnz(c[:, :, m]) nnz(c[:, m, :]) is at most min(n^4, JACOBI_BLOCK
+    n^3), the size of one dense block, and the blocked dense contraction
+    otherwise.
     """
+    n = L.dim
     i, j, m = np.nonzero(L.c)
-    per_m = np.bincount(j, minlength=L.dim)  # nnz(c[:, m, :])
-    if int(per_m[m].sum()) > L.dim**4:
+    per_m = np.bincount(j, minlength=n)  # nnz(c[:, m, :])
+    if int(per_m[m].sum()) > min(n**4, JACOBI_BLOCK * n**3):
         return _jacobi_blocked(L.c)
     return _jacobi_join(L.c, i, j, m)
 

@@ -1,13 +1,19 @@
 """Siegel realization of a normal j-algebra and its affine group action.
 
-The model keeps coordinates adapted to the grading: the (-1)-block basis
-starts with the frame vectors xi_1..xi_r (so the cone sits over the
-all-ones direction), the 0-block starts with eta_1..eta_r, and the
-(-1/2)-block is organized in complex pairs (u, j u) per half-root space.
-``build_model`` reads these columns off the fine structure of an input;
-``assemble_model`` derives the rest of the model from them (the fibration
-tower calls it for each fiber), and ``restrict_model`` slices a quotient's
-model out of its parent's, with the identity as its basis.
+A model works in one basis, its own: the (-1)-block starts with the frame
+vectors xi_1..xi_r (so the cone sits over the all-ones direction), the
+0-block starts with eta_1..eta_r, and the (-1/2)-block is organized in
+complex pairs (u, j u) per half-root space.  ``assemble_model`` is the
+one constructor: it rebases its algebra onto those columns once
+(``jalgebra.adapted``) and keeps the result as ``M.J``, so every tensor of
+the model is a contiguous slice of that algebra's bracket and j, and
+every vector the model reads or returns is in its coordinates.
+``build_model`` reads the columns off the fine structure of an input; the
+fibration tower assembles each quotient on a sliced subalgebra with the
+identity basis, and each fiber on the basis that pairs its half block.
+``M.basis`` keeps the columns over the input's basis, read only where
+input coordinates enter: an ``exp:`` element (``analyzer.phi_affine``),
+the fiber log of the walk, and ``hdq ball check-totally-real``.
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the
@@ -53,8 +59,8 @@ from .errors import (
     PositivityUnfixable,
     SolverDiverged,
 )
-from .jalgebra import NormalJAlgebra, fine_structure
-from .lie_core import Subspace, ad_matrix, bracket_table
+from .jalgebra import NormalJAlgebra, adapted, fine_structure
+from .lie_core import Subspace, ad_matrix
 
 CONE_TOL = 1e-9
 CONE_MAX_ITER = 100
@@ -189,20 +195,19 @@ def _complex_pairs(space_basis: np.ndarray, j: np.ndarray):
 
 @dataclass(frozen=True, eq=False)
 class SiegelModel:
-    J: NormalJAlgebra
+    J: NormalJAlgebra      # the algebra over the model's basis [s_{-1} | s_{-1/2} | s_0]
     rank: int              # number of frame vectors xi_k (and eta_k)
     sigma: int
-    C: np.ndarray          # adapted basis, columns [C1 | Ch | C0]
-    Cinv: np.ndarray
+    basis: np.ndarray      # the model's basis over the input's, columns [C1 | Ch | C0]
     p: int                 # dim s_{-1}
     q: int                 # dim s_{-1/2}
     p0: int                # dim s_0
     half_pairs: tuple      # (offset, m_k) per half-root space, in Ch coords
-    frame_indices: tuple   # per column of C, the frame indices its root involves
+    frame_indices: tuple   # per basis column, the frame indices its root involves
     phi_re: np.ndarray     # (q, q, p)
     phi_im: np.ndarray
     hb: np.ndarray         # bracket of half-block pairs onto s_{-1} coords
-    jhalf: np.ndarray      # j restricted to the half block, adapted coords
+    jhalf: np.ndarray      # j restricted to the half block
     ad1_gens: np.ndarray   # (p0, p, p): ad of the 0-basis on the (-1)-block
     adh_gens: np.ndarray   # (p0, q, q)
 
@@ -224,16 +229,6 @@ class SiegelModel:
 
     def base_point(self) -> "DomainPoint":
         return DomainPoint(1j * self.xi0_coords.astype(complex), np.zeros(self.q))
-
-    # -- coordinate plumbing -------------------------------------------
-
-    def to_adapted(self, v_ambient: np.ndarray) -> np.ndarray:
-        return self.Cinv @ np.asarray(v_ambient, dtype=float)
-
-    def split_coords(self, v_ambient: np.ndarray):
-        """Adapted (s_{-1}, s_{-1/2}, s_0) coordinates over leading stack axes."""
-        c = np.asarray(v_ambient, dtype=float) @ self.Cinv.T
-        return c[..., : self.p], c[..., self.p : self.p + self.q], c[..., self.p + self.q :]
 
     def phi(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hermitian form on half-block coordinates, complex (..., p) over
@@ -329,88 +324,43 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
 
 
 def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -> SiegelModel:
-    """The Siegel model of J on the adapted basis C (columns over J's
-    basis), laid out as ``layout`` = (p, q, half_pairs, frame_indices)
-    says: the (-1)-, half and 0-blocks, the outer two led by the ``rank``
-    frame vectors xi_k and eta_k.  Fixes the orientation sign of the form
-    and gates its Hermitian defect."""
-    n = J.dim
+    """The Siegel model of J on the basis C (columns over J's basis), laid
+    out as ``layout`` = (p, q, half_pairs, frame_indices) says: the (-1)-,
+    half and 0-blocks, the outer two led by the ``rank`` frame vectors xi_k
+    and eta_k.
+
+    J is rebased onto C once, and the model keeps that algebra: ``hb``,
+    ``jhalf`` and the ad generators of the 0-block are contiguous slices
+    of its bracket and j, and the form is read off them.  Fixes the
+    orientation sign of the form and gates its Hermitian defect.
+    """
     p, q, half_pairs, frame_indices = layout
-    if C.shape != (n, n):
+    if C.shape != (J.dim, J.dim):
         raise DimensionMismatch("adapted basis does not fill the algebra")
-    Cinv = np.linalg.inv(C) if n else np.zeros((0, 0))
-    p0 = n - p - q
-
-    Ch = C[:, p : p + q]
-    # bracket tensors of the half block, in s_{-1} coordinates
-    hb = bracket_table(Ch, Ch, J.L) @ Cinv[:p].T
-    jhb = bracket_table(J.j @ Ch, Ch, J.L) @ Cinv[:p].T
-
+    A = adapted(J, C)
+    c, h = A.L.c, slice(p, p + q)
+    hb = np.ascontiguousarray(c[h, h, :p])
+    jhalf = np.ascontiguousarray(A.j[h, h])
+    jhb = np.tensordot(jhalf, hb, ([0], [0]))  # [j e_a, e_b]: j keeps the half block
     sigma = _orientation(0.25 * jhb)
-    phi_re = sigma * 0.25 * jhb
-    phi_im = sigma * 0.25 * hb
-
-    jhalf = (Cinv @ (J.j @ Ch))[p : p + q] if q else np.zeros((0, 0))
-
-    # ad generators of the 0-block on the graded pieces
-    ad0 = Cinv @ ad_matrix(C[:, p + q :].T, J.L) @ C
-    ad1 = ad0[:, :p, :p]
-    adh = ad0[:, p : p + q, p : p + q]
-
+    ad0 = c[p + q :].transpose(0, 2, 1)  # ad(e_a)[i, k] = c[a, k, i] on the 0-block
     model = SiegelModel(
-        J=J,
+        J=A,
         rank=rank,
         sigma=sigma,
-        C=C,
-        Cinv=Cinv,
+        basis=C,
         p=p,
         q=q,
-        p0=p0,
+        p0=J.dim - p - q,
         half_pairs=half_pairs,
         frame_indices=frame_indices,
-        phi_re=phi_re,
-        phi_im=phi_im,
+        phi_re=sigma * 0.25 * jhb,
+        phi_im=sigma * 0.25 * hb,
         hb=hb,
         jhalf=jhalf,
-        ad1_gens=ad1,
-        adh_gens=adh,
+        ad1_gens=np.ascontiguousarray(ad0[:, :p, :p]),
+        adh_gens=np.ascontiguousarray(ad0[:, h, h]),
     )
-    _require_hermitian(model)
-    return model
-
-
-def restrict_model(M: SiegelModel, J: NormalJAlgebra, keep: np.ndarray, rank: int) -> SiegelModel:
-    """The model of J, the subalgebra of ``M.J`` on the adapted columns
-    that the mask ``keep`` selects, led by ``rank`` frame vectors.
-
-    Every tensor is a slice of M's and ``C`` is the identity: the columns
-    are unions of root spaces, and ``keep`` keeps or drops each complex
-    pair of the half block whole.  The form keeps M's orientation sign,
-    and the orientation and Hermitian gates run on the slices.
-    """
-    p, q = M.p, M.q
-    kh = keep[p : p + q]
-    i1, ih, i0 = (np.flatnonzero(b) for b in (keep[:p], kh, keep[p + q :]))
-    model = SiegelModel(
-        J=J,
-        rank=rank,
-        sigma=M.sigma if len(ih) else 1,  # assemble_model's sign with no half block
-        C=np.eye(J.dim),
-        Cinv=np.eye(J.dim),
-        p=len(i1),
-        q=len(ih),
-        p0=len(i0),
-        half_pairs=tuple((int(np.sum(kh[:o])), m) for o, m in M.half_pairs if kh[o]),
-        frame_indices=tuple(idx for idx, k in zip(M.frame_indices, keep) if k),
-        phi_re=M.phi_re[ih][:, ih][..., i1],
-        phi_im=M.phi_im[ih][:, ih][..., i1],
-        hb=M.hb[ih][:, ih][..., i1],
-        jhalf=M.jhalf[ih][:, ih],
-        ad1_gens=M.ad1_gens[i0][:, i1][..., i1],
-        adh_gens=M.adh_gens[i0][:, ih][..., ih],
-    )
-    if _orientation(model.phi_re) != 1:
-        raise PositivityUnfixable("the restricted form is not cone-positive")
     _require_hermitian(model)
     return model
 
@@ -510,23 +460,24 @@ def act(g: GroupElement, point: DomainPoint, M: SiegelModel) -> DomainPoint:
     return DomainPoint.unpack(v, M.p, M.q)
 
 
-def element_from_vector(M: SiegelModel, x_ambient) -> GroupElement:
+def element_from_vector(M: SiegelModel, x) -> GroupElement:
     """exp(x) in layered (x_minus, x_zero) form: x_zero is the 0-block part
     of x, and x_minus is the minus block of delta - K delta, K = expm(-ad x),
     with its half block doubled (K delta = delta - v_{-1} - v_{-1/2}/2 for
     x = v in the minus block)."""
-    x_ambient = np.asarray(x_ambient, dtype=float)
-    return group_element(M, _delta_readoff(M, x_ambient), M.to_adapted(x_ambient)[M.p + M.q :])
+    x = np.asarray(x, dtype=float)
+    return group_element(M, _delta_readoff(M, x), x[M.p + M.q :])
 
 
-def _delta_readoff(M: SiegelModel, x_ambient: np.ndarray) -> np.ndarray:
+def _delta_readoff(M: SiegelModel, x: np.ndarray) -> np.ndarray:
     """x_minus of exp(x): the minus block of delta - K delta, K =
     expm(-ad x), with its half block doubled."""
-    K = _expm_stack(-ad_matrix(x_ambient, M.J.L))
+    K = _expm_stack(-ad_matrix(x, M.J.L))
     if not np.all(np.isfinite(K)):
         raise InputError("the exponential of the element overflows")
-    delta = M.C[:, M.p + M.q :] @ M.delta0_coords
-    x_minus = M.Cinv[: M.p + M.q] @ (delta - K @ delta)
+    k = M.p + M.q
+    delta = np.concatenate([np.zeros(k), M.delta0_coords])
+    x_minus = (delta - K @ delta)[:k]
     x_minus[M.p :] *= 2.0
     return x_minus
 
@@ -542,7 +493,7 @@ def _phi(D: np.ndarray) -> np.ndarray:
 
 
 def element_log(M: SiegelModel, x_minus, x_zero) -> np.ndarray:
-    """The ambient vector y with exp(y) = exp(x_minus) exp(x_zero): the
+    """The vector y with exp(y) = exp(x_minus) exp(x_zero): the
     inverse of :func:`element_from_vector`, by graded linear solves on the
     exponential coordinates alone.
 
@@ -556,9 +507,9 @@ def element_log(M: SiegelModel, x_minus, x_zero) -> np.ndarray:
     p = M.p
     A1, Ah = _ad_blocks(M, x_zero)
     y_half = np.linalg.solve(_phi(Ah), x_minus[p:])
-    c = _delta_readoff(M, M.C[:, p:] @ np.concatenate([y_half, x_zero]))[:p]
+    c = _delta_readoff(M, np.concatenate([np.zeros(p), y_half, x_zero]))[:p]
     y_one = np.linalg.solve(_phi(A1), x_minus[:p] - c)
-    return M.C @ np.concatenate([y_one, y_half, x_zero])
+    return np.concatenate([y_one, y_half, x_zero])
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +702,7 @@ def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:
 # fundamental vector fields and sampling
 # ---------------------------------------------------------------------------
 
-def vector_field(x_ambient, point: DomainPoint, M: SiegelModel) -> np.ndarray:
+def vector_field(x, point: DomainPoint, M: SiegelModel) -> np.ndarray:
     """Value at ``point`` of the field generated by an algebra element.
 
     Returns a complex vector over the complex coordinates (z, w); the
@@ -759,19 +710,12 @@ def vector_field(x_ambient, point: DomainPoint, M: SiegelModel) -> np.ndarray:
     points broadcast against each other over leading stack axes, so one
     call evaluates many fields at many points.
     """
-    xi, xip, x0 = M.split_coords(x_ambient)
+    x = np.asarray(x, dtype=float)
+    xi, xip, x0 = x[..., : M.p], x[..., M.p : M.p + M.q], x[..., M.p + M.q :]
     A1, Ah = _ad_blocks(M, x0)
     dz = -(A1 @ point.z[..., None])[..., 0] + xi + 2j * M.phi(point.w, xip)
     dw = -(Ah @ point.w[..., None])[..., 0] + xip
     return np.concatenate([dz, M.to_complex_w(dw)], axis=-1)
-
-
-def random_element(M: SiegelModel, rng, bound: float = 1.0) -> GroupElement:
-    return group_element(
-        M,
-        rng.uniform(-bound, bound, M.p + M.q),
-        rng.uniform(-bound, bound, M.p0),
-    )
 
 
 def random_interior_points(M: SiegelModel, count: int, rng) -> DomainPoint:

@@ -7,8 +7,9 @@ import pytest
 from scipy.linalg import expm, logm
 
 from hdq import jalgebra
+from hdq.fibration import Tower
 from hdq.lie_core import LieAlgebraData, ad_matrix, bracket_table, derived_series, residual_outside, span
-from hdq.siegel import group_element
+from hdq.siegel import build_model, group_element
 
 # the CLI tests start `python -m hdq.cli` in a subprocess; let it import
 # the package from this checkout without an install
@@ -33,6 +34,17 @@ def _relabelled_polydisc(rank, rng, per_vector=False):
     return jalgebra.NormalJAlgebra(LieAlgebraData(n, labels, c), j, omega), perm, scale
 
 
+def tower(J):
+    """Every level of J's tower; rank steps down by 1 to a point."""
+    T = Tower(build_model(J))
+    return [T[k] for k in range(1, T.model.rank + 1)]
+
+
+def random_element(M, rng, bound=1.0):
+    """A group element with exponential coordinates uniform in [-bound, bound]."""
+    return group_element(M, rng.uniform(-bound, bound, M.p + M.q), rng.uniform(-bound, bound, M.p0))
+
+
 @pytest.fixture
 def relabelled_polydisc():
     return _relabelled_polydisc
@@ -53,14 +65,15 @@ def rebased():
 
 
 def _tilted_ideal(F, size):
-    """The tower level F with its adapted algebra rebased so that the first
+    """The tower level F with its domain algebra rebased so that the first
     ideal column leans by ``size`` toward the first kept one: the masks
     then select a subspace that is not the ideal, off G-orthogonality to
     the kept columns and out of the bracket and j blocks by about
     ``size``."""
-    T = np.eye(F.algebra.dim)
+    M = F.domain_model
+    T = np.eye(M.J.dim)
     T[np.argmax(F.ideal), np.argmin(F.ideal)] = size
-    return dataclasses.replace(F, algebra=_rebased(F.algebra, T))
+    return dataclasses.replace(F, domain_model=dataclasses.replace(M, J=_rebased(M.J, T)))
 
 
 @pytest.fixture
@@ -75,17 +88,19 @@ def _compose(g, h, M):
     squares against the ad generators; its minus part is the delta read-off
     of K, the minus block of delta - K delta with its half block doubled."""
 
+    p, k = M.p, M.p0
+    zero_minus, zero_zero = np.zeros(p + M.q), np.zeros(k)
+
     def adjoint(e):
-        v_minus = M.C[:, : M.p + M.q] @ e.x_minus
-        v_zero = M.C[:, M.p + M.q :] @ e.x_zero
+        v_minus = np.concatenate([e.x_minus, zero_zero])
+        v_zero = np.concatenate([zero_minus, e.x_zero])
         return expm(-ad_matrix(v_minus, M.J.L)) @ expm(-ad_matrix(v_zero, M.J.L))
 
-    p, k = M.p, M.p0
     X = np.real_if_close(logm(g.affine_matrix[:p, :p] @ h.affine_matrix[:p, :p]), tol=1e6).real
     x_zero, *_ = np.linalg.lstsq(M.ad1_gens.reshape(k, -1).T, -X.ravel(), rcond=None)
-    delta = M.C[:, p + M.q :] @ M.delta0_coords
+    delta = np.concatenate([zero_minus, M.delta0_coords])
     K = adjoint(g) @ adjoint(h)
-    x_minus = M.Cinv[: p + M.q] @ (delta - K @ delta)
+    x_minus = (delta - K @ delta)[: p + M.q]
     x_minus[p:] *= 2.0
     return group_element(M, x_minus, x_zero)
 
@@ -138,8 +153,9 @@ def _fibration_invariants(F):
     The fiber algebra is Heisenberg-like: its derived algebra commutes with
     the frame line xi (``center``), brackets inside it land on that line
     (``heisenberg``), and the half block pairs nondegenerately onto it
-    (``symplectic_det``).  The quotient map, in algebra coordinates
-    ``coords = Mq.C @ quotient_map @ M.Cinv``, commutes with j, is a
+    (``symplectic_det``).  The quotient map, the selection ``coords =
+    quotient_map`` from the domain model's coordinates to the quotient
+    model's, commutes with j, is a
     homomorphism onto the quotient algebra, kills the ideal (``kernel``),
     and pulls the quotient metric back to the metric of the
     omega-orthogonal projection ``P`` along the ideal (``projection``).
@@ -152,8 +168,8 @@ def _fibration_invariants(F):
     second = bracket_table(D, D, Jb.L).reshape(-1, Jb.dim)
     H = fine.s_minushalf.basis_matrix
     pairing = bracket_table(H, H, Jb.L) @ xi / float(xi @ xi)
-    coords = Mq.C @ F.quotient_map @ M.Cinv
-    b, G = F.domain_model.C[:, F.ideal], jalgebra.gram(J)
+    coords = F.quotient_map
+    b, G = np.eye(J.dim)[:, F.ideal], jalgebra.gram(J)
     P = np.eye(J.dim) - b @ np.linalg.solve(b.T @ G @ b, b.T @ G)
     return {
         "center": float(np.max(np.abs(bracket_table(xi[:, None], D, Jb.L)), initial=0.0)),

@@ -24,7 +24,8 @@ from hdq.ball import (
     totally_real_defect,
     totally_real_subalgebra_containing,
 )
-from hdq.fibration import check_equivariance, split_last_root, tower
+from conftest import random_element, tower
+from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, fine_structure, preset, validate_j_algebra
 from hdq.jordan import jordan_decompose
 from hdq.lie_core import LieAlgebraData, residual_outside
@@ -32,7 +33,6 @@ from hdq.siegel import (
     act,
     build_model,
     group_element,
-    random_element,
     random_interior_points,
     solve_orbit,
 )
@@ -255,13 +255,13 @@ def test_criterion_6_ball_lemmas():
         B = ball_algebra(n)
         M = B.model
         for _ in range(200):
-            x = rng.standard_normal(2 * n)
+            x = np.linalg.solve(M.basis, rng.standard_normal(2 * n))
             V, g = totally_real_subalgebra_containing(x, M, rng)
             assert V.dim == n
             assert residual_outside(x, V) < 1e-9 * max(1.0, np.linalg.norm(x))
             for pt in sample_totally_real_points(M, 50, rng):
                 assert abs(totally_real_defect(pt, V, M)) > 1e-6
-            a = abs(M.to_adapted(x)[-1]) / np.linalg.norm(x)
+            a = abs(x[-1]) / np.linalg.norm(x)
             if a > 1e-3:
                 gc = conjugate_into_a(x, M)
                 assert nilpotent_residual(x, gc, M) < 1e-8
@@ -275,7 +275,7 @@ def test_criterion_6_ball_lemmas():
             for gen in gens:
                 vec = np.zeros(2 * n)
                 vec[B.J.L.index(gen)] = t
-                c = M.to_adapted(vec)
+                c = np.linalg.solve(M.basis, vec)
                 gel = group_element(M, c[: M.p + M.q], c[M.p + M.q :])
                 assert act(gel, pt, M).distance(table1_flow(gen, t, pt, B)) < 1e-9
     _report(6, "totally-real subalgebras verified for 200 draws at n = 2, 3, 5")

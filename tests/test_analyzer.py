@@ -233,7 +233,7 @@ def test_affine_input_matching_exp():
     # supply the dilation as an affine map; conjugation recovers coordinates
     J = ball_jalgebra(2)
     M = build_model(J)
-    g = element_from_vector(M, 0.7 * J.L.basis_vector("delta"))
+    g = element_from_vector(M, np.linalg.solve(M.basis, 0.7 * J.L.basis_vector("delta")))
     phi = {
         "linear": g.affine_matrix.tolist(),
         "translation": g.affine_offset.tolist(),
@@ -273,7 +273,8 @@ def test_domain_screen_rejects_a_domain_leaving_involution(tmp_path, capsys):
 def test_screen_samples_are_interior_and_depend_only_on_the_seed(domain, monkeypatch):
     """The screen draws 20 points from its seed alone, all interior, and
     tests their images with one stacked cone query at 1e-7."""
-    M = build_model(preset(domain))
+    J = preset(domain)
+    M = build_model(J)
     drawn, queries = [], []
     sampler, solver = analyzer.random_interior_points, analyzer.contains
     monkeypatch.setattr(analyzer, "random_interior_points", lambda *a: drawn.append(sampler(*a)) or drawn[-1])
@@ -282,7 +283,7 @@ def test_screen_samples_are_interior_and_depend_only_on_the_seed(domain, monkeyp
     identity = {"linear": np.eye(dim).tolist(), "translation": [0.0] * dim}
     for seed, noise in ((7, 1), (7, 2), (8, 1)):
         np.random.seed(noise)  # the global generator must not matter
-        analyzer.resolve_phi(identity, M, seed)
+        analyzer.resolve_phi(identity, J, M, seed)
     assert [len(pts.z) for pts in drawn] == [20, 20, 20]
     assert [(len(q[0].z), q[2]) for q in queries] == [(20, 1e-7)] * 3
     np.testing.assert_array_equal(drawn[0].pack(), drawn[1].pack())
@@ -549,7 +550,7 @@ def _descent_levels(domain, x):
 
     def take(kind, level, build):
         if kind == "conjugation_into_S":
-            state.element = element_from_vector(M, x)
+            state.element = element_from_vector(M, np.linalg.solve(M.basis, x))
         if kind == "fiber_case":
             levels.append(level)
         return canned.get(kind, {})
@@ -690,14 +691,54 @@ def test_jordan_split_that_does_not_replay_is_undecided():
     assert verify(cert)[0]
 
 
+def _shear_phi(t=0.5):
+    """re z gains t im z on ball:2: the map keeps im z and w, so it
+    preserves the domain, but it is not holomorphic, and no element of the
+    split solvable group acts as it does."""
+    lin = np.eye(4)
+    lin[0, 1] = t
+    return {"linear": lin.tolist(), "translation": [0.0] * 4}
+
+
 def test_failed_conjugation_is_omitted():
-    """The affine mismatch of exp(15 delta1) is 1.1e-3: no conjugation step
-    is recorded, the reason is, and the undecided certificate verifies."""
-    cert = analyze("polydisc:2", "exp:15*delta1")
+    """The shear's affine mismatch is 0.5 relative to its scale: no
+    conjugation step is recorded, the reason is, and the undecided
+    certificate verifies.  (exp(15 delta1) on polydisc:2 failed here by
+    1.1e-3 against an absolute bound; it now certifies, see
+    test_conjugation_check_is_relative_to_scale.)"""
+    cert = analyze("ball:2", _shear_phi())
     assert cert["conclusion"] == "undecided"
     assert [s["kind"] for s in cert["steps"]] == ["jordan_split", "discreteness", "elliptic_reduction"]
     assert "general conjugation is not implemented" in cert["assumptions"][-1]
+    assert "(residual 5.00e-01 exceeds 1e-06)" in cert["assumptions"][-1]
     assert verify(cert)[0]
+
+
+@pytest.mark.parametrize(
+    "domain, phi",
+    [
+        ("polydisc:2", "exp:15*delta1"),
+        ("sym2", "exp:2.678153745025*h1 - 0.313168259620*e - 1.360624267794*h2 + 2.352029795685*a11 + 0.477844982976*a12 + 0.403219916449*a22"),
+    ],
+    ids=["polydisc-15-delta1", "sym2-tube"],
+)
+def test_conjugation_check_is_relative_to_scale(domain, phi, sym2_tube):
+    """The conjugation residual is relative to max(1, the largest entry of
+    phi'): these affine maps have entries up to 3.3e6 and 212, and matched
+    their elements to 1.1e-3 and 2.9e-6 absolute, so they stopped undecided
+    at conjugation_into_S.  Now both certify and verify, the tube through
+    a fiber at level 2, and a forged x_zero still fails."""
+    cert = json.loads(dump_certificate(analyze(sym2_tube() if domain == "sym2" else domain, phi)))
+    assert cert["conclusion"] == "stein_certified", cert["assumptions"][-1]
+    assert verify(cert)[0]
+    conj = next(s for s in cert["steps"] if s["kind"] == "conjugation_into_S")
+    assert conj["residual"] < 1e-7
+    if domain == "sym2":
+        assert [s["level"] for s in cert["steps"] if s["kind"] == "fiber_case"] == [2]
+    conj["payload"]["x_zero"][0] += 1e-3
+    ok, report = verify(cert)
+    assert not ok
+    assert next(r for r in report if not r["ok"])["kind"] == "conjugation_into_S"
 
 
 PAYLOAD_KEYS = {
@@ -835,7 +876,7 @@ MUTATION_INPUTS = {
     "polydisc:2": ("polydisc:2", "exp:delta1 + zeta2"),
     "finite-rotation": ("ball:2", rotation_phi(2 * np.pi / 3)),
     "irrational-rotation": ("ball:2", rotation_phi(1.0)),
-    "undecided": ("polydisc:2", "exp:15*delta1"),
+    "undecided": ("ball:2", _shear_phi()),
 }
 CONCLUSIONS = ("stein_certified", "stein_by_citation", "not_applicable", "undecided")
 

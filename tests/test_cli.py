@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -6,7 +7,8 @@ import sys
 import numpy as np
 import pytest
 
-from hdq import cli, jalgebra
+from hdq import cli, jalgebra, lie_core
+from hdq.lie_core import span
 
 
 def run_cli(*args, env=None):
@@ -272,3 +274,37 @@ def test_buffered_stdout_ends_with_the_result(tmp_path, relabelled_polydisc):
     for domain, phi in OVERFLOWING:
         res = run_cli("analyze", "--domain", domain, "--phi", phi, "--out", str(out), env=env)
         assert (res.returncode, res.stdout) == (4, "")
+
+
+# what ``hdq ball check-totally-real`` printed before models kept their
+# algebra over their own basis: the subalgebra's basis columns, over the
+# preset's coordinates, and the conjugator
+_BALL_PARENT_OUTPUT = {
+    ("3", "1,0,0.5,0,0,0.25"): (
+        [[0.0, -0.621586, 0.744854], [0.894427, 0.0, 0.0], [0.0, -0.767778, -0.640716],
+         [-0.447214, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, -0.155397, 0.186213]],
+        [0.0, 1.0, 0.0, 0.0, 0.5],
+    ),
+    ("2", "0.3,1,0.5,-0.2"): (
+        [[-0.087456, 0.627319], [-0.956957, -0.254074], [-0.270529, 0.605818], [0.058304, -0.418213]],
+        [3.3333333333333335, 3.3333333333333335, -1.3333333333333335],
+    ),
+}
+
+
+@pytest.mark.parametrize("n, xi", list(_BALL_PARENT_OUTPUT))
+def test_ball_check_totally_real_prints_input_coordinates(n, xi, capsys):
+    """The printed subalgebra is over the preset's coordinates, like --xi:
+    it contains the vector and spans the subspace printed before, to the
+    six printed decimals, and the conjugator is the same to 1e-12."""
+    assert cli.main(["ball", "check-totally-real", "--n", n, "--xi", xi]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    end = next(k for k, line in enumerate(lines) if line.startswith("conjugator"))
+    printed = np.array([[float(v) for v in line.split()] for line in lines[1:end]])
+    conjugator = ast.literal_eval(lines[end].split("=", 1)[1].strip())
+    basis, parent_conjugator = _BALL_PARENT_OUTPUT[(n, xi)]
+    x = np.array([float(v) for v in xi.split(",")])
+    V = span(printed.T, len(x))
+    assert lie_core.residual_outside(x, V) < 1e-5
+    assert lie_core.subspace_equal(V, span(np.array(basis).T, len(x)), 1e-5)
+    np.testing.assert_allclose(conjugator, parent_conjugator, rtol=0, atol=1e-12)

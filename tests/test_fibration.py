@@ -9,13 +9,11 @@ from hdq.fibration import (
     project_point,
     push_group,
     split_last_root,
-    tower,
 )
 from hdq.analyzer import STEP_TOL
-from hdq.errors import InputError
+from hdq.errors import InputError, PositivityUnfixable
 from hdq.jalgebra import (
     NormalJAlgebra,
-    adapted,
     ball_jalgebra,
     fine_structure,
     gram,
@@ -24,7 +22,8 @@ from hdq.jalgebra import (
     subalgebra,
 )
 from hdq.lie_core import residual_outside, span
-from hdq.siegel import DomainPoint, act, build_model, group_element, random_element, solve_orbit
+from hdq.siegel import DomainPoint, act, build_model, group_element, solve_orbit
+from conftest import random_element, tower
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +39,7 @@ def test_polydisc_split_is_factor_split(poly2):
     J = polydisc_jalgebra(2)
     for lbl in ("delta2", "zeta2"):
         v = J.L.basis_vector(lbl)
-        assert residual_outside(v, span(F.domain_model.C[:, F.ideal].T, J.dim)) < 1e-9
+        assert residual_outside(v, span(F.domain_model.basis[:, F.ideal].T, J.dim)) < 1e-9
     # and the quotient keeps the first factor's labels
     assert set(F.quotient_model.J.L.basis_labels) == {"delta1", "zeta1"}
 
@@ -48,9 +47,9 @@ def test_polydisc_split_is_factor_split(poly2):
 def test_sliced_split_gates():
     """A column set of the adapted algebra that is not closed under the
     bracket, not j-invariant, or not an ideal is refused.  On ball:2 the
-    adapted columns are (xi, u, j u, eta)."""
+    model's columns are (xi, u, j u, eta)."""
     M = build_model(ball_jalgebra(2))
-    J = adapted(M.J, M.C)
+    J = M.J
 
     def cols(*idx):
         return np.isin(np.arange(4), idx)
@@ -68,6 +67,16 @@ def test_sliced_split_gates():
     P = build_model(polydisc_jalgebra(2))
     with pytest.raises(InputError, match="j-invariant"):
         split_last_root(dataclasses.replace(P, frame_indices=((0,), (1,), (1,), (0,))))
+
+
+def test_quotient_keeps_the_parent_orientation():
+    """The quotient's form must be cone-positive with its parent's sign: a
+    parent whose recorded sign is flipped is refused."""
+    M = build_model(preset("product:[ball:2,ball:2]"))
+    F = split_last_root(M)
+    assert F.quotient_model.q == 2 and F.quotient_model.sigma == M.sigma
+    with pytest.raises(PositivityUnfixable, match="orientation"):
+        split_last_root(dataclasses.replace(M, sigma=-M.sigma))
 
 
 def test_rank_one_split_has_point_target():
@@ -107,8 +116,8 @@ def test_split_follows_root_labels(name, rebased):
     for F in tower(J):
         M, Mq = F.domain_model, F.quotient_model
         fine, last = fine_structure(M.J), M.rank - 1
-        coords = Mq.C @ F.quotient_map @ M.Cinv
-        ideal = span(F.domain_model.C[:, F.ideal].T, M.J.dim)
+        coords = F.quotient_map  # M.J and Mq.J are over slices of one basis
+        ideal = span(np.eye(M.J.dim)[F.ideal], M.J.dim)
         quotient = span(np.linalg.solve(gram(M.J), coords.T).T, M.J.dim)
         assert ideal.dim + quotient.dim == M.J.dim
         spaces = [(rt.label[1:], rt.space.basis_matrix) for rt in fine.roots]
@@ -158,12 +167,12 @@ def test_push_group_examples(poly2):
     M = F.domain_model
     # kernel elements push to the identity
     J = polydisc_jalgebra(2)
-    zeta2 = M.Cinv @ J.L.basis_vector("zeta2")
+    zeta2 = np.linalg.solve(M.basis, J.L.basis_vector("zeta2"))
     x_minus, x_zero = push_group(zeta2[: M.p + M.q], np.zeros(M.p0), F)
     assert np.linalg.norm(x_minus) < 1e-10
     assert np.linalg.norm(x_zero) < 1e-10
     # exp(delta1 + zeta2) pushes to exp(delta1)
-    d1 = M.Cinv @ J.L.basis_vector("delta1")
+    d1 = np.linalg.solve(M.basis, J.L.basis_vector("delta1"))
     x_minus, x_zero = push_group(zeta2[: M.p + M.q], d1[M.p + M.q :], F)
     assert np.linalg.norm(x_minus) < 1e-10
     np.testing.assert_allclose(x_zero, [1.0], atol=1e-10)
@@ -224,7 +233,7 @@ def test_stacked_equivariance_matches_per_sample_oracle(name, relabelled_polydis
         # ambient projection in adapted coordinates to rounding: a j-linear
         # homomorphism that kills the ideal and is isometric on the
         # omega-orthogonal complement
-        assert np.array_equal(F.quotient_map, np.eye(F.algebra.dim)[~F.ideal])
+        assert np.array_equal(F.quotient_map, np.eye(F.domain_model.J.dim)[~F.ideal])
         inv = fibration_invariants(F)
         for key in ("j_commutes", "homomorphism", "kernel", "projection"):
             assert inv[key] < 1e-12, (key, inv[key])
@@ -267,7 +276,7 @@ def test_structural_residual_reads_rounding(name, rebased, relabelled_polydisc, 
     rng = np.random.default_rng(3)
     for level in range(1, T.model.rank + 1):
         F = T[level]
-        assert np.array_equal(F.quotient_map, np.eye(F.algebra.dim)[~F.ideal])
+        assert np.array_equal(F.quotient_map, np.eye(F.domain_model.J.dim)[~F.ideal])
         assert T.residual(level) <= 1e-14, (level, T.residual(level))
         assert check_equivariance(F, 100, seed=level) <= 1e-12
         bent = dataclasses.replace(F, quotient_map=F.quotient_map + 1e-6 * rng.standard_normal(F.quotient_map.shape))
@@ -321,7 +330,8 @@ def test_inherited_models_match_fresh_ones(name, rebased, relabelled_polydisc, s
     equals the model ``build_model`` reads off a fresh fine structure of
     a copy of the same child algebra, at every level of the tower.  On the
     tube over Sym+(2) the sum and diff columns of the last root join the
-    fiber's half block."""
+    fiber's half block.  A child's algebra is already over its model's
+    basis, so the fresh model's basis is the identity."""
     if name.startswith("relabelled"):
         J = relabelled_polydisc(6, np.random.default_rng([4, 1]))[0]
     elif name == "sym2-tube":
@@ -334,8 +344,11 @@ def test_inherited_models_match_fresh_ones(name, rebased, relabelled_polydisc, s
     for level, F in enumerate(tower(J), 1):
         for child in (F.quotient_model, F.fiber_model):
             fresh = build_model(NormalJAlgebra(child.J.L, child.J.j, child.J.omega))
+            assert np.max(np.abs(fresh.basis - np.eye(child.J.dim)), initial=0.0) < 1e-12, (name, level)
             for field in dataclasses.fields(child):
                 a, b = getattr(child, field.name), getattr(fresh, field.name)
+                if field.name == "basis":
+                    continue
                 if isinstance(a, np.ndarray):
                     assert a.shape == b.shape, (name, level, field.name)
                     assert np.max(np.abs(a - b), initial=0.0) < 1e-12, (name, level, field.name)

@@ -1,3 +1,4 @@
+import dataclasses
 from pathlib import Path
 
 import numpy as np
@@ -7,6 +8,7 @@ from scipy.linalg import expm
 from hdq import siegel
 from hdq.errors import DimensionMismatch, NotInDomain
 from hdq.jalgebra import ball_jalgebra, polydisc_jalgebra, preset
+from conftest import random_element
 from hdq.siegel import (
     DomainPoint,
     _hermitian_defect,
@@ -18,7 +20,6 @@ from hdq.siegel import (
     element_from_vector,
     element_log,
     group_element,
-    random_element,
     random_interior_points,
     solve_orbit,
     vector_field,
@@ -365,3 +366,53 @@ def test_bridge_takes_no_matrix_log():
     inverse: no module of the package takes a matrix logarithm."""
     for path in Path(siegel.__file__).parent.glob("*.py"):
         assert "logm" not in path.read_text(encoding="utf-8"), path.name
+
+
+ONE_BASIS_INPUTS = [
+    "ball:3", "ball:8", "polydisc:6", "product:[ball:2,polydisc:2]", "relabelled-per-disc", "relabelled-per-vector",
+    "sym2_tube", "rebased-product:[ball:2,ball:2]", "rebased-ball:4", "rebased-polydisc:3",
+]
+
+
+def _one_basis_input(name, rebased, relabelled_polydisc, sym2_tube):
+    if name.startswith("relabelled-"):
+        per_vector = name.endswith("vector")
+        return relabelled_polydisc(6, np.random.default_rng([2, 324] if per_vector else [4, 1]), per_vector=per_vector)[0]
+    if name == "sym2_tube":
+        return sym2_tube()
+    J = preset(name.removeprefix("rebased-"))
+    if name.startswith("rebased-"):
+        J = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
+    return J
+
+
+@pytest.mark.parametrize("name", ONE_BASIS_INPUTS)
+def test_model_algebra_is_over_the_model_basis(name, rebased, relabelled_polydisc, sym2_tube):
+    """A model keeps its algebra over its own basis: the model built from
+    that algebra has the identity as its basis and the same tensors."""
+    M = build_model(_one_basis_input(name, rebased, relabelled_polydisc, sym2_tube))
+    again = build_model(M.J)
+    assert np.max(np.abs(again.basis - np.eye(M.J.dim))) <= 1e-14
+    for field in dataclasses.fields(M):
+        if field.name in ("J", "basis"):
+            continue
+        a, b = getattr(M, field.name), getattr(again, field.name)
+        if isinstance(a, np.ndarray):
+            assert a.shape == b.shape, field.name
+            assert np.max(np.abs(a - b), initial=0.0) <= 1e-14, (field.name, np.max(np.abs(a - b)))
+        else:
+            assert a == b, field.name
+
+
+@pytest.mark.parametrize(
+    "name, dense, sparse",
+    [("product:[ball:2,ball:2]", 448, 16), ("ball:4", 448, 20), ("polydisc:3", 180, 6)],
+)
+def test_rebased_input_is_sparse_after_entry(name, dense, sparse, rebased):
+    """A copy rebased by an orthogonal matrix has a dense bracket, and its
+    model's algebra has the preset's nonzeros: over a basis of root
+    vectors the rounding off the root pattern is zero."""
+    J = preset(name)
+    Jr = rebased(J, np.linalg.qr(np.random.default_rng(7).standard_normal((J.dim, J.dim)))[0])
+    assert np.count_nonzero(J.L.c) == sparse and np.count_nonzero(Jr.L.c) == dense
+    assert np.count_nonzero(build_model(Jr).J.L.c) == sparse

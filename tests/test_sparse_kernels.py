@@ -13,6 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import tower
 from hdq import fibration, lie_core, siegel
 from hdq.errors import DimensionMismatch
 from hdq.jalgebra import fine_structure, preset
@@ -178,7 +179,7 @@ def test_pairing_and_alignment_match_loops(name, rebased, sym2_tube, monkeypatch
     fibers = []
     original = fibration._complex_pairs
     monkeypatch.setattr(fibration, "_complex_pairs", lambda B, j: fibers.append((B, j)) or original(B, j))
-    fibration.tower(J)
+    tower(J)
     assert len(fibers) == fine_structure(J).rank
     for B, j in fibers:
         paired, m = original(B, j)
