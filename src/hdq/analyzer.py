@@ -42,7 +42,8 @@ rest:
 - ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
   how far it is from affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
-  entry by entry relative to max(1, the largest entry of φ′).
+  entry by entry, each row of [linear | translation] relative to max(1,
+  the largest entry of that row of φ′).
 - ``tower_descend``: ``dim_quotient_algebra``, compared with the
   recomputed tower (``fibration.Tower``, one level at a time).  The check
   is the level's structural residual (``Tower.residual``), which bounds
@@ -53,8 +54,9 @@ rest:
   ``FIBER_BAND``, and builds no quotient group element.
 - ``fiber_case``: the totally-real ``subalgebra`` (an orthonormal basis
   aligned with the coordinates, one column per complex dimension of the
-  fiber) and ``conjugator_x_minus``, taken below ``FIBER_RATIO``, both in
-  the fiber model's coordinates.  They witness for the fiber log, y[ideal]
+  fiber, in the coordinates of the level's ideal) and
+  ``conjugator_x_minus`` (in the fiber model's coordinates), taken below
+  ``FIBER_RATIO``.  They witness for the fiber log, y[ideal]
   over the fiber's pairing basis (``solve(fiber_model.basis, y[ideal])``),
   which the walk sets once for the build and the check
   (``ReplayState.fiber_log``).  The check draws ``FIBER_SAMPLE_POINTS``
@@ -333,6 +335,7 @@ def _orbit_payload(state: ReplayState) -> dict:
 
 def _fiber_payload(Mf: SiegelModel, x_b: np.ndarray) -> dict:
     V, x_minus = totally_real_subalgebra(x_b, Mf)
+    V = Subspace(Mf.J.dim, Mf.basis @ V.orthonormal())  # into the ideal's coordinates
     return {"subalgebra": _aligned_basis(V), "conjugator_x_minus": x_minus}
 
 
@@ -463,15 +466,16 @@ def _check_reduction(payload, state: ReplayState, level) -> float:
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
-    """The largest entry of the difference of the affine maps of the stored
-    element and of phi', relative to max(1, the largest entry of phi')."""
+    """The largest entry of the difference of the affine maps [linear |
+    translation] of the stored element and of phi', each row relative to
+    max(1, the largest entry of that row of phi'): a scale taken from one
+    block would hide a forged entry in a smaller one."""
     mat, off = state.phi_prime
     g = state.element = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
-    scale = max(1.0, float(np.max(np.abs(mat), initial=0.0)), float(np.max(np.abs(off), initial=0.0)))
-    return max(
-        float(np.max(np.abs(g.affine_matrix - mat))),
-        float(np.max(np.abs(g.affine_offset - off), initial=0.0)),
-    ) / scale
+    target = np.column_stack([mat, off])
+    diff = np.column_stack([g.affine_matrix, g.affine_offset]) - target
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=1))
+    return float(np.max(np.max(np.abs(diff), axis=1) / scale, initial=0.0))
 
 
 def _check_tower(payload, state: ReplayState, level) -> float:
@@ -486,7 +490,7 @@ def _check_fiber(payload, state: ReplayState, level) -> float:
         Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
     )
     try:
-        V = Subspace(Mf.J.dim, _array(payload, "subalgebra"))
+        V = Subspace(Mf.J.dim, np.linalg.solve(Mf.basis, _array(payload, "subalgebra")))
         return totally_real_residuals(state.fiber_log, V, _array(payload, "conjugator_x_minus"), Mf, pts)[0]
     except HdqError as exc:
         raise StepRejected(str(exc)) from exc

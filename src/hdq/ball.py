@@ -189,13 +189,12 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     if not abelian_branch(x, M):
         raise NotInNilradical("vector has a semisimple component")
     xh = np.asarray(x, dtype=float)[M.p : M.p + M.q]
-    E = np.eye(M.J.dim)
-    cols = [E[0]]  # the center line of the nilradical
+    cols = [np.concatenate([[1.0], np.zeros(M.J.dim - 1)])]  # the center line of the nilradical
     P = M.hb[:, :, 0] if M.q else np.zeros((0, 0))
     for e, f, s in _symplectic_pairs(M):
         comp = (float(e @ P @ xh) / s) * f - (float(f @ P @ xh) / s) * e
         chosen = comp if np.linalg.norm(comp) > 1e-10 * max(1.0, np.linalg.norm(xh)) else e
-        cols.append(E[:, M.p : M.p + M.q] @ chosen)
+        cols.append(np.concatenate([np.zeros(M.p), chosen, np.zeros(M.p0)]))
     return span(cols, M.J.dim)
 
 

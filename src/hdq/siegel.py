@@ -13,7 +13,8 @@ fibration tower assembles each quotient on a sliced subalgebra with the
 identity basis, and each fiber on the basis that pairs its half block.
 ``M.basis`` keeps the columns over the input's basis, read only where
 input coordinates enter: an ``exp:`` element (``analyzer.phi_affine``),
-the fiber log of the walk, and ``hdq ball check-totally-real``.
+the fiber log of the walk and the ``fiber_case`` subalgebra witness, both
+over the ideal's coordinates, and ``hdq ball check-totally-real``.
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the
@@ -678,10 +679,33 @@ def solve_orbit(point: DomainPoint, M: SiegelModel):
             f"point is outside the domain or undecidable (cone residual {cone.residual:.2e})"
         )
     x_minus = np.concatenate([point.z.real, point.w])
-    res = orbit_points(M, x_minus, cone.witness).distance(point)
+    x_zero = _polish_witness(M, defect, cone.witness)
+    res = orbit_points(M, x_minus, x_zero).distance(point)
     if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
         raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {ORBIT_TOL:.2e}")
-    return x_minus, cone.witness
+    return x_minus, x_zero
+
+
+def _polish_witness(M: SiegelModel, x: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Newton steps on Ad(exp g) xi0 = x from a cone witness g while the
+    residual relative to each entry, max_i |r_i| / max(1, |x_i|), is over
+    ``ORBIT_TOL / 10`` and falls.  ``cone_contains`` stops at a residual
+    relative to |x|, which on a badly scaled x (entries e^15 and 1) leaves
+    the small entries inexact; the system is square, so only the stopping
+    rule differs from the cone solve's."""
+    weight = 1.0 / np.maximum(1.0, np.abs(x))
+    cone = _cone_points(M, g)
+    err = float(np.max(weight * np.abs(cone - x)))
+    for _ in range(CONE_MAX_ITER):
+        if err <= 0.1 * ORBIT_TOL:
+            break
+        trial = g - np.linalg.lstsq(_cone_jacobians(M, g[None])[1][0], cone - x, rcond=None)[0]
+        cone_t = _cone_points(M, trial)
+        err_t = float(np.max(weight * np.abs(cone_t - x)))
+        if not err_t < err:
+            break
+        g, cone, err = trial, cone_t, err_t
+    return g
 
 
 def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:

@@ -723,11 +723,14 @@ def test_failed_conjugation_is_omitted():
     ids=["polydisc-15-delta1", "sym2-tube"],
 )
 def test_conjugation_check_is_relative_to_scale(domain, phi, sym2_tube):
-    """The conjugation residual is relative to max(1, the largest entry of
-    phi'): these affine maps have entries up to 3.3e6 and 212, and matched
-    their elements to 1.1e-3 and 2.9e-6 absolute, so they stopped undecided
-    at conjugation_into_S.  Now both certify and verify, the tube through
-    a fiber at level 2, and a forged x_zero still fails."""
+    """Each row of the conjugation residual is relative to max(1, the
+    largest entry of that row of phi'), and the orbit solve polishes its
+    cone witness entry by entry: these affine maps have entries up to 3.3e6
+    and 212, and matched their elements to 1.1e-3 and 2.9e-6 absolute, so
+    they stopped undecided at conjugation_into_S.  Now both certify and
+    verify, the tube through a fiber at level 2.  A forged x_zero still
+    fails, in the large-scale coordinate and in the small one, where one
+    scale for the whole map (e^15 on polydisc:2) would hide a shift of 3."""
     cert = json.loads(dump_certificate(analyze(sym2_tube() if domain == "sym2" else domain, phi)))
     assert cert["conclusion"] == "stein_certified", cert["assumptions"][-1]
     assert verify(cert)[0]
@@ -735,10 +738,12 @@ def test_conjugation_check_is_relative_to_scale(domain, phi, sym2_tube):
     assert conj["residual"] < 1e-7
     if domain == "sym2":
         assert [s["level"] for s in cert["steps"] if s["kind"] == "fiber_case"] == [2]
-    conj["payload"]["x_zero"][0] += 1e-3
-    ok, report = verify(cert)
-    assert not ok
-    assert next(r for r in report if not r["ok"])["kind"] == "conjugation_into_S"
+    for k, shift in ((0, 1e-3), (1, 3.0)):
+        forged = copy.deepcopy(cert)
+        next(s for s in forged["steps"] if s["kind"] == "conjugation_into_S")["payload"]["x_zero"][k] += shift
+        ok, report = verify(forged)
+        assert not ok
+        assert next(r for r in report if not r["ok"])["kind"] == "conjugation_into_S"
 
 
 PAYLOAD_KEYS = {
