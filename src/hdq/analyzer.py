@@ -226,11 +226,11 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
     else:
-        J = jalgebra.resolve_domain(str(domain_spec))
         try:
-            jalgebra.preset(str(domain_spec))
-            domain_echo = str(domain_spec)
+            J, domain_echo = jalgebra.preset(str(domain_spec)), str(domain_spec)
         except InputError:
+            # a file, or neither: resolve_domain words the error
+            J = jalgebra.resolve_domain(str(domain_spec))
             domain_echo = jalgebra.j_algebra_to_dict(J)
     invalid = _validation_failure(J)
     if invalid:

@@ -116,8 +116,7 @@ def sample_totally_real_points(M: SiegelModel, count: int, rng) -> DomainPoint:
     # |w| per row as a dot product, rounded as the norm of each row alone
     nw = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
     w = np.where(nw > 1.0, w / nw, w)
-    quad = np.einsum("...i,...j,ijk->...k", w, w, M.phi_re)
-    z = (-2.0 + 4.0 * u[:, M.q :]) + 1j * (quad + M.xi0_coords)
+    z = (-2.0 + 4.0 * u[:, M.q :]) + 1j * (M.phi(w, w).real + M.xi0_coords)
     return DomainPoint(z, w)
 
 

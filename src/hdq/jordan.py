@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import schur, solve_sylvester
 
 from .errors import ClusterAmbiguous, NotInvertible
 
@@ -68,6 +67,9 @@ def _block_diagonalize(A: np.ndarray, reps, sizes):
     whose selection radius is a third of the gap to the nearest other
     cluster, then decoupled by a Sylvester solve.
     """
+    # scipy loads here only: numpy has no ordered Schur form
+    from scipy.linalg import schur, solve_sylvester
+
     n = A.shape[0]
     X = np.eye(n, dtype=complex)
     T = A.astype(complex)
@@ -168,18 +170,15 @@ def _decompose_at(A: np.ndarray, tol: float) -> JordanParts:
     return JordanParts(e, h, u, residual)
 
 
+def _nontrivial(F: np.ndarray) -> bool:
+    """Whether F is more than 1e-8 n from the (n, n) identity in Frobenius norm."""
+    return bool(np.linalg.norm(F - np.eye(len(F))) > 1e-8 * len(F))
+
+
 def classify(A: np.ndarray):
-    """Label the element by its non-identity factors: those more than
-    ``1e-8 * n`` from the identity in Frobenius norm."""
+    """Label the element by its non-identity factors (``_nontrivial``)."""
     parts = jordan_decompose(A)
-    n = A.shape[0]
-    eye = np.eye(n)
-    nontrivial = {
-        "elliptic": np.linalg.norm(parts.elliptic - eye) > 1e-8 * n,
-        "hyperbolic": np.linalg.norm(parts.hyperbolic - eye) > 1e-8 * n,
-        "unipotent": np.linalg.norm(parts.unipotent - eye) > 1e-8 * n,
-    }
-    active = [k for k, v in nontrivial.items() if v]
+    active = [k for k in ("elliptic", "hyperbolic", "unipotent") if _nontrivial(getattr(parts, k))]
     if len(active) == 0:
         label = "elliptic"  # the identity generates the trivial compact group
     elif len(active) == 1:
@@ -212,9 +211,7 @@ def cyclic_discreteness(parts: JordanParts) -> Discreteness:
     detected by continued fractions up to a denominator bound, with a
     borderline band reported as undecided.
     """
-    n = parts.hyperbolic.shape[0]
-    hu = parts.hyperbolic @ parts.unipotent
-    if np.linalg.norm(hu - np.eye(n)) > 1e-8 * n:
+    if _nontrivial(parts.hyperbolic @ parts.unipotent):
         return Discreteness("infinite_discrete")
     denoms = []
     for theta in _rotation_angles(parts.elliptic):

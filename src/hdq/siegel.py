@@ -38,6 +38,12 @@ term.  ``element_from_vector`` reads x_minus linearly off K delta with
 K = expm(-ad x); ``element_log`` inverts that read-off with one linear
 solve per graded block, and no matrix logarithm is taken.
 
+Cone membership and the orbit solve share one batched Gauss-Newton solve
+of Ad(exp g) xi0 = x with one stop rule (``_cone_solve``): the residual r
+is below the tolerance relative to max(1, |x|) and each |r_i| below ten
+times it relative to max(1, |x_i|), or no halved step lowers |r|.  Only
+the first clause decides whether x is inside.
+
 Every exponential goes through one kernel, ``_expm_stack``: a stack of
 matrices in one pass, each slice scaled by its own power of two and
 evaluated by the degree-16 Taylor polynomial in Paterson-Stockmeyer form,
@@ -205,8 +211,7 @@ class SiegelModel:
     p0: int                # dim s_0
     half_pairs: tuple      # (offset, m_k) per half-root space, in Ch coords
     frame_indices: tuple   # per basis column, the frame indices its root involves
-    phi_re: np.ndarray     # (q, q, p)
-    phi_im: np.ndarray
+    form: np.ndarray       # (q, q, p) complex: form[a, b] = Phi(e_a, e_b) on half-block pairs
     hb: np.ndarray         # bracket of half-block pairs onto s_{-1} coords
     jhalf: np.ndarray      # j restricted to the half block
     ad1_gens: np.ndarray   # (p0, p, p): ad of the 0-basis on the (-1)-block
@@ -233,10 +238,8 @@ class SiegelModel:
 
     def phi(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
         """Hermitian form on half-block coordinates, complex (..., p) over
-        a common leading stack shape of ``u`` and ``v``."""
-        re = np.einsum("...i,...j,ijk->...k", u, v, self.phi_re)
-        im = np.einsum("...i,...j,ijk->...k", u, v, self.phi_im)
-        return re + 1j * im
+        leading stack shapes of ``u`` and ``v`` that broadcast."""
+        return np.einsum("...i,...ik->...k", u, np.tensordot(v, self.form, ([-1], [1])))
 
     def to_complex_w(self, w: np.ndarray) -> np.ndarray:
         """Complex half-block coordinates of real ones, over leading stack axes."""
@@ -355,8 +358,7 @@ def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -
         p0=J.dim - p - q,
         half_pairs=half_pairs,
         frame_indices=frame_indices,
-        phi_re=sigma * 0.25 * jhb,
-        phi_im=sigma * 0.25 * hb,
+        form=sigma * 0.25 * (jhb + 1j * hb),
         hb=hb,
         jhalf=jhalf,
         ad1_gens=np.ascontiguousarray(ad0[:, :p, :p]),
@@ -398,7 +400,7 @@ def _hermitian_defect(M: SiegelModel) -> float:
     """
     if not M.q:
         return 0.0
-    T = M.phi_re + 1j * M.phi_im
+    T = M.form
     lin = np.tensordot(M.jhalf, T, ([0], [0])) - 1j * T
     herm = T.transpose(1, 0, 2) - T.conj()
     diag = np.diagonal(T).imag
@@ -432,20 +434,18 @@ def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
     A1, Ah = _ad_blocks(M, x_zero)
     E1, Eh = _expm_stack(-A1), _expm_stack(-Ah)
 
-    # 2i Phi(Eh w, xi') = (-2 Fim + 2i Fre)(Eh w, xi')
-    Kre = np.einsum("ijk,...j->...ki", M.phi_re, xip)
-    Kim = np.einsum("ijk,...j->...ki", M.phi_im, xip)
-    Lre = -2.0 * (Kim @ Eh)
-    Lim = 2.0 * (Kre @ Eh)
-
+    # 2i Phi(Eh w, xi') = (-2 im K + 2i re K) Eh w for the (p, q) matrix
+    # K = Phi(., xi'), from one stacked real product
+    K = np.einsum("ijk,...j->...ki", M.form, xip)
+    KEre, KEim = np.stack([K.real, K.imag]) @ Eh
     phi_diag = M.phi(xip, xip)
 
     dim = 2 * p + q
     mat = np.zeros(stack + (dim, dim))
     mat[..., :p, :p] = E1
     mat[..., p : 2 * p, p : 2 * p] = E1
-    mat[..., :p, 2 * p :] = Lre
-    mat[..., p : 2 * p, 2 * p :] = Lim
+    mat[..., :p, 2 * p :] = -2.0 * KEim
+    mat[..., p : 2 * p, 2 * p :] = 2.0 * KEre
     mat[..., 2 * p :, 2 * p :] = Eh
     # z gains xi + i Phi(xi', xi'); the diagonal of the form is real
     off = np.zeros(stack + (dim,))
@@ -557,10 +557,11 @@ def cone_contains(x, M: SiegelModel, tol: float = CONE_TOL) -> ConeResult:
     (p,) query or a (k, p) stack of them in one solve.
 
     The 0-group acts simply transitively on the cone, so membership in the
-    open cone is exactly solvability; divergence is reported as outside
-    (or numerically undecidable) with the residual where the solve stopped.
-    Each query keeps its own convergence test and step halving, so its
-    answer does not depend on the rest of the stack.
+    open cone is exactly solvability: x is inside when the residual where
+    the solve stops (:func:`_cone_solve`), relative to max(1, |x|), is
+    below ``tol``, and divergence reads as outside (or undecidable).  Each
+    query keeps its own stop rule and step halving, so its answer does not
+    depend on the rest of the stack.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != M.p:
@@ -585,11 +586,13 @@ def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
     stack of nonzero queries of norms ``nx``: the (k, p0) iterate where
     each query stopped, and its residual relative to max(1, |x|).
 
-    A query stops when it converges, when its Jacobian or step is not
-    finite, or when 30 halvings of its step find no smaller residual
-    within norm 80.  The others go on as a compacted active set, and
-    every trial point's residual and Jacobian come from one
-    ``_cone_jacobians`` over the stack.
+    A query stops when its residual r is below ``tol`` relative to
+    max(1, |x|) and each |r_i| <= 10 tol max(1, |x_i|), so the small
+    entries of a badly scaled x (e^15 and 1) are solved too; or when its
+    Jacobian or step is not finite, or 30 halvings of its step find no
+    smaller residual within norm 80.  The others go on as a compacted
+    active set, and every trial point's residual and Jacobian come from
+    one ``_cone_jacobians`` over the stack.
     """
     p, p0 = M.p, M.p0
     rcond = np.finfo(float).eps * max(p, p0)  # lstsq's default cutoff
@@ -614,7 +617,8 @@ def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
             g, r, rn, J, X, scale, idx = (a[keep] for a in (g, r, rn, J, X, scale, idx))
 
     for _ in range(CONE_MAX_ITER):
-        retire((rn / scale < tol) | ~np.isfinite(J).all(axis=(1, 2)))
+        exact = (np.abs(r) <= 10.0 * tol * np.maximum(1.0, np.abs(X))).all(axis=1)
+        retire(((rn / scale < tol) & exact) | ~np.isfinite(J).all(axis=(1, 2)))
         if not len(idx):
             break
         # least-squares steps, one batched SVD
@@ -652,8 +656,7 @@ def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
 def domain_defect(point: DomainPoint, M: SiegelModel) -> np.ndarray:
     """im(z) - Phi(w, w), the vector whose cone membership defines D; a
     stack of points gives a (k, p) stack."""
-    quad = np.einsum("...i,...j,ijk->...k", point.w, point.w, M.phi_re) if M.q else 0.0
-    return point.z.imag - quad
+    return point.z.imag - M.phi(point.w, point.w).real
 
 
 def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL):
@@ -667,45 +670,21 @@ def solve_orbit(point: DomainPoint, M: SiegelModel):
     element mapping the base point to ``point``.
 
     Layered: the half-block translation is read off the w-coordinate, the
-    0-part comes from the cone witness of im(z) - Phi(w,w), and the
-    remaining translation is re(z).
+    0-part is the cone witness of im(z) - Phi(w,w), whose residual meets
+    ``ORBIT_TOL``/10 entry by entry, and the remaining translation is re(z).
     """
     if M.p == 0:
         return np.zeros(M.p + M.q), np.zeros(M.p0)
-    defect = domain_defect(point, M)
-    cone = cone_contains(defect, M)
+    cone = cone_contains(domain_defect(point, M), M)
     if not cone.inside:
         raise NotInDomain(
             f"point is outside the domain or undecidable (cone residual {cone.residual:.2e})"
         )
-    x_minus = np.concatenate([point.z.real, point.w])
-    x_zero = _polish_witness(M, defect, cone.witness)
+    x_minus, x_zero = np.concatenate([point.z.real, point.w]), cone.witness
     res = orbit_points(M, x_minus, x_zero).distance(point)
     if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
         raise SolverDiverged(f"orbit solve residual {res:.2e} exceeds {ORBIT_TOL:.2e}")
     return x_minus, x_zero
-
-
-def _polish_witness(M: SiegelModel, x: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Newton steps on Ad(exp g) xi0 = x from a cone witness g while the
-    residual relative to each entry, max_i |r_i| / max(1, |x_i|), is over
-    ``ORBIT_TOL / 10`` and falls.  ``cone_contains`` stops at a residual
-    relative to |x|, which on a badly scaled x (entries e^15 and 1) leaves
-    the small entries inexact; the system is square, so only the stopping
-    rule differs from the cone solve's."""
-    weight = 1.0 / np.maximum(1.0, np.abs(x))
-    cone = _cone_points(M, g)
-    err = float(np.max(weight * np.abs(cone - x)))
-    for _ in range(CONE_MAX_ITER):
-        if err <= 0.1 * ORBIT_TOL:
-            break
-        trial = g - np.linalg.lstsq(_cone_jacobians(M, g[None])[1][0], cone - x, rcond=None)[0]
-        cone_t = _cone_points(M, trial)
-        err_t = float(np.max(weight * np.abs(cone_t - x)))
-        if not err_t < err:
-            break
-        g, cone, err = trial, cone_t, err_t
-    return g
 
 
 def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:

@@ -35,6 +35,23 @@ def _exp_spec(coeffs, labels):
     return ("exp:" + " + ".join(f"{c:.17g}*{lbl}" for c, lbl in zip(coeffs, labels))).replace("+ -", "- ")
 
 
+def test_named_preset_is_built_once(monkeypatch, tmp_path):
+    """A named preset is built once and echoed by name; a file domain is
+    echoed as its algebra, and a name that is neither keeps the resolver's
+    message."""
+    built = []
+    original = jalgebra.preset
+    monkeypatch.setattr(jalgebra, "preset", lambda name: built.append(name) or original(name))
+    assert analyze("ball:2", "exp:0.7*delta")["domain"] == "ball:2"
+    assert built == ["ball:2"]
+    data = jalgebra.j_algebra_to_dict(ball_jalgebra(2))
+    path = tmp_path / "b2.json"
+    path.write_text(json.dumps(data))
+    assert analyze(str(path), "exp:0.7*delta")["domain"] == data
+    with pytest.raises(InputError, match="is neither a preset .* nor a readable file"):
+        analyze("ball:x", "exp:delta")
+
+
 def test_parse_combination():
     J = ball_jalgebra(2)
     x = parse_combination("0.7*delta + zeta - 2*eta1", J)

@@ -160,7 +160,7 @@ def _loop_samples(M, count, rng):
             nw = np.linalg.norm(w)
             if nw > 1.0:
                 w = w / nw
-        quad = np.einsum("i,j,ijk->k", w, w, M.phi_re) if M.q else np.zeros(M.p)
+        quad = np.einsum("i,j,ijk->k", w, w, M.form.real) if M.q else np.zeros(M.p)
         z = rng.uniform(-2.0, 2.0, M.p) + 1j * (quad + M.xi0_coords)
         pts.append(DomainPoint(z, w))
     return pts
@@ -285,8 +285,7 @@ def test_hermitian_defect_matches_loop(name):
     rng = np.random.default_rng(40)
     bent = dataclasses.replace(
         M,
-        phi_re=M.phi_re + rng.standard_normal(M.phi_re.shape),
-        phi_im=M.phi_im + rng.standard_normal(M.phi_im.shape),
+        form=M.form + rng.standard_normal(M.form.shape) + 1j * rng.standard_normal(M.form.shape),
     )
     defect = _hermitian_defect(bent)
     assert defect > 0.1

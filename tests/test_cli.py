@@ -173,6 +173,20 @@ def test_fibration_tower():
     assert res.stdout.count("step") == 3
 
 
+def test_verify_validate_and_fibration_load_no_scipy(tmp_path):
+    """Only the matrix Jordan split reads scipy (an ordered Schur form), so
+    one interpreter that replays a certificate, validates a file and prints
+    a tower never imports it."""
+    good = tmp_path / "b2.jalg.json"
+    good.write_text(json.dumps(jalgebra.j_algebra_to_dict(jalgebra.ball_jalgebra(2))))
+    golden = os.path.join(os.path.dirname(__file__), "golden", "ball3_exp_fiber.json")
+    calls = [["verify", golden], ["validate", str(good)], ["fibration", "--domain", "polydisc:3"]]
+    code = f"import sys\nfrom hdq import cli\ncodes = [cli.main(a) for a in {calls!r}]\nprint(codes, 'scipy' in sys.modules)"
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
+
+
 def test_jordan_subcommand(tmp_path):
     m = tmp_path / "m.json"
     m.write_text(json.dumps([[0.0, -2.0], [2.0, 0.0]]))

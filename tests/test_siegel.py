@@ -10,6 +10,7 @@ from hdq.errors import DimensionMismatch, NotInDomain
 from hdq.jalgebra import ball_jalgebra, polydisc_jalgebra, preset
 from conftest import random_element
 from hdq.siegel import (
+    CONE_TOL,
     DomainPoint,
     _hermitian_defect,
     act,
@@ -114,20 +115,25 @@ def test_stacked_cone_solve_matches_closed_forms(name, sym2_tube):
     # keep a query only where its side of the boundary is clear
     drawn = np.array([x for x in drawn if abs(margin(x)) > 1e-3 * np.linalg.norm(x)])
     xi0 = M.xi0_coords
-    queries = np.concatenate([drawn, [np.zeros(M.p), -1e6 * xi0, 1e6 * xi0, 1e8 * (xi0 - 2.0 * drawn[0])]])
+    # badly scaled: the first frame entry e^15 against entries of order one
+    big = xi0 + (np.exp(15.0) - 1.0) * np.eye(M.p)[0]
+    scaled = [big, big + 0.5 * np.eye(M.p)[-1]]
+    queries = np.concatenate([drawn, [np.zeros(M.p), -1e6 * xi0, 1e6 * xi0, 1e8 * (xi0 - 2.0 * drawn[0])], scaled])
     want = np.array([margin(x) > 0 for x in queries])
     want[len(drawn)] = False  # the zero query is not in the open cone
-    assert want.any() and not want.all()
+    assert want.any() and not want.all() and want[-2:].all()
 
     res = cone_contains(queries, M)
     assert res.inside.shape == res.residual.shape == (len(queries),)
     assert res.witness.shape == (len(queries), M.p0)
     np.testing.assert_array_equal(res.inside, want)
     assert np.all(np.isnan(res.witness[~want]))
-    # each witness carries the base point's cone vector onto its query
+    # each witness carries the base point's cone vector onto its query,
+    # every entry within 10 CONE_TOL of its own scale
     for x, w in zip(queries[want], res.witness[want]):
         pt = act(group_element(M, np.zeros(M.p + M.q), w), M.base_point(), M)
         assert np.linalg.norm(pt.z.imag - x) <= 1e-8 * max(1.0, np.linalg.norm(x))
+        assert np.all(np.abs(pt.z.imag - x) <= 10.0 * CONE_TOL * np.maximum(1.0, np.abs(x)))
     if name == "polydisc:6":
         np.testing.assert_allclose(res.witness[want], np.log(queries[want]), atol=1e-7)
 

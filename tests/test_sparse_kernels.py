@@ -5,7 +5,10 @@ forms and loops they replaced.
 contraction holding two n^4 arrays.  ``_loop_aligned_basis`` and
 ``_loop_complex_pairs`` are the former ``siegel`` loops: a projection
 against each accepted column in turn, and a QR of the whole taken block
-for every candidate column.  Agreement is required to 1e-12.
+for every candidate column.  ``_dense_phi`` is the former
+``SiegelModel.phi``: a three-operand ``einsum`` per part, which loops
+over every (i, j, k) of the form for every stacked pair.  Agreement is
+required to 1e-12.
 """
 
 import tracemalloc
@@ -73,6 +76,11 @@ def _loop_complex_pairs(space_basis, j):
         raise DimensionMismatch("could not pair the half-space basis under j")
     U = np.column_stack(us) if us else np.zeros((n, 0))
     return np.hstack([U, j @ U]), m
+
+
+def _dense_phi(u, v, M):
+    part = lambda T: np.einsum("...i,...j,ijk->...k", u, v, T)
+    return part(M.form.real) + 1j * part(M.form.imag)
 
 
 def _orthogonal(n, seed=7):
@@ -187,3 +195,31 @@ def test_pairing_and_alignment_match_loops(name, rebased, sym2_tube, monkeypatch
         assert m == m_oracle
         np.testing.assert_allclose(paired, oracle, rtol=0, atol=TOL)
 
+
+_FORM_INPUTS = (
+    "disc", "ball:3", "ball:8", "polydisc:3", "product:[ball:3,ball:2]", "product:[ball:2,polydisc:2]",
+    "rebased-ball:3", "rebased-product:[ball:3,ball:2]", "sym2-tube",
+)
+
+
+@pytest.mark.parametrize("name", _FORM_INPUTS)
+def test_form_contraction_matches_dense_oracle(name, rebased, sym2_tube):
+    """``SiegelModel.phi`` (a ``tensordot`` and a two-operand ``einsum``)
+    against the three-operand ``einsum`` to 1e-12, on the input's model
+    and on each fiber model of its tower (the Sym+(2) tube has no half
+    block until its fibers, the disc and polydisc none at all).  The
+    shapes include those ``totally_real_defect`` passes: (k, 1, q) points
+    against (d, q) fields."""
+    base = name.removeprefix("rebased-")
+    J = sym2_tube() if base == "sym2-tube" else preset(base)
+    if name.startswith("rebased-"):
+        J = rebased(J, _orthogonal(J.dim))
+    models = [siegel.build_model(J), *(F.fiber_model for F in tower(J))]
+    assert any(M.q for M in models) == (base not in ("disc", "polydisc:3"))  # else an empty form
+    rng = np.random.default_rng(len(name))
+    for M in models:
+        for su, sv in (((M.q,), (M.q,)), ((7, M.q), (7, M.q)), ((5, 1, M.q), (3, M.q)), ((5, 1, M.q), (5, 3, M.q))):
+            u, v = rng.standard_normal(su), rng.standard_normal(sv)
+            got, oracle = M.phi(u, v), _dense_phi(u, v, M)
+            assert got.shape == oracle.shape == np.broadcast_shapes(su[:-1], sv[:-1]) + (M.p,)
+            np.testing.assert_allclose(got, oracle, rtol=0, atol=TOL * max(1.0, np.max(np.abs(oracle), initial=0.0)))
