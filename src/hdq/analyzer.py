@@ -25,8 +25,13 @@ one tolerance in ``STEP_TOL``; an unchecked kind (``finite_case``,
   reached by the replay".  When every step replayed, a stored conclusion
   other than the walk's adds a failing ``conclusion`` entry.  A stored
   ``tolerance`` is a note for the reader, never read.
-- Both validate the domain first: ``analyze`` refuses an invalid one with
-  an ``InputError``, and ``verify`` fails with one ``domain`` entry.
+- Both prepare the domain first (``_prepared``): ``analyze`` refuses an
+  invalid one with an ``InputError``, and ``verify`` fails with one
+  ``domain`` entry.  The validation, the level-1 model and its tower
+  depend on the domain alone, so one slot keeps the last domain's, keyed
+  on the bitwise content of its labels, ``c``, ``j`` and ``omega``; an
+  ``analyze`` and the ``verify`` after it, or the automorphisms of one
+  domain, prepare it once.  Every step's check still runs on every call.
 
 A certificate stores its input (``domain``, ``phi``, ``seed``) and, per
 step, only the witnesses a check cannot recompute; the check derives the
@@ -38,7 +43,8 @@ rest:
   ``siegel.element_from_vector``, a mapping as given), which ``verify``
   derives when it replays this step.
 - ``discreteness``: ``kind`` and ``order``, re-decided from the factors;
-  ``finite_case``: the ``order``.
+  a finite order must also take phi to the identity.  ``finite_case``:
+  the ``order``.
 - ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
   how far it is from affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
@@ -75,7 +81,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -232,10 +238,9 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
             # a file, or neither: resolve_domain words the error
             J = jalgebra.resolve_domain(str(domain_spec))
             domain_echo = jalgebra.j_algebra_to_dict(J)
-    invalid = _validation_failure(J)
+    invalid, M, tower = _prepared(J)
     if invalid:
         raise InputError(invalid)
-    M = build_model(J)
 
     phi_echo, phi_matrix = resolve_phi(phi_spec, J, M, seed)
     cert = {
@@ -247,9 +252,42 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, int(seed), phi_matrix=phi_matrix)
+    state = ReplayState(M, int(seed), phi_matrix=phi_matrix, tower=tower)
     _walk(state, cert, _recorder(cert, state))
     return cert
+
+
+# the last domain prepared: (labels, c, j, omega) of its algebra, then what
+# _prepared returns for it
+_SLOT = None
+
+
+def _prepared(J: NormalJAlgebra):
+    """(why the domain fails validation or None, its model, its tower):
+    the model and tower are None for an invalid domain.  Served from the
+    slot when J has the bitwise content of the last domain prepared, so
+    that a -0.0 for a 0.0 or a one-ulp change is a miss; otherwise the
+    slot is emptied first, so that no two models are held at once.  The
+    model's arrays are read-only, and the tower, which splits and measures
+    its levels as they are read, is not for walks on two threads at once."""
+    global _SLOT
+    key = (J.L.basis_labels, J.L.c, J.j, J.omega)
+    slot = _SLOT
+    if slot is not None and _same_bits(slot[0], key):
+        return slot[1]
+    slot = _SLOT = None
+    invalid = _validation_failure(J)
+    M = None if invalid else build_model(J)
+    prepared = (invalid, M, None if invalid else Tower(M))
+    _SLOT = (key, prepared)
+    return prepared
+
+
+def _same_bits(a: tuple, b: tuple) -> bool:
+    """Equal labels, and arrays equal bit for bit (labels fix their shapes)."""
+    return a[0] == b[0] and all(
+        x is y or np.array_equal(x.view(np.uint64), y.view(np.uint64)) for x, y in zip(a[1:], b[1:])
+    )
 
 
 def _validation_failure(J: NormalJAlgebra) -> str | None:
@@ -400,21 +438,23 @@ class ReplayState:
     """What a check reads besides its payload: the level-1 model, the
     certificate's seed and phi (with the input ``algebra`` an ``exp:`` phi
     is written over), the fibration tower (split lazily, one level at a
-    time), and what earlier steps established."""
+    time; the model's own unless one is given), and what earlier steps
+    established."""
 
     model: SiegelModel
     seed: int
     phi: object = None                    # the certificate's phi
     algebra: NormalJAlgebra | None = None  # the input algebra, whose labels phi uses
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
-    tower: Tower = field(init=False)
+    tower: Tower | None = None
     jordan: JordanParts | None = None  # the factors of jordan_split
     phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
     fiber_log: np.ndarray | None = None  # the carried element's log in fiber coordinates, set by the walk
 
     def __post_init__(self):
-        self.tower = Tower(self.model)
+        if self.tower is None:
+            self.tower = Tower(self.model)
 
     def homogenized_phi(self) -> np.ndarray:
         if self.phi_matrix is None:
@@ -449,13 +489,42 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
 
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
+    """The kind and order re-decided from the factors.  A finite order q
+    must also be one of phi, since the factors' check never tests that the
+    elliptic one is semisimple: |A^q - I| for the homogenized A, formed by
+    repeated squaring, must be within the Jordan tolerance times max(1,
+    the largest norm among the powers formed), and that norm finite.  The
+    bound never exceeds the tolerance times max(1, |A|)^q, which grows
+    with q fast enough to pass a parabolic forgery of order 20."""
     disc = cyclic_discreteness(state.jordan)
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(
             f"discreteness replays as {disc.kind} (order {disc.order}), "
             f"stored {payload['kind']} (order {payload['order']})"
         )
+    if disc.kind == "finite":
+        A = state.homogenized_phi()
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+            power, largest = _power(A, disc.order)
+            defect = float(np.linalg.norm(power - np.eye(len(A))))
+        if not (np.isfinite(largest) and defect <= STEP_TOL["jordan_split"] * max(1.0, largest)):
+            raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
     return 0.0
+
+
+def _power(A: np.ndarray, q: int):
+    """(A^q, the largest Frobenius norm among the powers of A that
+    repeated squaring forms on the way), for q >= 1."""
+    result, square, largest = None, A, float(np.linalg.norm(A))
+    while True:
+        if q & 1:
+            result = square if result is None else result @ square
+            largest = max(largest, float(np.linalg.norm(result)))
+        q >>= 1
+        if not q:
+            return result, largest
+        square = square @ square
+        largest = max(largest, float(np.linalg.norm(square)))
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
@@ -558,10 +627,10 @@ def verify(cert: dict):
         J = jalgebra.preset(domain)
     else:
         raise MalformedCertificate(f"domain must be a preset name or a mapping, not {type(domain).__name__}")
-    invalid = _validation_failure(J)
+    invalid, M, tower = _prepared(J)
     if invalid:
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
-    state = ReplayState(build_model(J), seed, cert.get("phi"), J)
+    state = ReplayState(M, seed, cert.get("phi"), J, tower=tower)
     report = []
 
     def take(kind, level, build):

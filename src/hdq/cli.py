@@ -18,9 +18,7 @@ from . import analyzer, jalgebra, lie_core
 from .ball import WITNESS_RESIDUAL, ball_algebra, sample_totally_real_points
 from .ball import totally_real_residuals, totally_real_subalgebra
 from .errors import HdqError, InputError, TotallyRealCheckFailed
-from .fibration import Tower
 from .jordan import classify, cyclic_discreteness
-from .siegel import build_model
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -100,7 +98,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_fibration(args) -> int:
-    T = Tower(build_model(jalgebra.resolve_domain(args.domain)))
+    invalid, _, T = analyzer._prepared(jalgebra.resolve_domain(args.domain))
+    if invalid:
+        raise InputError(invalid)
     for k in range(1, T.model.rank + 1):
         F = T[k]
         print(

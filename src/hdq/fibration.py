@@ -98,11 +98,14 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     fiber_layout = (1, 2 * m, ((0, m),) if m else (), ((0,),) * Jb.dim)
     fiber_model = assemble_model(Jb, np.column_stack([E[:, 0], paired, E[:, eta]]), 1, fiber_layout)
     require_ball_like(fiber_model)
+    quotient_map = np.eye(J.dim)[kept]
+    for a in (quotient_map, ideal):  # a step may be shared by many walks
+        a.setflags(write=False)
     return FibrationStep(
         domain_model=M,
         quotient_model=quotient_model,
         fiber_model=fiber_model,
-        quotient_map=np.eye(J.dim)[kept],
+        quotient_map=quotient_map,
         ideal=ideal,
     )
 
@@ -111,10 +114,13 @@ class Tower:
     """The tower of the model ``M``, split lazily: ``tower[k]`` is level k.
     Level k drops frame index rank - k, so the columns of M's basis in its
     domain are those whose roots involve no higher index: masks read
-    off ``M.frame_indices`` once.  The level-1 Gram matrix is computed once."""
+    off ``M.frame_indices`` once.  The level-1 Gram matrix and each
+    level's structural residual are computed once, when first read, so a
+    tower shared by many walks (``analyzer._prepared``) splits and
+    measures each level once."""
 
     def __init__(self, M: SiegelModel):
-        self.model, self.steps, self.gram = M, [], None
+        self.model, self.steps, self.gram, self.residuals = M, [], None, {}
         top = np.array([max(idx) for idx in M.frame_indices], dtype=int)
         self.domains = [top <= M.rank - k for k in range(1, M.rank + 1)]
 
@@ -127,6 +133,8 @@ class Tower:
         """The largest bracket and j ``leakage`` of the level's kept and
         ideal columns, and metric cosine |G[a, b]| / sqrt(G[a, a] G[b, b])
         over kept a and ideal b: 0 when the selection is the projection."""
+        if level in self.residuals:
+            return self.residuals[level]
         F, d = self[level], self.domains[level - 1]
         if self.gram is None:
             self.gram = gram(self[1].domain_model.J)
@@ -135,7 +143,8 @@ class Tower:
         cosine = np.abs(G[kept][:, ideal]) / np.outer(norms[kept], norms[ideal])
         J = F.domain_model.J
         leak = leakage(J, kept) + leakage(J, ideal, ideal=True)
-        return max(*leak, float(np.max(cosine, initial=0.0)))
+        self.residuals[level] = max(*leak, float(np.max(cosine, initial=0.0)))
+        return self.residuals[level]
 
 
 # ---------------------------------------------------------------------------

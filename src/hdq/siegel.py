@@ -14,7 +14,9 @@ identity basis, and each fiber on the basis that pairs its half block.
 ``M.basis`` keeps the columns over the input's basis, read only where
 input coordinates enter: an ``exp:`` element (``analyzer.phi_affine``),
 the fiber log of the walk and the ``fiber_case`` subalgebra witness, both
-over the ideal's coordinates, and ``hdq ball check-totally-real``.
+over the ideal's coordinates, and ``hdq ball check-totally-real``.  A
+model's arrays are read-only: one model serves every walk on its domain
+(``analyzer._prepared``).
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the
@@ -364,6 +366,8 @@ def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -
         ad1_gens=np.ascontiguousarray(ad0[:, :p, :p]),
         adh_gens=np.ascontiguousarray(ad0[:, h, h]),
     )
+    for name in ("basis", "form", "hb", "jhalf", "ad1_gens", "adh_gens"):
+        getattr(model, name).setflags(write=False)
     _require_hermitian(model)
     return model
 
@@ -447,9 +451,10 @@ def group_element(M: SiegelModel, x_minus, x_zero) -> GroupElement:
     mat[..., :p, 2 * p :] = -2.0 * KEim
     mat[..., p : 2 * p, 2 * p :] = 2.0 * KEre
     mat[..., 2 * p :, 2 * p :] = Eh
-    # z gains xi + i Phi(xi', xi'); the diagonal of the form is real
+    # z gains xi + i Phi(xi', xi'); Phi(xi', xi') is real, so its imaginary
+    # part is rounding and is dropped
     off = np.zeros(stack + (dim,))
-    off[..., :p] = xi - phi_diag.imag
+    off[..., :p] = xi
     off[..., p : 2 * p] = phi_diag.real
     off[..., 2 * p :] = xip
     return GroupElement(x_minus, x_zero, mat, off)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm, logm
 
-from hdq import jalgebra
+from hdq import analyzer, jalgebra
 from hdq.fibration import Tower
 from hdq.lie_core import LieAlgebraData, ad_matrix, bracket_table, derived_series, residual_outside, span
 from hdq.siegel import build_model, group_element
@@ -17,6 +17,12 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 os.environ["PYTHONPATH"] = os.pathsep.join(
     p for p in (SRC, os.environ.get("PYTHONPATH")) if p
 )
+
+
+@pytest.fixture(autouse=True)
+def empty_domain_slot():
+    """Each test starts with no prepared domain (``analyzer._prepared``)."""
+    analyzer._SLOT = None
 
 
 def _relabelled_polydisc(rank, rng, per_vector=False):

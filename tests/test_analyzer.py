@@ -358,6 +358,7 @@ def test_unequivariant_tower_level_is_undecided(relabelled_polydisc, tilted_idea
     monkeypatch.setattr(
         fibration, "split_last_root", lambda M: tilted_ideal(split(M), 1e-6) if M.rank == 6 else split(M)
     )
+    analyzer._SLOT = None  # the clean tower of J is prepared; split it again
     assert fibration.Tower(build_model(J)).residual(1) > 10 * analyzer.STEP_TOL["tower_descend"]
     cert = analyze(J, phi)
     assert cert["conclusion"] == "undecided"
@@ -469,10 +470,11 @@ def _benchmark_op0(workload, relabelled_polydisc):
 
 def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
     """On operation 0 of the ball-fiber and polydisc-tower benchmarks,
-    analyze and verify each run the Jacobi identity once and decide
+    analyze on a cold slot runs the Jacobi identity once and decides
     split-solvability (with one derived series) once, all on the input:
     every quotient and fiber model of the tower is built from the input's
-    root columns, so no child algebra is measured again."""
+    root columns, so no child algebra is measured again.  The verify that
+    follows finds the domain prepared and measures nothing."""
     calls = {}
 
     def counting(module, name):
@@ -496,10 +498,11 @@ def test_each_algebra_is_measured_once(monkeypatch, relabelled_polydisc):
                 assert cert["conclusion"] == "stein_certified"
             else:
                 assert verify(json.loads(dump_certificate(cert)))[0]
-            assert len(calls["jacobi_defect"]) == 1, (workload, phase)
-            measured = calls["_abelian_part"]
-            assert len(measured) == 1, (workload, phase)
-            assert [L.dim for L in calls["derived_series"]] == [J.dim for J in measured], (workload, phase)
+            once = int(phase == "analyze")
+            assert len(calls.get("jacobi_defect", [])) == once, (workload, phase)
+            measured = calls.get("_abelian_part", [])
+            assert len(measured) == once, (workload, phase)
+            assert [L.dim for L in calls.get("derived_series", [])] == [J.dim for J in measured], (workload, phase)
 
 
 def test_walk_builds_no_quotient_group_elements(monkeypatch, relabelled_polydisc):
@@ -533,8 +536,9 @@ def test_walk_builds_no_quotient_group_elements(monkeypatch, relabelled_polydisc
 
 def test_tower_walk_draws_no_samples(monkeypatch, relabelled_polydisc):
     """polydisc:6 and a relabelled copy certify and verify with the sampled
-    equivariance check raising under every name the package binds it to,
-    and each phase computes one Gram matrix for its whole tower."""
+    equivariance check raising under every name the package binds it to;
+    analyze on a cold slot computes one Gram matrix for its whole tower,
+    and the verify that follows reads the prepared one."""
     def refuse(*args, **kwargs):
         raise AssertionError("the walk sampled the equivariance square")
 
@@ -553,7 +557,7 @@ def test_tower_walk_draws_no_samples(monkeypatch, relabelled_polydisc):
         assert sum(s["kind"] == "tower_descend" for s in cert["steps"]) == 5
         assert grams == [12]
         assert verify(json.loads(dump_certificate(cert)))[0]
-        assert grams == [12, 12]
+        assert grams == [12]
 
 
 def _descent_levels(domain, x):
@@ -869,6 +873,43 @@ def _forgery(name):
         cert = _genuine("ball:3", "exp:0.5*delta + zeta - 0.3*xi1")
         cert["steps"] = cert["steps"] * 2
     return cert
+
+
+@pytest.mark.parametrize("turns, order", [((3, 3, 3), 3), ((4, 5, 5), 20)], ids=["order-3", "order-20"])
+def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
+    """On ball:4, a map that rotates the complex pairs of w by 2 pi / t for
+    each t in ``turns`` and translates re z by 0.7 is parabolic and
+    certifies through its fiber.  A forgery that stores the homogenized
+    map A as its own elliptic factor, with identity hyperbolic and
+    unipotent factors, passes the factors' check, and discreteness
+    re-decides the order from them: it verified until discreteness also
+    required A^order to be the identity.  Order 20 passes a bound of the
+    tolerance times |A|^order, since |A| is about 3."""
+    lin, off = np.eye(8), np.zeros(8)
+    for (re, im), t in zip(((2, 5), (3, 6), (4, 7)), turns):  # ball:4's half block is one block of three pairs
+        c, s = np.cos(2 * np.pi / t), np.sin(2 * np.pi / t)
+        lin[re, re], lin[re, im], lin[im, re], lin[im, im] = c, -s, s, c
+    off[0] = 0.7
+    cert = _genuine("ball:4", {"linear": lin.tolist(), "translation": off.tolist()})
+    assert cert["conclusion"] == "stein_certified"
+    assert "fiber_case" in [s["kind"] for s in cert["steps"]]
+    A, identity = analyzer._homogenize(lin, off), np.eye(9).tolist()
+    loose = analyzer.STEP_TOL["jordan_split"] * np.linalg.norm(A) ** order
+    assert (0.7 * order <= loose) == (order == 20)  # |A^order - I| is 0.7 order
+
+    def step(kind, payload):
+        return {"kind": kind, "citation": analyzer.CITATIONS[kind], "payload": payload, "residual": 0.0, "level": 0}
+
+    cert["steps"] = [
+        step("jordan_split", {"elliptic": A.tolist(), "hyperbolic": identity, "unipotent": identity}),
+        step("discreteness", {"kind": "finite", "order": order}),
+        step("finite_case", {"order": order}),
+    ]
+    cert["conclusion"] = "stein_by_citation"
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["ok"] for r in report] == [True, False, False]
+    assert report[1]["detail"] == f"phi to the power {order} is {0.7 * order:.2e} from the identity"
 
 
 # each forgery, with the kind and detail of its first failing entry

@@ -166,6 +166,23 @@ def test_consecutive_main_calls_get_independent_namespaces(monkeypatch):
     assert len({id(a) for a in seen}) == 4
 
 
+def test_fibration_refuses_an_invalid_domain(tmp_path, capsys):
+    """``hdq fibration`` validates its domain as ``analyze`` does: ball:2
+    with the [delta, zeta] bracket off by a relative 1e-6 fails the Jacobi
+    identity and exits 4, where it once printed a tower of depth 1."""
+    data = jalgebra.j_algebra_to_dict(jalgebra.preset("ball:2"))
+    bracket = next(b for b in data["brackets"] if (b["i"], b["j"]) == ("delta", "zeta"))
+    bracket["coeffs"]["zeta"] *= 1.0 + 1e-6
+    domain = tmp_path / "ball2.json"
+    domain.write_text(json.dumps(data))
+    assert cli.main(["validate", str(domain)]) == cli.EXIT_INPUT
+    capsys.readouterr()
+    assert cli.main(["fibration", "--domain", str(domain)]) == cli.EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: domain fails validation: jacobi defect")
+
+
 def test_fibration_tower():
     res = run_cli("fibration", "--domain", "polydisc:3")
     assert res.returncode == 0, res.stderr

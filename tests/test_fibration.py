@@ -292,12 +292,14 @@ def test_structural_residual_reads_rounding(name, rebased, relabelled_polydisc, 
 def test_structural_residual_reads_the_metric_cosine():
     """A kept and an ideal column whose Gram entry is off zero by 1e-6
     of their norms raise the residual to that cosine, with no bracket or
-    j leakage."""
+    j leakage.  A tower keeps each residual once read, so the altered
+    Gram matrix goes to a fresh one."""
     T = Tower(build_model(preset("polydisc:3")))
     assert T.residual(1) == 0.0
     G = T.gram.copy()
     a, b = np.argmin(T[1].ideal), np.argmax(T[1].ideal)
     G[a, b] = G[b, a] = 1e-6 * np.sqrt(G[a, a] * G[b, b])
+    T = Tower(T.model)
     T.gram = G
     assert T.residual(1) == pytest.approx(1e-6, rel=1e-12)
     assert T.residual(1) > STEP_TOL["tower_descend"]

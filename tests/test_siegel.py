@@ -293,6 +293,18 @@ def test_stacked_group_element_equals_row_builds(name):
         group_element(M, x_minus, x_zero[:6])
 
 
+@pytest.mark.parametrize("name", ["ball:4", "ball:8", "product:[ball:3,ball:2]"])
+def test_z_translation_is_xi_exactly(name):
+    """The z translation of exp(xi + xi') exp(x_zero) is xi + i Phi(xi',
+    xi') with Phi(xi', xi') real: its real part is xi bit for bit.  The
+    rounding residue of im Phi(xi', xi'), about 1e-16, once moved it."""
+    M = build_model(preset(name))
+    rng = np.random.default_rng(0)
+    x_minus = rng.uniform(-1.0, 1.0, (50, M.p + M.q))
+    g = group_element(M, x_minus, rng.uniform(-1.0, 1.0, (50, M.p0)))
+    np.testing.assert_array_equal(g.affine_offset[:, : M.p], x_minus[:, : M.p])
+
+
 # the half block is empty on polydisc:2; ball:3, the product and the
 # rebased ball:4 reach the doubled half block of the delta read-off, and
 # the tube over Sym+(2) has sum and diff roots
