@@ -80,6 +80,7 @@ everything cited without computation.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass
 
@@ -489,26 +490,42 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
 
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
-    """The kind and order re-decided from the factors.  A finite order q
-    must also be one of phi, since the factors' check never tests that the
-    elliptic one is semisimple: |A^q - I| for the homogenized A, formed by
-    repeated squaring, must be within the Jordan tolerance times max(1,
-    the largest norm among the powers formed), and that norm finite.  The
-    bound never exceeds the tolerance times max(1, |A|)^q, which grows
-    with q fast enough to pass a parabolic forgery of order 20."""
+    """The kind and order re-decided from the factors, then held to phi,
+    since the factors' check never tests that the elliptic one is
+    semisimple.  With tol the Jordan tolerance and A the homogenized phi,
+    whose powers are formed by repeated squaring (``_power``), and every
+    norm finite:
+
+    - a finite order q: |A^q - I| must be within tol times max(1, the
+      largest norm among the powers formed).  The bound never exceeds tol
+      times max(1, |A|)^q, which grows with q fast enough to pass a
+      parabolic forgery of order 20.
+    - ``indiscrete_closure`` and ``undecided``: the powers A^(2^j), up to
+      the first 2^j of at least tol^(-3/2), must stay within max(1, |A|)
+      / sqrt(tol).  A semisimple A with unit-modulus spectrum, P D P^-1,
+      stays within sqrt(n) cond(P) at every power; a unipotent part N adds
+      about 2^j N to A^(2^j), and passes the bound once |N| is about tol
+      times max(1, |A|).
+    """
     disc = cyclic_discreteness(state.jordan)
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(
             f"discreteness replays as {disc.kind} (order {disc.order}), "
             f"stored {payload['kind']} (order {payload['order']})"
         )
-    if disc.kind == "finite":
-        A = state.homogenized_phi()
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the test below
+    if disc.kind == "infinite_discrete":
+        return 0.0
+    A, tol = state.homogenized_phi(), STEP_TOL["jordan_split"]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the tests below
+        if disc.kind == "finite":
             power, largest = _power(A, disc.order)
             defect = float(np.linalg.norm(power - np.eye(len(A))))
-        if not (np.isfinite(largest) and defect <= STEP_TOL["jordan_split"] * max(1.0, largest)):
-            raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
+            if not (np.isfinite(largest) and defect <= tol * max(1.0, largest)):
+                raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
+        else:
+            _, largest = _power(A, 1 << math.ceil(-1.5 * math.log2(tol)))
+            if not (np.isfinite(largest) and largest <= max(1.0, float(np.linalg.norm(A))) / math.sqrt(tol)):
+                raise StepRejected(f"the powers of phi grow to {largest:.2e}: it is not elliptic")
     return 0.0
 
 
@@ -667,7 +684,76 @@ def verify(cert: dict):
 # ---------------------------------------------------------------------------
 
 def dump_certificate(cert: dict) -> str:
-    return json.dumps(cert, sort_keys=True, indent=2, default=lambda a: a.tolist()) + "\n"
+    """The text of ``json.dumps(cert, sort_keys=True, indent=2, default=
+    lambda a: a.tolist()) + "\\n"``, byte for byte.  With ``indent`` json
+    encodes every number in Python; here each ndarray and each rectangular
+    list of numbers is one call of json's C encoder, indented by string
+    replacement, and only the containers around them are walked."""
+    return _encode(cert, 0) + "\n"
+
+
+def _tolist(a):
+    return a.tolist()
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _encode(obj, level: int) -> str:
+    """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
+    nesting ``level``."""
+    if isinstance(obj, np.ndarray):
+        depth = obj.ndim if obj.size and obj.dtype.kind in "biuf" else 0
+        obj = obj.tolist()
+    elif isinstance(obj, list) and obj:
+        depth = _numeric_depth(obj)
+    else:
+        depth = 0
+    if depth:
+        return _indent_numbers(json.dumps(obj, separators=(",", ":"), default=_tolist), depth, level)
+    inner = "\n" + "  " * (level + 1)
+    if isinstance(obj, list) and obj:
+        items = [_encode(v, level + 1) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
+    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+        items = [_encode_str(k) + ": " + _encode(obj[k], level + 1) for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
+    if isinstance(obj, str):
+        return _encode_str(obj)
+    # a number, None, an empty container or a dict with other keys: the stdlib,
+    # whose line breaks all fall between tokens
+    return json.dumps(obj, sort_keys=True, indent=2, default=_tolist).replace("\n", "\n" + "  " * level)
+
+
+def _numeric_depth(items: list) -> int:
+    """The nesting depth of a list that nests as a rectangular array of
+    numbers or bools with no empty axis, or 0.  json writes such a list with
+    no bracket, comma or line break inside an item."""
+    try:
+        arr = np.asarray(items)
+    except (ValueError, TypeError, OverflowError):  # ragged, or no numeric dtype holds it
+        return 0
+    return arr.ndim if arr.size and arr.dtype.kind in "biuf" else 0
+
+
+def _indent_numbers(text: str, depth: int, level: int) -> str:
+    """Compact json text of a rectangular array of numbers ``depth`` deep,
+    laid out as ``json.dumps(indent=2)`` writes it at nesting ``level``: each
+    item on its own line, each bracket that closes on its own line."""
+    nl = ["\n" + "  " * (level + k) for k in range(depth + 1)]
+    body = text[depth:-depth]
+    # a separator that closes and opens m lists becomes chr(m) until the
+    # commas between numbers have their line breaks
+    for m in range(depth - 1, 0, -1):
+        body = body.replace("]" * m + "," + "[" * m, chr(m))
+    body = body.replace(",", "," + nl[depth])
+    for m in range(1, depth):
+        closes = "".join(nl[k] + "]" for k in range(depth - 1, depth - m - 1, -1))
+        opens = "".join(nl[k] + "[" for k in range(depth - m, depth))
+        body = body.replace(chr(m), closes + "," + opens + nl[depth])
+    opens = "".join(nl[k] + "[" for k in range(1, depth))
+    closes = "".join(nl[k] + "]" for k in range(depth - 1, -1, -1))
+    return "[" + opens + nl[depth] + body + closes
 
 
 def load_certificate(path) -> dict:

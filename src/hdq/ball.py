@@ -139,36 +139,6 @@ def require_ball_like(M: SiegelModel):
         raise HeisenbergCheckFailed(f"symplectic pairing is degenerate (|det| {det:.2e})")
 
 
-def _symplectic_pairs(M: SiegelModel):
-    """Pair basis (e_k, f_k) of the half block for the bracket pairing.
-
-    Built greedily from the adapted basis, reducing the remainder so that
-    distinct pairs pair to zero; on the canonical presets this reproduces
-    the (xi_k, eta_k) pairs.
-    """
-    q = M.q
-    P = M.hb[:, :, 0]  # pairing onto the single (-1)-coordinate
-    avail = [np.eye(q)[i] for i in range(q)]
-    pairs = []
-    while avail:
-        e = avail.pop(0)
-        if np.linalg.norm(e) < 1e-10:
-            continue
-        vals = [abs(float(e @ P @ f)) for f in avail]
-        if not vals or max(vals) < 1e-10:
-            raise TotallyRealCheckFailed("symplectic pairing is degenerate")
-        jbest = int(np.argmax(vals))
-        f = avail.pop(jbest)
-        s = float(e @ P @ f)
-        reduced = []
-        for u in avail:
-            u = u - (float(e @ P @ u) / s) * f + (float(f @ P @ u) / s) * e
-            reduced.append(u)
-        avail = reduced
-        pairs.append((e, f, s))
-    return pairs
-
-
 def abelian_branch(x, M: SiegelModel) -> bool:
     """Whether x has no frame coefficient: one at most ``WITNESS_RESIDUAL``
     relative to max(1, |x|), the bound the witness is held to, is noise.
@@ -190,7 +160,7 @@ def abelian_subalgebra_containing(x, M: SiegelModel) -> Subspace:
     xh = np.asarray(x, dtype=float)[M.p : M.p + M.q]
     cols = [np.concatenate([[1.0], np.zeros(M.J.dim - 1)])]  # the center line of the nilradical
     P = M.hb[:, :, 0] if M.q else np.zeros((0, 0))
-    for e, f, s in _symplectic_pairs(M):
+    for e, f, s in M.symplectic_pairs:
         comp = (float(e @ P @ xh) / s) * f - (float(f @ P @ xh) / s) * e
         chosen = comp if np.linalg.norm(comp) > 1e-10 * max(1.0, np.linalg.norm(xh)) else e
         cols.append(np.concatenate([np.zeros(M.p), chosen, np.zeros(M.p0)]))
@@ -241,7 +211,7 @@ def totally_real_subalgebra(x, M: SiegelModel):
     # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
     adj_inv = _expm_stack(ad_matrix(np.concatenate([x_minus, np.zeros(M.p0)]), M.J.L))
     cols = [adj_inv[:, -1]]  # the frame line eta_1
-    for e, _, _ in _symplectic_pairs(M):
+    for e, _, _ in M.symplectic_pairs:
         cols.append(adj_inv[:, M.p : M.p + M.q] @ e)
     return span(cols, M.J.dim), x_minus
 

@@ -2,10 +2,18 @@
 
 The decomposition g = e h u splits an invertible real matrix into commuting
 elliptic (unit-circle spectrum), hyperbolic (positive real spectrum) and
-unipotent (spectrum {1}) factors.  The algorithm block-diagonalizes the
-matrix over the clustered complex spectrum with an ordered Schur form plus
-Sylvester solves, applies the scalar polar split per cluster, and averages
-against the complex conjugate to return real matrices.
+unipotent (spectrum {1}) factors.
+
+The matrix gets one eigenvalue solve and one complex Schur form, which the
+retries at looser clustering share.  The Schur form is block-diagonalized
+over the clustered spectrum one cluster at a time: LAPACK ``ztrsen`` moves
+the cluster to the front of the trailing triangular block, which the
+clusters before it are already decoupled from, and one triangular
+Sylvester solve (``ztrsyl``) decouples it in turn (Bavely and Stewart,
+SINUM 1979; Bai and Demmel, LAA 1993).  With X the block basis, e and h
+are I + X diag(f(mu) - 1) X^-1 for the polar split f of each cluster's
+eigenvalue mu, and u = (e h)^-1 A is read block by block off X^-1 A X, or
+by one solve where X is ill-conditioned.  The real parts are returned.
 """
 
 from __future__ import annotations
@@ -60,55 +68,49 @@ def _cluster_eigenvalues(vals: np.ndarray, rtol: float):
     return reps, groups
 
 
-def _block_diagonalize(A: np.ndarray, reps, sizes):
-    """Return X, blocks with A = X diag(T_1..T_m) X^{-1}, one block per cluster.
+def _block_diagonalize(T: np.ndarray, Z: np.ndarray, reps, sizes):
+    """Return X, blocks with A = X diag(A_1..A_m) X^{-1}, one block per
+    cluster, from a complex Schur form A = Z T Z^H; T and Z are not changed.
 
-    Each cluster is pulled to the leading position by an ordered Schur form
-    whose selection radius is a third of the gap to the nearest other
-    cluster, then decoupled by a Sylvester solve.
+    The clusters are taken in order, each from the trailing block of T,
+    which the clusters before it are already decoupled from.  The diagonal
+    entries within a third of the gap to the nearest later cluster are
+    selected, and must be as many as the cluster's size; ``ztrsen`` moves
+    them to the front of the trailing block, and ``ztrsyl`` solves
+    T11 Y - Y T22 = -T12 for the similarity [[I, Y], [0, I]], which zeroes
+    the coupling T12 and whose inverse is [[I, -Y], [0, I]].
     """
-    # scipy loads here only: numpy has no ordered Schur form
-    from scipy.linalg import schur, solve_sylvester
+    from scipy.linalg.lapack import ztrsen, ztrsyl
 
-    n = A.shape[0]
-    X = np.eye(n, dtype=complex)
-    T = A.astype(complex)
+    n = T.shape[0]
+    T, X = T.copy(), Z.copy()
     blocks = []
     start = 0
-    remaining = list(zip(reps, sizes))
-    while remaining:
-        mu, size = remaining.pop(0)
-        sub = T[start:, start:]
-        if len(remaining) == 0:
+    for k, (mu, size) in enumerate(zip(reps, sizes)):
+        if k == len(reps) - 1:
             blocks.append((mu, slice(start, n)))
             break
-        radius = min(abs(mu - other) for other, _ in remaining) / 3.0
-        Ts, Z, sdim = schur(
-            sub, output="complex", sort=lambda lam: abs(lam - mu) <= radius
-        )
-        if sdim != size:
+        radius = min(abs(mu - other) for other in reps[k + 1 :]) / 3.0
+        select = np.abs(np.diag(T)[start:] - mu) <= radius
+        if np.count_nonzero(select) != size:
             raise ClusterAmbiguous(
-                f"ordered Schur isolated {sdim} eigenvalues for a cluster of {size}"
+                f"the Schur form isolates {np.count_nonzero(select)} eigenvalues for a cluster of {size}"
             )
-        # zero the coupling block: T11 Y - Y T22 = -T12
-        T11, T12, T22 = Ts[:sdim, :sdim], Ts[:sdim, sdim:], Ts[sdim:, sdim:]
-        Y = solve_sylvester(T11, -T22, -T12)
-        S = np.eye(sub.shape[0], dtype=complex)
-        S[:sdim, sdim:] = Y
-        # sub = (Z S) blkdiag(T11, T22') (Z S)^{-1}
-        W = Z @ S
-        Xs = np.eye(n, dtype=complex)
-        Xs[start:, start:] = W
-        X = X @ Xs
-        Winv = np.linalg.inv(W)
-        T[start:, start:] = Winv @ sub @ W
-        blocks.append((mu, slice(start, start + sdim)))
-        start += sdim
+        ts, qs, _, _, _, _, info = ztrsen(select, T[start:, start:], np.eye(n - start), job="N")
+        if info:
+            raise ClusterAmbiguous("the Schur form cannot be reordered: eigenvalues too close to swap")
+        T[start:, start:] = ts
+        X[:, start:] = X[:, start:] @ qs
+        end = start + size
+        Y, scale, _ = ztrsyl(T[start:end, start:end], T[end:, end:], -T[start:end, end:], isgn=-1)
+        X[:, end:] += X[:, start:end] @ (Y / scale)
+        T[start:end, end:] = 0.0
+        blocks.append((mu, slice(start, end)))
+        start = end
     # the Sylvester factors can be badly scaled; only the invariant-subspace
     # spans matter, so re-orthonormalize the columns block by block
     for _, sl in blocks:
-        q, _ = np.linalg.qr(X[:, sl])
-        X[:, sl] = q
+        X[:, sl] = np.linalg.qr(X[:, sl])[0]
     return X, blocks
 
 
@@ -134,39 +136,55 @@ def jordan_decompose(A: np.ndarray) -> JordanParts:
             f"{cond:.3e} exceeds 1/INVERTIBLE_RTOL = {1.0 / INVERTIBLE_RTOL:.0e})"
         )
 
+    # scipy loads here only: numpy has no reordering of a Schur form
+    from scipy.linalg import schur
+
+    # one spectrum and one Schur form serve every retry
+    vals = np.linalg.eigvals(A)
+    schur_form = schur(A, output="complex")
     last = None
     for rtol in (CLUSTER_RTOL, 100.0 * CLUSTER_RTOL, 3e3 * CLUSTER_RTOL):
         try:
-            return _decompose_at(A, rtol)
+            return _decompose_at(A, vals, schur_form, rtol)
         except ClusterAmbiguous as exc:
             last = exc
     raise last
 
 
-def _decompose_at(A: np.ndarray, tol: float) -> JordanParts:
+def _decompose_at(A: np.ndarray, vals: np.ndarray, schur_form, tol: float) -> JordanParts:
     n = A.shape[0]
-    vals = np.linalg.eigvals(A)
     reps, groups = _cluster_eigenvalues(vals, tol)
-    X, blocks = _block_diagonalize(A, reps, [len(g) for g in groups])
+    X, blocks = _block_diagonalize(*schur_form, reps, [len(g) for g in groups])
     Xinv = np.linalg.inv(X)
+    B = Xinv @ A @ X
+    mu = np.empty(n, dtype=complex)
+    U = np.zeros((n, n), dtype=complex)
+    for rep, sl in blocks:
+        mu[sl] = rep
+        U[sl, sl] = B[sl, sl] / rep - np.eye(sl.stop - sl.start)
 
-    def from_scalars(f):
-        D = np.zeros((n, n), dtype=complex)
-        for mu, sl in blocks:
-            D[sl, sl] = f(mu) * np.eye(sl.stop - sl.start)
-        M = X @ D @ Xinv
-        # the spectrum is conjugation-symmetric for a real input; averaging
-        # against the conjugate removes the imaginary roundoff
-        return 0.5 * (M + np.conj(M)).real
+    def factor(d):
+        """I + X diag(d) X^-1: the rounding through X scales with how far
+        the factor is from I, and d = 0 gives I exactly.  The spectrum of a
+        real input is conjugation-symmetric, so the imaginary part is
+        roundoff."""
+        return np.eye(n) + ((X * d) @ Xinv).real
 
-    S = from_scalars(lambda mu: mu)
-    e = from_scalars(lambda mu: mu / abs(mu))
-    h = from_scalars(lambda mu: abs(mu))
-    N = A - S
-    u = np.eye(n) + np.linalg.solve(S, N)
-    residual = float(
-        np.linalg.norm(e @ h @ u - A) / max(1.0, np.linalg.norm(A))
-    )
+    e = factor(mu / np.abs(mu) - 1.0)
+    h = factor(np.abs(mu) - 1.0)
+    eh = e @ h
+    scale = max(1.0, float(np.linalg.norm(A)))
+    # u = (e h)^-1 A, read two ways.  Read block by block off X^-1 A X, u
+    # commutes with e and h even where a cluster near 0 amplifies the
+    # rounding of the other blocks, but e h u drifts from A when X is
+    # ill-conditioned (clusters about 1e-4 apart).  One solve keeps e h u = A
+    # to rounding; it is taken when its commutators with e and h are below
+    # that drift.
+    u = np.eye(n) + (X @ U @ Xinv).real
+    residual = float(np.linalg.norm(eh @ u - A)) / scale
+    solved = np.linalg.solve(eh, A)
+    if max(float(np.linalg.norm(F @ solved - solved @ F)) for F in (e, h)) < residual:
+        u, residual = solved, float(np.linalg.norm(eh @ solved - A)) / scale
     return JordanParts(e, h, u, residual)
 
 

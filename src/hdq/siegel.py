@@ -58,6 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -67,6 +68,7 @@ from .errors import (
     NotInDomain,
     PositivityUnfixable,
     SolverDiverged,
+    TotallyRealCheckFailed,
 )
 from .jalgebra import NormalJAlgebra, adapted, fine_structure
 from .lie_core import Subspace, ad_matrix
@@ -234,6 +236,34 @@ class SiegelModel:
         v = np.zeros(self.p0)
         v[: self.rank] = 1.0
         return v
+
+    @cached_property
+    def symplectic_pairs(self) -> tuple:
+        """Pair basis ((e_k, f_k, s_k), ...) of the half block for the
+        bracket pairing P onto the single (-1)-coordinate of a ball-like
+        model, with s_k = e_k P f_k; built on first use, once per model.
+
+        Built greedily from the adapted basis, reducing the remainder so that
+        distinct pairs pair to zero; on the canonical presets this reproduces
+        the (xi_k, eta_k) pairs.
+        """
+        P = self.hb[:, :, 0]
+        avail = list(np.eye(self.q))
+        pairs = []
+        while avail:
+            e = avail.pop(0)
+            if np.linalg.norm(e) < 1e-10:
+                continue
+            vals = [abs(float(e @ P @ f)) for f in avail]
+            if not vals or max(vals) < 1e-10:
+                raise TotallyRealCheckFailed("symplectic pairing is degenerate")
+            f = avail.pop(int(np.argmax(vals)))
+            s = float(e @ P @ f)
+            avail = [u - (float(e @ P @ u) / s) * f + (float(f @ P @ u) / s) * e for u in avail]
+            e.setflags(write=False)
+            f.setflags(write=False)
+            pairs.append((e, f, s))
+        return tuple(pairs)
 
     def base_point(self) -> "DomainPoint":
         return DomainPoint(1j * self.xi0_coords.astype(complex), np.zeros(self.q))
@@ -698,12 +728,13 @@ def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:
 
     At the base point (i xi0, 0) the displayed action reads z = xi +
     i Ad(exp x_zero) xi0 + i Phi(xi', xi') and w = xi': one
-    ``_cone_points`` and one Phi, and no group element.
+    ``_cone_points`` and one Phi, and no group element.  Phi(xi', xi') is
+    real; its imaginary part is rounding and is dropped, so re z is xi.
     """
     x_minus = np.asarray(x_minus, dtype=float)
     xi, xip = x_minus[..., : M.p], x_minus[..., M.p :]
     cone = _cone_points(M, np.asarray(x_zero, dtype=float))
-    return DomainPoint(xi + 1j * (cone + M.phi(xip, xip)), xip)
+    return DomainPoint(xi + 1j * (cone + M.phi(xip, xip).real), xip)
 
 
 # ---------------------------------------------------------------------------

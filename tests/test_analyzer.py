@@ -912,6 +912,42 @@ def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
     assert report[1]["detail"] == f"phi to the power {order} is {0.7 * order:.2e} from the identity"
 
 
+@pytest.mark.parametrize(
+    "angle, kind, conclusion",
+    [(1.0, "indiscrete_closure", "not_applicable"), (2 * np.pi * (1 / 3 + 5e-8), "undecided", "undecided")],
+    ids=["indiscrete", "undecided"],
+)
+def test_forged_elliptic_factor_of_a_parabolic_map_fails(angle, kind, conclusion):
+    """On ball:4, a map that rotates each complex pair of w by ``angle`` and
+    translates re z by 0.7 is parabolic and certifies through its fiber.
+    A forgery that stores the homogenized map A as its own elliptic factor,
+    with identity hyperbolic and unipotent factors, passes the factors'
+    check, and discreteness re-decides its kind from the angle: it verified
+    until discreteness also required the powers of A to stay bounded.  The
+    translation grows as 0.7 times the power."""
+    lin, off = np.eye(8), np.zeros(8)
+    c, s = np.cos(angle), np.sin(angle)
+    for re, im in ((2, 5), (3, 6), (4, 7)):  # ball:4's half block is one block of three pairs
+        lin[re, re], lin[re, im], lin[im, re], lin[im, im] = c, -s, s, c
+    off[0] = 0.7
+    cert = _genuine("ball:4", {"linear": lin.tolist(), "translation": off.tolist()})
+    assert cert["conclusion"] == "stein_certified"
+    A, identity = analyzer._homogenize(lin, off), np.eye(9).tolist()
+
+    def step(kind, payload):
+        return {"kind": kind, "citation": analyzer.CITATIONS[kind], "payload": payload, "residual": 0.0, "level": 0}
+
+    cert["steps"] = [
+        step("jordan_split", {"elliptic": A.tolist(), "hyperbolic": identity, "unipotent": identity}),
+        step("discreteness", {"kind": kind, "order": None}),
+    ]
+    cert["conclusion"] = conclusion
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["ok"] for r in report] == [True, False]
+    assert report[1]["detail"].startswith("the powers of phi grow to ")
+
+
 # each forgery, with the kind and detail of its first failing entry
 FORGERIES = {
     "base-case-only": ("base_case", "the replay expects jordan_split at level 0 here"),

@@ -231,6 +231,22 @@ def test_witness_residual_includes_the_conjugator(B2):
         totally_real_residuals(y, W, g, M, pts)
 
 
+def test_symplectic_pairs_are_built_once_per_model():
+    """A model builds its symplectic pair basis on first use, once, and
+    shares it read-only; each pair pairs to its recorded value, and
+    distinct pairs pair to zero."""
+    M = build_model(preset("ball:4"))
+    assert "symplectic_pairs" not in vars(M)
+    pairs = M.symplectic_pairs
+    assert M.symplectic_pairs is pairs and len(pairs) == M.q // 2
+    P = M.hb[:, :, 0]
+    for i, (e, f, s) in enumerate(pairs):
+        assert not e.flags.writeable and not f.flags.writeable
+        assert s == pytest.approx(float(e @ P @ f)) and abs(s) > 1e-10
+        for e2, f2, _ in pairs[i + 1 :]:
+            assert max(abs(float(a @ P @ b)) for a in (e, f) for b in (e2, f2)) < 1e-12
+
+
 def test_totally_real_subalgebra_examples(B2):
     M = B2.model
     rng = np.random.default_rng(0)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
-from scipy.linalg import expm
+from scipy.linalg import block_diag, expm
 
-from hdq.errors import NotInvertible
+from hdq import jordan
+from hdq.analyzer import analyze
+from hdq.errors import ClusterAmbiguous, NotInvertible
 from hdq.jordan import classify, cyclic_discreteness, jordan_decompose
-from hdq.jalgebra import ball_jalgebra
+from hdq.jalgebra import ball_jalgebra, preset
 
 
 def rot(theta):
@@ -167,3 +169,125 @@ def test_continuity_along_real_spectrum_flow():
         if prev is not None:
             assert np.linalg.norm(parts.hyperbolic - prev) < 0.6
         prev = parts.hyperbolic
+
+
+# ---------------------------------------------------------------------------
+# the one-Schur kernel: planted factors, near-merge inputs, one Schur form
+# ---------------------------------------------------------------------------
+
+def _planted(rng, blocks):
+    """(A, e, h, u) with A = P (E H U) P^-1 for a well-conditioned P
+    (singular values in [1, 3]) and block-diagonal E, H, U, one block each
+    per entry of ``blocks``:
+
+    - ("rotation", r, theta): a conjugate pair r e^(+-i theta);
+    - ("jordan", lam, k): a defective k x k block lam (I + N), N strictly
+      upper triangular with its superdiagonal drawn from [0.5, 2];
+    - ("rotation-jordan", r, theta): a defective conjugate pair, the 4 x 4
+      block r (R(theta) x I2) with a unipotent coupling of the two pairs.
+    """
+    factors = []
+    for kind, a, b in blocks:
+        if kind == "rotation":
+            factors.append((rot(b), a * np.eye(2), np.eye(2)))
+        elif kind == "jordan":
+            N = np.diag(rng.uniform(0.5, 2.0, b - 1), 1)
+            factors.append((np.sign(a) * np.eye(b), abs(a) * np.eye(b), np.eye(b) + N))
+        else:
+            coupling = np.array([[1.0, rng.uniform(0.5, 2.0)], [0.0, 1.0]])
+            factors.append((np.kron(np.eye(2), rot(b)), a * np.eye(4), np.kron(coupling, np.eye(2))))
+    E, H, U = (block_diag(*Ms) for Ms in zip(*factors))
+    n = len(E)
+    Q1, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    Q2, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    P = Q1 @ np.diag(rng.uniform(1.0, 3.0, n)) @ Q2
+    Pinv = np.linalg.inv(P)
+    e, h, u = (P @ F @ Pinv for F in (E, H, U))
+    return P @ E @ H @ U @ Pinv, e, h, u
+
+
+PLANTED = {
+    "distinct": [("rotation", 1.5, 0.7), ("jordan", 0.4, 1), ("jordan", 2.5, 1), ("jordan", -1.8, 1)],
+    "defective": [("jordan", 2.0, 2), ("jordan", 0.5, 3), ("rotation", 0.8, 2.0)],
+    "repeated-cluster": [("jordan", 1.7, 2), ("jordan", 1.7, 1), ("jordan", 0.6, 1), ("rotation", 1.7, 1.1)],
+    "defective-rotation": [("rotation-jordan", 1.3, 0.9), ("jordan", 1.0, 2), ("rotation", 0.5, 2.6)],
+    "wide": [("jordan", 0.01, 2), ("jordan", 30.0, 1), ("rotation", 4.0, 0.3), ("jordan", 1.0, 1)],
+}
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("name", sorted(PLANTED))
+def test_planted_factors_are_recovered(name, seed):
+    """Each factor comes back within 1e-9 of the planted one, relative to
+    max(1, its norm): clusters of distinct, repeated and defective
+    eigenvalues, conjugate rotation pairs and a defective pair, and a
+    spectrum from 0.01 to 30."""
+    A, *planted = _planted(np.random.default_rng([len(name), seed]), PLANTED[name])
+    parts = jordan_decompose(A)
+    for got, want in zip((parts.elliptic, parts.hyperbolic, parts.unipotent), planted):
+        assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
+
+
+def test_schur_selection_must_match_the_cluster():
+    """A cluster whose eigenvalues the Schur form does not place within a
+    third of the gap to the next cluster is refused as ambiguous."""
+    T, Z = np.diag([1.0, 2.0, 3.0]).astype(complex), np.eye(3, dtype=complex)
+    with pytest.raises(ClusterAmbiguous, match="isolates 1 eigenvalues for a cluster of 2"):
+        jordan._block_diagonalize(T, Z, [1.0, 3.0], [2, 1])
+    X, blocks = jordan._block_diagonalize(T, Z, [1.0, 2.0, 3.0], [1, 1, 1])
+    assert [(b.start, b.stop) for _, b in blocks] == [(0, 1), (1, 2), (2, 3)]
+
+
+def test_schur_form_is_computed_once_per_call(monkeypatch):
+    """One Schur form serves every cluster and every retry: the calls below
+    take one cluster, six clusters, and (eigenvalues 5e-6 apart, which
+    nearly merge at the first clustering tolerance) two attempts."""
+    import scipy.linalg
+
+    schur_calls, attempts = [], []
+    real_schur, real_attempt = scipy.linalg.schur, jordan._decompose_at
+    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: schur_calls.append(1) or real_schur(*a, **k))
+    monkeypatch.setattr(jordan, "_decompose_at", lambda *a: attempts.append(1) or real_attempt(*a))
+    A, *_ = _planted(np.random.default_rng(5), PLANTED["distinct"] + PLANTED["defective-rotation"])
+    for M, tries in ((np.eye(4), 1), (A, 1), (np.diag([1.0, 1.0 + 5e-6, 3.0]), 2)):
+        schur_calls.clear(), attempts.clear()
+        jordan_decompose(M)
+        assert (len(schur_calls), len(attempts)) == (1, tries)
+
+
+WIDE_POLYDISC6 = (
+    "exp:-1.02*delta1 + 2.81*zeta1 + 2.53*delta2 + 5.18*zeta2 - 4.62*delta3 + 2.75*zeta3"
+    " + 5.13*delta4 + 5.62*zeta4 - 5.82*delta5 + 4.36*zeta5 + 5.77*delta6 + 5.49*zeta6"
+)
+
+
+def test_near_merge_inputs_keep_their_outcomes():
+    """A polydisc:6 element whose spectrum runs from 0.0064 to e^6 lumps
+    its small eigenvalues into clusters that nearly merge, and ball:2's
+    exp(40 delta) is too ill-conditioned to split: both end as before."""
+    cert = analyze("polydisc:6", WIDE_POLYDISC6)
+    assert cert["conclusion"] == "undecided" and cert["steps"] == []
+    assert "eigenvalue clusters at 0.0064102+0j and 0.360595+0j nearly merge" in cert["assumptions"]
+    with pytest.raises(NotInvertible, match="condition number 2.354e"):
+        analyze("ball:2", "exp:40*delta")
+
+
+# (seed, delta coefficient, |e - I| at the parent commit; the FOUND line's
+# worst case, 2.4e-7, where the parent left the element undecided)
+NEAR_MERGE_BALL8 = [(0, 2.1e-4, 7.5e-8), (1, 2.3e-4, 1.4e-8), (2, 2.5e-4, 3.4e-8), (3, 2.7e-4, 2.4e-7), (4, 3e-4, 4e-8)]
+
+
+@pytest.mark.parametrize("seed, delta, bound", NEAR_MERGE_BALL8)
+def test_near_merge_ball8_elements_stay_certified(seed, delta, bound):
+    """ball:8 elements with a delta coefficient of 2.1e-4 to 3e-4 (the other
+    coefficients from default_rng(seed) in [-1, 1]) have eigenvalues 1, e^(delta/2)
+    and e^delta, clusters about 1e-4 apart split by an ill-conditioned
+    basis.  They are certified, with an elliptic factor no farther from I
+    than at the parent commit."""
+    labels = preset("ball:8").L.basis_labels
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, len(labels))
+    x[labels.index("delta")] = delta
+    cert = analyze("ball:8", "exp:" + " + ".join(f"{c!r}*{lbl}" for c, lbl in zip(x.tolist(), labels)))
+    assert cert["conclusion"] == "stein_certified"
+    e = np.asarray(cert["steps"][0]["payload"]["elliptic"])
+    assert np.linalg.norm(e - np.eye(len(e))) <= bound

@@ -305,6 +305,17 @@ def test_z_translation_is_xi_exactly(name):
     np.testing.assert_array_equal(g.affine_offset[:, : M.p], x_minus[:, : M.p])
 
 
+@pytest.mark.parametrize("name", ["ball:4", "ball:8", "product:[ball:3,ball:2]"])
+def test_orbit_point_real_part_is_xi_exactly(name):
+    """s . z0 has z = xi + i (Ad(exp x_zero) xi0 + Phi(xi', xi')): re z is
+    xi bit for bit, with no rounding residue of im Phi(xi', xi')."""
+    M = build_model(preset(name))
+    rng = np.random.default_rng(0)
+    x_minus = rng.uniform(-1.0, 1.0, (50, M.p + M.q))
+    z = siegel.orbit_points(M, x_minus, rng.uniform(-1.0, 1.0, (50, M.p0))).z
+    np.testing.assert_array_equal(z.real, x_minus[:, : M.p])
+
+
 # the half block is empty on polydisc:2; ball:3, the product and the
 # rebased ball:4 reach the doubled half block of the delta read-off, and
 # the tube over Sym+(2) has sum and diff roots
