@@ -234,7 +234,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
     else:
         try:
-            J, domain_echo = jalgebra.preset(str(domain_spec)), str(domain_spec)
+            J, domain_echo = _preset(str(domain_spec)), str(domain_spec)
         except InputError:
             # a file, or neither: resolve_domain words the error
             J = jalgebra.resolve_domain(str(domain_spec))
@@ -261,6 +261,20 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
 # the last domain prepared: (labels, c, j, omega) of its algebra, then what
 # _prepared returns for it
 _SLOT = None
+# the last named preset built: (name, its algebra)
+_PRESET = None
+
+
+def _preset(name: str) -> NormalJAlgebra:
+    """``jalgebra.preset(name)``, built once for a run of calls with one
+    name: the algebra's arrays are read-only, so the slot then matches it
+    by identity.  One entry, so a large preset is held only while it is
+    the last one named."""
+    global _PRESET
+    if _PRESET is None or _PRESET[0] != name:
+        _PRESET = None  # never two presets at once
+        _PRESET = (name, jalgebra.preset(name))
+    return _PRESET[1]
 
 
 def _prepared(J: NormalJAlgebra):
@@ -641,7 +655,7 @@ def verify(cert: dict):
     if isinstance(domain, dict):
         J = jalgebra.j_algebra_from_dict(domain)
     elif isinstance(domain, str):
-        J = jalgebra.preset(domain)
+        J = _preset(domain)
     else:
         raise MalformedCertificate(f"domain must be a preset name or a mapping, not {type(domain).__name__}")
     invalid, M, tower = _prepared(J)
@@ -688,7 +702,8 @@ def dump_certificate(cert: dict) -> str:
     lambda a: a.tolist()) + "\\n"``, byte for byte.  With ``indent`` json
     encodes every number in Python; here each ndarray and each rectangular
     list of numbers is one call of json's C encoder, indented by string
-    replacement, and only the containers around them are walked."""
+    replacement; each scalar is written by json's token rules directly,
+    and only the containers around them are walked."""
     return _encode(cert, 0) + "\n"
 
 
@@ -697,11 +712,29 @@ def _tolist(a):
 
 
 _encode_str = json.encoder.encode_basestring_ascii
+_TOKEN = (str, bool, int, float, type(None))
+
+
+def _encode_token(x) -> str:
+    """A str, bool, int, float or None as json writes it, indent or not: the
+    stdlib's rules, with ``int.__repr__`` and ``float.__repr__`` as its C
+    encoder calls them."""
+    if isinstance(x, str):
+        return _encode_str(x)
+    if x is None or isinstance(x, bool):
+        return "null" if x is None else "true" if x else "false"
+    if isinstance(x, int):
+        return int.__repr__(x)
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
 def _encode(obj, level: int) -> str:
     """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
     nesting ``level``."""
+    if isinstance(obj, _TOKEN):
+        return _encode_token(obj)
     if isinstance(obj, np.ndarray):
         depth = obj.ndim if obj.size and obj.dtype.kind in "biuf" else 0
         obj = obj.tolist()
@@ -715,13 +748,13 @@ def _encode(obj, level: int) -> str:
     if isinstance(obj, list) and obj:
         items = [_encode(v, level + 1) for v in obj]
         return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
-    if isinstance(obj, dict) and obj and all(isinstance(k, str) for k in obj):
+    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        if not obj:
+            return "{}"
         items = [_encode_str(k) + ": " + _encode(obj[k], level + 1) for k in sorted(obj)]
         return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
-    if isinstance(obj, str):
-        return _encode_str(obj)
-    # a number, None, an empty container or a dict with other keys: the stdlib,
-    # whose line breaks all fall between tokens
+    # a numpy scalar or 0-d array, an empty list, a tuple or a dict with
+    # other keys: the stdlib, whose line breaks all fall between tokens
     return json.dumps(obj, sort_keys=True, indent=2, default=_tolist).replace("\n", "\n" + "  " * level)
 
 
@@ -729,6 +762,8 @@ def _numeric_depth(items: list) -> int:
     """The nesting depth of a list that nests as a rectangular array of
     numbers or bools with no empty axis, or 0.  json writes such a list with
     no bracket, comma or line break inside an item."""
+    if isinstance(items[0], (dict, str)):  # a list of steps or of assumptions
+        return 0
     try:
         arr = np.asarray(items)
     except (ValueError, TypeError, OverflowError):  # ragged, or no numeric dtype holds it

@@ -50,7 +50,8 @@ from .siegel import DomainPoint, SiegelModel, _complex_pairs, assemble_model, or
 @dataclass(frozen=True, eq=False)
 class FibrationStep:
     """One level of the tower: the domain, quotient and fiber models, the
-    quotient map, and the ``ideal`` mask over the domain model's columns.
+    quotient map, the ``ideal`` mask over the domain model's columns, and
+    the ``leakage`` its two subalgebra gates measured.
 
     ``ideal`` marks the columns whose root involves the last frame index;
     the quotient algebra is ``domain_model.J`` on the other columns, and
@@ -68,6 +69,7 @@ class FibrationStep:
     fiber_model: SiegelModel
     quotient_map: np.ndarray
     ideal: np.ndarray
+    leakage: tuple         # (bracket, j) leakage of the kept columns, then of the ideal's
 
 
 def split_last_root(M: SiegelModel) -> FibrationStep:
@@ -81,22 +83,25 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     # half block, which the columns keep or drop whole
     kh = kept[M.p : M.p + M.q]
     layout = (
-        int(np.sum(kept[: M.p])),
-        int(np.sum(kh)),
-        tuple((int(np.sum(kh[:o])), m) for o, m in M.half_pairs if kh[o]),
+        int(np.count_nonzero(kept[: M.p])),
+        int(np.count_nonzero(kh)),
+        tuple((int(np.count_nonzero(kh[:o])), m) for o, m in M.half_pairs if kh[o]),
         tuple(idx for idx, k in zip(M.frame_indices, kept) if k),
     )
-    Jq = subalgebra(J, kept)
-    quotient_model = assemble_model(Jq, np.eye(Jq.dim), r - 1, layout)
+    leak = leakage(J, kept) + leakage(J, ideal, ideal=True)
+    Jq = subalgebra(J, kept, leak=leak[:2])
+    quotient_model = assemble_model(Jq, None, r - 1, layout)
     if quotient_model.q and quotient_model.sigma != M.sigma:
         raise PositivityUnfixable("the quotient's form is not cone-positive in its parent's orientation")
     # the fiber: xi_{r-1} leads the ideal's columns and eta_{r-1} its 0-block;
-    # every other column is a half column of the fiber, paired under j
-    Jb = subalgebra(J, ideal, ideal=True)
-    E, eta = np.eye(Jb.dim), int(np.sum(ideal[: M.p + M.q]))
+    # every other column is a half column of the fiber, paired under j (a
+    # disc has none, and keeps the ideal's basis)
+    Jb = subalgebra(J, ideal, ideal=True, leak=leak[2:])
+    E, eta = np.eye(Jb.dim), int(np.count_nonzero(ideal[: M.p + M.q]))
     paired, m = _complex_pairs(np.delete(E, [0, eta], axis=1), Jb.j)
     fiber_layout = (1, 2 * m, ((0, m),) if m else (), ((0,),) * Jb.dim)
-    fiber_model = assemble_model(Jb, np.column_stack([E[:, 0], paired, E[:, eta]]), 1, fiber_layout)
+    basis = np.column_stack([E[:, 0], paired, E[:, eta]]) if m else None
+    fiber_model = assemble_model(Jb, basis, 1, fiber_layout)
     require_ball_like(fiber_model)
     quotient_map = np.eye(J.dim)[kept]
     for a in (quotient_map, ideal):  # a step may be shared by many walks
@@ -107,6 +112,7 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
         fiber_model=fiber_model,
         quotient_map=quotient_map,
         ideal=ideal,
+        leakage=leak,
     )
 
 
@@ -131,8 +137,9 @@ class Tower:
 
     def residual(self, level: int) -> float:
         """The largest bracket and j ``leakage`` of the level's kept and
-        ideal columns, and metric cosine |G[a, b]| / sqrt(G[a, a] G[b, b])
-        over kept a and ideal b: 0 when the selection is the projection."""
+        ideal columns, as its split's gates measured them, and metric
+        cosine |G[a, b]| / sqrt(G[a, a] G[b, b]) over kept a and ideal b:
+        0 when the selection is the projection."""
         if level in self.residuals:
             return self.residuals[level]
         F, d = self[level], self.domains[level - 1]
@@ -141,9 +148,7 @@ class Tower:
         G = self.gram[d][:, d]
         kept, ideal, norms = ~F.ideal, F.ideal, np.sqrt(np.diag(G))
         cosine = np.abs(G[kept][:, ideal]) / np.outer(norms[kept], norms[ideal])
-        J = F.domain_model.J
-        leak = leakage(J, kept) + leakage(J, ideal, ideal=True)
-        self.residuals[level] = max(*leak, float(np.max(cosine, initial=0.0)))
+        self.residuals[level] = max(*F.leakage, float(np.max(cosine, initial=0.0)))
         return self.residuals[level]
 
 

@@ -416,15 +416,16 @@ def leakage(J: NormalJAlgebra, keep, ideal: bool = False) -> tuple[float, float]
     return float(off.max(initial=0.0)), float(np.abs(J.j[drop][:, keep]).max(initial=0.0))
 
 
-def subalgebra(J: NormalJAlgebra, keep, ideal: bool = False) -> NormalJAlgebra:
+def subalgebra(J: NormalJAlgebra, keep, ideal: bool = False, leak=None) -> NormalJAlgebra:
     """The normal j-algebra on the basis vectors of J that the mask
     ``keep`` selects: the bracket, j, omega and labels sliced.  Raises
-    ``InputError`` unless both parts of their ``leakage`` are at most 1e-7,
-    so that they span a j-invariant subalgebra (with ``ideal``, ideal)."""
+    ``InputError`` unless both parts of their ``leakage`` (``leak`` when
+    the caller measured it) are at most 1e-7, so that they span a
+    j-invariant subalgebra (with ``ideal``, ideal)."""
     keep = np.asarray(keep, dtype=bool)
     if not keep.any():
         return empty_algebra()
-    if max(leakage(J, keep, ideal)) > 1e-7:
+    if max(leakage(J, keep, ideal) if leak is None else leak) > 1e-7:
         raise InputError(f"basis does not span a j-invariant {'ideal' if ideal else 'subalgebra'}")
     labels = tuple(lbl for lbl, k in zip(J.L.basis_labels, keep) if k)
     c = J.L.c[keep][:, keep][..., keep]
@@ -576,8 +577,8 @@ def j_algebra_from_dict(data: dict) -> NormalJAlgebra:
 
 def j_algebra_to_dict(J: NormalJAlgebra) -> dict:
     data = lie_core.algebra_to_dict(J.L)
-    data["j"] = [[float(v) for v in row] for row in J.j]
-    data["omega"] = [float(v) for v in J.omega]
+    data["j"] = J.j.tolist()
+    data["omega"] = J.omega.tolist()
     return data
 
 

@@ -42,18 +42,16 @@ class JordanParts:
 
 def _cluster_eigenvalues(vals: np.ndarray, rtol: float):
     """Group eigenvalues by single-linkage with a relative distance cutoff."""
-    order = np.argsort(vals.real + 1e-3 * vals.imag, kind="stable")
+    order = np.argsort(vals.real + 1e-3 * vals.imag, kind="stable").tolist()
     scale = max(1.0, float(np.max(np.abs(vals))))
+    radius, v = rtol * scale, vals.tolist()  # Python complex: the same differences and moduli
     groups: list[list[int]] = []
     for idx in order:
-        placed = False
-        for g in groups:
-            if any(abs(vals[idx] - vals[k]) <= rtol * scale for k in g):
-                g.append(idx)
-                placed = True
-                break
-        if not placed:
+        g = next((g for g in groups if any(abs(v[idx] - v[k]) <= radius for k in g)), None)
+        if g is None:
             groups.append([idx])
+        else:
+            g.append(idx)
     reps = [complex(np.mean(vals[g])) for g in groups]
     # clusters closer than the worst-case defective splitting cannot be told
     # apart from roundoff fragments of a multiple eigenvalue; the caller
@@ -108,9 +106,11 @@ def _block_diagonalize(T: np.ndarray, Z: np.ndarray, reps, sizes):
         blocks.append((mu, slice(start, end)))
         start = end
     # the Sylvester factors can be badly scaled; only the invariant-subspace
-    # spans matter, so re-orthonormalize the columns block by block
-    for _, sl in blocks:
-        X[:, sl] = np.linalg.qr(X[:, sl])[0]
+    # spans matter, so re-orthonormalize the columns block by block, one
+    # stacked QR per block size (the same LAPACK call on each block)
+    for size in set(sizes):
+        cols = [np.arange(sl.start, sl.stop) for _, sl in blocks if sl.stop - sl.start == size]
+        X[:, cols] = np.linalg.qr(X[:, cols].transpose(1, 0, 2))[0].transpose(1, 0, 2)
     return X, blocks
 
 

@@ -373,14 +373,16 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
 
 
 def algebra_to_dict(L: LieAlgebraData) -> dict:
-    brackets = []
-    for i in range(L.dim):
-        for j in range(i + 1, L.dim):
-            coeffs = {
-                L.basis_labels[k]: float(L.c[i, j, k])
-                for k in range(L.dim)
-                if abs(L.c[i, j, k]) > 0.0
-            }
-            if coeffs:
-                brackets.append({"i": L.basis_labels[i], "j": L.basis_labels[j], "coeffs": coeffs})
-    return {"dim": L.dim, "basis": list(L.basis_labels), "brackets": brackets}
+    """The file form of L: one bracket entry per pair i < j with an entry
+    of ``abs(c[i, j, k]) > 0``, in index order, so -0.0 and NaN drop out."""
+    labels = L.basis_labels
+    i, j, k = np.nonzero(L.c)
+    values = L.c[i, j, k]
+    keep = (i < j) & (np.abs(values) > 0.0)
+    brackets, pair = [], None
+    for a, b, m, v in zip(i[keep].tolist(), j[keep].tolist(), k[keep].tolist(), values[keep].tolist()):
+        if (a, b) != pair:
+            pair, coeffs = (a, b), {}
+            brackets.append({"i": labels[a], "j": labels[b], "coeffs": coeffs})
+        coeffs[labels[m]] = v
+    return {"dim": L.dim, "basis": list(labels), "brackets": brackets}

@@ -44,7 +44,10 @@ Cone membership and the orbit solve share one batched Gauss-Newton solve
 of Ad(exp g) xi0 = x with one stop rule (``_cone_solve``): the residual r
 is below the tolerance relative to max(1, |x|) and each |r_i| below ten
 times it relative to max(1, |x_i|), or no halved step lowers |r|.  Only
-the first clause decides whether x is inside.
+the first clause decides whether x is inside.  Where the 0-block is
+abelian the cone is an orthant, the simply transitive group its diagonal
+torus (Vinberg 1963), and a query inside it starts at its closed-form
+solution g = log(x) and stops there.
 
 Every exponential goes through one kernel, ``_expm_stack``: a stack of
 matrices in one pass, each slice scaled by its own power of two and
@@ -359,11 +362,11 @@ def build_model(J: NormalJAlgebra) -> SiegelModel:
     return assemble_model(J, C, r, layout)
 
 
-def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -> SiegelModel:
-    """The Siegel model of J on the basis C (columns over J's basis), laid
-    out as ``layout`` = (p, q, half_pairs, frame_indices) says: the (-1)-,
-    half and 0-blocks, the outer two led by the ``rank`` frame vectors xi_k
-    and eta_k.
+def assemble_model(J: NormalJAlgebra, C: np.ndarray | None, rank: int, layout: tuple) -> SiegelModel:
+    """The Siegel model of J on the basis C (columns over J's basis; None
+    for J's own), laid out as ``layout`` = (p, q, half_pairs,
+    frame_indices) says: the (-1)-, half and 0-blocks, the outer two led by
+    the ``rank`` frame vectors xi_k and eta_k.
 
     J is rebased onto C once, and the model keeps that algebra: ``hb``,
     ``jhalf`` and the ad generators of the 0-block are contiguous slices
@@ -371,13 +374,17 @@ def assemble_model(J: NormalJAlgebra, C: np.ndarray, rank: int, layout: tuple) -
     orientation sign of the form and gates its Hermitian defect.
     """
     p, q, half_pairs, frame_indices = layout
-    if C.shape != (J.dim, J.dim):
+    if C is None:
+        A, C = J, np.eye(J.dim)
+    elif C.shape != (J.dim, J.dim):
         raise DimensionMismatch("adapted basis does not fill the algebra")
-    A = adapted(J, C)
+    else:
+        A = adapted(J, C)
     c, h = A.L.c, slice(p, p + q)
     hb = np.ascontiguousarray(c[h, h, :p])
     jhalf = np.ascontiguousarray(A.j[h, h])
-    jhb = np.tensordot(jhalf, hb, ([0], [0]))  # [j e_a, e_b]: j keeps the half block
+    # [j e_a, e_b]: j keeps the half block (empty, like hb, when q = 0)
+    jhb = np.tensordot(jhalf, hb, ([0], [0])) if q else hb
     sigma = _orientation(0.25 * jhb)
     ad0 = c[p + q :].transpose(0, 2, 1)  # ad(e_a)[i, k] = c[a, k, i] on the 0-block
     model = SiegelModel(
@@ -635,12 +642,21 @@ def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
     scale = np.maximum(1.0, nx)
     # start on the ray through x: delta0 grades the (-1)-block (ad delta0
     # = -1 there), so g = log(lam) delta0 acts on it as the scalar lam,
-    # Ad(exp g) xi0 = lam xi0, and the Jacobian there is -lam G_a xi0
+    # Ad(exp g) xi0 = lam xi0, and the Jacobian there is -lam G_a xi0; on an
+    # orthant cone, at x itself
     xi0 = M.xi0_coords
     lam = nx / np.sqrt(M.rank)
     g = np.log(lam)[:, None] * M.delta0_coords
     r = lam[:, None] * xi0 - X
     J = -lam[:, None, None] * (M.ad1_gens @ xi0).T
+    if p0 == M.rank:
+        # an abelian 0-block is the span of the eta_k, each scaling its
+        # xi_k alone (and then p = rank): a query in the open orthant is
+        # the frame point of g = log(x), Ad(exp g) xi0 = x, and the
+        # Jacobian there is -G_a x, so it stops before any iteration
+        closed = np.flatnonzero((X > 0.0).all(axis=1) & np.isfinite(X).all(axis=1))
+        g[closed], r[closed] = np.log(X[closed]), 0.0
+        J[closed] = -(M.ad1_gens @ X[closed].T).transpose(2, 1, 0)
     rn = np.linalg.norm(r, axis=1)
     idx = np.arange(len(X))
 

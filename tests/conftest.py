@@ -21,8 +21,10 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 @pytest.fixture(autouse=True)
 def empty_domain_slot():
-    """Each test starts with no prepared domain (``analyzer._prepared``)."""
+    """Each test starts with no prepared domain (``analyzer._prepared``)
+    and no preset kept (``analyzer._preset``)."""
     analyzer._SLOT = None
+    analyzer._PRESET = None
 
 
 def _relabelled_polydisc(rank, rng, per_vector=False):
@@ -75,11 +77,14 @@ def _tilted_ideal(F, size):
     ideal column leans by ``size`` toward the first kept one: the masks
     then select a subspace that is not the ideal, off G-orthogonality to
     the kept columns and out of the bracket and j blocks by about
-    ``size``."""
+    ``size``.  The step carries the leakage its tilted algebra measures,
+    as ``split_last_root`` records it."""
     M = F.domain_model
     T = np.eye(M.J.dim)
     T[np.argmax(F.ideal), np.argmin(F.ideal)] = size
-    return dataclasses.replace(F, domain_model=dataclasses.replace(M, J=_rebased(M.J, T)))
+    J = _rebased(M.J, T)
+    leak = jalgebra.leakage(J, ~F.ideal) + jalgebra.leakage(J, F.ideal, ideal=True)
+    return dataclasses.replace(F, domain_model=dataclasses.replace(M, J=J), leakage=leak)
 
 
 @pytest.fixture

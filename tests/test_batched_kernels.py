@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from hdq import lie_core
+from hdq import lie_core, siegel
 from hdq.ball import sample_totally_real_points, totally_real_defect
 from hdq.errors import InputError
 from hdq.jalgebra import NormalJAlgebra, adapted, integrability_defect, preset, subalgebra
@@ -447,6 +447,37 @@ def test_stacked_cone_solve_matches_loop(name, sym2_tube):
             assert res.inside[k] == inside
             if inside:
                 np.testing.assert_allclose(res.witness[k], witness, rtol=0, atol=1e-7)
+
+
+@pytest.mark.parametrize("name", ["polydisc:3", "product:[ball:2,ball:1]"])
+def test_orthant_queries_solve_in_closed_form(name, monkeypatch):
+    """With an abelian 0-block (p0 = rank = p) the cone is the open orthant,
+    and a query with every coordinate positive and finite is the frame
+    point of g = log(x): its witness is log(x), its residual 0, and no
+    Gauss-Newton step is taken (no ``_cone_jacobians`` call).  A query
+    with a zero or negative coordinate takes the Gauss-Newton solve from
+    the ray and answers as the former loop does: the negative one reads
+    outside, the zero one inside to within the tolerance."""
+    M = build_model(preset(name))
+    assert M.p0 == M.rank == M.p
+    calls = []
+    jacobians = siegel._cone_jacobians
+    monkeypatch.setattr(siegel, "_cone_jacobians", lambda M, g: calls.append(len(g)) or jacobians(M, g))
+    X = np.exp(np.random.default_rng(44).uniform(-15.0, 15.0, (20, M.p)))
+    res = cone_contains(X, M)
+    assert res.inside.all() and not calls
+    np.testing.assert_allclose(res.witness, np.log(X), rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(res.residual, 0.0)
+    for k, bad in enumerate([0.0, -0.5, -1e-3]):
+        x = X[k].copy()
+        x[-1] = bad
+        before = len(calls)
+        got = cone_contains(x, M)
+        assert len(calls) > before
+        inside, witness = _loop_cone_contains(x, M, 1e-9)
+        assert got.inside == inside == (bad == 0.0)
+        if inside:
+            np.testing.assert_allclose(got.witness, witness, rtol=0, atol=1e-7)
 
 
 def test_no_module_uses_scipys_expm():

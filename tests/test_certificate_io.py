@@ -1,7 +1,8 @@
 """``analyzer.dump_certificate`` writes the bytes of the stdlib encoding,
 ``json.dumps(cert, sort_keys=True, indent=2, default=ndarray.tolist) +
 "\\n"``, while it encodes each array of numbers with one call of json's C
-encoder."""
+encoder and each scalar by its token rule.  The domain echo,
+``lie_core.algebra_to_dict``, matches the loop it replaced."""
 
 import json
 from pathlib import Path
@@ -11,6 +12,7 @@ import pytest
 
 from hdq.analyzer import analyze, dump_certificate
 from hdq.jalgebra import preset
+from hdq.lie_core import LieAlgebraData, algebra_to_dict
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
 
@@ -84,3 +86,62 @@ def test_edge_cases_match_the_stdlib(name):
     obj = EDGE_CASES[name]
     for wrapped in (obj, {"value": obj}, [obj, {"deeper": [obj]}]):
         assert dump_certificate(wrapped) == _stdlib(wrapped)
+
+
+SCALARS = [True, False, 0, -7, 2**70, -0.0, 0.1, 1e300, 5e-324, float("nan"), float("inf"), -float("inf"), None, "s",
+           np.float64(-0.0), np.float64(2.5), np.int64(3), np.bool_(True)]
+
+
+def _nested(obj, level):
+    """obj at nesting ``level``, alternately inside a list and a mapping."""
+    for k in range(level):
+        obj = [obj, 1] if k % 2 else {"b": obj, "a": [1.5]}
+    return obj
+
+
+@pytest.mark.parametrize("level", [0, 1, 2, 3])
+def test_scalars_match_the_stdlib_at_each_level(level):
+    """Each scalar alone at nesting 0 to 3, and all of them in one list and
+    one mapping there: a bool, int, float or None is written by its token
+    rule and a numpy scalar by the stdlib, byte for byte."""
+    for x in SCALARS:
+        assert dump_certificate(_nested(x, level)) == _stdlib(_nested(x, level)), x
+    for obj in (list(SCALARS), {f"k{i:02d}": x for i, x in enumerate(SCALARS)}, {}, {"e": {}, "l": []}):
+        assert dump_certificate(_nested(obj, level)) == _stdlib(_nested(obj, level))
+
+
+def _loop_algebra_to_dict(L):
+    """The former echo of the structure constants: a loop over the pairs
+    i < j and the coefficients with abs(c) > 0."""
+    brackets = []
+    for i in range(L.dim):
+        for j in range(i + 1, L.dim):
+            coeffs = {L.basis_labels[k]: float(L.c[i, j, k]) for k in range(L.dim) if abs(L.c[i, j, k]) > 0.0}
+            if coeffs:
+                brackets.append({"i": L.basis_labels[i], "j": L.basis_labels[j], "coeffs": coeffs})
+    return {"dim": L.dim, "basis": list(L.basis_labels), "brackets": brackets}
+
+
+@pytest.mark.parametrize("name", ["ball:3", "ball:8", "polydisc:6", "product:[ball:3,ball:2]", "sym2-tube", "signed-zeros-and-nan"])
+def test_algebra_echo_matches_the_loop(name, sym2_tube):
+    """``algebra_to_dict`` selects the entries with abs(c) > 0, as the loop
+    did, so -0.0 and NaN drop out alike, and echoes the same mapping in
+    the same order."""
+    if name == "sym2-tube":
+        L = sym2_tube().L
+    elif name == "signed-zeros-and-nan":
+        c = np.random.default_rng(5).standard_normal((5, 5, 5))
+        c[np.random.default_rng(6).random((5, 5, 5)) < 0.4] = 0.0
+        c[0, 1, 2], c[1, 2, 3], c[2, 3, 4], c[0, 4, 0] = -0.0, np.nan, -0.0, 1e-300
+        c[1, 0, 2] = c[3, 2, 4] = 0.0  # so that the antisymmetrized entries stay -0.0
+        L = LieAlgebraData(5, tuple("abcde"), c)
+        assert np.isnan(L.c[1, 2, 3]) and np.signbit(L.c[2, 3, 4])
+    else:
+        L = preset(name).L
+    fast, loop = algebra_to_dict(L), _loop_algebra_to_dict(L)
+    assert json.dumps(fast) == json.dumps(loop)
+    assert list(map(type, _flat_values(fast))) == list(map(type, _flat_values(loop)))
+
+
+def _flat_values(d):
+    return [v for b in d["brackets"] for v in b["coeffs"].values()]

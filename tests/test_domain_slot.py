@@ -131,3 +131,21 @@ def test_prepared_model_and_tower_are_read_only():
         assert a.size
         with pytest.raises(ValueError, match="read-only"):
             a[(0,) * a.ndim] = 1.0
+
+
+def test_named_preset_is_built_once_per_run_of_its_name(monkeypatch):
+    """analyze and verify build a named preset once while it is the last
+    name seen: four pairs on ball:8 and then on product:[ball:3,ball:3]
+    build each once, and going back to ball:8 builds it again, since one
+    entry is kept.  The slot then matches the kept algebra by identity."""
+    built = []
+    original = jalgebra.preset
+    monkeypatch.setattr(jalgebra, "preset", lambda name: built.append(name) or original(name))
+    for name, phi in [("ball:8", "exp:0.3*delta + 0.2*xi1"), ("product:[ball:3,ball:3]", "exp:0.4*delta.1 - 0.1*zeta.2")]:
+        for k in range(4):
+            assert verify(json.loads(dump_certificate(analyze(name, phi))))[0]
+        assert built.count(name) == 1
+        assert analyzer._SLOT[0][1] is analyzer._preset(name).L.c
+    analyze("ball:8", "exp:0.3*delta")
+    # a product preset builds its factors by name too
+    assert built == ["ball:8", "product:[ball:3,ball:3]", "ball:3", "ball:3", "ball:8"]

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from hdq import fibration, jalgebra
 from hdq.fibration import (
     Tower,
     check_equivariance,
@@ -287,6 +288,24 @@ def test_structural_residual_reads_rounding(name, rebased, relabelled_polydisc, 
         tilted.steps = list(T.steps)
         tilted.steps[level - 1] = tilted_ideal(T[level], 1e-6)
         assert tilted.residual(level) > STEP_TOL["tower_descend"], level
+
+
+@pytest.mark.parametrize("name", ["polydisc:6", "product:[ball:3,ball:2]", "sym2-tube"])
+def test_split_gates_are_measured_once(name, sym2_tube, monkeypatch):
+    """Each split measures the leakage of its kept and ideal columns once,
+    for its two subalgebra gates, and keeps it on the step; the tower's
+    residuals read those values and measure no leakage again."""
+    measured = []
+    leakage = jalgebra.leakage
+    monkeypatch.setattr(fibration, "leakage", lambda *a, **k: measured.append(a[1]) or leakage(*a, **k))
+    monkeypatch.setattr(jalgebra, "leakage", lambda *a, **k: measured.append(None) or leakage(*a, **k))
+    T = Tower(build_model(sym2_tube() if name == "sym2-tube" else preset(name)))
+    for level in range(1, T.model.rank + 1):
+        T.residual(level)
+        F = T[level]
+        J = F.domain_model.J
+        assert F.leakage == leakage(J, ~F.ideal) + leakage(J, F.ideal, ideal=True)
+    assert len(measured) == 2 * T.model.rank and all(m is not None for m in measured)
 
 
 def test_structural_residual_reads_the_metric_cosine():

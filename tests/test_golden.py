@@ -9,7 +9,10 @@ max(1, the largest entry of that row of phi').
 - ``ball3_exp_fiber``: an ``exp:`` element of ball:3 with a frame
   coefficient, so the fiber case takes the conjugation branch;
 - ``polydisc3_exp_tower``: an ``exp:`` element of polydisc:3 that
-  descends two levels before its fiber case;
+  descends two levels before its fiber case.  Its ``x_zero`` is the
+  closed-form orbit solve on the orthant cone (-0.25 to rounding);
+  the version before it, whose Gauss-Newton stopped at -0.2499999981,
+  is kept under ``golden/previous`` and must still verify;
 - ``ball4_affine_rotation_dilation``: an ``affine:`` map of ball:4 that
   rotates each complex pair of w, dilates, and translates re z;
 - ``sym2_exp_fiber``: an ``exp:`` element of the level-1 ideal of the
@@ -26,6 +29,7 @@ from hdq.analyzer import analyze, dump_certificate, load_certificate, verify
 from hdq.jalgebra import j_algebra_from_dict
 
 GOLDEN = sorted((Path(__file__).parent / "golden").glob("*.json"))
+PREVIOUS = sorted((Path(__file__).parent / "golden" / "previous").glob("*.json"))
 
 
 def _compare(stored, fresh, where):
@@ -50,6 +54,7 @@ def test_four_golden_certificates():
     assert [p.stem for p in GOLDEN] == [
         "ball3_exp_fiber", "ball4_affine_rotation_dilation", "polydisc3_exp_tower", "sym2_exp_fiber"
     ]
+    assert [p.stem for p in PREVIOUS] == ["polydisc3_exp_tower"]
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)
@@ -62,3 +67,11 @@ def test_golden_certificate_verifies_and_is_reproduced(path):
         domain = j_algebra_from_dict(domain)
     fresh = json.loads(dump_certificate(analyze(domain, cert["phi"], cert["seed"])))
     _compare(cert, fresh, path.stem)
+
+
+@pytest.mark.parametrize("path", PREVIOUS, ids=lambda p: p.stem)
+def test_previous_golden_certificate_verifies(path):
+    """A certificate an earlier version wrote, superseded in ``golden``,
+    still verifies: its witnesses are within every check's tolerance."""
+    ok, report = verify(load_certificate(path))
+    assert ok, report
