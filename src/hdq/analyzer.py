@@ -33,9 +33,11 @@ one tolerance in ``STEP_TOL``; an unchecked kind (``finite_case``,
   ``analyze`` and the ``verify`` after it, or the automorphisms of one
   domain, prepare it once.  Every step's check still runs on every call.
 
-A certificate stores its input (``domain``, ``phi``, ``seed``) and, per
-step, only the witnesses a check cannot recompute; the check derives the
-rest:
+A certificate (``dump_certificate``) is compact JSON with sorted keys on
+one line, then a newline; ``python -m json.tool`` pretty-prints it, and the
+indented certificates of earlier versions load unchanged.  It stores its
+input (``domain``, ``phi``, ``seed``) and, per step, only the witnesses a
+check cannot recompute; the check derives the rest:
 
 - ``jordan_split``: the three factors; the check measures their
   commutators and spectra, and how far their product is from the
@@ -212,8 +214,7 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
     """(what the user supplied, the homogenized matrix of phi) on the input
     algebra J and its model M."""
     if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
-        with open(phi_spec[7:], "r", encoding="utf-8") as fh:
-            phi_spec = json.load(fh)
+        phi_spec = jalgebra.read_json(phi_spec[7:])
     mat, off = phi_affine(phi_spec, J, M)
     if isinstance(phi_spec, dict):
         # screen: the images of 20 interior points drawn from the seed must
@@ -230,6 +231,9 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
 # ---------------------------------------------------------------------------
 
 def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
+    seed = int(seed)
+    if seed < 0:  # the fiber check seeds numpy with seed + 7 * level + 1
+        raise InputError(f"seed must be non-negative, got {seed}")
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
     else:
@@ -248,12 +252,12 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "version": 1,
         "domain": domain_echo,
         "phi": phi_echo,
-        "seed": int(seed),
+        "seed": seed,
         "steps": [],
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, int(seed), phi_matrix=phi_matrix, tower=tower)
+    state = ReplayState(M, seed, phi_matrix=phi_matrix, tower=tower)
     _walk(state, cert, _recorder(cert, state))
     return cert
 
@@ -698,102 +702,15 @@ def verify(cert: dict):
 # ---------------------------------------------------------------------------
 
 def dump_certificate(cert: dict) -> str:
-    """The text of ``json.dumps(cert, sort_keys=True, indent=2, default=
-    lambda a: a.tolist()) + "\\n"``, byte for byte.  With ``indent`` json
-    encodes every number in Python; here each ndarray and each rectangular
-    list of numbers is one call of json's C encoder, indented by string
-    replacement; each scalar is written by json's token rules directly,
-    and only the containers around them are walked."""
-    return _encode(cert, 0) + "\n"
-
-
-def _tolist(a):
-    return a.tolist()
-
-
-_encode_str = json.encoder.encode_basestring_ascii
-_TOKEN = (str, bool, int, float, type(None))
-
-
-def _encode_token(x) -> str:
-    """A str, bool, int, float or None as json writes it, indent or not: the
-    stdlib's rules, with ``int.__repr__`` and ``float.__repr__`` as its C
-    encoder calls them."""
-    if isinstance(x, str):
-        return _encode_str(x)
-    if x is None or isinstance(x, bool):
-        return "null" if x is None else "true" if x else "false"
-    if isinstance(x, int):
-        return int.__repr__(x)
-    if math.isfinite(x):
-        return float.__repr__(x)
-    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
-
-
-def _encode(obj, level: int) -> str:
-    """``obj`` as ``json.dumps(indent=2, sort_keys=True)`` writes it at
-    nesting ``level``."""
-    if isinstance(obj, _TOKEN):
-        return _encode_token(obj)
-    if isinstance(obj, np.ndarray):
-        depth = obj.ndim if obj.size and obj.dtype.kind in "biuf" else 0
-        obj = obj.tolist()
-    elif isinstance(obj, list) and obj:
-        depth = _numeric_depth(obj)
-    else:
-        depth = 0
-    if depth:
-        return _indent_numbers(json.dumps(obj, separators=(",", ":"), default=_tolist), depth, level)
-    inner = "\n" + "  " * (level + 1)
-    if isinstance(obj, list) and obj:
-        items = [_encode(v, level + 1) for v in obj]
-        return "[" + inner + ("," + inner).join(items) + "\n" + "  " * level + "]"
-    if isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        if not obj:
-            return "{}"
-        items = [_encode_str(k) + ": " + _encode(obj[k], level + 1) for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + "\n" + "  " * level + "}"
-    # a numpy scalar or 0-d array, an empty list, a tuple or a dict with
-    # other keys: the stdlib, whose line breaks all fall between tokens
-    return json.dumps(obj, sort_keys=True, indent=2, default=_tolist).replace("\n", "\n" + "  " * level)
-
-
-def _numeric_depth(items: list) -> int:
-    """The nesting depth of a list that nests as a rectangular array of
-    numbers or bools with no empty axis, or 0.  json writes such a list with
-    no bracket, comma or line break inside an item."""
-    if isinstance(items[0], (dict, str)):  # a list of steps or of assumptions
-        return 0
-    try:
-        arr = np.asarray(items)
-    except (ValueError, TypeError, OverflowError):  # ragged, or no numeric dtype holds it
-        return 0
-    return arr.ndim if arr.size and arr.dtype.kind in "biuf" else 0
-
-
-def _indent_numbers(text: str, depth: int, level: int) -> str:
-    """Compact json text of a rectangular array of numbers ``depth`` deep,
-    laid out as ``json.dumps(indent=2)`` writes it at nesting ``level``: each
-    item on its own line, each bracket that closes on its own line."""
-    nl = ["\n" + "  " * (level + k) for k in range(depth + 1)]
-    body = text[depth:-depth]
-    # a separator that closes and opens m lists becomes chr(m) until the
-    # commas between numbers have their line breaks
-    for m in range(depth - 1, 0, -1):
-        body = body.replace("]" * m + "," + "[" * m, chr(m))
-    body = body.replace(",", "," + nl[depth])
-    for m in range(1, depth):
-        closes = "".join(nl[k] + "]" for k in range(depth - 1, depth - m - 1, -1))
-        opens = "".join(nl[k] + "[" for k in range(depth - m, depth))
-        body = body.replace(chr(m), closes + "," + opens + nl[depth])
-    opens = "".join(nl[k] + "[" for k in range(1, depth))
-    closes = "".join(nl[k] + "]" for k in range(depth - 1, -1, -1))
-    return "[" + opens + nl[depth] + body + closes
+    """The certificate's text: compact JSON with sorted keys, each ndarray
+    as its nested lists, on one line and then one newline.  ``python -m
+    json.tool`` pretty-prints it; ``load_certificate`` also reads the
+    indented certificates of earlier versions."""
+    return json.dumps(cert, sort_keys=True, separators=(",", ":"), default=lambda a: a.tolist()) + "\n"
 
 
 def load_certificate(path) -> dict:
-    with open(path, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
+    data = jalgebra.read_json(path)
     if not isinstance(data, dict) or "steps" not in data or "conclusion" not in data:
         raise MalformedCertificate("not a certificate file")
     return data

@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +26,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_UNDECIDED = 3
 EXIT_INPUT = 4
+EXIT_BY_CONCLUSION = {"stein_certified": EXIT_OK, "stein_by_citation": EXIT_OK, "not_applicable": EXIT_NOT_APPLICABLE}
 
 
 @functools.cache
@@ -68,18 +70,15 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_analyze(args) -> int:
     cert = analyzer.analyze(args.domain, args.phi, args.seed)
     blob = analyzer.dump_certificate(cert)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(blob)
-    else:
+    if not args.out:
         sys.stdout.write(blob)
-    conclusion = cert["conclusion"]
-    print(f"conclusion: {conclusion}", file=sys.stderr)
-    if conclusion in ("stein_certified", "stein_by_citation"):
-        return EXIT_OK
-    if conclusion == "not_applicable":
-        return EXIT_NOT_APPLICABLE
-    return EXIT_UNDECIDED
+    else:
+        try:
+            Path(args.out).write_text(blob, encoding="utf-8")
+        except OSError as exc:
+            raise InputError(f"cannot write {args.out}: {exc}") from exc
+    print(f"conclusion: {cert['conclusion']}", file=sys.stderr)
+    return EXIT_BY_CONCLUSION.get(cert["conclusion"], EXIT_UNDECIDED)
 
 
 def cmd_verify(args) -> int:
@@ -112,8 +111,10 @@ def cmd_fibration(args) -> int:
 
 
 def cmd_jordan(args) -> int:
-    with open(args.matrix, "r", encoding="utf-8") as fh:
-        A = np.asarray(json.load(fh), dtype=float)
+    try:
+        A = np.asarray(jalgebra.read_json(args.matrix), dtype=float)
+    except (TypeError, ValueError) as exc:  # ragged, or not numbers
+        raise InputError(f"{args.matrix} does not hold a numeric matrix: {exc}") from exc
     label, parts = classify(A)
     disc = cyclic_discreteness(parts)
     out = {
@@ -124,17 +125,14 @@ def cmd_jordan(args) -> int:
         "reconstruction_residual": parts.residual,
         "cyclic_group": disc.kind if disc.order is None else f"{disc.kind} (order {disc.order})",
     }
-    json.dump(out, sys.stdout, indent=2, sort_keys=True)
-    sys.stdout.write("\n")
+    print(json.dumps(out, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_validate(args) -> int:
-    with open(args.file, "r", encoding="utf-8") as fh:
-        data = json.load(fh)
-    if "j" in data:
-        J = jalgebra.j_algebra_from_dict(data)
-        report = jalgebra.validate_j_algebra(J)
+    data = jalgebra.read_json(args.file)
+    if isinstance(data, dict) and "j" in data:
+        report = jalgebra.validate_j_algebra(jalgebra.j_algebra_from_dict(data))
     else:
         L = lie_core.algebra_from_dict(data)
         report = lie_core.validate_algebra(L)
@@ -155,6 +153,8 @@ def cmd_validate(args) -> int:
 def cmd_ball(args) -> int:
     if args.ball_command != "check-totally-real":
         raise InputError(f"unknown ball subcommand {args.ball_command!r}")
+    if args.seed < 0:
+        raise InputError(f"seed must be non-negative, got {args.seed}")
     B = ball_algebra(args.n)
     try:
         x = np.array([float(v) for v in args.xi.split(",")])
@@ -191,7 +191,7 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (HdqError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except HdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -582,9 +582,14 @@ def j_algebra_to_dict(J: NormalJAlgebra) -> dict:
     return data
 
 
-def load_j_algebra(path) -> NormalJAlgebra:
-    with open(path, "r", encoding="utf-8") as fh:
-        return j_algebra_from_dict(json.load(fh))
+def read_json(path):
+    """The JSON value in the file at ``path``; a file that cannot be read
+    or does not hold UTF-8 JSON is an ``InputError``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise InputError(f"cannot read JSON from {path}: {exc}") from exc
 
 
 def resolve_domain(spec: str) -> NormalJAlgebra:
@@ -594,8 +599,7 @@ def resolve_domain(spec: str) -> NormalJAlgebra:
     except InputError as exc:
         preset_error = exc
     try:
-        return load_j_algebra(spec)
-    except OSError as exc:
-        raise InputError(
-            f"domain {spec!r} is neither a preset ({preset_error}) nor a readable file"
-        ) from exc
+        data = read_json(spec)
+    except InputError as exc:
+        raise InputError(f"domain {spec!r} is neither a preset ({preset_error}) nor a readable file ({exc.__cause__})") from exc
+    return j_algebra_from_dict(data)

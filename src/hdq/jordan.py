@@ -121,8 +121,7 @@ def jordan_decompose(A: np.ndarray) -> JordanParts:
     so clustering retries at loosened tolerances before giving up.
     """
     A = np.asarray(A, dtype=float)
-    n = A.shape[0]
-    if A.shape != (n, n):
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise NotInvertible("input must be a square matrix")
     if not np.all(np.isfinite(A)):
         raise NotInvertible("matrix has non-finite entries")

@@ -52,6 +52,16 @@ def test_named_preset_is_built_once(monkeypatch, tmp_path):
         analyze("ball:x", "exp:delta")
 
 
+@pytest.mark.parametrize("seed", [-3, -20])
+@pytest.mark.parametrize("phi", ["exp:0.5*delta", rotation_phi(1.0)])
+def test_negative_seed_is_input_error(seed, phi):
+    """A negative seed is refused before any check draws from it, whatever
+    the phi: -20 once reached numpy's seeding in the fiber check, -3 did
+    not, and an affine phi failed in the domain screen."""
+    with pytest.raises(InputError, match="seed must be non-negative"):
+        analyze("ball:2", phi, seed=seed)
+
+
 def test_parse_combination():
     J = ball_jalgebra(2)
     x = parse_combination("0.7*delta + zeta - 2*eta1", J)

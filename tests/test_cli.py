@@ -252,6 +252,41 @@ def test_missing_file_is_input_error():
     assert res.returncode == 4
 
 
+# {dir}: a directory; {bad}: the bytes \xff\xfe; {three}: the JSON 3;
+# {ragged}: [[1, 2], [3]]
+BAD_INPUT = [
+    "verify {dir}",
+    "validate {dir}",
+    "analyze --domain ball:2 --phi affine:{dir}",
+    "verify {bad}",
+    "validate {bad}",
+    "jordan --matrix {bad}",
+    "analyze --domain {bad} --phi exp:delta",
+    "fibration --domain {bad}",
+    "analyze --domain ball:2 --phi affine:{bad}",
+    "jordan --matrix {three}",
+    "jordan --matrix {ragged}",
+    "validate {three}",
+    "analyze --domain ball:2 --phi exp:0.5*delta --seed -20",
+    "ball check-totally-real --n 2 --xi 1,0,0,0 --seed -1",
+    "analyze --domain ball:2 --phi exp:0.7*delta --out {dir}",
+]
+
+
+@pytest.mark.parametrize("command", BAD_INPUT)
+def test_bad_input_is_one_error_line(command, tmp_path, capsys):
+    """A directory, a file that is not UTF-8, JSON that is not a square
+    matrix or an algebra, a negative seed and an unwritable ``--out`` each
+    exit 4 with one ``error:`` line on stderr."""
+    (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
+    (tmp_path / "three.json").write_text("3")
+    (tmp_path / "ragged.json").write_text("[[1, 2], [3]]")
+    argv = command.format(dir=tmp_path, **{k: tmp_path / f"{k}.json" for k in ("bad", "three", "ragged")}).split()
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
 def test_ball_check_totally_real_without_samples_is_input_error():
     res = run_cli(
         "ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", "--samples", "0"

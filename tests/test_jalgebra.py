@@ -167,7 +167,7 @@ def test_j_algebra_json_roundtrip(tmp_path):
     J = ball_jalgebra(2)
     path = tmp_path / "b2.jalg.json"
     path.write_text(json.dumps(jalgebra.j_algebra_to_dict(J)))
-    J2 = jalgebra.load_j_algebra(path)
+    J2 = jalgebra.resolve_domain(str(path))
     np.testing.assert_allclose(J2.j, J.j)
     np.testing.assert_allclose(J2.omega, J.omega)
     assert validate_j_algebra(J2).passed
