@@ -4,16 +4,17 @@ The decomposition g = e h u splits an invertible real matrix into commuting
 elliptic (unit-circle spectrum), hyperbolic (positive real spectrum) and
 unipotent (spectrum {1}) factors.
 
-The matrix gets one eigenvalue solve and one complex Schur form, which the
-retries at looser clustering share.  The Schur form is block-diagonalized
-over the clustered spectrum one cluster at a time: LAPACK ``ztrsen`` moves
-the cluster to the front of the trailing triangular block, which the
-clusters before it are already decoupled from, and one triangular
-Sylvester solve (``ztrsyl``) decouples it in turn (Bavely and Stewart,
-SINUM 1979; Bai and Demmel, LAA 1993).  With X the block basis, e and h
-are I + X diag(f(mu) - 1) X^-1 for the polar split f of each cluster's
-eigenvalue mu, and u = (e h)^-1 A is read block by block off X^-1 A X, or
-by one solve where X is ill-conditioned.  The real parts are returned.
+The matrix gets one eigen-solve, which the retries at looser clustering
+share.  Each cluster of the spectrum gets an orthonormal basis of its
+invariant subspace: the span of its eigenvectors, orthonormalized by a
+thin SVD, or, where that block of eigenvectors loses rank (a defective
+cluster), the range of the cluster's Riesz projector, a contour integral
+of the resolvent taken by the trapezoidal rule (Kato, Perturbation Theory
+for Linear Operators, I.5; Golub and Van Loan, Matrix Computations, 7.6).
+With X the block basis, e and h are I + X diag(f(mu) - 1) X^-1 for the
+polar split f of each cluster's eigenvalue mu, and u = (e h)^-1 A is read
+block by block off X^-1 A X, or by one solve where X is ill-conditioned.
+The real parts are returned.
 """
 
 from __future__ import annotations
@@ -30,6 +31,11 @@ ANGLE_TOL = 1e-9
 MAX_DENOMINATOR = 97
 # smallest singular value over the largest below which a matrix is singular
 INVERTIBLE_RTOL = 1e-12
+# the same ratio on a cluster's eigenvectors below which the cluster is
+# defective and takes its basis from the Riesz projector
+DEFECTIVE_RTOL = 1e-6
+# trapezoidal nodes on the Riesz projector's circle
+RIESZ_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -66,52 +72,30 @@ def _cluster_eigenvalues(vals: np.ndarray, rtol: float):
     return reps, groups
 
 
-def _block_diagonalize(T: np.ndarray, Z: np.ndarray, reps, sizes):
-    """Return X, blocks with A = X diag(A_1..A_m) X^{-1}, one block per
-    cluster, from a complex Schur form A = Z T Z^H; T and Z are not changed.
+def _cluster_basis(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray, group) -> np.ndarray:
+    """Orthonormal basis of the invariant subspace of the eigenvalues
+    ``vals[group]``: the span of their eigenvectors ``vecs[:, group]``, or
+    the Riesz basis where those lose rank (the cluster is defective)."""
+    U, s, _ = np.linalg.svd(vecs[:, group], full_matrices=False)
+    if s[-1] >= DEFECTIVE_RTOL * s[0]:
+        return U
+    return _riesz_basis(A, vals[group], np.delete(vals, group))
 
-    The clusters are taken in order, each from the trailing block of T,
-    which the clusters before it are already decoupled from.  The diagonal
-    entries within a third of the gap to the nearest later cluster are
-    selected, and must be as many as the cluster's size; ``ztrsen`` moves
-    them to the front of the trailing block, and ``ztrsyl`` solves
-    T11 Y - Y T22 = -T12 for the similarity [[I, Y], [0, I]], which zeroes
-    the coupling T12 and whose inverse is [[I, -Y], [0, I]].
-    """
-    from scipy.linalg.lapack import ztrsen, ztrsyl
 
-    n = T.shape[0]
-    T, X = T.copy(), Z.copy()
-    blocks = []
-    start = 0
-    for k, (mu, size) in enumerate(zip(reps, sizes)):
-        if k == len(reps) - 1:
-            blocks.append((mu, slice(start, n)))
-            break
-        radius = min(abs(mu - other) for other in reps[k + 1 :]) / 3.0
-        select = np.abs(np.diag(T)[start:] - mu) <= radius
-        if np.count_nonzero(select) != size:
-            raise ClusterAmbiguous(
-                f"the Schur form isolates {np.count_nonzero(select)} eigenvalues for a cluster of {size}"
-            )
-        ts, qs, _, _, _, _, info = ztrsen(select, T[start:, start:], np.eye(n - start), job="N")
-        if info:
-            raise ClusterAmbiguous("the Schur form cannot be reordered: eigenvalues too close to swap")
-        T[start:, start:] = ts
-        X[:, start:] = X[:, start:] @ qs
-        end = start + size
-        Y, scale, _ = ztrsyl(T[start:end, start:end], T[end:, end:], -T[start:end, end:], isgn=-1)
-        X[:, end:] += X[:, start:end] @ (Y / scale)
-        T[start:end, end:] = 0.0
-        blocks.append((mu, slice(start, end)))
-        start = end
-    # the Sylvester factors can be badly scaled; only the invariant-subspace
-    # spans matter, so re-orthonormalize the columns block by block, one
-    # stacked QR per block size (the same LAPACK call on each block)
-    for size in set(sizes):
-        cols = [np.arange(sl.start, sl.stop) for _, sl in blocks if sl.stop - sl.start == size]
-        X[:, cols] = np.linalg.qr(X[:, cols].transpose(1, 0, 2))[0].transpose(1, 0, 2)
-    return X, blocks
+def _riesz_basis(A: np.ndarray, inside: np.ndarray, outside: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the range of the Riesz projector of A onto the
+    eigenvalues ``inside``, (1 / 2 pi i) times the contour integral of
+    (z - A)^-1 over a circle about their mean that leaves ``outside`` out,
+    by the trapezoidal rule on ``RIESZ_NODES`` nodes.  The rule's error
+    falls as (inner / radius)^N + (radius / outer)^N, so the radius is the
+    geometric mean of the cluster's spread and its gap, and at least a
+    tenth of the gap."""
+    mu = np.mean(inside)
+    inner, outer = np.max(np.abs(inside - mu)), np.min(np.abs(outside - mu))
+    w = outer * max(np.sqrt(inner / outer), 0.1) * np.exp(2j * np.pi * (np.arange(RIESZ_NODES) + 0.5) / RIESZ_NODES)
+    n = A.shape[0]
+    resolvents = np.linalg.inv((mu + w)[:, None, None] * np.eye(n) - A)
+    return np.linalg.svd(np.tensordot(w, resolvents, 1) / RIESZ_NODES)[0][:, : len(inside)]
 
 
 def jordan_decompose(A: np.ndarray) -> JordanParts:
@@ -135,32 +119,31 @@ def jordan_decompose(A: np.ndarray) -> JordanParts:
             f"{cond:.3e} exceeds 1/INVERTIBLE_RTOL = {1.0 / INVERTIBLE_RTOL:.0e})"
         )
 
-    # scipy loads here only: numpy has no reordering of a Schur form
-    from scipy.linalg import schur
-
-    # one spectrum and one Schur form serve every retry
-    vals = np.linalg.eigvals(A)
-    schur_form = schur(A, output="complex")
+    # one eigen-solve serves every retry
+    vals, vecs = np.linalg.eig(A)
     last = None
     for rtol in (CLUSTER_RTOL, 100.0 * CLUSTER_RTOL, 3e3 * CLUSTER_RTOL):
         try:
-            return _decompose_at(A, vals, schur_form, rtol)
+            return _decompose_at(A, vals, vecs, rtol)
         except ClusterAmbiguous as exc:
             last = exc
     raise last
 
 
-def _decompose_at(A: np.ndarray, vals: np.ndarray, schur_form, tol: float) -> JordanParts:
+def _decompose_at(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray, tol: float) -> JordanParts:
     n = A.shape[0]
     reps, groups = _cluster_eigenvalues(vals, tol)
-    X, blocks = _block_diagonalize(*schur_form, reps, [len(g) for g in groups])
+    X = np.hstack([_cluster_basis(A, vals, vecs, g) for g in groups]) if len(groups) > 1 else np.eye(n)
     Xinv = np.linalg.inv(X)
     B = Xinv @ A @ X
     mu = np.empty(n, dtype=complex)
     U = np.zeros((n, n), dtype=complex)
-    for rep, sl in blocks:
+    start = 0
+    for rep, g in zip(reps, groups):
+        sl = slice(start, start + len(g))
         mu[sl] = rep
-        U[sl, sl] = B[sl, sl] / rep - np.eye(sl.stop - sl.start)
+        U[sl, sl] = B[sl, sl] / rep - np.eye(len(g))
+        start = sl.stop
 
     def factor(d):
         """I + X diag(d) X^-1: the rounding through X scales with how far

@@ -361,14 +361,16 @@ def algebra_from_dict(data: dict) -> LieAlgebraData:
         raise InputError("basis label count does not match dim")
     index = {s: i for i, s in enumerate(labels)}
     c = np.zeros((dim, dim, dim))
-    for entry in data.get("brackets", []):
-        try:
+    try:
+        for entry in data.get("brackets", []):
             i, j = index[entry["i"]], index[entry["j"]]
             for lbl, val in entry["coeffs"].items():
                 c[i, j, index[lbl]] += float(val)
                 c[j, i, index[lbl]] -= float(val)
-        except KeyError as exc:
-            raise InputError(f"unknown label in brackets: {exc}") from exc
+    except KeyError as exc:
+        raise InputError(f"unknown label in brackets: {exc}") from exc
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise InputError(f"bad brackets in algebra file: {exc}") from exc
     return LieAlgebraData(dim, tuple(labels), c)
 
 

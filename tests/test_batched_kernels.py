@@ -480,18 +480,23 @@ def test_orthant_queries_solve_in_closed_form(name, monkeypatch):
             np.testing.assert_allclose(got.witness, witness, rtol=0, atol=1e-7)
 
 
-def test_no_module_uses_scipys_expm():
-    """Every exponential in the package goes through ``_expm_stack``; scipy's
-    ``expm`` stays here as an oracle only."""
+def test_no_module_imports_scipy():
+    """No module under ``src/hdq`` imports scipy, by an import statement or
+    by ``__import__``/``importlib.import_module`` on a literal name, and
+    every exponential goes through ``_expm_stack``: scipy's ``expm`` stays
+    here as an oracle only."""
     found = []
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "hdq").glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             names = [a.name for a in node.names] if isinstance(node, (ast.Import, ast.ImportFrom)) else []
-            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("scipy"):
+            if isinstance(node, ast.ImportFrom):
                 names = [f"{node.module}.{n}" for n in names]
+            if isinstance(node, ast.Call) and node.args and isinstance(node.args[0], ast.Constant):
+                callee = node.func.attr if isinstance(node.func, ast.Attribute) else getattr(node.func, "id", "")
+                names = [str(node.args[0].value)] if callee in ("__import__", "import_module") else []
             if isinstance(node, ast.Attribute):
                 names = [node.attr]
-            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[-1] == "expm"]
+            found += [f"{path.name}:{node.lineno} {n}" for n in names if n.split(".")[0] == "scipy" or n.split(".")[-1] == "expm"]
     assert not found
 
 

@@ -191,17 +191,29 @@ def test_fibration_tower():
 
 
 def test_verify_validate_and_fibration_load_no_scipy(tmp_path):
-    """Only the matrix Jordan split reads scipy (an ordered Schur form), so
-    one interpreter that replays a certificate, validates a file and prints
-    a tower never imports it."""
+    """No command reads scipy: one interpreter that analyzes an ``exp:``
+    element and an ``affine:`` rotation, splits a matrix, replays a
+    certificate, validates a file and prints a tower never imports it."""
+    golden = os.path.join(os.path.dirname(__file__), "golden")
     good = tmp_path / "b2.jalg.json"
     good.write_text(json.dumps(jalgebra.j_algebra_to_dict(jalgebra.ball_jalgebra(2))))
-    golden = os.path.join(os.path.dirname(__file__), "golden", "ball3_exp_fiber.json")
-    calls = [["verify", golden], ["validate", str(good)], ["fibration", "--domain", "polydisc:3"]]
+    affine = tmp_path / "rotation.json"
+    with open(os.path.join(golden, "ball4_affine_rotation_dilation.json")) as fh:
+        affine.write_text(json.dumps(json.load(fh)["phi"]))
+    matrix = tmp_path / "m.json"
+    matrix.write_text(json.dumps([[2.0, 1.0, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 0.5]]))
+    calls = [
+        ["analyze", "--domain", "ball:3", "--phi", "exp:0.5*delta + zeta - 0.3*xi1", "--out", str(tmp_path / "exp.json")],
+        ["analyze", "--domain", "ball:4", "--phi", f"affine:{affine}", "--out", str(tmp_path / "affine.json")],
+        ["jordan", "--matrix", str(matrix)],
+        ["verify", os.path.join(golden, "ball3_exp_fiber.json")],
+        ["validate", str(good)],
+        ["fibration", "--domain", "polydisc:3"],
+    ]
     code = f"import sys\nfrom hdq import cli\ncodes = [cli.main(a) for a in {calls!r}]\nprint(codes, 'scipy' in sys.modules)"
     res = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines()[-1] == "[0, 0, 0] False"
+    assert res.stdout.splitlines()[-1] == "[0, 0, 0, 0, 0, 0] False"
 
 
 def test_jordan_subcommand(tmp_path):
@@ -253,7 +265,13 @@ def test_missing_file_is_input_error():
 
 
 # {dir}: a directory; {bad}: the bytes \xff\xfe; {three}: the JSON 3;
-# {ragged}: [[1, 2], [3]]
+# {ragged}: [[1, 2], [3]]; {brackets}, {coeffs}, {coeff}: an algebra whose
+# "brackets" is 7, whose "coeffs" is 5, and whose coefficient is "x"
+MALFORMED_ALGEBRAS = {
+    "brackets": 7,
+    "coeffs": [{"i": "a", "j": "b", "coeffs": 5}],
+    "coeff": [{"i": "a", "j": "b", "coeffs": {"a": "x"}}],
+}
 BAD_INPUT = [
     "verify {dir}",
     "validate {dir}",
@@ -270,18 +288,23 @@ BAD_INPUT = [
     "analyze --domain ball:2 --phi exp:0.5*delta --seed -20",
     "ball check-totally-real --n 2 --xi 1,0,0,0 --seed -1",
     "analyze --domain ball:2 --phi exp:0.7*delta --out {dir}",
+    *(f"{cmd} {{{name}}}" for name in MALFORMED_ALGEBRAS for cmd in ("validate", "analyze --phi exp:a --domain")),
 ]
 
 
 @pytest.mark.parametrize("command", BAD_INPUT)
 def test_bad_input_is_one_error_line(command, tmp_path, capsys):
     """A directory, a file that is not UTF-8, JSON that is not a square
-    matrix or an algebra, a negative seed and an unwritable ``--out`` each
-    exit 4 with one ``error:`` line on stderr."""
+    matrix or an algebra, an algebra with malformed brackets, a negative
+    seed and an unwritable ``--out`` each exit 4 with one ``error:`` line
+    on stderr."""
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
     (tmp_path / "three.json").write_text("3")
     (tmp_path / "ragged.json").write_text("[[1, 2], [3]]")
-    argv = command.format(dir=tmp_path, **{k: tmp_path / f"{k}.json" for k in ("bad", "three", "ragged")}).split()
+    for name, brackets in MALFORMED_ALGEBRAS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps({"dim": 2, "basis": ["a", "b"], "brackets": brackets}))
+    files = ("bad", "three", "ragged", *MALFORMED_ALGEBRAS)
+    argv = command.format(dir=tmp_path, **{k: tmp_path / f"{k}.json" for k in files}).split()
     assert cli.main(argv) == 4
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: "), err

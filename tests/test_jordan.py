@@ -4,7 +4,7 @@ from scipy.linalg import block_diag, expm
 
 from hdq import jordan
 from hdq.analyzer import analyze
-from hdq.errors import ClusterAmbiguous, NotInvertible
+from hdq.errors import NotInvertible
 from hdq.jordan import classify, cyclic_discreteness, jordan_decompose
 from hdq.jalgebra import ball_jalgebra, preset
 
@@ -172,7 +172,7 @@ def test_continuity_along_real_spectrum_flow():
 
 
 # ---------------------------------------------------------------------------
-# the one-Schur kernel: planted factors, near-merge inputs, one Schur form
+# the block basis: planted factors, defective clusters, near-merge inputs
 # ---------------------------------------------------------------------------
 
 def _planted(rng, blocks):
@@ -228,31 +228,37 @@ def test_planted_factors_are_recovered(name, seed):
         assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
 
 
-def test_schur_selection_must_match_the_cluster():
-    """A cluster whose eigenvalues the Schur form does not place within a
-    third of the gap to the next cluster is refused as ambiguous."""
-    T, Z = np.diag([1.0, 2.0, 3.0]).astype(complex), np.eye(3, dtype=complex)
-    with pytest.raises(ClusterAmbiguous, match="isolates 1 eigenvalues for a cluster of 2"):
-        jordan._block_diagonalize(T, Z, [1.0, 3.0], [2, 1])
-    X, blocks = jordan._block_diagonalize(T, Z, [1.0, 2.0, 3.0], [1, 1, 1])
-    assert [(b.start, b.stop) for _, b in blocks] == [(0, 1), (1, 2), (2, 3)]
+def test_defective_clusters_take_the_riesz_basis(monkeypatch):
+    """A cluster whose eigenvectors lose rank (a defective one) takes its
+    basis from the Riesz projector, and every other cluster keeps its
+    eigenvectors: "defective" has two such clusters (sizes 2 and 3),
+    "defective-rotation" three of size 2 (each eigenvalue of the defective
+    pair, and a Jordan block at 1), "distinct" none.  The planted factors
+    still come back within 1e-9."""
+    sizes, real_riesz = [], jordan._riesz_basis
+    monkeypatch.setattr(jordan, "_riesz_basis", lambda A, inside, outside: sizes.append(len(inside)) or real_riesz(A, inside, outside))
+    for name, riesz_sizes in (("distinct", []), ("defective", [2, 3]), ("defective-rotation", [2, 2, 2])):
+        sizes.clear()
+        A, *planted = _planted(np.random.default_rng([len(name), 0]), PLANTED[name])
+        parts = jordan_decompose(A)
+        assert sorted(sizes) == riesz_sizes, name
+        for got, want in zip((parts.elliptic, parts.hyperbolic, parts.unipotent), planted):
+            assert np.linalg.norm(got - want) <= 1e-9 * max(1.0, np.linalg.norm(want))
 
 
-def test_schur_form_is_computed_once_per_call(monkeypatch):
-    """One Schur form serves every cluster and every retry: the calls below
+def test_one_eigen_solve_per_call(monkeypatch):
+    """One eigen-solve serves every cluster and every retry: the calls below
     take one cluster, six clusters, and (eigenvalues 5e-6 apart, which
     nearly merge at the first clustering tolerance) two attempts."""
-    import scipy.linalg
-
-    schur_calls, attempts = [], []
-    real_schur, real_attempt = scipy.linalg.schur, jordan._decompose_at
-    monkeypatch.setattr(scipy.linalg, "schur", lambda *a, **k: schur_calls.append(1) or real_schur(*a, **k))
+    eig_calls, attempts = [], []
+    real_eig, real_attempt = np.linalg.eig, jordan._decompose_at
+    monkeypatch.setattr(np.linalg, "eig", lambda *a, **k: eig_calls.append(1) or real_eig(*a, **k))
     monkeypatch.setattr(jordan, "_decompose_at", lambda *a: attempts.append(1) or real_attempt(*a))
     A, *_ = _planted(np.random.default_rng(5), PLANTED["distinct"] + PLANTED["defective-rotation"])
     for M, tries in ((np.eye(4), 1), (A, 1), (np.diag([1.0, 1.0 + 5e-6, 3.0]), 2)):
-        schur_calls.clear(), attempts.clear()
+        eig_calls.clear(), attempts.clear()
         jordan_decompose(M)
-        assert (len(schur_calls), len(attempts)) == (1, tries)
+        assert (len(eig_calls), len(attempts)) == (1, tries)
 
 
 WIDE_POLYDISC6 = (
