@@ -39,16 +39,17 @@ indented certificates of earlier versions load unchanged.  It stores its
 input (``domain``, ``phi``, ``seed``) and, per step, only the witnesses a
 check cannot recompute; the check derives the rest:
 
-- ``jordan_split``: the three factors; the check measures their
-  commutators and spectra, and how far their product is from the
-  homogenized matrix of ``phi`` (an ``exp:`` string through
-  ``siegel.element_from_vector``, a mapping as given), which ``verify``
-  derives when it replays this step.
-- ``discreteness``: ``kind`` and ``order``, re-decided from the factors;
-  a finite order must also take phi to the identity.  ``finite_case``:
-  the ``order``.
-- ``elliptic_reduction``: nothing; the check sets φ′ = h·u and measures
-  how far it is from affine.
+- ``jordan_split``: the ``elliptic`` factor e of the homogenized matrix A
+  of ``phi`` (an ``exp:`` string through ``siegel.element_from_vector``,
+  a mapping as given), which ``verify`` derives when it replays this
+  step.  The check derives φ′ = e⁻¹A and measures e's commutator with A
+  and spectrum; version 1 also stored h and u, whose product must be φ′.
+- ``discreteness``: ``kind`` and ``order``, re-decided from e and φ′; a
+  finite order must take phi to I, an elliptic closure needs bounded
+  powers of phi, and an infinite group those of e and a φ′ farther from I
+  than ``conjugation_into_S`` accepts.  ``finite_case``: the ``order``.
+- ``elliptic_reduction``: nothing; the check measures how far φ′ is from
+  affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
   entry by entry, each row of [linear | translation] relative to max(1,
   the largest entry of that row of φ′).
@@ -93,7 +94,7 @@ from .ball import WITNESS_RESIDUAL, sample_totally_real_points, totally_real_res
 from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate
 from .fibration import Tower
 from .jalgebra import NormalJAlgebra
-from .jordan import JordanParts, cyclic_discreteness, jordan_decompose
+from .jordan import cyclic_discreteness, jordan_decompose
 from .lie_core import Subspace
 from .siegel import (
     DomainPoint,
@@ -249,7 +250,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
 
     phi_echo, phi_matrix = resolve_phi(phi_spec, J, M, seed)
     cert = {
-        "version": 1,
+        "version": CERT_VERSION,
         "domain": domain_echo,
         "phi": phi_echo,
         "seed": seed,
@@ -326,7 +327,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     out["conclusion"] = "undecided"
     if take("jordan_split", 0, lambda: _jordan_payload(state)) is None:
         return
-    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(state.jordan)))
+    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(state.elliptic, state.phi_prime)))
     if disc is None or disc["kind"] == "undecided":
         return
     if disc["kind"] == "finite":
@@ -376,13 +377,13 @@ def _jordan_payload(state: ReplayState) -> dict:
         parts = jordan_decompose(state.homogenized_phi())
     except ClusterAmbiguous as exc:
         raise StepRejected(str(exc)) from exc
-    return {"elliptic": parts.elliptic, "hyperbolic": parts.hyperbolic, "unipotent": parts.unipotent}
+    return {"elliptic": parts.elliptic}
 
 
 def _orbit_payload(state: ReplayState) -> dict:
     """Exponential coordinates of phi' inside the split solvable group."""
-    mat, off = state.phi_prime
-    M = state.model
+    M, N = state.model, len(state.phi_prime) - 1
+    mat, off = state.phi_prime[:N, :N], state.phi_prime[:N, N]
     try:
         x_minus, x_zero = solve_orbit(DomainPoint.unpack(mat @ M.base_point().pack() + off, M.p, M.q), M)
     except HdqError as exc:
@@ -437,10 +438,16 @@ STEP_TOL = {
     "fiber_case": WITNESS_RESIDUAL,
 }
 VERIFY_SLACK = 10.0
+# |F^T F - I| at most this bounds the powers of F that discreteness tests
+ORTHOGONAL_TOL = 1e-12
+# the certificate format analyze writes; a jordan_split's keys by format
+CERT_VERSION = 2
+JORDAN_KEYS = {1: {"elliptic", "hyperbolic", "unipotent"}, 2: {"elliptic"}}
 
 # the assumption analyze adds when a step fails its check
 FAILED = {
     "jordan_split": "the Jordan split of the affine matrix does not replay",
+    "discreteness": "the discreteness of the cyclic group is not established",
     "elliptic_reduction": "removing the elliptic factor does not leave an affine map",
     "conjugation_into_S": "the element does not lie in the split solvable group as given; general conjugation is not implemented",
     "tower_descend": "the fibration at level {level} is not numerically equivariant",
@@ -455,10 +462,10 @@ class StepRejected(Exception):
 @dataclass
 class ReplayState:
     """What a check reads besides its payload: the level-1 model, the
-    certificate's seed and phi (with the input ``algebra`` an ``exp:`` phi
-    is written over), the fibration tower (split lazily, one level at a
-    time; the model's own unless one is given), and what earlier steps
-    established."""
+    certificate's seed, phi (with the input ``algebra`` an ``exp:`` phi is
+    written over) and format ``version``, the fibration tower (split
+    lazily, one level at a time; the model's own unless one is given), and
+    what earlier steps established."""
 
     model: SiegelModel
     seed: int
@@ -466,8 +473,9 @@ class ReplayState:
     algebra: NormalJAlgebra | None = None  # the input algebra, whose labels phi uses
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
     tower: Tower | None = None
-    jordan: JordanParts | None = None  # the factors of jordan_split
-    phi_prime: tuple | None = None   # (linear, translation) of h u, set by elliptic_reduction
+    version: int = CERT_VERSION
+    elliptic: np.ndarray | None = None   # the elliptic factor e of jordan_split
+    phi_prime: np.ndarray | None = None  # e^-1 times the homogenized phi, set by jordan_split
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
     fiber_log: np.ndarray | None = None  # the carried element's log in fiber coordinates, set by the walk
 
@@ -489,97 +497,125 @@ def _array(payload, key):
 
 
 def _check_jordan(payload, state: ReplayState, level) -> float:
-    e, h, u = (_array(payload, k) for k in ("elliptic", "hyperbolic", "unipotent"))
+    """The residual of the elliptic factor e; φ′ = e⁻¹A, derived from the
+    homogenized phi A, is set with e on the state.
+
+    The multiplicative Jordan decomposition is unique (Borel, Linear
+    Algebraic Groups, §4), so e is A's elliptic factor once e commutes
+    with A, is semisimple with a unit-modulus spectrum, and φ′ lies in the
+    split solvable group S: φ′'s hyperbolic and unipotent factors h and u,
+    polynomials in φ′, then commute with e, and A = e h u.  This check
+    measures the commutator, relative to max(1, |A|), and the spectrum;
+    discreteness tests semisimplicity, and ``conjugation_into_S`` places φ′
+    in S.  e = I passes with φ′ = A.  Version 1 also stores h and u, whose
+    product must equal φ′ in the commutator's measure.
+    """
+    keys = JORDAN_KEYS[state.version]
+    if set(payload) != keys:
+        raise StepRejected(f"a version-{state.version} jordan_split stores {sorted(keys)}, not {sorted(payload)}")
     A = state.homogenized_phi()
-    n = A.shape[0]
-    if any(X.shape != A.shape for X in (e, h, u)):
-        raise StepRejected(f"Jordan factors of shapes {e.shape}, {h.shape}, {u.shape}; phi gives {A.shape}")
-    res = float(np.linalg.norm(e @ h @ u - A)) / max(1.0, float(np.linalg.norm(A)))
-    for X, Y in ((e, h), (e, u), (h, u)):
-        res = max(res, float(np.linalg.norm(X @ Y - Y @ X)))
-    res = max(res, float(np.max(np.abs(np.abs(np.linalg.eigvals(e)) - 1.0))))
-    hv = np.linalg.eigvals(h)
-    res = max(res, float(np.max(np.abs(hv.imag))))
-    if np.min(hv.real) <= 0:
-        res = max(res, 1.0)
-    res = max(res, float(np.linalg.norm(np.linalg.matrix_power(u - np.eye(n), n))))
-    state.jordan = JordanParts(e, h, u, res)
+    e, *hu = (_array(payload, k) for k in ("elliptic", "hyperbolic", "unipotent") if k in keys)
+    if any(F.shape != A.shape for F in (e, *hu)):
+        raise StepRejected(f"Jordan factors of shapes {', '.join(str(F.shape) for F in (e, *hu))}; phi gives {A.shape}")
+    scale = max(1.0, float(np.linalg.norm(A)))
+    if np.array_equal(e, np.eye(len(A))):
+        phi_prime, res = A, 0.0
+    else:
+        try:
+            phi_prime = np.linalg.solve(e, A)
+            spectrum = np.linalg.eigvals(e)
+        except np.linalg.LinAlgError as exc:
+            raise StepRejected(f"the elliptic factor is singular or not finite: {exc}") from exc
+        res = max(float(np.linalg.norm(e @ A - A @ e)) / scale, float(np.max(np.abs(np.abs(spectrum) - 1.0))))
+    if hu:
+        res = max(res, float(np.linalg.norm(hu[0] @ hu[1] - phi_prime)) / scale)
+    state.elliptic, state.phi_prime = e, phi_prime
     return res
 
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
-    """The kind and order re-decided from the factors, then held to phi,
-    since the factors' check never tests that the elliptic one is
-    semisimple.  With tol the Jordan tolerance and A the homogenized phi,
-    whose powers are formed by repeated squaring (``_power``), and every
-    norm finite:
+    """The kind and order re-decided from e and φ′, then held to what
+    ``_check_jordan`` leaves untested.  With tol the Jordan tolerance,
+    powers formed by repeated squaring (``_power``), and every norm
+    finite:
 
+    - ``infinite_discrete``: φ′ must be farther from I (``_affine_distance``)
+      than ``conjugation_into_S`` accepts, or the identity of S would match
+      it whatever the group; and e must be semisimple: bounded powers.
     - a finite order q: |A^q - I| must be within tol times max(1, the
       largest norm among the powers formed).  The bound never exceeds tol
       times max(1, |A|)^q, which grows with q fast enough to pass a
       parabolic forgery of order 20.
-    - ``indiscrete_closure`` and ``undecided``: the powers A^(2^j), up to
-      the first 2^j of at least tol^(-3/2), must stay within max(1, |A|)
-      / sqrt(tol).  A semisimple A with unit-modulus spectrum, P D P^-1,
-      stays within sqrt(n) cond(P) at every power; a unipotent part N adds
-      about 2^j N to A^(2^j), and passes the bound once |N| is about tol
-      times max(1, |A|).
+    - ``indiscrete_closure`` and ``undecided``: φ′ is trivial, and A, which
+      stands for e, must have bounded powers.
+
+    Bounded powers: F^(2^j), up to the first 2^j of at least tol^(-3/2),
+    stay within max(1, |F|) / sqrt(tol).  A semisimple F with unit-modulus
+    spectrum, P D P^-1, stays within sqrt(n) cond(P) at every power; a
+    unipotent part N adds about 2^j N to F^(2^j), and passes the bound
+    once |N| is about tol times max(1, |F|).  An F with |FᵀF - I| at most
+    ``ORTHOGONAL_TOL`` = 1e-12 passes unsquared: its spectral norm is at
+    most sqrt(1 + 1e-12), so F^(2^40) and the powers before it are below
+    2 sqrt(n).
     """
-    disc = cyclic_discreteness(state.jordan)
+    disc = cyclic_discreteness(state.elliptic, state.phi_prime)
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(
             f"discreteness replays as {disc.kind} (order {disc.order}), "
             f"stored {payload['kind']} (order {payload['order']})"
         )
+    A, tol, what = state.homogenized_phi(), STEP_TOL["jordan_split"], ("phi", "elliptic")
     if disc.kind == "infinite_discrete":
+        P, accepted = state.phi_prime[:-1], VERIFY_SLACK * STEP_TOL["conjugation_into_S"]
+        margin = _affine_distance(np.eye(*P.shape), P)
+        if not margin > accepted:
+            raise StepRejected(f"phi' is {margin:.2e} from the identity, within the {accepted:.0e} conjugation_into_S accepts")
+        A, what = state.elliptic, ("the elliptic factor", "semisimple")
+    if disc.kind != "finite" and float(np.linalg.norm(A.T @ A - np.eye(len(A)))) <= ORTHOGONAL_TOL:
         return 0.0
-    A, tol = state.homogenized_phi(), STEP_TOL["jordan_split"]
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflow fails the tests below
-        if disc.kind == "finite":
-            power, largest = _power(A, disc.order)
-            defect = float(np.linalg.norm(power - np.eye(len(A))))
-            if not (np.isfinite(largest) and defect <= tol * max(1.0, largest)):
-                raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
-        else:
-            _, largest = _power(A, 1 << math.ceil(-1.5 * math.log2(tol)))
-            if not (np.isfinite(largest) and largest <= max(1.0, float(np.linalg.norm(A))) / math.sqrt(tol)):
-                raise StepRejected(f"the powers of phi grow to {largest:.2e}: it is not elliptic")
+    power, largest = _power(A, disc.order or 1 << math.ceil(-1.5 * math.log2(tol)))
+    defect = float(np.linalg.norm(power - np.eye(len(A))))
+    if disc.kind == "finite" and not (np.isfinite(largest) and defect <= tol * max(1.0, largest)):
+        raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
+    if disc.kind != "finite" and not (np.isfinite(largest) and largest <= max(1.0, float(np.linalg.norm(A))) / math.sqrt(tol)):
+        raise StepRejected(f"the powers of {what[0]} grow to {largest:.2e}: it is not {what[1]}")
     return 0.0
 
 
 def _power(A: np.ndarray, q: int):
     """(A^q, the largest Frobenius norm among the powers of A that
-    repeated squaring forms on the way), for q >= 1."""
-    result, square, largest = None, A, float(np.linalg.norm(A))
+    repeated squaring forms on the way, taken at the end in one call)."""
+    formed, result, square = [A], None, A
     while True:
         if q & 1:
             result = square if result is None else result @ square
-            largest = max(largest, float(np.linalg.norm(result)))
+            formed.append(result)
         q >>= 1
         if not q:
-            return result, largest
+            flat = np.concatenate(formed).reshape(len(formed), -1)
+            return result, math.sqrt(float(np.max(np.einsum("ij,ij->i", flat, flat))))
         square = square @ square
-        largest = max(largest, float(np.linalg.norm(square)))
+        formed.append(square)
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
-    hu = state.jordan.hyperbolic @ state.jordan.unipotent
-    N = hu.shape[0] - 1
-    state.phi_prime = (hu[:N, :N], hu[:N, N])
-    return max(float(np.max(np.abs(hu[N, :N]))), abs(float(hu[N, N]) - 1.0))
+    """How far φ′ is from affine: its last row against (0, ..., 0, 1)."""
+    P = state.phi_prime
+    return float(np.max(np.abs(P[-1] - np.eye(len(P))[-1])))
+
+
+def _affine_distance(F: np.ndarray, target: np.ndarray) -> float:
+    """The largest entry of F - target, affine maps as rows [linear |
+    translation], each row relative to max(1, its largest entry in target):
+    a scale taken from one block would hide a forged entry in a smaller one."""
+    scale = np.maximum(1.0, np.max(np.abs(target), axis=1))
+    return float(np.max(np.max(np.abs(F - target), axis=1) / scale, initial=0.0))
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
-    """The largest entry of the difference of the affine maps [linear |
-    translation] of the stored element and of phi', each row relative to
-    max(1, the largest entry of that row of phi'): a scale taken from one
-    block would hide a forged entry in a smaller one."""
-    mat, off = state.phi_prime
+    """The distance (``_affine_distance``) of the stored element from φ′."""
     g = state.element = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
-    target = np.column_stack([mat, off])
-    diff = np.column_stack([g.affine_matrix, g.affine_offset]) - target
-    scale = np.maximum(1.0, np.max(np.abs(target), axis=1))
-    return float(np.max(np.max(np.abs(diff), axis=1) / scale, initial=0.0))
+    return _affine_distance(np.column_stack([g.affine_matrix, g.affine_offset]), state.phi_prime[:-1])
 
 
 def _check_tower(payload, state: ReplayState, level) -> float:
@@ -613,7 +649,8 @@ CHECKS = {
 def _replay(kind, payload, state, level, slack, build):
     """(residual, why it failed): no failure when the check of ``kind``
     passes within ``slack`` times its tolerance, and no residual when the
-    step cannot pass whatever the tolerance.
+    step cannot pass whatever the tolerance.  A check runs with numpy's
+    overflow warnings off: an overflow leaves an inf or nan, which fails.
 
     A kind with no check (``finite_case``, ``bundle_quotient``,
     ``base_case``) stores only what the walk builds from checked state, so
@@ -625,7 +662,8 @@ def _replay(kind, payload, state, level, slack, build):
             return None, f"stored payload differs from {built}"
         return 0.0, None
     try:
-        res = CHECKS[kind](payload, state, level)
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = CHECKS[kind](payload, state, level)
     except StepRejected as exc:
         return None, str(exc)
     tol = STEP_TOL.get(kind)
@@ -653,8 +691,11 @@ def verify(cert: dict):
         conclusion = cert["conclusion"]
         domain = cert["domain"]
         seed = int(cert["seed"])
+        version = cert["version"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
+    if version not in JORDAN_KEYS:
+        raise MalformedCertificate(f"certificate version {version!r}; this reader knows {sorted(JORDAN_KEYS)}")
 
     if isinstance(domain, dict):
         J = jalgebra.j_algebra_from_dict(domain)
@@ -665,7 +706,7 @@ def verify(cert: dict):
     invalid, M, tower = _prepared(J)
     if invalid:
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
-    state = ReplayState(M, seed, cert.get("phi"), J, tower=tower)
+    state = ReplayState(M, seed, cert.get("phi"), J, tower=tower, version=version)
     report = []
 
     def take(kind, level, build):

@@ -1,5 +1,5 @@
-"""Unit-ball specifics: canonical presets, closed-form flows, totally-real
-subalgebra construction.
+"""Unit-ball specifics: canonical presets and the totally-real subalgebra
+construction.
 
 The constructive lemmas are implemented for any rank-one model, not just
 the canonical preset: the fibration tower produces ball-like fibers whose
@@ -41,42 +41,6 @@ class BallAlgebra:
 def ball_algebra(n: int) -> BallAlgebra:
     J = ball_jalgebra(n)
     return BallAlgebra(n, J, build_model(J))
-
-
-# ---------------------------------------------------------------------------
-# closed-form one-parameter flows
-# ---------------------------------------------------------------------------
-
-def table1_flow(generator: str, t: float, point: DomainPoint, B: BallAlgebra) -> DomainPoint:
-    """Closed-form flow of a canonical generator on the half-plane model."""
-    M = B.model
-    z = complex(point.z[0])
-    wc = M.to_complex_w(point.w)
-    if generator == "zeta":
-        z = z + t
-    elif generator == "delta":
-        z = np.exp(t) * z
-        wc = np.exp(t / 2.0) * wc
-    elif generator.startswith("xi"):
-        k = _flow_index(generator, B.n)
-        z = z + 2j * t * wc[k] + 1j * t * t
-        wc = wc.copy()
-        wc[k] = wc[k] + t
-    elif generator.startswith("eta"):
-        k = _flow_index(generator, B.n)
-        z = z + 2.0 * t * wc[k] + 1j * t * t
-        wc = wc.copy()
-        wc[k] = wc[k] + 1j * t
-    else:
-        raise InputError(f"unknown generator {generator!r}")
-    return DomainPoint(np.array([z]), M.from_complex_w(wc))
-
-
-def _flow_index(generator: str, n: int) -> int:
-    k = int(generator.lstrip("xieta").lstrip(":"))
-    if not 1 <= k <= n - 1:
-        raise InputError(f"generator index {k} out of range for n={n}")
-    return k - 1
 
 
 # ---------------------------------------------------------------------------
@@ -270,21 +234,3 @@ def totally_real_subalgebra_containing(
             f"subalgebra misses the input vector, is not closed or is badly conjugated (residual {res:.2e})"
         )
     return V, x_minus
-
-
-# ---------------------------------------------------------------------------
-# bounded realization (utility)
-# ---------------------------------------------------------------------------
-
-def siegel_to_ball(z: complex, w: np.ndarray) -> np.ndarray:
-    """Cayley transform of the half-plane model onto the bounded ball."""
-    w = np.asarray(w, dtype=complex)
-    denom = z + 1j
-    return np.concatenate([[(z - 1j) / denom], 2.0 * w / denom])
-
-
-def ball_to_siegel(zeta: np.ndarray):
-    zeta = np.asarray(zeta, dtype=complex)
-    z = 1j * (1 + zeta[0]) / (1 - zeta[0])
-    w = 1j * zeta[1:] / (1 - zeta[0])
-    return z, w

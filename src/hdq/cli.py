@@ -116,7 +116,7 @@ def cmd_jordan(args) -> int:
     except (TypeError, ValueError) as exc:  # ragged, or not numbers
         raise InputError(f"{args.matrix} does not hold a numeric matrix: {exc}") from exc
     label, parts = classify(A)
-    disc = cyclic_discreteness(parts)
+    disc = cyclic_discreteness(parts.elliptic, parts.hyperbolic @ parts.unipotent)
     out = {
         "classification": label,
         "elliptic": parts.elliptic.tolist(),

@@ -2,24 +2,28 @@
 
 The decomposition g = e h u splits an invertible real matrix into commuting
 elliptic (unit-circle spectrum), hyperbolic (positive real spectrum) and
-unipotent (spectrum {1}) factors.
+unipotent (spectrum {1}) factors.  The reduction reads only e, and e^-1 g
+in place of h u, so e is built with the split and h, u and the
+reconstruction residual on first access.
 
 The matrix gets one eigen-solve, which the retries at looser clustering
-share.  Each cluster of the spectrum gets an orthonormal basis of its
-invariant subspace: the span of its eigenvectors, orthonormalized by a
-thin SVD, or, where that block of eigenvectors loses rank (a defective
-cluster), the range of the cluster's Riesz projector, a contour integral
-of the resolvent taken by the trapezoidal rule (Kato, Perturbation Theory
-for Linear Operators, I.5; Golub and Van Loan, Matrix Computations, 7.6).
-With X the block basis, e and h are I + X diag(f(mu) - 1) X^-1 for the
-polar split f of each cluster's eigenvalue mu, and u = (e h)^-1 A is read
-block by block off X^-1 A X, or by one solve where X is ill-conditioned.
-The real parts are returned.
+share.  When every cluster of the spectrum lies on the positive real axis,
+e is I and nothing more is built.  Otherwise each cluster gets an
+orthonormal basis of its invariant subspace: the span of its eigenvectors,
+orthonormalized by a thin SVD, or, where that block of eigenvectors loses
+rank (a defective cluster), the range of the cluster's Riesz projector, a
+contour integral of the resolvent taken by the trapezoidal rule (Kato,
+Perturbation Theory for Linear Operators, I.5; Golub and Van Loan, Matrix
+Computations, 7.6).  With X the block basis, e and h are I + X diag(f(mu)
+- 1) X^-1 for the polar split f of each cluster's eigenvalue mu, and u =
+(e h)^-1 A is read block by block off X^-1 A X, or by one solve where X is
+ill-conditioned.  The real parts are returned.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -36,14 +40,6 @@ INVERTIBLE_RTOL = 1e-12
 DEFECTIVE_RTOL = 1e-6
 # trapezoidal nodes on the Riesz projector's circle
 RIESZ_NODES = 32
-
-
-@dataclass(frozen=True)
-class JordanParts:
-    elliptic: np.ndarray
-    hyperbolic: np.ndarray
-    unipotent: np.ndarray
-    residual: float
 
 
 def _cluster_eigenvalues(vals: np.ndarray, rtol: float):
@@ -131,43 +127,68 @@ def jordan_decompose(A: np.ndarray) -> JordanParts:
 
 
 def _decompose_at(A: np.ndarray, vals: np.ndarray, vecs: np.ndarray, tol: float) -> JordanParts:
-    n = A.shape[0]
-    reps, groups = _cluster_eigenvalues(vals, tol)
-    X = np.hstack([_cluster_basis(A, vals, vecs, g) for g in groups]) if len(groups) > 1 else np.eye(n)
-    Xinv = np.linalg.inv(X)
-    B = Xinv @ A @ X
-    mu = np.empty(n, dtype=complex)
-    U = np.zeros((n, n), dtype=complex)
-    start = 0
-    for rep, g in zip(reps, groups):
-        sl = slice(start, start + len(g))
-        mu[sl] = rep
-        U[sl, sl] = B[sl, sl] / rep - np.eye(len(g))
-        start = sl.stop
+    return JordanParts(A, vals, vecs, *_cluster_eigenvalues(vals, tol))
 
-    def factor(d):
+
+class JordanParts:
+    """The factors of A = elliptic @ hyperbolic @ unipotent, from the
+    clusters ``groups`` of A's eigenvalues ``vals`` and their means
+    ``reps``.  ``elliptic`` is built at once, I exactly when every mean is
+    on the positive real axis; the clusters' block basis X, ``hyperbolic``,
+    ``unipotent`` and the ``residual`` of their product on first access."""
+
+    def __init__(self, A, vals, vecs, reps, groups):
+        self._A, self._vals, self._vecs, self._groups = A, vals, vecs, groups
+        self._mu = np.repeat(np.array(reps, dtype=complex), [len(g) for g in groups])
+        if np.all((self._mu.imag == 0) & (self._mu.real > 0)):
+            self.elliptic = np.eye(len(A))  # numpy's mu / |mu| may round 1 to 1 - 1.1e-16
+        else:
+            self.elliptic = self._factor(self._mu / np.abs(self._mu) - 1.0)
+
+    @cached_property
+    def _basis(self):
+        """(X, X^-1), X the clusters' invariant-subspace bases side by side."""
+        A, vals, vecs, groups = self._A, self._vals, self._vecs, self._groups
+        X = np.hstack([_cluster_basis(A, vals, vecs, g) for g in groups]) if len(groups) > 1 else np.eye(len(A))
+        return X, np.linalg.inv(X)
+
+    def _factor(self, d):
         """I + X diag(d) X^-1: the rounding through X scales with how far
-        the factor is from I, and d = 0 gives I exactly.  The spectrum of a
-        real input is conjugation-symmetric, so the imaginary part is
-        roundoff."""
-        return np.eye(n) + ((X * d) @ Xinv).real
+        the factor is from I.  The spectrum of a real input is
+        conjugation-symmetric, so the imaginary part is roundoff."""
+        X, Xinv = self._basis
+        return np.eye(len(X)) + ((X * d) @ Xinv).real
 
-    e = factor(mu / np.abs(mu) - 1.0)
-    h = factor(np.abs(mu) - 1.0)
-    eh = e @ h
-    scale = max(1.0, float(np.linalg.norm(A)))
-    # u = (e h)^-1 A, read two ways.  Read block by block off X^-1 A X, u
-    # commutes with e and h even where a cluster near 0 amplifies the
-    # rounding of the other blocks, but e h u drifts from A when X is
-    # ill-conditioned (clusters about 1e-4 apart).  One solve keeps e h u = A
-    # to rounding; it is taken when its commutators with e and h are below
-    # that drift.
-    u = np.eye(n) + (X @ U @ Xinv).real
-    residual = float(np.linalg.norm(eh @ u - A)) / scale
-    solved = np.linalg.solve(eh, A)
-    if max(float(np.linalg.norm(F @ solved - solved @ F)) for F in (e, h)) < residual:
-        u, residual = solved, float(np.linalg.norm(eh @ solved - A)) / scale
-    return JordanParts(e, h, u, residual)
+    @cached_property
+    def hyperbolic(self) -> np.ndarray:
+        return self._factor(np.abs(self._mu) - 1.0)
+
+    @cached_property
+    def unipotent(self) -> np.ndarray:
+        """u = (e h)^-1 A, read two ways.  Read block by block off X^-1 A X,
+        u commutes with e and h even where a cluster near 0 amplifies the
+        rounding of the other blocks, but e h u drifts from A when X is
+        ill-conditioned (clusters about 1e-4 apart).  One solve keeps e h u
+        = A to rounding; it is taken when its commutators with e and h are
+        below that drift."""
+        A, (X, Xinv), n = self._A, self._basis, len(self._A)
+        B = Xinv @ A @ X
+        U = np.zeros((n, n), dtype=complex)
+        start = 0
+        for g in self._groups:
+            sl = slice(start, start + len(g))
+            U[sl, sl] = B[sl, sl] / self._mu[start] - np.eye(len(g))
+            start = sl.stop
+        e, h = self.elliptic, self.hyperbolic
+        u, solved = np.eye(n) + (X @ U @ Xinv).real, np.linalg.solve(e @ h, A)
+        drift = float(np.linalg.norm(e @ h @ u - A)) / max(1.0, float(np.linalg.norm(A)))
+        return solved if max(float(np.linalg.norm(F @ solved - solved @ F)) for F in (e, h)) < drift else u
+
+    @cached_property
+    def residual(self) -> float:
+        """|e h u - A| / max(1, |A|)."""
+        A, product = self._A, self.elliptic @ self.hyperbolic @ self.unipotent
+        return float(np.linalg.norm(product - A)) / max(1.0, float(np.linalg.norm(A)))
 
 
 def _nontrivial(F: np.ndarray) -> bool:
@@ -201,20 +222,21 @@ class Discreteness:
     order: int | None = None
 
 
-def cyclic_discreteness(parts: JordanParts) -> Discreteness:
-    """Discreteness type of the cyclic group generated by the matrix whose
-    Jordan factors are ``parts``.
+def cyclic_discreteness(elliptic: np.ndarray, reduced: np.ndarray) -> Discreteness:
+    """Discreteness type of the cyclic group generated by a matrix with
+    elliptic Jordan factor ``elliptic`` and the rest ``reduced`` (its
+    hyperbolic times its unipotent factor).
 
-    A nontrivial hyperbolic or unipotent factor forces an infinite discrete
-    group.  A purely elliptic element generates a finite group exactly when
-    all rotation angles are rational multiples of 2 pi; rationality is
-    detected by continued fractions up to a denominator bound, with a
-    borderline band reported as undecided.
+    A nontrivial ``reduced`` forces an infinite discrete group.  A purely
+    elliptic element generates a finite group exactly when all rotation
+    angles are rational multiples of 2 pi; rationality is detected by
+    continued fractions up to a denominator bound, with a borderline band
+    reported as undecided.
     """
-    if _nontrivial(parts.hyperbolic @ parts.unipotent):
+    if _nontrivial(reduced):
         return Discreteness("infinite_discrete")
     denoms = []
-    for theta in _rotation_angles(parts.elliptic):
+    for theta in _rotation_angles(elliptic):
         x = theta / (2.0 * np.pi)
         frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
         err = abs(x - float(frac))

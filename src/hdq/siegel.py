@@ -282,15 +282,6 @@ class SiegelModel:
         out = [w[..., off : off + m] + 1j * w[..., off + m : off + 2 * m] for off, m in self.half_pairs]
         return np.concatenate(out, axis=-1) if out else np.zeros(w.shape[:-1] + (0,), dtype=complex)
 
-    def from_complex_w(self, wc: np.ndarray) -> np.ndarray:
-        w = np.zeros(self.q)
-        at = 0
-        for off, m in self.half_pairs:
-            w[off : off + m] = wc[at : at + m].real
-            w[off + m : off + 2 * m] = wc[at : at + m].imag
-            at += m
-        return w
-
 
 @dataclass(frozen=True)
 class DomainPoint:

@@ -20,10 +20,10 @@ from hdq.ball import (
     conjugate_into_a,
     nilpotent_residual,
     sample_totally_real_points,
-    table1_flow,
     totally_real_defect,
     totally_real_subalgebra_containing,
 )
+from ball_reference import table1_flow
 from conftest import random_element, tower
 from hdq.fibration import check_equivariance, split_last_root
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, fine_structure, preset, validate_j_algebra

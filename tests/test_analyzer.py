@@ -13,12 +13,14 @@ from hdq.analyzer import (
     parse_combination,
     verify,
 )
-from hdq.errors import InputError, MalformedCertificate
+from hdq.errors import InputError, MalformedCertificate, NotInvertible
+from hdq.fibration import Tower
+from hdq.jordan import jordan_decompose
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
 from hdq.lie_core import LieAlgebraData
 from hdq import cli
 from hdq.ball import totally_real_subalgebra
-from hdq.siegel import _aligned_basis, act, build_model, contains, domain_defect, element_from_vector
+from hdq.siegel import _aligned_basis, act, build_model, contains, domain_defect, element_from_vector, element_log, group_element
 
 
 def rotation_phi(theta, dilation=0.0):
@@ -211,14 +213,16 @@ def test_certificate_file_roundtrip(tmp_path):
 
 def test_swapped_phi_fails_verify():
     """verify binds the Jordan matrix to phi: a genuine certificate with its
-    phi swapped for another element once verified."""
+    phi swapped for another element once verified.  The stored elliptic
+    factor, I, is the elliptic factor of the new phi too, so the swap is
+    caught where phi' = phi is matched in the split solvable group."""
     cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
     assert verify(cert)[0]
     cert["phi"] = "exp:0.3*delta + zeta"
     ok, report = verify(cert)
     assert not ok
-    assert report[0]["kind"] == "jordan_split" and not report[0]["ok"]
-    assert report[0]["residual"] > 1e-2
+    first = next(r for r in report if not r["ok"])
+    assert first["kind"] == "conjugation_into_S" and first["residual"] > 1e-2
 
 
 def test_moved_affine_entry_fails_verify():
@@ -227,18 +231,22 @@ def test_moved_affine_entry_fails_verify():
     cert["phi"]["linear"][0][1] += 1e-3
     ok, report = verify(cert)
     assert not ok
-    assert report[0]["kind"] == "jordan_split" and not report[0]["ok"]
+    # the rotation of w still commutes with phi; phi' takes the moved entry
+    assert next(r for r in report if not r["ok"])["kind"] == "conjugation_into_S"
 
 
 def test_jordan_factors_of_the_wrong_shape_fail_verify():
     """The factors are compared with the matrix derived from phi; 1x1
-    factors would broadcast against it."""
-    cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
-    for key in ("elliptic", "hyperbolic", "unipotent"):
-        cert["steps"][0]["payload"][key] = [[1.0]]
-    ok, report = verify(cert)
-    assert not ok
-    assert report[0]["detail"].startswith("Jordan factors of shapes (1, 1)")
+    factors would broadcast against it.  So in both formats: the elliptic
+    factor alone, and the three factors of version 1."""
+    for version, keys in analyzer.JORDAN_KEYS.items():
+        cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
+        cert["version"] = version
+        cert["steps"][0]["payload"] = {key: [[1.0]] for key in keys}
+        ok, report = verify(cert)
+        assert not ok
+        assert report[0]["kind"] == "jordan_split"
+        assert report[0]["detail"].startswith("Jordan factors of shapes (1, 1)")
 
 
 @pytest.mark.parametrize(
@@ -672,7 +680,11 @@ def test_stored_thresholds_are_not_read(forgery):
         step["tolerance"] = 1e300
     ok, report = verify(cert)
     assert not ok
-    assert [r["kind"] for r in report if not r["ok"]] == [step["kind"]]
+    # a wrong elliptic factor also gives a wrong phi', which the later
+    # steps, built on it, fail in turn
+    first = next(r for r in report if not r["ok"])
+    bound = analyzer.VERIFY_SLACK * analyzer.STEP_TOL[step["kind"]]
+    assert first["kind"] == step["kind"] and first["detail"].endswith(f"exceeds {bound:.0e}")
 
 
 def _rebased_product():
@@ -709,17 +721,133 @@ def test_replayed_residuals_equal_recorded(domain, phi):
     assert all(r["residual"] == r["recorded"] for r in checked), checked
 
 
-def test_jordan_split_that_does_not_replay_is_undecided():
+def test_exp_20_delta_on_ball2_certifies():
     """On exp(20 delta), diag(e^20, e^20, e^10, e^10, 1) homogenized, the
-    split lumps the eigenvalues e^10 and 1 together, so its unipotent
-    factor is not unipotent (nilpotency residual about 1): the split is
-    not recorded and the analysis stops undecided, with a certificate that
-    verifies."""
-    cert = analyze("ball:2", "exp:20*delta")
-    assert cert["conclusion"] == "undecided"
-    assert cert["steps"] == []
-    assert cert["assumptions"][-1].startswith("the Jordan split of the affine matrix does not replay")
+    split lumps the eigenvalues e^10 and 1 together.  Its unipotent factor
+    was then not unipotent (nilpotency residual about 1), and the analysis
+    stopped undecided.  The elliptic factor, I, is right, and is all the
+    split stores: the element certifies and verifies.  exp(40 delta) is
+    still too ill-conditioned to split."""
+    cert = json.loads(dump_certificate(analyze("ball:2", "exp:20*delta")))
+    assert cert["conclusion"] == "stein_certified", cert["assumptions"][-1]
+    assert cert["steps"][0]["payload"] == {"elliptic": np.eye(5).tolist()}
     assert verify(cert)[0]
+    with pytest.raises(NotInvertible):
+        analyze("ball:2", "exp:40*delta")
+
+
+# 2 pi TURN is more than 1e-9 turns from every rational angle of
+# denominator up to 97: a rotation by it generates a group that is not discrete
+TURN = 0.3183098861
+
+
+def _forged_split_of_a_rotation(name, version):
+    """A certificate that concludes stein_certified for the rotation A of
+    ball:2's w by 2 pi TURN, which is not_applicable, through a
+    jordan_split e that leaves phi' = e^-1 A in the split solvable group:
+
+    - ``non-semisimple``: phi' is the translation of re z by 0.7, which
+      commutes with A, so e has a unit-modulus spectrum and commutes with A
+      but is not semisimple;
+    - ``tiny-rotation``: phi' is the rotation by 1e-6, which the identity
+      of S matches within what conjugation_into_S accepts.
+
+    Version 1 stores phi' as the unipotent factor, with h = I; the steps
+    after the split are the ones the walk builds for phi'."""
+    M = build_model(preset("ball:2"))
+    phi = rotation_phi(2 * np.pi * TURN)
+    if name == "non-semisimple":
+        x_minus = np.array([0.7, 0.0, 0.0])
+        g = group_element(M, x_minus, np.zeros(1))
+        phi_prime = analyzer._homogenize(g.affine_matrix, g.affine_offset)
+    else:
+        x_minus = np.zeros(3)
+        phi_prime = analyzer._homogenize(np.asarray(rotation_phi(1e-6)["linear"]), np.zeros(4))
+    e = analyzer._homogenize(np.asarray(phi["linear"]), np.zeros(4)) @ np.linalg.inv(phi_prime)
+    F = Tower(M)[1]
+    y = element_log(M, x_minus, np.zeros(1))
+    payloads = [
+        ("jordan_split", {"elliptic": e} if version == 2 else {"elliptic": e, "hyperbolic": np.eye(5), "unipotent": phi_prime}),
+        ("discreteness", {"kind": "infinite_discrete", "order": None}),
+        ("elliptic_reduction", {}),
+        ("conjugation_into_S", {"x_minus": x_minus, "x_zero": np.zeros(1)}),
+        ("fiber_case", analyzer._fiber_payload(F.fiber_model, np.linalg.solve(F.fiber_model.basis, y[F.ideal]))),
+    ]
+    steps = [
+        {"kind": kind, "citation": analyzer.CITATIONS[kind], "payload": payload, "residual": 0.0, "level": int(kind == "fiber_case")}
+        for kind, payload in payloads
+    ]
+    cert = {"version": version, "domain": "ball:2", "phi": phi, "seed": 42, "steps": steps, "assumptions": [], "conclusion": "stein_certified"}
+    return json.loads(dump_certificate(cert))
+
+
+@pytest.mark.parametrize("version", [1, 2], ids=["v1", "v2"])
+@pytest.mark.parametrize(
+    "name, detail",
+    [
+        ("non-semisimple", "the powers of the elliptic factor grow to "),
+        ("tiny-rotation", "phi' is 1.00e-06 from the identity, within the 1e-05 conjugation_into_S accepts"),
+    ],
+    ids=["non-semisimple", "tiny-rotation"],
+)
+def test_forged_jordan_split_of_a_rotation_fails(name, detail, version):
+    """Both forgeries verified while the elliptic factor was held to
+    semisimplicity only on the finite and indiscrete paths, and while a
+    phi' 1e-8 n from I was nontrivial enough to conclude.  The split
+    itself replays; discreteness now rejects it."""
+    assert analyze("ball:2", rotation_phi(2 * np.pi * TURN))["conclusion"] == "not_applicable"
+    ok, report = verify(_forged_split_of_a_rotation(name, version))
+    assert not ok
+    assert report[0]["kind"] == "jordan_split" and report[0]["ok"], report[0]
+    assert report[1]["kind"] == "discreteness" and report[1]["detail"].startswith(detail), report[1]
+
+
+def test_element_within_the_conjugation_tolerance_of_the_identity_is_undecided():
+    """exp(1e-7 zeta) is a translation by 1e-7, nontrivial to the Jordan
+    split but matched by the identity of S: it stops undecided at
+    discreteness, with the reason, and the certificate verifies."""
+    cert = analyze("ball:2", "exp:1e-7*zeta")
+    assert cert["conclusion"] == "undecided"
+    assert [s["kind"] for s in cert["steps"]] == ["jordan_split"]
+    assert cert["assumptions"][-1] == (
+        "the discreteness of the cyclic group is not established "
+        "(phi' is 1.00e-07 from the identity, within the 1e-05 conjugation_into_S accepts)"
+    )
+    assert verify(json.loads(dump_certificate(cert)))[0]
+
+
+def test_version_one_jordan_split_is_read():
+    """A version-1 certificate stores all three factors.  It verifies when
+    h u is the phi' that the elliptic factor leaves, and fails at the split
+    when a factor is forged.  A version-2 split with any key besides
+    ``elliptic`` fails, and an unknown version is malformed."""
+    phi = rotation_phi(1.0, dilation=0.25)
+    cert = json.loads(dump_certificate(analyze("ball:2", phi)))
+    parts = jordan_decompose(analyzer._homogenize(np.asarray(phi["linear"]), np.zeros(4)))
+    old = copy.deepcopy(cert)
+    old["version"] = 1
+    old["steps"][0]["payload"].update(hyperbolic=parts.hyperbolic.tolist(), unipotent=parts.unipotent.tolist())
+    assert verify(old)[0]
+    old["steps"][0]["payload"]["unipotent"][0][1] += 1e-6
+    ok, report = verify(old)
+    assert not ok and report[0]["kind"] == "jordan_split" and report[0]["detail"].startswith("residual ")
+
+    cert["steps"][0]["payload"]["hyperbolic"] = parts.hyperbolic.tolist()
+    ok, report = verify(cert)
+    assert not ok
+    assert report[0]["detail"] == "a version-2 jordan_split stores ['elliptic'], not ['elliptic', 'hyperbolic']"
+    cert["version"] = 3
+    with pytest.raises(MalformedCertificate, match="version 3"):
+        verify(cert)
+
+
+def test_ball8_certificate_is_small():
+    """A ball:8 exp: certificate stores one 17 x 17 Jordan factor, I, and
+    takes under 8 kB; with all three factors it took about 16 kB."""
+    labels = preset("ball:8").L.basis_labels
+    for k in range(4):
+        text = dump_certificate(analyze("ball:8", _exp_spec(np.random.default_rng(k).uniform(-1, 1, 16), labels)))
+        assert len(text.encode()) < 8000, (k, len(text))
 
 
 def _shear_phi(t=0.5):
@@ -778,7 +906,7 @@ def test_conjugation_check_is_relative_to_scale(domain, phi, sym2_tube):
 
 
 PAYLOAD_KEYS = {
-    "jordan_split": {"elliptic", "hyperbolic", "unipotent"},
+    "jordan_split": {"elliptic"},
     "discreteness": {"kind", "order"},
     "finite_case": {"order"},
     "elliptic_reduction": set(),
@@ -890,10 +1018,10 @@ def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
     """On ball:4, a map that rotates the complex pairs of w by 2 pi / t for
     each t in ``turns`` and translates re z by 0.7 is parabolic and
     certifies through its fiber.  A forgery that stores the homogenized
-    map A as its own elliptic factor, with identity hyperbolic and
-    unipotent factors, passes the factors' check, and discreteness
-    re-decides the order from them: it verified until discreteness also
-    required A^order to be the identity.  Order 20 passes a bound of the
+    map A as its own elliptic factor (with identity hyperbolic and
+    unipotent factors in version 1) passes the split's check, and
+    discreteness re-decides the order from it: it verified until
+    discreteness also required A^order to be the identity.  Order 20 passes a bound of the
     tolerance times |A|^order, since |A| is about 3."""
     lin, off = np.eye(8), np.zeros(8)
     for (re, im), t in zip(((2, 5), (3, 6), (4, 7)), turns):  # ball:4's half block is one block of three pairs
@@ -903,7 +1031,7 @@ def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
     cert = _genuine("ball:4", {"linear": lin.tolist(), "translation": off.tolist()})
     assert cert["conclusion"] == "stein_certified"
     assert "fiber_case" in [s["kind"] for s in cert["steps"]]
-    A, identity = analyzer._homogenize(lin, off), np.eye(9).tolist()
+    A = analyzer._homogenize(lin, off)
     loose = analyzer.STEP_TOL["jordan_split"] * np.linalg.norm(A) ** order
     assert (0.7 * order <= loose) == (order == 20)  # |A^order - I| is 0.7 order
 
@@ -911,7 +1039,7 @@ def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
         return {"kind": kind, "citation": analyzer.CITATIONS[kind], "payload": payload, "residual": 0.0, "level": 0}
 
     cert["steps"] = [
-        step("jordan_split", {"elliptic": A.tolist(), "hyperbolic": identity, "unipotent": identity}),
+        step("jordan_split", {"elliptic": A.tolist()}),
         step("discreteness", {"kind": "finite", "order": order}),
         step("finite_case", {"order": order}),
     ]
@@ -930,9 +1058,9 @@ def test_forged_finite_order_of_a_parabolic_map_fails(turns, order):
 def test_forged_elliptic_factor_of_a_parabolic_map_fails(angle, kind, conclusion):
     """On ball:4, a map that rotates each complex pair of w by ``angle`` and
     translates re z by 0.7 is parabolic and certifies through its fiber.
-    A forgery that stores the homogenized map A as its own elliptic factor,
-    with identity hyperbolic and unipotent factors, passes the factors'
-    check, and discreteness re-decides its kind from the angle: it verified
+    A forgery that stores the homogenized map A as its own elliptic factor
+    (with identity hyperbolic and unipotent factors in version 1) passes
+    the split's check, and discreteness re-decides its kind from the angle: it verified
     until discreteness also required the powers of A to stay bounded.  The
     translation grows as 0.7 times the power."""
     lin, off = np.eye(8), np.zeros(8)
@@ -942,13 +1070,13 @@ def test_forged_elliptic_factor_of_a_parabolic_map_fails(angle, kind, conclusion
     off[0] = 0.7
     cert = _genuine("ball:4", {"linear": lin.tolist(), "translation": off.tolist()})
     assert cert["conclusion"] == "stein_certified"
-    A, identity = analyzer._homogenize(lin, off), np.eye(9).tolist()
+    A = analyzer._homogenize(lin, off)
 
     def step(kind, payload):
         return {"kind": kind, "citation": analyzer.CITATIONS[kind], "payload": payload, "residual": 0.0, "level": 0}
 
     cert["steps"] = [
-        step("jordan_split", {"elliptic": A.tolist(), "hyperbolic": identity, "unipotent": identity}),
+        step("jordan_split", {"elliptic": A.tolist()}),
         step("discreteness", {"kind": kind, "order": None}),
     ]
     cert["conclusion"] = conclusion

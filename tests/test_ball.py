@@ -8,18 +8,16 @@ from hdq.ball import (
     WITNESS_RESIDUAL,
     abelian_subalgebra_containing,
     ball_algebra,
-    ball_to_siegel,
     conjugate_into_a,
     nilpotent_residual,
     require_ball_like,
     sample_totally_real_points,
-    siegel_to_ball,
-    table1_flow,
     totally_real_defect,
     totally_real_residuals,
     totally_real_subalgebra,
     totally_real_subalgebra_containing,
 )
+from ball_reference import ball_to_siegel, siegel_to_ball, table1_flow
 from hdq.errors import (
     DimensionMismatch,
     HeisenbergCheckFailed,

@@ -9,15 +9,20 @@ max(1, the largest entry of that row of phi').
 - ``ball3_exp_fiber``: an ``exp:`` element of ball:3 with a frame
   coefficient, so the fiber case takes the conjugation branch;
 - ``polydisc3_exp_tower``: an ``exp:`` element of polydisc:3 that
-  descends two levels before its fiber case.  Its ``x_zero`` is the
-  closed-form orbit solve on the orthant cone (-0.25 to rounding);
-  the version before it, whose Gauss-Newton stopped at -0.2499999981,
-  is kept under ``golden/previous`` and must still verify;
+  descends two levels before its fiber case;
 - ``ball4_affine_rotation_dilation``: an ``affine:`` map of ball:4 that
   rotates each complex pair of w, dilates, and translates re z;
 - ``sym2_exp_fiber``: an ``exp:`` element of the level-1 ideal of the
   tube over Sym+(2), whose fiber pairing basis swaps two coordinates of
   the ideal, so the ``subalgebra`` witness shows its frame.
+
+Superseded certificates are kept under ``golden/previous`` and must still
+verify.  The four of format version 1 store all three Jordan factors,
+under the same names; version 2 stores only the elliptic one.
+``polydisc3_exp_tower_closed_form`` is the version-1 polydisc:3
+certificate whose ``x_zero`` is the closed-form orbit solve on the
+orthant cone (-0.25 to rounding), and ``polydisc3_exp_tower`` the one
+before it, whose Gauss-Newton stopped at -0.2499999981.
 """
 
 import json
@@ -54,7 +59,12 @@ def test_four_golden_certificates():
     assert [p.stem for p in GOLDEN] == [
         "ball3_exp_fiber", "ball4_affine_rotation_dilation", "polydisc3_exp_tower", "sym2_exp_fiber"
     ]
-    assert [p.stem for p in PREVIOUS] == ["polydisc3_exp_tower"]
+    assert [p.stem for p in PREVIOUS] == [
+        "ball3_exp_fiber", "ball4_affine_rotation_dilation", "polydisc3_exp_tower",
+        "polydisc3_exp_tower_closed_form", "sym2_exp_fiber",
+    ]
+    assert [load_certificate(p)["version"] for p in GOLDEN] == [2] * 4
+    assert [load_certificate(p)["version"] for p in PREVIOUS] == [1] * 5
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)

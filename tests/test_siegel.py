@@ -8,6 +8,7 @@ from scipy.linalg import expm
 from hdq import siegel
 from hdq.errors import DimensionMismatch, NotInDomain
 from hdq.jalgebra import ball_jalgebra, polydisc_jalgebra, preset
+from ball_reference import from_complex_w
 from conftest import random_element
 from hdq.siegel import (
     CONE_TOL,
@@ -367,7 +368,7 @@ def _homogenized_generator(x, M):
     pts = DomainPoint.unpack(np.vstack([np.zeros(dim), np.eye(dim)]), M.p, M.q)
     fields = vector_field(x, pts, M)
     packed = np.array([
-        np.concatenate([f[: M.p].real, f[: M.p].imag, M.from_complex_w(f[M.p :])]) for f in fields
+        np.concatenate([f[: M.p].real, f[: M.p].imag, from_complex_w(M, f[M.p :])]) for f in fields
     ])
     G = np.zeros((dim + 1, dim + 1))
     G[:dim, :dim] = (packed[1:] - packed[0]).T
