@@ -46,8 +46,9 @@ check cannot recompute; the check derives the rest:
   and spectrum; version 1 also stored h and u, whose product must be φ′.
 - ``discreteness``: ``kind`` and ``order``, re-decided from e and φ′; a
   finite order must take phi to I, an elliptic closure needs bounded
-  powers of phi, and an infinite group those of e and a φ′ farther from I
-  than ``conjugation_into_S`` accepts.  ``finite_case``: the ``order``.
+  powers of phi, and an infinite group bounded powers of e and unbounded
+  ones of a φ′ farther from I than ``conjugation_into_S`` accepts.
+  ``finite_case``: the ``order``.
 - ``elliptic_reduction``: nothing; the check measures how far φ′ is from
   affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
@@ -178,11 +179,7 @@ def parse_combination(expr: str, J: NormalJAlgebra) -> np.ndarray:
 
 
 def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
-    n = mat.shape[0]
-    A = np.eye(n + 1)
-    A[:n, :n] = mat
-    A[:n, n] = off
-    return A
+    return np.vstack([np.column_stack([mat, off]), np.eye(1, len(off) + 1, len(off))])
 
 
 def phi_affine(phi_spec, J: NormalJAlgebra, M: SiegelModel):
@@ -203,9 +200,7 @@ def phi_affine(phi_spec, J: NormalJAlgebra, M: SiegelModel):
         raise InputError(f"bad affine map: {exc}") from exc
     dim = 2 * M.p + M.q
     if mat.shape != (dim, dim) or off.shape != (dim,):
-        raise InputError(
-            f"affine map must act on packed coordinates of length {dim}"
-        )
+        raise InputError(f"affine map must act on packed coordinates of length {dim}")
     if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
         raise InputError("affine map has non-finite entries")
     return mat, off
@@ -438,7 +433,7 @@ STEP_TOL = {
     "fiber_case": WITNESS_RESIDUAL,
 }
 VERIFY_SLACK = 10.0
-# |F^T F - I| at most this bounds the powers of F that discreteness tests
+# |F^T F - I| at most this bounds the powers of F without squaring (``_escape``)
 ORTHOGONAL_TOL = 1e-12
 # the certificate format analyze writes; a jordan_split's keys by format
 CERT_VERSION = 2
@@ -506,9 +501,10 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
     split solvable group S: φ′'s hyperbolic and unipotent factors h and u,
     polynomials in φ′, then commute with e, and A = e h u.  This check
     measures the commutator, relative to max(1, |A|), and the spectrum;
-    discreteness tests semisimplicity, and ``conjugation_into_S`` places φ′
-    in S.  e = I passes with φ′ = A.  Version 1 also stores h and u, whose
-    product must equal φ′ in the commutator's measure.
+    discreteness tests semisimplicity and, since within tolerances an
+    elliptic φ′ can pass for one in S, that φ′ is not elliptic;
+    ``conjugation_into_S`` places φ′ in S.  e = I passes with φ′ = A.
+    Version 1 also stores h and u, whose product must equal φ′ too.
     """
     keys = JORDAN_KEYS[state.version]
     if set(payload) != keys:
@@ -522,8 +518,7 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
         phi_prime, res = A, 0.0
     else:
         try:
-            phi_prime = np.linalg.solve(e, A)
-            spectrum = np.linalg.eigvals(e)
+            phi_prime, spectrum = np.linalg.solve(e, A), np.linalg.eigvals(e)
         except np.linalg.LinAlgError as exc:
             raise StepRejected(f"the elliptic factor is singular or not finite: {exc}") from exc
         res = max(float(np.linalg.norm(e @ A - A @ e)) / scale, float(np.max(np.abs(np.abs(spectrum) - 1.0))))
@@ -535,67 +530,72 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
 
 def _check_discreteness(payload, state: ReplayState, level) -> float:
     """The kind and order re-decided from e and φ′, then held to what
-    ``_check_jordan`` leaves untested.  With tol the Jordan tolerance,
-    powers formed by repeated squaring (``_power``), and every norm
-    finite:
+    ``_check_jordan`` leaves untested, with tol the Jordan tolerance and A
+    the homogenized phi:
 
+    - a finite order q: |A^q - I| within tol times max(1, the largest norm
+      among the powers ``_power`` forms), a bound that grows with q fast
+      enough to pass a parabolic forgery of order 20.
+    - ``indiscrete_closure`` and ``undecided``: φ′ is trivial, and A, which
+      stands for e, must have bounded powers (``_escape``).
     - ``infinite_discrete``: φ′ must be farther from I (``_affine_distance``)
       than ``conjugation_into_S`` accepts, or the identity of S would match
-      it whatever the group; and e must be semisimple: bounded powers.
-    - a finite order q: |A^q - I| must be within tol times max(1, the
-      largest norm among the powers formed).  The bound never exceeds tol
-      times max(1, |A|)^q, which grows with q fast enough to pass a
-      parabolic forgery of order 20.
-    - ``indiscrete_closure`` and ``undecided``: φ′ is trivial, and A, which
-      stands for e, must have bounded powers.
-
-    Bounded powers: F^(2^j), up to the first 2^j of at least tol^(-3/2),
-    stay within max(1, |F|) / sqrt(tol).  A semisimple F with unit-modulus
-    spectrum, P D P^-1, stays within sqrt(n) cond(P) at every power; a
-    unipotent part N adds about 2^j N to F^(2^j), and passes the bound
-    once |N| is about tol times max(1, |F|).  An F with |FᵀF - I| at most
-    ``ORTHOGONAL_TOL`` = 1e-12 passes unsquared: its spectral norm is at
-    most sqrt(1 + 1e-12), so F^(2^40) and the powers before it are below
-    2 sqrt(n).
+      it whatever the group, and not elliptic: bounded powers and |log |det
+      φ′|| at most tol put its spectrum on the unit circle (an elliptic
+      P D P^-1 by 7e-5 with cond(P) 1e4 is 0.7 from I; a contraction has
+      bounded powers).  e must be semisimple: bounded powers.
     """
-    disc = cyclic_discreteness(state.elliptic, state.phi_prime)
+    disc, tol = cyclic_discreteness(state.elliptic, state.phi_prime), STEP_TOL["jordan_split"]
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
-        raise StepRejected(
-            f"discreteness replays as {disc.kind} (order {disc.order}), "
-            f"stored {payload['kind']} (order {payload['order']})"
-        )
-    A, tol, what = state.homogenized_phi(), STEP_TOL["jordan_split"], ("phi", "elliptic")
-    if disc.kind == "infinite_discrete":
+        raise StepRejected(f"discreteness replays as {disc.kind} (order {disc.order}), stored {payload['kind']} (order {payload['order']})")
+    if disc.kind == "finite":
+        power, largest = _power(state.homogenized_phi(), disc.order)
+        defect = float(np.linalg.norm(power - np.eye(len(power))))
+        if not (np.isfinite(largest) and defect <= tol * max(1.0, largest)):
+            raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
+    elif disc.kind != "infinite_discrete":
+        if (grown := _escape(state.homogenized_phi(), tol)) is not None:
+            raise StepRejected(f"the powers of phi grow to {grown:.2e}: it is not elliptic")
+    else:
         P, accepted = state.phi_prime[:-1], VERIFY_SLACK * STEP_TOL["conjugation_into_S"]
-        margin = _affine_distance(np.eye(*P.shape), P)
-        if not margin > accepted:
+        if not (margin := _affine_distance(np.eye(*P.shape), P)) > accepted:
             raise StepRejected(f"phi' is {margin:.2e} from the identity, within the {accepted:.0e} conjugation_into_S accepts")
-        A, what = state.elliptic, ("the elliptic factor", "semisimple")
-    if disc.kind != "finite" and float(np.linalg.norm(A.T @ A - np.eye(len(A)))) <= ORTHOGONAL_TOL:
-        return 0.0
-    power, largest = _power(A, disc.order or 1 << math.ceil(-1.5 * math.log2(tol)))
-    defect = float(np.linalg.norm(power - np.eye(len(A))))
-    if disc.kind == "finite" and not (np.isfinite(largest) and defect <= tol * max(1.0, largest)):
-        raise StepRejected(f"phi to the power {disc.order} is {defect:.2e} from the identity")
-    if disc.kind != "finite" and not (np.isfinite(largest) and largest <= max(1.0, float(np.linalg.norm(A))) / math.sqrt(tol)):
-        raise StepRejected(f"the powers of {what[0]} grow to {largest:.2e}: it is not {what[1]}")
+        if abs(np.linalg.slogdet(state.phi_prime)[1]) <= tol and _escape(state.phi_prime, tol) is None:
+            raise StepRejected("the powers of phi' stay bounded: it is elliptic")
+        if (grown := _escape(state.elliptic, tol)) is not None:
+            raise StepRejected(f"the powers of the elliptic factor grow to {grown:.2e}: it is not semisimple")
     return 0.0
 
 
 def _power(A: np.ndarray, q: int):
     """(A^q, the largest Frobenius norm among the powers of A that
-    repeated squaring forms on the way, taken at the end in one call)."""
-    formed, result, square = [A], None, A
+    repeated squaring forms on the way), for q >= 1."""
+    result, square, largest = None, A, float(np.linalg.norm(A))
     while True:
         if q & 1:
             result = square if result is None else result @ square
-            formed.append(result)
+            largest = max(largest, float(np.linalg.norm(result)))
         q >>= 1
         if not q:
-            flat = np.concatenate(formed).reshape(len(formed), -1)
-            return result, math.sqrt(float(np.max(np.einsum("ij,ij->i", flat, flat))))
+            return result, largest
         square = square @ square
-        formed.append(square)
+        largest = max(largest, float(np.linalg.norm(square)))
+
+
+def _escape(F: np.ndarray, tol: float):
+    """The norm of the first F^(2^j), 2^j up to tol^(-3/2), past max(1, |F|)
+    / sqrt(tol), or None.  A semisimple P D P^-1 with unit-modulus spectrum
+    stays within sqrt(n) cond(P); a unipotent part N adds about 2^j N and
+    escapes once |N| is about tol max(1, |F|).  |FᵀF - I| at most
+    ``ORTHOGONAL_TOL`` bounds every power below 2 sqrt(n) unsquared."""
+    if float(np.linalg.norm(F.T @ F - np.eye(len(F)))) <= ORTHOGONAL_TOL:
+        return None
+    bound = max(1.0, float(np.linalg.norm(F))) / math.sqrt(tol)
+    for _ in range(math.ceil(-1.5 * math.log2(tol))):
+        F = F @ F
+        if not (norm := float(np.linalg.norm(F))) <= bound:
+            return norm
+    return None
 
 
 def _check_reduction(payload, state: ReplayState, level) -> float:
@@ -694,7 +694,7 @@ def verify(cert: dict):
         version = cert["version"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
-    if version not in JORDAN_KEYS:
+    if type(version) is not int or version not in JORDAN_KEYS:
         raise MalformedCertificate(f"certificate version {version!r}; this reader knows {sorted(JORDAN_KEYS)}")
 
     if isinstance(domain, dict):

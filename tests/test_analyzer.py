@@ -202,6 +202,16 @@ def test_malformed_certificate():
         verify({"version": 1})
 
 
+@pytest.mark.parametrize("version", [[], {}, True, 1.0, "1", None])
+def test_certificate_version_that_is_not_a_known_int_is_malformed(version):
+    """Only the integers 1 and 2 are versions: an unhashable one once
+    raised TypeError out of verify, and true or 1.0 read as version 1."""
+    cert = json.loads(dump_certificate(analyze("ball:2", "exp:0.7*delta")))
+    cert["version"] = version
+    with pytest.raises(MalformedCertificate, match="certificate version"):
+        verify(cert)
+
+
 def test_certificate_file_roundtrip(tmp_path):
     cert = analyze("ball:2", "exp:0.7*delta")
     path = tmp_path / "cert.json"
@@ -680,11 +690,14 @@ def test_stored_thresholds_are_not_read(forgery):
         step["tolerance"] = 1e300
     ok, report = verify(cert)
     assert not ok
-    # a wrong elliptic factor also gives a wrong phi', which the later
-    # steps, built on it, fail in turn
-    first = next(r for r in report if not r["ok"])
-    bound = analyzer.VERIFY_SLACK * analyzer.STEP_TOL[step["kind"]]
-    assert first["kind"] == step["kind"] and first["detail"].endswith(f"exceeds {bound:.0e}")
+    if forgery == "elliptic":
+        # a wrong elliptic factor also gives a wrong phi', which the later
+        # steps, built on it, fail in turn
+        first = next(r for r in report if not r["ok"])
+        bound = analyzer.VERIFY_SLACK * analyzer.STEP_TOL[step["kind"]]
+        assert first["kind"] == step["kind"] and first["detail"].endswith(f"exceeds {bound:.0e}")
+    else:
+        assert [r["kind"] for r in report if not r["ok"]] == [step["kind"]]
 
 
 def _rebased_product():
@@ -750,7 +763,11 @@ def _forged_split_of_a_rotation(name, version):
       commutes with A, so e has a unit-modulus spectrum and commutes with A
       but is not semisimple;
     - ``tiny-rotation``: phi' is the rotation by 1e-6, which the identity
-      of S matches within what conjugation_into_S accepts.
+      of S matches within what conjugation_into_S accepts;
+    - ``conditioned-rotation``: phi' is the rotation by 7e-5 of the
+      (re z, 1) plane in the basis diag(1, 1e-4).  It reads as the
+      translation of re z by 0.7, its last row is 7e-9 from affine, and e,
+      elliptic in the same basis, has powers of norm up to about 1e4.
 
     Version 1 stores phi' as the unipotent factor, with h = I; the steps
     after the split are the ones the walk builds for phi'."""
@@ -760,6 +777,12 @@ def _forged_split_of_a_rotation(name, version):
         x_minus = np.array([0.7, 0.0, 0.0])
         g = group_element(M, x_minus, np.zeros(1))
         phi_prime = analyzer._homogenize(g.affine_matrix, g.affine_offset)
+    elif name == "conditioned-rotation":
+        x_minus = np.array([0.7, 0.0, 0.0])
+        P, eps = np.diag([1.0, 1e-4]), np.arcsin(0.7e-4)
+        rotation = np.array([[np.cos(eps), np.sin(eps)], [-np.sin(eps), np.cos(eps)]])
+        phi_prime = np.eye(5)
+        phi_prime[np.ix_([0, 4], [0, 4])] = P @ rotation @ np.linalg.inv(P)
     else:
         x_minus = np.zeros(3)
         phi_prime = analyzer._homogenize(np.asarray(rotation_phi(1e-6)["linear"]), np.zeros(4))
@@ -787,13 +810,15 @@ def _forged_split_of_a_rotation(name, version):
     [
         ("non-semisimple", "the powers of the elliptic factor grow to "),
         ("tiny-rotation", "phi' is 1.00e-06 from the identity, within the 1e-05 conjugation_into_S accepts"),
+        ("conditioned-rotation", "the powers of phi' stay bounded: it is elliptic"),
     ],
-    ids=["non-semisimple", "tiny-rotation"],
+    ids=["non-semisimple", "tiny-rotation", "conditioned-rotation"],
 )
 def test_forged_jordan_split_of_a_rotation_fails(name, detail, version):
-    """Both forgeries verified while the elliptic factor was held to
-    semisimplicity only on the finite and indiscrete paths, and while a
-    phi' 1e-8 n from I was nontrivial enough to conclude.  The split
+    """The first two forgeries verified while the elliptic factor was held
+    to semisimplicity only on the finite and indiscrete paths, and while a
+    phi' 1e-8 n from I was nontrivial enough to conclude; the third while
+    the powers of phi' were not tested.  The split
     itself replays; discreteness now rejects it."""
     assert analyze("ball:2", rotation_phi(2 * np.pi * TURN))["conclusion"] == "not_applicable"
     ok, report = verify(_forged_split_of_a_rotation(name, version))
