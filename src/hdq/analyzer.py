@@ -69,12 +69,13 @@ check cannot recompute; the check derives the rest:
   ``FIBER_RATIO``.  They witness for the fiber log, y[ideal]
   over the fiber's pairing basis (``solve(fiber_model.basis, y[ideal])``),
   which the walk sets once for the build and the check
-  (``ReplayState.fiber_log``).  The check draws ``FIBER_SAMPLE_POINTS``
-  interior points with ``default_rng(seed + 7 * level + 1)`` and makes
-  one call,
-  ``ball.totally_real_residuals``: the conjugator must move the log onto
-  the frame line, or be zero when the log has no frame coefficient, and
-  every sampled determinant must exceed ``ball.DEFECT_MIN``.
+  (``ReplayState.fiber_log``).  The check, ``ball.totally_real_residuals``,
+  decides from the witness's structure and draws nothing: the conjugator
+  must move the log onto the frame line, or be zero when the log has no
+  frame coefficient, the subalgebra must be that line plus a totally real
+  U in the half block, carried back by the conjugator, and |det [U | jU]|
+  must exceed ``ball.TOTALLY_REAL_MIN``; then its orbits are totally real
+  on all of D.
 
 Conclusions are certificates of the cited structure theory applied to
 verified hypotheses, never independent proofs: the assumption list names
@@ -91,7 +92,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import jalgebra
-from .ball import WITNESS_RESIDUAL, sample_totally_real_points, totally_real_residuals, totally_real_subalgebra
+from .ball import WITNESS_RESIDUAL, totally_real_residuals, totally_real_subalgebra
 from .errors import ClusterAmbiguous, HdqError, InputError, MalformedCertificate
 from .fibration import Tower
 from .jalgebra import NormalJAlgebra
@@ -134,8 +135,6 @@ CITED_WITHOUT_COMPUTATION = [
 ]
 
 
-# totally-real determinant samples of the fiber case, drawn alike by analyze and verify
-FIBER_SAMPLE_POINTS = 50
 # the element is in a level's fiber when its log y, in the level's adapted
 # coordinates, has |y[~ideal]| / |y| below FIBER_RATIO; membership is
 # undecided below FIBER_BAND
@@ -228,7 +227,7 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
 
 def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     seed = int(seed)
-    if seed < 0:  # the fiber check seeds numpy with seed + 7 * level + 1
+    if seed < 0:  # numpy refuses it, and the affine: screen alone draws from it
         raise InputError(f"seed must be non-negative, got {seed}")
     if isinstance(domain_spec, NormalJAlgebra):
         J, domain_echo = domain_spec, jalgebra.j_algebra_to_dict(domain_spec)
@@ -253,7 +252,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, seed, phi_matrix=phi_matrix, tower=tower)
+    state = ReplayState(M, phi_matrix=phi_matrix, tower=tower)
     _walk(state, cert, _recorder(cert, state))
     return cert
 
@@ -322,7 +321,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     out["conclusion"] = "undecided"
     if take("jordan_split", 0, lambda: _jordan_payload(state)) is None:
         return
-    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(state.elliptic, state.phi_prime)))
+    disc = take("discreteness", 0, lambda: vars(cyclic_discreteness(state.spectrum, state.phi_prime)))
     if disc is None or disc["kind"] == "undecided":
         return
     if disc["kind"] == "finite":
@@ -456,20 +455,20 @@ class StepRejected(Exception):
 
 @dataclass
 class ReplayState:
-    """What a check reads besides its payload: the level-1 model, the
-    certificate's seed, phi (with the input ``algebra`` an ``exp:`` phi is
-    written over) and format ``version``, the fibration tower (split
-    lazily, one level at a time; the model's own unless one is given), and
-    what earlier steps established."""
+    """What a check reads besides its payload: the level-1 model, phi (with
+    the input ``algebra`` an ``exp:`` phi is written over) and the
+    certificate's format ``version``, the fibration tower (split lazily,
+    one level at a time; the model's own unless one is given), and what
+    earlier steps established."""
 
     model: SiegelModel
-    seed: int
     phi: object = None                    # the certificate's phi
     algebra: NormalJAlgebra | None = None  # the input algebra, whose labels phi uses
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
     tower: Tower | None = None
     version: int = CERT_VERSION
     elliptic: np.ndarray | None = None   # the elliptic factor e of jordan_split
+    spectrum: np.ndarray | None = None   # e's eigenvalues, set with it
     phi_prime: np.ndarray | None = None  # e^-1 times the homogenized phi, set by jordan_split
     element: GroupElement | None = None  # phi' in the split solvable group, set by conjugation_into_S
     fiber_log: np.ndarray | None = None  # the carried element's log in fiber coordinates, set by the walk
@@ -515,7 +514,7 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
         raise StepRejected(f"Jordan factors of shapes {', '.join(str(F.shape) for F in (e, *hu))}; phi gives {A.shape}")
     scale = max(1.0, float(np.linalg.norm(A)))
     if np.array_equal(e, np.eye(len(A))):
-        phi_prime, res = A, 0.0
+        phi_prime, spectrum, res = A, np.ones(len(A)), 0.0
     else:
         try:
             phi_prime, spectrum = np.linalg.solve(e, A), np.linalg.eigvals(e)
@@ -524,7 +523,7 @@ def _check_jordan(payload, state: ReplayState, level) -> float:
         res = max(float(np.linalg.norm(e @ A - A @ e)) / scale, float(np.max(np.abs(np.abs(spectrum) - 1.0))))
     if hu:
         res = max(res, float(np.linalg.norm(hu[0] @ hu[1] - phi_prime)) / scale)
-    state.elliptic, state.phi_prime = e, phi_prime
+    state.elliptic, state.spectrum, state.phi_prime = e, spectrum, phi_prime
     return res
 
 
@@ -545,7 +544,7 @@ def _check_discreteness(payload, state: ReplayState, level) -> float:
       P D P^-1 by 7e-5 with cond(P) 1e4 is 0.7 from I; a contraction has
       bounded powers).  e must be semisimple: bounded powers.
     """
-    disc, tol = cyclic_discreteness(state.elliptic, state.phi_prime), STEP_TOL["jordan_split"]
+    disc, tol = cyclic_discreteness(state.spectrum, state.phi_prime), STEP_TOL["jordan_split"]
     if (disc.kind, disc.order) != (payload["kind"], payload["order"]):
         raise StepRejected(f"discreteness replays as {disc.kind} (order {disc.order}), stored {payload['kind']} (order {payload['order']})")
     if disc.kind == "finite":
@@ -626,12 +625,9 @@ def _check_tower(payload, state: ReplayState, level) -> float:
 
 def _check_fiber(payload, state: ReplayState, level) -> float:
     Mf = state.tower[level].fiber_model
-    pts = sample_totally_real_points(
-        Mf, FIBER_SAMPLE_POINTS, np.random.default_rng(state.seed + 7 * level + 1)
-    )
     try:
         V = Subspace(Mf.J.dim, np.linalg.solve(Mf.basis, _array(payload, "subalgebra")))
-        return totally_real_residuals(state.fiber_log, V, _array(payload, "conjugator_x_minus"), Mf, pts)[0]
+        return totally_real_residuals(state.fiber_log, V, _array(payload, "conjugator_x_minus"), Mf)[0]
     except HdqError as exc:
         raise StepRejected(str(exc)) from exc
 
@@ -690,7 +686,6 @@ def verify(cert: dict):
         steps = [(s["kind"], s.get("level"), s["payload"], s.get("residual")) for s in cert["steps"]]
         conclusion = cert["conclusion"]
         domain = cert["domain"]
-        seed = int(cert["seed"])
         version = cert["version"]
     except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise MalformedCertificate(f"certificate missing field: {exc}") from exc
@@ -706,7 +701,7 @@ def verify(cert: dict):
     invalid, M, tower = _prepared(J)
     if invalid:
         return False, [{"index": -1, "kind": "domain", "ok": False, "detail": invalid}]
-    state = ReplayState(M, seed, cert.get("phi"), J, tower=tower, version=version)
+    state = ReplayState(M, cert.get("phi"), J, tower=tower, version=version)
     report = []
 
     def take(kind, level, build):

@@ -17,18 +17,20 @@ import numpy as np
 from .errors import (
     DimensionMismatch,
     HeisenbergCheckFailed,
-    InputError,
     NotInNilradical,
     TotallyRealCheckFailed,
     ZeroSemisimplePart,
 )
 from .jalgebra import NormalJAlgebra, ball_jalgebra
-from .lie_core import Subspace, ad_matrix, closure_residual, residual_outside, span
+from .lie_core import Subspace, _relative_residual, ad_matrix, closure_residual, residual_outside, span
 from .siegel import DomainPoint, SiegelModel, _expm_stack, build_model, vector_field
 
-DEFECT_MIN = 1e-6
 # bound on the residual of totally_real_residuals for an accepted witness
 WITNESS_RESIDUAL = 1e-9
+# |det [U | jhalf U]| over an orthonormal basis of a witness's half part U
+# is 1 when U is orthogonal to jhalf U and 0 when U holds a complex line;
+# a witness is refused at or below this
+TOTALLY_REAL_MIN = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -63,25 +65,6 @@ def totally_real_defect(point: DomainPoint, V: Subspace, M: SiegelModel):
     # row s is the field of basis column s; det of the transpose is the same
     det = np.linalg.det(vector_field(V.basis_matrix.T, at, M))
     return complex(det) if det.ndim == 0 else det
-
-
-def sample_totally_real_points(M: SiegelModel, count: int, rng) -> DomainPoint:
-    """Guaranteed-interior sample: im(z) = Phi(w, w) + xi0, w in the unit ball.
-
-    Returns one stacked ``DomainPoint`` of ``count`` points.  Point k takes
-    row k of a single ``rng.random((count, q + p))`` draw, w uniform in
-    [-1, 1]^q (rescaled into the unit ball) and re(z) uniform in [-2, 2]^p:
-    the numbers successive per-point ``uniform`` draws would give.
-    """
-    if count < 1:
-        raise InputError(f"the determinant criterion needs at least one sample point, got {count}")
-    u = rng.random((count, M.q + M.p))
-    w = -1.0 + 2.0 * u[:, : M.q]
-    # |w| per row as a dot product, rounded as the norm of each row alone
-    nw = np.sqrt(w[:, None, :] @ w[:, :, None])[:, 0]
-    w = np.where(nw > 1.0, w / nw, w)
-    z = (-2.0 + 4.0 * u[:, M.q :]) + 1j * (M.phi(w, w).real + M.xi0_coords)
-    return DomainPoint(z, w)
 
 
 # ---------------------------------------------------------------------------
@@ -149,13 +132,23 @@ def conjugate_into_a(x, M: SiegelModel) -> np.ndarray:
     return np.concatenate([[x[0] / a], (2.0 / a) * x[M.p : M.p + M.q]])
 
 
+def _lift(x_minus, M: SiegelModel) -> np.ndarray:
+    """Ad(exp x_minus)^-1 = expm(ad v), v = (x_minus, 0), which carries the
+    split subalgebra back onto the witness; conjugating the witness forward
+    instead would lose rounding times |x_minus|^2."""
+    return _expm_stack(ad_matrix(np.concatenate([np.asarray(x_minus, dtype=float), np.zeros(M.p0)]), M.J.L))
+
+
+def _frame_residual(x, lift) -> float:
+    """|x - a lift eta| / max(1, |x|), a the frame coefficient of x."""
+    return float(np.linalg.norm(x - x[-1] * lift[:, -1])) / max(1.0, float(np.linalg.norm(x)))
+
+
 def nilpotent_residual(x, x_minus, M: SiegelModel) -> float:
-    """Relative size of the non-frame part of Ad(exp x_minus) x, from one
-    exponential of -ad(x_minus)."""
-    x = np.asarray(x, dtype=float)
-    v = np.concatenate([np.asarray(x_minus, dtype=float), np.zeros(M.p0)])
-    moved = _expm_stack(-ad_matrix(v, M.J.L)) @ x
-    return float(np.linalg.norm(moved[: M.p + M.q])) / max(1.0, float(np.linalg.norm(x)))
+    """How far Ad(exp x_minus) is from moving x onto the frame line: the
+    distance of x from its frame coefficient times Ad(exp x_minus)^-1 eta,
+    relative to max(1, |x|)."""
+    return _frame_residual(np.asarray(x, dtype=float), _lift(x_minus, M))
 
 
 def totally_real_subalgebra(x, M: SiegelModel):
@@ -172,27 +165,42 @@ def totally_real_subalgebra(x, M: SiegelModel):
     if abelian_branch(x, M):
         return abelian_subalgebra_containing(x, M), np.zeros(M.p + M.q)
     x_minus = conjugate_into_a(x, M)
-    # the conjugator has no 0-part, so Ad(g)^{-1} = expm(ad v) on its minus part v
-    adj_inv = _expm_stack(ad_matrix(np.concatenate([x_minus, np.zeros(M.p0)]), M.J.L))
+    adj_inv = _lift(x_minus, M)
     cols = [adj_inv[:, -1]]  # the frame line eta_1
     for e, _, _ in M.symplectic_pairs:
         cols.append(adj_inv[:, M.p : M.p + M.q] @ e)
     return span(cols, M.J.dim), x_minus
 
 
-def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: DomainPoint):
-    """(residual, min |det|) of V, with the x_minus ``conjugator`` of its
-    construction, as a totally-real witness through x.  This is the one
-    acceptance rule: it raises ``TotallyRealCheckFailed`` for a wrong
-    dimension or conjugator shape and when min |det| is at most
-    ``DEFECT_MIN``, and its callers accept a residual within
+def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel):
+    """(residual, |det [U | jhalf U]|) of V, with the x_minus ``conjugator``
+    of its construction, as a totally-real witness through x.  This is the
+    one acceptance rule: it raises ``TotallyRealCheckFailed`` for a wrong
+    dimension or conjugator shape and when the determinant is at most
+    ``TOTALLY_REAL_MIN``, and its callers accept a residual within
     ``WITNESS_RESIDUAL``.
 
+    Let l be the center line Rxi and g = 1 when x has no frame coefficient,
+    otherwise the frame line Reta and g = exp(conjugator).  U is an
+    orthonormal basis of the half part of V's slice with no l-coordinate.
     The residual is the largest of the distance of x from V, relative to
-    max(1, |x|), the closure residual of V and, when x has a frame
-    coefficient, the ``nilpotent_residual`` of the conjugator; an x
-    without one takes no conjugator.  min |det| is the smallest
-    determinant modulus of the fields of V over the stacked ``points``.
+    max(1, |x|), the closure residual of V, with a frame coefficient the
+    ``nilpotent_residual``, and the distances from V of Ad(g)^-1 of l and
+    of U's columns, each relative to max(1, its norm): V = Ad(g)^-1 (l + U).
+
+    Then the fields of V are independent over C on all of D.  With u_C the
+    complex coordinates of u (``to_complex_w``), |det [U | jhalf U]| =
+    |det U_C|^2.  No frame coefficient: the fields xi -> (1, 0) and u ->
+    (2i Phi(w, u), u_C) have the constant determinant det U_C.  A frame
+    coefficient: g lies in exp(s_{-1} + s_{-1/2}), an affine map of D onto
+    itself with unipotent complex Jacobian, so V's determinant at p is that
+    of V0 = Reta + U at g.p.  [U, U] lies in Rxi, which misses V0, so
+    closure makes Im Phi vanish on U and H = Phi(U, U) real and, as Phi is,
+    positive definite.  eta = delta has the field (z, w_C / 2); with w_C =
+    U_C a, the determinant is det U_C (z - i a^T H a), Phi being
+    complex-linear in its first argument, and |a^T H a| <= a* H a = Phi(w,
+    w) by Cauchy-Schwarz: its imaginary part is at least im z - Phi(w, w),
+    which is positive on D.
     """
     if V.dim != M.dim_complex:
         raise TotallyRealCheckFailed(
@@ -206,29 +214,29 @@ def totally_real_residuals(x, V: Subspace, conjugator, M: SiegelModel, points: D
         residual_outside(x, V) / max(1.0, float(np.linalg.norm(x))),
         closure_residual(V, M.J.L),
     )
+    Q, h = V.orthonormal(), slice(M.p, M.p + M.q)
     if abelian_branch(x, M):
         if np.any(conjugator):
             raise TotallyRealCheckFailed("an element with no frame coefficient takes no conjugator")
+        line, lift = 0, np.eye(M.J.dim)
     else:
-        res = max(res, nilpotent_residual(x, conjugator, M))
-    min_det = float(np.min(np.abs(totally_real_defect(points, V, M))))
-    if not min_det > DEFECT_MIN:
-        raise TotallyRealCheckFailed(f"totally-real determinant check failed (min |det| {min_det:.2e})")
-    return res, min_det
+        line, lift = M.J.dim - 1, _lift(conjugator, M)
+        res = max(res, _frame_residual(x, lift))
+    # Q turned so that its first column carries all of the l-coordinate
+    rest = Q @ np.linalg.qr(Q[line][:, None], mode="complete")[0][:, 1:]
+    U = np.linalg.svd(rest[h], full_matrices=False)[0]
+    res = max(res, _relative_residual(np.column_stack([lift[:, line], lift[:, h] @ U]).T, V))
+    det = abs(float(np.linalg.det(np.hstack([U, M.jhalf @ U]))))
+    if not det > TOTALLY_REAL_MIN:
+        raise TotallyRealCheckFailed(f"the witness's half part is not totally real (|det [U | jU]| {det:.2e})")
+    return res, det
 
 
-def totally_real_subalgebra_containing(
-    x,
-    M: SiegelModel,
-    rng=None,
-    samples: int = 50,
-):
+def totally_real_subalgebra_containing(x, M: SiegelModel):
     """:func:`totally_real_subalgebra`, checked by
-    :func:`totally_real_residuals` at ``samples`` interior points drawn
-    from ``rng``."""
+    :func:`totally_real_residuals`."""
     V, x_minus = totally_real_subalgebra(x, M)
-    pts = sample_totally_real_points(M, samples, rng if rng is not None else np.random.default_rng(0))
-    res, _ = totally_real_residuals(x, V, x_minus, M, pts)
+    res, _ = totally_real_residuals(x, V, x_minus, M)
     if not res <= WITNESS_RESIDUAL:
         raise TotallyRealCheckFailed(
             f"subalgebra misses the input vector, is not closed or is badly conjugated (residual {res:.2e})"

@@ -209,23 +209,16 @@ def classify(A: np.ndarray):
     return label, parts
 
 
-def _rotation_angles(e: np.ndarray) -> np.ndarray:
-    """Angles in [0, pi] of the unit-circle spectrum of the elliptic part."""
-    vals = np.linalg.eigvals(e)
-    ang = np.abs(np.angle(vals))
-    return np.unique(np.round(ang, 12))
-
-
 @dataclass(frozen=True)
 class Discreteness:
     kind: str            # infinite_discrete | finite | indiscrete_closure | undecided
     order: int | None = None
 
 
-def cyclic_discreteness(elliptic: np.ndarray, reduced: np.ndarray) -> Discreteness:
-    """Discreteness type of the cyclic group generated by a matrix with
-    elliptic Jordan factor ``elliptic`` and the rest ``reduced`` (its
-    hyperbolic times its unipotent factor).
+def cyclic_discreteness(spectrum: np.ndarray, reduced: np.ndarray) -> Discreteness:
+    """Discreteness type of the cyclic group generated by a matrix whose
+    elliptic Jordan factor has the eigenvalues ``spectrum`` and whose rest
+    is ``reduced`` (its hyperbolic times its unipotent factor).
 
     A nontrivial ``reduced`` forces an infinite discrete group.  A purely
     elliptic element generates a finite group exactly when all rotation
@@ -236,7 +229,7 @@ def cyclic_discreteness(elliptic: np.ndarray, reduced: np.ndarray) -> Discretene
     if _nontrivial(reduced):
         return Discreteness("infinite_discrete")
     denoms = []
-    for theta in _rotation_angles(elliptic):
+    for theta in np.unique(np.round(np.abs(np.angle(spectrum)), 12)):  # the angles in [0, pi]
         x = theta / (2.0 * np.pi)
         frac = Fraction(x).limit_denominator(MAX_DENOMINATOR)
         err = abs(x - float(frac))

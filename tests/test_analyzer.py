@@ -4,6 +4,7 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from hdq import analyzer, fibration, jalgebra, lie_core
 from hdq.analyzer import (
@@ -17,9 +18,9 @@ from hdq.errors import InputError, MalformedCertificate, NotInvertible
 from hdq.fibration import Tower
 from hdq.jordan import jordan_decompose
 from hdq.jalgebra import NormalJAlgebra, ball_jalgebra, preset
-from hdq.lie_core import LieAlgebraData
+from hdq.lie_core import LieAlgebraData, Subspace, ad_matrix
 from hdq import cli
-from hdq.ball import totally_real_subalgebra
+from hdq.ball import conjugate_into_a, totally_real_subalgebra
 from hdq.siegel import _aligned_basis, act, build_model, contains, domain_defect, element_from_vector, element_log, group_element
 
 
@@ -57,9 +58,10 @@ def test_named_preset_is_built_once(monkeypatch, tmp_path):
 @pytest.mark.parametrize("seed", [-3, -20])
 @pytest.mark.parametrize("phi", ["exp:0.5*delta", rotation_phi(1.0)])
 def test_negative_seed_is_input_error(seed, phi):
-    """A negative seed is refused before any check draws from it, whatever
-    the phi: -20 once reached numpy's seeding in the fiber check, -3 did
-    not, and an affine phi failed in the domain screen."""
+    """A negative seed is refused whatever the phi, though only the domain
+    screen of an affine phi draws from it: -20 once reached numpy's seeding
+    in the fiber check, -3 did not, and an affine phi failed in the
+    screen."""
     with pytest.raises(InputError, match="seed must be non-negative"):
         analyze("ball:2", phi, seed=seed)
 
@@ -472,8 +474,103 @@ def test_forged_fiber_log_fails():
     assert failed[0]["detail"].startswith("residual ")
     assert failed[0]["residual"] > 0.1
     # the same witness replays within tolerance against the log 7 e_1
-    state = analyzer.ReplayState(build_model(preset("ball:3")), cert["seed"], fiber_log=x)
+    state = analyzer.ReplayState(build_model(preset("ball:3")), fiber_log=x)
     assert analyzer._check_fiber(step["payload"], state, step["level"]) <= analyzer.STEP_TOL["fiber_case"]
+
+
+def _forged_fiber(monkeypatch, phi, forge):
+    """The ball:3 certificate of phi with the fiber_case subalgebra
+    ``forge(fiber model, fiber log)``, a basis in fiber coordinates, stored
+    as analyze stores its own; the conjugator is the honest one."""
+    seen = []
+    build = analyzer._fiber_payload
+    monkeypatch.setattr(analyzer, "_fiber_payload", lambda Mf, x: seen.append((Mf, x)) or build(Mf, x))
+    cert = json.loads(dump_certificate(analyze("ball:3", phi)))
+    assert cert["conclusion"] == "stein_certified" and verify(cert)[0]
+    (Mf, x), = seen
+    payload = next(s for s in cert["steps"] if s["kind"] == "fiber_case")["payload"]
+    V = Subspace(Mf.J.dim, Mf.basis @ Subspace(Mf.J.dim, forge(Mf, x)).orthonormal())
+    payload["subalgebra"] = _aligned_basis(V).tolist()
+    return cert
+
+
+def _half(Mf, *vectors):
+    """Half-block vectors as columns in fiber coordinates."""
+    return np.vstack([np.zeros((Mf.p, len(vectors))), np.column_stack(vectors), np.zeros((Mf.p0, len(vectors)))])
+
+
+def test_forged_complex_line_in_the_abelian_witness_fails(monkeypatch):
+    """An element with no frame coefficient, whose half part lies along the
+    first vector e of a symplectic pair: V = center + Re + R jhalf e holds
+    it, has the fiber's dimension and is a subalgebra, but its orbits are
+    complex lines in the half block.  Only the determinant refuses it."""
+    def forge(Mf, x):
+        e = Mf.symplectic_pairs[0][0]
+        assert abs(x[-1]) == 0.0 and lie_core.residual_outside(x[Mf.p : Mf.p + Mf.q], lie_core.span([e], Mf.q)) < 1e-12
+        return np.column_stack([np.eye(Mf.J.dim)[0], _half(Mf, e, Mf.jhalf @ e)])
+
+    ok, report = verify(_forged_fiber(monkeypatch, "exp:zeta + 0.5*xi1", forge))
+    assert not ok
+    failed = [r for r in report if not r["ok"]]
+    assert [r["kind"] for r in failed] == ["fiber_case"]
+    assert "not totally real" in failed[0]["detail"], failed[0]
+
+
+def test_forged_non_lagrangian_frame_witness_fails(monkeypatch):
+    """An element with a frame coefficient: V = Ad(g)^-1 (R eta + U) with
+    the honest conjugator g, so that V holds the element, but U = span(e1,
+    e2 + f1 / 2) pairs e1 with f1 and is totally real without being
+    Lagrangian.  V is then not a subalgebra, and its residual refuses it."""
+    def forge(Mf, x):
+        (e1, f1, _), (e2, _, _) = Mf.symplectic_pairs
+        lift = expm(ad_matrix(np.concatenate([conjugate_into_a(x, Mf), np.zeros(Mf.p0)]), Mf.J.L))
+        return lift @ np.column_stack([np.eye(Mf.J.dim)[-1], _half(Mf, e1, e2 + 0.5 * f1)])
+
+    ok, report = verify(_forged_fiber(monkeypatch, "exp:0.5*delta + zeta - 0.3*xi1", forge))
+    assert not ok
+    failed = [r for r in report if not r["ok"]]
+    assert [r["kind"] for r in failed] == ["fiber_case"]
+    assert failed[0]["detail"].startswith("residual ") and failed[0]["residual"] > 1e-3, failed[0]
+
+
+@pytest.mark.parametrize(
+    "phi, frame",
+    [("exp:0.5*delta + zeta - 0.3*xi1 + 0.2*eta3", True), ("exp:zeta + 0.5*xi1 - 0.3*eta2", False)],
+    ids=["frame", "abelian"],
+)
+def test_fiber_check_draws_no_samples(phi, frame, monkeypatch):
+    """verify decides the ball:8 fiber witness from its structure, with a
+    frame coefficient and without: it passes while numpy's generator
+    refuses to be built, and the certificate's seed, which once seeded the
+    sampled determinants, does not matter."""
+    cert = json.loads(dump_certificate(analyze("ball:8", phi)))
+    assert cert["conclusion"] == "stein_certified"
+    fiber = next(s for s in cert["steps"] if s["kind"] == "fiber_case")
+    assert any(fiber["payload"]["conjugator_x_minus"]) == frame
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify drew random numbers")
+
+    monkeypatch.setattr(np.random, "default_rng", refuse)
+    assert verify(cert)[0]
+    assert verify(dict(cert, seed=cert["seed"] + 1))[0]
+
+
+def test_elliptic_spectrum_is_taken_once(monkeypatch):
+    """The Jordan check takes the elliptic factor's eigenvalues and
+    discreteness reads them off the state: on ball:2 rotated by 2 pi / 3,
+    analyze takes one ``eigvals`` besides the split's ``eig``, and verify
+    one."""
+    calls = []
+    for name in ("eig", "eigvals"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda a, name=name, solve=solve: calls.append(name) or solve(a))
+    cert = analyze("ball:2", rotation_phi(2 * np.pi / 3))
+    assert cert["conclusion"] == "stein_by_citation"
+    assert sorted(calls) == ["eig", "eigvals"]
+    calls.clear()
+    assert verify(json.loads(dump_certificate(cert)))[0]
+    assert calls == ["eigvals"]
 
 
 def _benchmark_op0(workload, relabelled_polydisc):
@@ -593,7 +690,7 @@ def _descent_levels(domain, x):
     canned payloads up to the conjugation step, where the element is set
     to exp(x) directly: the descent alone decides, with no Jordan split."""
     M = build_model(preset(domain))
-    state = analyzer.ReplayState(M, 0)
+    state = analyzer.ReplayState(M)
     canned = {"jordan_split": {}, "discreteness": {"kind": "infinite_discrete", "order": None}}
     levels = []
 

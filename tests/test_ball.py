@@ -11,7 +11,6 @@ from hdq.ball import (
     conjugate_into_a,
     nilpotent_residual,
     require_ball_like,
-    sample_totally_real_points,
     totally_real_defect,
     totally_real_residuals,
     totally_real_subalgebra,
@@ -29,7 +28,7 @@ from hdq.errors import (
 from conftest import tower
 from hdq.jalgebra import preset
 from hdq.lie_core import Subspace, ad_matrix, bracket, residual_outside, span
-from hdq.siegel import DomainPoint, act, build_model, group_element
+from hdq.siegel import DomainPoint, act, build_model, group_element, random_interior_points
 
 
 @pytest.fixture(scope="module")
@@ -213,20 +212,48 @@ def test_require_ball_like_refuses_non_balls():
 
 def test_witness_residual_includes_the_conjugator(B2):
     M = B2.model
-    pts = sample_totally_real_points(M, 10, np.random.default_rng(0))
     x = algvec(B2, delta=1, xi1=1, zeta=0.5)
     V, g = totally_real_subalgebra(x, M)
-    res, min_det = totally_real_residuals(x, V, g, M, pts)
-    assert res <= WITNESS_RESIDUAL and min_det > 1e-6
+    res, det = totally_real_residuals(x, V, g, M)
+    assert res <= WITNESS_RESIDUAL and det == pytest.approx(1.0)
     # the same subalgebra with a wrong conjugator is refused by its residual
-    bad, _ = totally_real_residuals(x, V, np.zeros_like(g), M, pts)
+    bad, _ = totally_real_residuals(x, V, np.zeros_like(g), M)
     assert bad > 1e-3
     # an element with no frame coefficient takes no conjugator
     y = algvec(B2, zeta=1, xi1=0.5)
     W, h = totally_real_subalgebra(y, M)
     assert not np.any(h)
     with pytest.raises(TotallyRealCheckFailed, match="no conjugator"):
-        totally_real_residuals(y, W, g, M, pts)
+        totally_real_residuals(y, W, g, M)
+
+
+@pytest.mark.parametrize("name", ["ball:2", "ball:8", "sym2"])
+@pytest.mark.parametrize("frame", [False, True], ids=["abelian", "frame"])
+def test_totally_real_defect_agrees_with_the_structural_check(name, frame, sym2_tube):
+    """The determinant of the witness's fields, sampled as the check once
+    did, at interior points and at points 1e-6 from the boundary: with no
+    frame coefficient |det|^2 is the constant |det [U | jU]| the check
+    computes; with one, |det| is at least its value at g^-1 . (i, 0) times
+    im z - Phi(w, w), g = exp(conjugator), which is positive on D."""
+    J = sym2_tube() if name == "sym2" else preset(name)
+    M = tower(J)[0].fiber_model
+    rng = np.random.default_rng(23)
+    x = rng.uniform(-1.0, 1.0, M.J.dim)
+    x[-1] = 0.7 if frame else 0.0
+    V, g = totally_real_subalgebra(x, M)
+    V = Subspace(M.J.dim, V.orthonormal())
+    _, det = totally_real_residuals(x, V, g, M)
+    inside = random_interior_points(M, 200, rng)
+    rim = DomainPoint(inside.z.real + 1j * (M.phi(inside.w, inside.w).real + 1e-6), inside.w)
+    corner = DomainPoint(np.full((1, 1), 1e-6j), np.zeros((1, M.q)))
+    for pts in (inside, rim, corner):
+        dets = np.abs(totally_real_defect(pts, V, M))
+        if not frame:
+            np.testing.assert_allclose(dets**2, det, rtol=1e-9)
+            continue
+        base = act(group_element(M, -g, np.zeros(M.p0)), M.base_point(), M)
+        rho = pts.z.imag[:, 0] - M.phi(pts.w, pts.w).real[:, 0]
+        assert np.all(rho > 0) and np.all(dets >= (1 - 1e-6) * abs(totally_real_defect(base, V, M)) * rho)
 
 
 def test_symplectic_pairs_are_built_once_per_model():
@@ -247,19 +274,18 @@ def test_symplectic_pairs_are_built_once_per_model():
 
 def test_totally_real_subalgebra_examples(B2):
     M = B2.model
-    rng = np.random.default_rng(0)
-    V, g = totally_real_subalgebra_containing(algvec(B2, delta=1), M, rng)
+    V, g = totally_real_subalgebra_containing(algvec(B2, delta=1), M)
     from hdq.lie_core import subspace_equal
 
     assert subspace_equal(V, span([algvec(B2, delta=1), algvec(B2, xi1=1)], 4), 1e-8)
     assert np.linalg.norm(g) < 1e-12
 
-    V2, g2 = totally_real_subalgebra_containing(algvec(B2, xi1=1), M, rng)
+    V2, g2 = totally_real_subalgebra_containing(algvec(B2, xi1=1), M)
     assert subspace_equal(V2, span([algvec(B2, zeta=1), algvec(B2, xi1=1)], 4), 1e-8)
 
     B1 = ball_algebra(1)
     x = algvec(B1, delta=1, zeta=2)
-    V3, g3 = totally_real_subalgebra_containing(x, B1.model, rng)
+    V3, g3 = totally_real_subalgebra_containing(x, B1.model)
     assert residual_outside(x, V3) < 1e-10
     assert V3.dim == 1
 
@@ -269,11 +295,10 @@ def test_totally_real_random_inputs(B3):
     M = B3.model
     for _ in range(25):
         x = np.linalg.solve(M.basis, rng.standard_normal(6))
-        V, g = totally_real_subalgebra_containing(x, M, rng)
+        V, g = totally_real_subalgebra_containing(x, M)
         assert V.dim == 3
         assert residual_outside(x, V) < 1e-9 * max(1.0, np.linalg.norm(x))
-        for pt in sample_totally_real_points(M, 10, rng):
-            assert abs(totally_real_defect(pt, V, M)) > 1e-6
+        assert np.all(np.abs(totally_real_defect(random_interior_points(M, 10, rng), V, M)) > 1e-6)
 
 
 def test_nilpotent_residual_bound(B3):

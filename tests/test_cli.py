@@ -153,15 +153,15 @@ def test_consecutive_main_calls_get_independent_namespaces(monkeypatch):
     for name in ("cmd_fibration", "cmd_validate", "cmd_ball"):
         monkeypatch.setattr(cli, name, lambda args: seen.append(args) or cli.EXIT_OK)
     assert cli.build_parser() is cli.build_parser()
-    assert cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", "--samples", "7", "--seed", "3"]) == 0
+    assert cli.main(["ball", "check-totally-real", "--n", "3", "--xi", "1,0,0,0,0,0"]) == 0
     assert cli.main(["validate", "algebra.json"]) == 0
     assert cli.main(["fibration", "--domain", "polydisc:2"]) == 0
     assert cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0"]) == 0
     assert [vars(a) for a in seen] == [
-        {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0", "samples": 7, "seed": 3},
+        {"command": "ball", "ball_command": "check-totally-real", "n": 3, "xi": "1,0,0,0,0,0"},
         {"command": "validate", "file": "algebra.json"},
         {"command": "fibration", "domain": "polydisc:2"},
-        {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0", "samples": 50, "seed": 0},
+        {"command": "ball", "ball_command": "check-totally-real", "n": 2, "xi": "1,0,0,0"},
     ]
     assert len({id(a) for a in seen}) == 4
 
@@ -246,7 +246,7 @@ def test_ball_check_totally_real():
         "ball", "check-totally-real", "--n", "3", "--xi", "1,0,0.5,0,0,0.25"
     )
     assert res.returncode == 0, res.stderr
-    assert "min |det|" in res.stdout
+    assert "totally-real determinant |det [U | jU]| of the half part U: 1.000000e+00" in res.stdout
 
 
 def test_non_finite_affine_map_is_input_error(tmp_path):
@@ -286,7 +286,7 @@ BAD_INPUT = [
     "jordan --matrix {ragged}",
     "validate {three}",
     "analyze --domain ball:2 --phi exp:0.5*delta --seed -20",
-    "ball check-totally-real --n 2 --xi 1,0,0,0 --seed -1",
+    "ball check-totally-real --n 2 --xi 1,0,x,0",
     "analyze --domain ball:2 --phi exp:0.7*delta --out {dir}",
     *(f"{cmd} {{{name}}}" for name in MALFORMED_ALGEBRAS for cmd in ("validate", "analyze --phi exp:a --domain")),
 ]
@@ -296,8 +296,8 @@ BAD_INPUT = [
 def test_bad_input_is_one_error_line(command, tmp_path, capsys):
     """A directory, a file that is not UTF-8, JSON that is not a square
     matrix or an algebra, an algebra with malformed brackets, a negative
-    seed and an unwritable ``--out`` each exit 4 with one ``error:`` line
-    on stderr."""
+    seed, a coefficient that is not a number and an unwritable ``--out``
+    each exit 4 with one ``error:`` line on stderr."""
     (tmp_path / "bad.json").write_bytes(b"\xff\xfe")
     (tmp_path / "three.json").write_text("3")
     (tmp_path / "ragged.json").write_text("[[1, 2], [3]]")
@@ -310,13 +310,14 @@ def test_bad_input_is_one_error_line(command, tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: "), err
 
 
-def test_ball_check_totally_real_without_samples_is_input_error():
-    res = run_cli(
-        "ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", "--samples", "0"
-    )
-    assert res.returncode == 4, res.stderr
-    assert "at least one sample point" in res.stderr
-    assert "Traceback" not in res.stderr
+@pytest.mark.parametrize("option", [["--samples", "7"], ["--seed", "3"]], ids=["samples", "seed"])
+def test_ball_check_totally_real_takes_no_samples(option, capsys):
+    """The check decides from the witness's structure and draws nothing,
+    so it has no --samples or --seed to take."""
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["ball", "check-totally-real", "--n", "2", "--xi", "1,0,0,0", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 OVERFLOWING = [("ball:2", "exp:800*delta"), ("polydisc:2", "exp:800*delta1")]

@@ -115,21 +115,21 @@ def test_discreteness_hyperbolic_flow_of_ball_rep():
     A = expm(np.diag([1.0, 1.0, 0.5, 0.5, 0.0]))
     lab, parts = classify(A)
     assert lab == "hyperbolic"
-    res = cyclic_discreteness(parts.elliptic, parts.hyperbolic @ parts.unipotent)
+    res = cyclic_discreteness(np.linalg.eigvals(parts.elliptic), parts.hyperbolic @ parts.unipotent)
     assert res.kind == "infinite_discrete"
 
 
 def test_discreteness_rational_rotation():
     A = rot(2 * np.pi / 3)
     _, parts = classify(A)
-    res = cyclic_discreteness(parts.elliptic, parts.hyperbolic @ parts.unipotent)
+    res = cyclic_discreteness(np.linalg.eigvals(parts.elliptic), parts.hyperbolic @ parts.unipotent)
     assert res.kind == "finite" and res.order == 3
 
 
 def test_discreteness_irrational_rotation():
     A = rot(1.0)
     _, parts = classify(A)
-    res = cyclic_discreteness(parts.elliptic, parts.hyperbolic @ parts.unipotent)
+    res = cyclic_discreteness(np.linalg.eigvals(parts.elliptic), parts.hyperbolic @ parts.unipotent)
     assert res.kind == "indiscrete_closure"
 
 
