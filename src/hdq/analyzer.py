@@ -213,10 +213,10 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
     mat, off = phi_affine(phi_spec, J, M)
     if isinstance(phi_spec, dict):
         # screen: the images of 20 interior points drawn from the seed must
-        # stay inside, all tested by one stacked cone solve
+        # stay inside, all tested by one stacked cone query
         pts = random_interior_points(M, 20, np.random.default_rng(seed))
         img = DomainPoint.unpack(pts.pack() @ mat.T + off, M.p, M.q)
-        if not np.all(contains(img, M, 1e-7)):
+        if not np.all(contains(img, M)):
             raise InputError("affine map does not preserve the domain on a sample")
     return phi_spec, _homogenize(mat, off)
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 analysis certified (or plain success), 2 not applicable,
 3 undecided, 4 input error.  ``verify`` exits 1 when a certificate fails
-its replay.
+its replay.  A command whose standard output is closed early, as by
+``| head``, exits 141, the shell's code for a death by SIGPIPE.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -25,6 +27,7 @@ EXIT_VERIFY_FAILED = 1
 EXIT_NOT_APPLICABLE = 2
 EXIT_UNDECIDED = 3
 EXIT_INPUT = 4
+EXIT_BROKEN_PIPE = 141
 EXIT_BY_CONCLUSION = {"stein_certified": EXIT_OK, "stein_by_citation": EXIT_OK, "not_applicable": EXIT_NOT_APPLICABLE}
 
 
@@ -182,10 +185,17 @@ def main(argv=None) -> int:
         "ball": cmd_ball,
     }
     try:
-        return handlers[args.command](args)
+        code = handlers[args.command](args)
+        if sys.stdout:  # None when the process started without one
+            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except HdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # point stdout at devnull, so that the flush at exit does not raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
 
 
 if __name__ == "__main__":

@@ -77,7 +77,7 @@ def split_last_root(M: SiegelModel) -> FibrationStep:
     r, J = M.rank, M.J
     if r < 1:
         raise RootPatternViolation("need rank at least one to split")
-    ideal = np.array([r - 1 in idx for idx in M.frame_indices], dtype=bool)
+    ideal = M.top_index == r - 1
     kept = ~ideal
     # the kept columns keep their order; so does each complex pair of the
     # half block, which the columns keep or drop whole
@@ -120,15 +120,14 @@ class Tower:
     """The tower of the model ``M``, split lazily: ``tower[k]`` is level k.
     Level k drops frame index rank - k, so the columns of M's basis in its
     domain are those whose roots involve no higher index: masks read
-    off ``M.frame_indices`` once.  The level-1 Gram matrix and each
+    off ``M.top_index`` once.  The level-1 Gram matrix and each
     level's structural residual are computed once, when first read, so a
     tower shared by many walks (``analyzer._prepared``) splits and
     measures each level once."""
 
     def __init__(self, M: SiegelModel):
         self.model, self.steps, self.gram, self.residuals = M, [], None, {}
-        top = np.array([max(idx) for idx in M.frame_indices], dtype=int)
-        self.domains = [top <= M.rank - k for k in range(1, M.rank + 1)]
+        self.domains = [M.top_index <= M.rank - k for k in range(1, M.rank + 1)]
 
     def __getitem__(self, level: int) -> FibrationStep:
         while len(self.steps) < level:

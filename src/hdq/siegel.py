@@ -40,14 +40,12 @@ term.  ``element_from_vector`` reads x_minus linearly off K delta with
 K = expm(-ad x); ``element_log`` inverts that read-off with one linear
 solve per graded block, and no matrix logarithm is taken.
 
-Cone membership and the orbit solve share one batched Gauss-Newton solve
-of Ad(exp g) xi0 = x with one stop rule (``_cone_solve``): the residual r
-is below the tolerance relative to max(1, |x|) and each |r_i| below ten
-times it relative to max(1, |x_i|), or no halved step lowers |r|.  Only
-the first clause decides whether x is inside.  Where the 0-block is
-abelian the cone is an orthant, the simply transitive group its diagonal
-torus (Vinberg 1963), and a query inside it starts at its closed-form
-solution g = log(x) and stops there.
+Cone membership and the orbit solve share one triangular decomposition
+x = Ad(exp g) xi0 (Vinberg 1963; Ishi 2001), one pivot per frame index
+(``cone_contains``): Cholesky's on Sym+(n), the coordinates themselves on
+an orthant.  x lies in the open cone exactly when every pivot is
+positive, and the witness g, the first-kind log of the product of the
+level factors, is assembled in closed form.
 
 Every exponential goes through one kernel, ``_expm_stack``: a stack of
 matrices in one pass, each slice scaled by its own power of two and
@@ -77,7 +75,6 @@ from .jalgebra import NormalJAlgebra, adapted, fine_structure
 from .lie_core import Subspace, ad_matrix
 
 CONE_TOL = 1e-9
-CONE_MAX_ITER = 100
 ORBIT_TOL = 1e-7
 
 
@@ -239,6 +236,43 @@ class SiegelModel:
         v = np.zeros(self.p0)
         v[: self.rank] = 1.0
         return v
+
+    @cached_property
+    def top_index(self) -> np.ndarray:
+        """Per basis column, the largest frame index its root involves."""
+        top = np.array([max(idx) for idx in self.frame_indices], dtype=int)
+        top.setflags(write=False)
+        return top
+
+    @cached_property
+    def pivot_levels(self) -> tuple:
+        """The steps of ``cone_contains``, built on first use: (K, D, lam,
+        diffs), K the frame indices a step decides, D their diagonals of
+        ad1_gens and lam = -D[:, K].  The frame indices with no diff-root
+        column commute with every level below them, and make the first
+        step, with diffs None.  Each other k makes a step K = [k], diffs =
+        (S, V, G, Binv, Q, adV, eV): its sum- and diff-root columns S and V,
+        G = ad1_gens[V], Binv the inverse of v -> -(G xi_lt)[S] v, xi_lt the
+        frame below k, Q the form v -> (1/2)[A1(v)^2 xi_lt]_k, adV the ad
+        of the 0-block on V, and eV the diagonal of its eta_k slice."""
+        p, off = self.p, self.p + self.q
+        top1, top0 = self.top_index[:p], self.top_index[off:]
+        ad0 = self.J.L.c[off:, off:, off:].transpose(0, 2, 1)
+        first, steps = [], []
+        for k in range(self.rank):
+            S, V = np.flatnonzero(top1 == k)[1:], np.flatnonzero(top0 == k)[1:]
+            if not len(V):
+                first.append(k)
+                continue
+            G = self.ad1_gens[V]
+            xi_lt = (np.arange(p) < k).astype(float)
+            adV = ad0[:, V][:, :, V]
+            Binv = np.linalg.inv(-(G @ xi_lt)[:, S].T)
+            Q = 0.5 * (G @ (G @ xi_lt).T)[:, k]
+            steps.append(([k], (S, V, G, Binv, Q, adV, np.diagonal(adV[k]).copy())))
+        steps.insert(0, (first, None))
+        D = np.diagonal(self.ad1_gens, axis1=1, axis2=2)
+        return tuple((K, D[K], -D[K, K], diffs) for K, diffs in steps if K)
 
     @cached_property
     def symplectic_pairs(self) -> tuple:
@@ -518,12 +552,12 @@ def _delta_readoff(M: SiegelModel, x: np.ndarray) -> np.ndarray:
 
 def _phi(D: np.ndarray) -> np.ndarray:
     """phi(D) = int_0^1 expm(-s D) ds, the upper-right block of
-    expm([[-D, I], [0, 0]])."""
-    k = D.shape[0]
-    B = np.zeros((2 * k, 2 * k))
-    B[:k, :k] = -D
-    B[:k, k:] = np.eye(k)
-    return _expm_stack(B)[:k, k:]
+    expm([[-D, I], [0, 0]]), for each slice of a (..., k, k) stack."""
+    k = D.shape[-1]
+    B = np.zeros(D.shape[:-2] + (2 * k, 2 * k))
+    B[..., :k, :k] = -D
+    B[..., :k, k:] = np.eye(k)
+    return _expm_stack(B)[..., :k, k:]
 
 
 def element_log(M: SiegelModel, x_minus, x_zero) -> np.ndarray:
@@ -552,147 +586,62 @@ def element_log(M: SiegelModel, x_minus, x_zero) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ConeResult:
-    """The answer to one cone query, or to a stack of them.
-
-    For a (p,) query: ``inside`` a bool, ``residual`` a float and
-    ``witness`` the (p0,) solution or None.  For a (k, p) stack: ``inside``
-    (k,) bool, ``residual`` (k,) and ``witness`` (k, p0), NaN on the rows
-    that are not inside.
-    """
+    """The answer to one cone query, or to a stack of them: for a (p,)
+    query ``inside`` a bool, ``margin`` a float and ``witness`` the (p0,)
+    solution or None; for a (k, p) stack, (k,), (k,) and (k, p0) arrays,
+    the witness NaN on the rows that are not inside.  ``margin`` is the
+    least relative pivot (:func:`cone_contains`), above ``CONE_TOL``
+    exactly when the query is inside."""
 
     inside: bool | np.ndarray
-    residual: float | np.ndarray
+    margin: float | np.ndarray
     witness: np.ndarray | None
 
 
-def _cone_points(M: SiegelModel, g: np.ndarray) -> np.ndarray:
-    """Ad(exp g) xi0 = expm(-ad g) xi0 for 0-block coordinates g (..., p0),
-    from one ``_expm_stack``."""
-    A = (g @ M.ad1_gens.reshape(M.p0, M.p * M.p)).reshape(g.shape[:-1] + (M.p, M.p))
-    return _expm_stack(-A)[..., : M.rank].sum(axis=-1)
+def cone_contains(x, M: SiegelModel) -> ConeResult:
+    """Decide x = Ad(exp g) xi0 for one (p,) query or a (k, p) stack of
+    them, step by step over the frame indices (``M.pivot_levels``).
 
-
-def _cone_jacobians(M: SiegelModel, g: np.ndarray):
-    """Ad(exp g) xi0, (k, p), and its Jacobian in g, (k, p, p0), for a
-    (k, p0) stack, from one ``_expm_stack`` of the k p0 Frechet blocks
-    [[A, -G_a], [0, A]], A = -ad g: their exponential is expm(A) on the
-    diagonal and d/dt expm(A - t G_a) at t = 0 in the upper-right block."""
-    p = M.p
-    B = np.zeros((len(g), M.p0, 2 * p, 2 * p))
-    B[..., :p, :p] = B[..., p:, p:] = -(g @ M.ad1_gens.reshape(M.p0, -1)).reshape(-1, 1, p, p)
-    B[..., :p, p:] = -M.ad1_gens
-    E = _expm_stack(B)[..., :p, : p + M.rank]
-    return E[:, 0, :, : M.rank].sum(axis=-1), E[..., p:].sum(axis=-1).transpose(0, 2, 1)
-
-
-def cone_contains(x, M: SiegelModel, tol: float = CONE_TOL) -> ConeResult:
-    """Gauss-Newton solve of Ad(exp g) xi0 = x over the 0-block, for one
-    (p,) query or a (k, p) stack of them in one solve.
-
-    The 0-group acts simply transitively on the cone, so membership in the
-    open cone is exactly solvability: x is inside when the residual where
-    the solve stops (:func:`_cone_solve`), relative to max(1, |x|), is
-    below ``tol``, and divergence reads as outside (or undecidable).  Each
-    query keeps its own stop rule and step halving, so its answer does not
-    depend on the rest of the stack.
+    Y is x moved by the inverse of the element built so far, so its
+    columns below level k read xi_lt.  At level k, v = Binv Y_S and the
+    pivot is s = Y_k - c, c = (1/2)[A1(v)^2 xi_lt]_k: the query is inside
+    when s > ``CONE_TOL`` (|Y_k| + |c|) on every level, and its margin is
+    the least s / (|Y_k| + |c|).  Y moves on by exp(t eta_k)^-1 exp(v)^-1
+    = diag(exp(t d)) (I + A1(v) + A1(v)^2/2), t = -log(s) / d_k, since
+    A1(v)^3 = 0.  Y0 = g + t eta_k commutes with eta_k and V spans an
+    abelian ideal, so the witness takes u = phi(-ad Y0|_V)^-1
+    expm(t ad eta_k|_V) v on V.  Each row is solved on its own.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != M.p:
         raise DimensionMismatch("cone query must live in the (-1)-block")
-    X = x.reshape(-1, M.p)
-    if M.p:
-        nx = np.linalg.norm(X, axis=1)
-        live = nx >= 1e-13 * max(1.0, np.sqrt(M.rank))  # |xi0| = sqrt(rank)
-        witness, residual = np.empty((len(X), M.p0)), nx.copy()
-        witness[live], residual[live] = _cone_solve(X[live], nx[live], M, tol)
-        inside = live & (residual < tol)
-        witness[~inside] = np.nan
-    else:
-        inside, residual, witness = np.ones(len(X), dtype=bool), np.zeros(len(X)), np.zeros((len(X), M.p0))
+    Y = x.reshape(-1, M.p)
+    witness, margin = np.zeros((len(Y), M.p0)), np.full(len(Y), np.inf)
+    # a query that is not finite, or whose pivot overflows, reads outside
+    with np.errstate(over="ignore", invalid="ignore"):
+        for K, D, lam, diffs in M.pivot_levels:
+            c = 0.0
+            if diffs:
+                S, V, G, Binv, Q, adV, eV = diffs
+                v = Y[:, S] @ Binv.T
+                c = np.einsum("na,ab,nb->n", v, Q, v)[:, None]
+            s = Y[:, K] - c
+            scale = np.abs(Y[:, K]) + np.abs(c)
+            rel = np.divide(s, scale, out=np.zeros(s.shape), where=scale > 0.0)
+            margin = np.minimum(margin, rel.min(axis=1))
+            t = np.log(np.where(rel > CONE_TOL, s, 1.0)) / lam
+            witness[:, K] = t
+            if diffs:
+                AY = np.einsum("na,aij,nj->ni", v, G, Y)
+                Y = Y + AY + 0.5 * np.einsum("na,aij,nj->ni", v, G, AY)
+                neg_ad = -np.einsum("na,aij->nij", witness, adV)  # -ad Y0 on V
+                witness[:, V] = np.linalg.solve(_phi(neg_ad), (np.exp(t * eV) * v)[..., None])[..., 0]
+            Y = Y * np.exp(t @ D)
+    inside = margin > CONE_TOL
+    witness[~inside] = np.nan
     if x.ndim == 2:
-        return ConeResult(inside, residual, witness)
-    return ConeResult(bool(inside[0]), float(residual[0]), witness[0] if inside[0] else None)
-
-
-def _cone_solve(X: np.ndarray, nx: np.ndarray, M: SiegelModel, tol: float):
-    """The Gauss-Newton iterations of :func:`cone_contains` on a (k, p)
-    stack of nonzero queries of norms ``nx``: the (k, p0) iterate where
-    each query stopped, and its residual relative to max(1, |x|).
-
-    A query stops when its residual r is below ``tol`` relative to
-    max(1, |x|) and each |r_i| <= 10 tol max(1, |x_i|), so the small
-    entries of a badly scaled x (e^15 and 1) are solved too; or when its
-    Jacobian or step is not finite, or 30 halvings of its step find no
-    smaller residual within norm 80.  The others go on as a compacted
-    active set, and every trial point's residual and Jacobian come from
-    one ``_cone_jacobians`` over the stack.
-    """
-    p, p0 = M.p, M.p0
-    rcond = np.finfo(float).eps * max(p, p0)  # lstsq's default cutoff
-    g_out, res_out = np.empty((len(X), p0)), np.empty(len(X))
-    scale = np.maximum(1.0, nx)
-    # start on the ray through x: delta0 grades the (-1)-block (ad delta0
-    # = -1 there), so g = log(lam) delta0 acts on it as the scalar lam,
-    # Ad(exp g) xi0 = lam xi0, and the Jacobian there is -lam G_a xi0; on an
-    # orthant cone, at x itself
-    xi0 = M.xi0_coords
-    lam = nx / np.sqrt(M.rank)
-    g = np.log(lam)[:, None] * M.delta0_coords
-    r = lam[:, None] * xi0 - X
-    J = -lam[:, None, None] * (M.ad1_gens @ xi0).T
-    if p0 == M.rank:
-        # an abelian 0-block is the span of the eta_k, each scaling its
-        # xi_k alone (and then p = rank): a query in the open orthant is
-        # the frame point of g = log(x), Ad(exp g) xi0 = x, and the
-        # Jacobian there is -G_a x, so it stops before any iteration
-        closed = np.flatnonzero((X > 0.0).all(axis=1) & np.isfinite(X).all(axis=1))
-        g[closed], r[closed] = np.log(X[closed]), 0.0
-        J[closed] = -(M.ad1_gens @ X[closed].T).transpose(2, 1, 0)
-    rn = np.linalg.norm(r, axis=1)
-    idx = np.arange(len(X))
-
-    def retire(mask):
-        nonlocal g, r, rn, J, X, scale, idx
-        if mask.any():
-            g_out[idx[mask]], res_out[idx[mask]] = g[mask], rn[mask] / scale[mask]
-            keep = ~mask
-            g, r, rn, J, X, scale, idx = (a[keep] for a in (g, r, rn, J, X, scale, idx))
-
-    for _ in range(CONE_MAX_ITER):
-        exact = (np.abs(r) <= 10.0 * tol * np.maximum(1.0, np.abs(X))).all(axis=1)
-        retire(((rn / scale < tol) & exact) | ~np.isfinite(J).all(axis=(1, 2)))
-        if not len(idx):
-            break
-        # least-squares steps, one batched SVD
-        U, s, Vt = np.linalg.svd(J, full_matrices=False)
-        s_inv = np.divide(1.0, s, out=np.zeros_like(s), where=s > rcond * s[:, :1])
-        step = -(Vt.transpose(0, 2, 1) @ (s_inv * (r[:, None, :] @ U)[:, 0])[..., None])[..., 0]
-        # halve each step while it leaves the norm-80 ball or does not
-        # lower the residual
-        pending = np.isfinite(step).all(axis=1)
-        moved = np.zeros(len(idx), dtype=bool)
-        for _ in range(30):
-            trial = g + step
-            t = np.flatnonzero(pending & (np.linalg.norm(trial, axis=1) <= 80.0))
-            cone, J_t = _cone_jacobians(M, trial[t])
-            r_t = cone - X[t]
-            rn_t = np.linalg.norm(r_t, axis=1)
-            better = rn_t < rn[t]
-            if len(t) == len(idx) and better.all():  # every whole step taken
-                g, r, rn, J, moved = trial, r_t, rn_t, J_t, better
-                break
-            hit = t[better]
-            g[hit], r[hit], rn[hit], J[hit] = trial[hit], r_t[better], rn_t[better], J_t[better]
-            moved[hit] = True
-            pending[hit] = False
-            if not pending.any():
-                break
-            step = 0.5 * step
-        retire(~moved)
-        if not len(idx):
-            break
-    retire(np.ones(len(idx), dtype=bool))
-    return g_out, res_out
+        return ConeResult(inside, margin, witness)
+    return ConeResult(bool(inside[0]), float(margin[0]), witness[0] if inside[0] else None)
 
 
 def domain_defect(point: DomainPoint, M: SiegelModel) -> np.ndarray:
@@ -701,10 +650,10 @@ def domain_defect(point: DomainPoint, M: SiegelModel) -> np.ndarray:
     return point.z.imag - M.phi(point.w, point.w).real
 
 
-def contains(point: DomainPoint, M: SiegelModel, tol: float = CONE_TOL):
+def contains(point: DomainPoint, M: SiegelModel):
     """Whether ``point`` lies in D; a stack of k points gives a (k,) bool
-    array from one stacked cone solve."""
-    return cone_contains(domain_defect(point, M), M, tol).inside
+    array from one stacked cone query."""
+    return cone_contains(domain_defect(point, M), M).inside
 
 
 def solve_orbit(point: DomainPoint, M: SiegelModel):
@@ -712,16 +661,16 @@ def solve_orbit(point: DomainPoint, M: SiegelModel):
     element mapping the base point to ``point``.
 
     Layered: the half-block translation is read off the w-coordinate, the
-    0-part is the cone witness of im(z) - Phi(w,w), whose residual meets
-    ``ORBIT_TOL``/10 entry by entry, and the remaining translation is re(z).
+    0-part is the cone witness of im(z) - Phi(w,w), and the remaining
+    translation is re(z).  A point on the boundary of D or outside it
+    raises ``NotInDomain``; the orbit point of the result must lie within
+    ``ORBIT_TOL`` of the point.
     """
     if M.p == 0:
         return np.zeros(M.p + M.q), np.zeros(M.p0)
     cone = cone_contains(domain_defect(point, M), M)
     if not cone.inside:
-        raise NotInDomain(
-            f"point is outside the domain or undecidable (cone residual {cone.residual:.2e})"
-        )
+        raise NotInDomain(f"point is not inside the domain (cone margin {cone.margin:.2e})")
     x_minus, x_zero = np.concatenate([point.z.real, point.w]), cone.witness
     res = orbit_points(M, x_minus, x_zero).distance(point)
     if not np.isfinite(res) or res > ORBIT_TOL * max(1.0, float(np.linalg.norm(point.pack()))):
@@ -734,13 +683,15 @@ def orbit_points(M: SiegelModel, x_minus, x_zero) -> DomainPoint:
     axes of the coordinates.
 
     At the base point (i xi0, 0) the displayed action reads z = xi +
-    i Ad(exp x_zero) xi0 + i Phi(xi', xi') and w = xi': one
-    ``_cone_points`` and one Phi, and no group element.  Phi(xi', xi') is
-    real; its imaginary part is rounding and is dropped, so re z is xi.
+    i Ad(exp x_zero) xi0 + i Phi(xi', xi') and w = xi', with Ad(exp x_zero)
+    = expm(-ad x_zero): one ``_expm_stack`` and one Phi, and no group
+    element.  Phi(xi', xi') is real; its imaginary part is rounding and is
+    dropped, so re z is xi.
     """
-    x_minus = np.asarray(x_minus, dtype=float)
+    x_minus, x_zero = np.asarray(x_minus, dtype=float), np.asarray(x_zero, dtype=float)
     xi, xip = x_minus[..., : M.p], x_minus[..., M.p :]
-    cone = _cone_points(M, np.asarray(x_zero, dtype=float))
+    A = (x_zero @ M.ad1_gens.reshape(M.p0, M.p * M.p)).reshape(x_zero.shape[:-1] + (M.p, M.p))
+    cone = _expm_stack(-A)[..., : M.rank].sum(axis=-1)
     return DomainPoint(xi + 1j * (cone + M.phi(xip, xip).real), xip)
 
 

@@ -319,7 +319,7 @@ def test_domain_screen_rejects_a_domain_leaving_involution(tmp_path, capsys):
 @pytest.mark.parametrize("domain", ["ball:2", "product:[ball:3,ball:3]", "polydisc:3"])
 def test_screen_samples_are_interior_and_depend_only_on_the_seed(domain, monkeypatch):
     """The screen draws 20 points from its seed alone, all interior, and
-    tests their images with one stacked cone query at 1e-7."""
+    tests their images with one stacked cone query."""
     J = preset(domain)
     M = build_model(J)
     drawn, queries = [], []
@@ -332,11 +332,11 @@ def test_screen_samples_are_interior_and_depend_only_on_the_seed(domain, monkeyp
         np.random.seed(noise)  # the global generator must not matter
         analyzer.resolve_phi(identity, J, M, seed)
     assert [len(pts.z) for pts in drawn] == [20, 20, 20]
-    assert [(len(q[0].z), q[2]) for q in queries] == [(20, 1e-7)] * 3
+    assert [len(q[0].z) for q in queries] == [20] * 3
     np.testing.assert_array_equal(drawn[0].pack(), drawn[1].pack())
     assert not np.array_equal(drawn[0].pack(), drawn[2].pack())
     for pts in drawn:
-        assert np.all(contains(pts, M, 1e-9))
+        assert np.all(contains(pts, M))
         if M.p == 1:  # a ball: the cone is the positive ray
             assert np.all(domain_defect(pts, M) > 0)
 

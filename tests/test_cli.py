@@ -249,6 +249,19 @@ def test_ball_check_totally_real():
     assert "totally-real determinant |det [U | jU]| of the half part U: 1.000000e+00" in res.stdout
 
 
+def test_closed_output_pipe_ends_quietly():
+    """A reader that closes the pipe before the first line arrives, as
+    ``| head`` may, ends the command with ``EXIT_BROKEN_PIPE`` and nothing
+    on stderr: no traceback, and no "Exception ignored" from the flush at
+    exit."""
+    args = ["ball", "check-totally-real", "--n", "3", "--xi", "1,0,0.5,0,0,0.25"]
+    with subprocess.Popen([sys.executable, "-m", "hdq.cli", *args], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE, err
+    assert err == ""
+
+
 def test_non_finite_affine_map_is_input_error(tmp_path):
     lin = np.eye(4)
     lin[1, 0] = np.nan  # the imaginary-z row of ball:2

@@ -1,6 +1,5 @@
-"""Golden certificates: four certificates written by an earlier version
-of ``hdq`` and kept under ``tests/golden``, so that drift across versions
-shows.  Each must verify, and ``analyze`` on its input must reproduce it
+"""Golden certificates: four certificates written by ``hdq`` and kept
+under ``tests/golden``, so that drift across versions shows.  Each must verify, and ``analyze`` on its input must reproduce it
 field by field, every number within 1e-10 max(1, |value|).  The one
 exception is the ``residual`` of a ``conjugation_into_S`` step, which may
 also read lower than stored: each of its rows is now relative to
@@ -17,12 +16,15 @@ max(1, the largest entry of that row of phi').
   the ideal, so the ``subalgebra`` witness shows its frame.
 
 Superseded certificates are kept under ``golden/previous`` and must still
-verify.  The four of format version 1 store all three Jordan factors,
+verify.  The five of format version 1 store all three Jordan factors,
 under the same names; version 2 stores only the elliptic one.
 ``polydisc3_exp_tower_closed_form`` is the version-1 polydisc:3
 certificate whose ``x_zero`` is the closed-form orbit solve on the
 orthant cone (-0.25 to rounding), and ``polydisc3_exp_tower`` the one
 before it, whose Gauss-Newton stopped at -0.2499999981.
+``sym2_exp_fiber_gauss_newton`` is the version-2 Sym+(2) certificate
+whose ``x_zero`` an iterative cone solve left 2.3e-10 from the exact
+triangular-decomposition witness that ``sym2_exp_fiber`` now stores.
 """
 
 import json
@@ -61,10 +63,10 @@ def test_four_golden_certificates():
     ]
     assert [p.stem for p in PREVIOUS] == [
         "ball3_exp_fiber", "ball4_affine_rotation_dilation", "polydisc3_exp_tower",
-        "polydisc3_exp_tower_closed_form", "sym2_exp_fiber",
+        "polydisc3_exp_tower_closed_form", "sym2_exp_fiber", "sym2_exp_fiber_gauss_newton",
     ]
     assert [load_certificate(p)["version"] for p in GOLDEN] == [2] * 4
-    assert [load_certificate(p)["version"] for p in PREVIOUS] == [1] * 5
+    assert [load_certificate(p)["version"] for p in PREVIOUS] == [1] * 5 + [2]
 
 
 @pytest.mark.parametrize("path", GOLDEN, ids=lambda p: p.stem)

@@ -47,10 +47,11 @@ def test_sweep_cell_certifies_and_verifies(name, scale):
 def test_orthant_orbit_solve_certifies_at_scale(name, scale, k):
     """Two sweep elements on domains with an abelian 0-block that once
     stopped undecided at ``conjugation_into_S`` (row-relative residual
-    2.08e-6 and 1.03e-6 against 1e-6): Gauss-Newton stopped its orbit
-    solve at ``CONE_TOL`` relative to the whole point, which does not
-    bound the small entries of x_zero.  The closed-form orbit solve on
-    the orthant cone gives x_zero exactly, and both certify and verify."""
+    2.08e-6 and 1.03e-6 against 1e-6): an iterative orbit solve stopped
+    at ``CONE_TOL`` relative to the whole point, which did not bound the
+    small entries of x_zero.  On the orthant cone each pivot is its own
+    coordinate and x_zero is its log, exact to rounding, and both certify
+    and verify."""
     cert = json.loads(dump_certificate(analyze(name, sweep_phi(preset(name).L.basis_labels, scale, k))))
     assert cert["conclusion"] == "stein_certified", cert["assumptions"]
     step = next(s for s in cert["steps"] if s["kind"] == "conjugation_into_S")
