@@ -44,6 +44,8 @@ check cannot recompute; the check derives the rest:
   a mapping as given), which ``verify`` derives when it replays this
   step.  The check derives φ′ = e⁻¹A and measures e's commutator with A
   and spectrum; version 1 also stored h and u, whose product must be φ′.
+  An ``exp:`` phi is already in the split solvable group S, so analyze
+  stores e = I for it without a split (``_jordan_payload``).
 - ``discreteness``: ``kind`` and ``order``, re-decided from e and φ′; a
   finite order must take phi to I, an elliptic closure needs bounded
   powers of phi, and an infinite group bounded powers of e and unbounded
@@ -53,14 +55,20 @@ check cannot recompute; the check derives the rest:
   affine.
 - ``conjugation_into_S``: ``x_minus`` and ``x_zero``, compared with φ′
   entry by entry, each row of [linear | translation] relative to max(1,
-  the largest entry of that row of φ′).
+  the largest entry of that row of φ′).  For an ``exp:`` phi analyze
+  stores the element's own coordinates, with no orbit solve, and a check
+  that finds them bit for bit reuses the element phi resolved to
+  (``ReplayState.exp``); other coordinates build their own.
 - ``tower_descend``: ``dim_quotient_algebra``, compared with the
   recomputed tower (``fibration.Tower``, one level at a time).  The check
   is the level's structural residual (``Tower.residual``), which bounds
   how far the coordinate selection is from the equivariant projection;
   it draws no samples.  The walk takes the log y of φ′ once, in the
-  level-1 model's coordinates, where each quotient map selects columns:
-  a level descends with y[~ideal] while |y[~ideal]| / |y| is at least
+  level-1 model's coordinates, where each quotient map selects columns.
+  For an ``exp:`` phi, y is its own x, ``solve(M.basis, x)``, so the
+  stored coordinates are checked witnesses that never steer the descent;
+  for a mapping, y is ``element_log`` of the stored coordinates.  A level
+  descends with y[~ideal] while |y[~ideal]| / |y| is at least
   ``FIBER_BAND``, and builds no quotient group element.
 - ``fiber_case``: the totally-real ``subalgebra`` (an orthonormal basis
   aligned with the coordinates, one column per complex dimension of the
@@ -88,6 +96,7 @@ import json
 import math
 import re
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -181,15 +190,26 @@ def _homogenize(mat: np.ndarray, off: np.ndarray) -> np.ndarray:
     return np.vstack([np.column_stack([mat, off]), np.eye(1, len(off) + 1, len(off))])
 
 
+class ExpPhi(NamedTuple):
+    """The element exp(x) of an ``exp:`` phi, which lies in the split
+    solvable group S, and its log x, both in the level-1 model's
+    coordinates."""
+
+    element: GroupElement
+    log: np.ndarray
+
+
 def phi_affine(phi_spec, J: NormalJAlgebra, M: SiegelModel):
-    """(linear, translation) on packed coordinates of an ``exp:`` string
-    over the labels of the input algebra J, or of a mapping with ``linear``
-    and ``translation``; ``InputError`` when it does not parse or does not
-    fit the domain.  The string's vector is in J's coordinates, and enters
-    the model's through ``M.basis``."""
+    """(linear, translation, exp) on packed coordinates of an ``exp:``
+    string over the labels of the input algebra J, or of a mapping with
+    ``linear`` and ``translation``; ``InputError`` when it does not parse or
+    does not fit the domain.  The string's vector is in J's coordinates,
+    and enters the model's through ``M.basis``; ``exp`` is its
+    :class:`ExpPhi`, None for a mapping."""
     if isinstance(phi_spec, str) and phi_spec.startswith("exp:"):
-        g = element_from_vector(M, np.linalg.solve(M.basis, parse_combination(phi_spec[4:], J)))
-        return g.affine_matrix, g.affine_offset
+        y = np.linalg.solve(M.basis, parse_combination(phi_spec[4:], J))
+        g = element_from_vector(M, y)
+        return g.affine_matrix, g.affine_offset, ExpPhi(g, y)
     if not isinstance(phi_spec, dict):
         raise InputError(f"phi must be 'exp:<expr>', 'affine:<file>' or a mapping, got {phi_spec!r}")
     try:
@@ -202,15 +222,15 @@ def phi_affine(phi_spec, J: NormalJAlgebra, M: SiegelModel):
         raise InputError(f"affine map must act on packed coordinates of length {dim}")
     if not (np.all(np.isfinite(mat)) and np.all(np.isfinite(off))):
         raise InputError("affine map has non-finite entries")
-    return mat, off
+    return mat, off, None
 
 
 def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
-    """(what the user supplied, the homogenized matrix of phi) on the input
-    algebra J and its model M."""
+    """(what the user supplied, the homogenized matrix of phi, its
+    :class:`ExpPhi` or None) on the input algebra J and its model M."""
     if isinstance(phi_spec, str) and phi_spec.startswith("affine:"):
         phi_spec = jalgebra.read_json(phi_spec[7:])
-    mat, off = phi_affine(phi_spec, J, M)
+    mat, off, exp = phi_affine(phi_spec, J, M)
     if isinstance(phi_spec, dict):
         # screen: the images of 20 interior points drawn from the seed must
         # stay inside, all tested by one stacked cone query
@@ -218,7 +238,7 @@ def resolve_phi(phi_spec, J: NormalJAlgebra, M: SiegelModel, seed: int):
         img = DomainPoint.unpack(pts.pack() @ mat.T + off, M.p, M.q)
         if not np.all(contains(img, M)):
             raise InputError("affine map does not preserve the domain on a sample")
-    return phi_spec, _homogenize(mat, off)
+    return phi_spec, _homogenize(mat, off), exp
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +262,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
     if invalid:
         raise InputError(invalid)
 
-    phi_echo, phi_matrix = resolve_phi(phi_spec, J, M, seed)
+    phi_echo, phi_matrix, exp = resolve_phi(phi_spec, J, M, seed)
     cert = {
         "version": CERT_VERSION,
         "domain": domain_echo,
@@ -252,7 +272,7 @@ def analyze(domain_spec, phi_spec, seed: int = 42) -> dict:
         "assumptions": list(BASE_ASSUMPTIONS),
         "conclusion": None,
     }
-    state = ReplayState(M, phi_matrix=phi_matrix, tower=tower)
+    state = ReplayState(M, phi_matrix=phi_matrix, exp=exp, tower=tower)
     _walk(state, cert, _recorder(cert, state))
     return cert
 
@@ -339,7 +359,7 @@ def _walk(state: ReplayState, out: dict, take) -> None:
     # log y is taken once, in the level-1 model's coordinates, where every
     # quotient map selects the columns off the level's ideal mask
     level, M = 1, state.model
-    y = element_log(M, state.element.x_minus, state.element.x_zero)
+    y = state.exp.log if state.exp is not None else element_log(M, state.element.x_minus, state.element.x_zero)
     while M.J.dim:
         F = state.tower[level]
         total = float(np.linalg.norm(y))
@@ -367,15 +387,27 @@ def _walk(state: ReplayState, out: dict, take) -> None:
 
 
 def _jordan_payload(state: ReplayState) -> dict:
+    """The elliptic factor of the homogenized phi A.  An ``exp:`` phi needs
+    no split: its x lies in s, which validation makes split solvable, so ad
+    x has a real spectrum, and A is block-triangular with the diagonal
+    blocks expm(-ad x0) of x's 0-part x0 on the minus block, and 1.  Its
+    spectrum is positive real, and its elliptic factor is I (Borel, Linear
+    Algebraic Groups, §4)."""
+    A = state.homogenized_phi()
+    if state.exp is not None:
+        return {"elliptic": np.eye(len(A))}
     try:
-        parts = jordan_decompose(state.homogenized_phi())
+        parts = jordan_decompose(A)
     except ClusterAmbiguous as exc:
         raise StepRejected(str(exc)) from exc
     return {"elliptic": parts.elliptic}
 
 
 def _orbit_payload(state: ReplayState) -> dict:
-    """Exponential coordinates of phi' inside the split solvable group."""
+    """Exponential coordinates of phi' inside the split solvable group: an
+    ``exp:`` phi's own, since its elliptic factor is I and phi' is phi."""
+    if state.exp is not None:
+        return {"x_minus": state.exp.element.x_minus, "x_zero": state.exp.element.x_zero}
     M, N = state.model, len(state.phi_prime) - 1
     mat, off = state.phi_prime[:N, :N], state.phi_prime[:N, N]
     try:
@@ -465,6 +497,7 @@ class ReplayState:
     phi: object = None                    # the certificate's phi
     algebra: NormalJAlgebra | None = None  # the input algebra, whose labels phi uses
     phi_matrix: np.ndarray | None = None  # its homogenized matrix, derived on first use
+    exp: ExpPhi | None = None             # an exp: phi's element and log, derived with phi_matrix
     tower: Tower | None = None
     version: int = CERT_VERSION
     elliptic: np.ndarray | None = None   # the elliptic factor e of jordan_split
@@ -480,9 +513,10 @@ class ReplayState:
     def homogenized_phi(self) -> np.ndarray:
         if self.phi_matrix is None:
             try:
-                self.phi_matrix = _homogenize(*phi_affine(self.phi, self.algebra, self.model))
+                mat, off, self.exp = phi_affine(self.phi, self.algebra, self.model)
             except InputError as exc:
                 raise StepRejected(f"phi does not resolve on this domain: {exc}") from exc
+            self.phi_matrix = _homogenize(mat, off)
         return self.phi_matrix
 
 
@@ -612,8 +646,14 @@ def _affine_distance(F: np.ndarray, target: np.ndarray) -> float:
 
 
 def _check_conjugation(payload, state: ReplayState, level) -> float:
-    """The distance (``_affine_distance``) of the stored element from φ′."""
-    g = state.element = group_element(state.model, _array(payload, "x_minus"), _array(payload, "x_zero"))
+    """The distance (``_affine_distance``) of the stored element from φ′.
+    Coordinates equal bit for bit to an ``exp:`` phi's own reuse its
+    element, which ``group_element`` would rebuild as it is."""
+    x_minus, x_zero = _array(payload, "x_minus"), _array(payload, "x_zero")
+    g = state.exp.element if state.exp is not None else None
+    if g is None or not _same_bits((None, x_minus, x_zero), (None, g.x_minus, g.x_zero)):
+        g = group_element(state.model, x_minus, x_zero)
+    state.element = g
     return _affine_distance(np.column_stack([g.affine_matrix, g.affine_offset]), state.phi_prime[:-1])
 
 

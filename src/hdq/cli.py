@@ -3,13 +3,16 @@
 Exit codes: 0 analysis certified (or plain success), 2 not applicable,
 3 undecided, 4 input error.  ``verify`` exits 1 when a certificate fails
 its replay.  A command whose standard output is closed early, as by
-``| head``, exits 141, the shell's code for a death by SIGPIPE.
+``| head``, or missing from the start, as by ``>&-``, exits 141, the
+shell's code for a death by SIGPIPE, once it writes its result there.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
+import io
 import json
 import os
 import sys
@@ -173,7 +176,18 @@ def cmd_ball(args) -> int:
     return EXIT_OK
 
 
+class _ClosedStdout(io.TextIOBase):
+    """Stands in for the standard output of a process started without one
+    (``>&-``), where Python sets ``sys.stdout`` to None: the first write
+    fails as a closed pipe does."""
+
+    def write(self, text):
+        raise BrokenPipeError(errno.EPIPE, "standard output is closed")
+
+
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {
@@ -186,15 +200,15 @@ def main(argv=None) -> int:
     }
     try:
         code = handlers[args.command](args)
-        if sys.stdout:  # None when the process started without one
-            sys.stdout.flush()  # a closed pipe shows here, not at exit
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except HdqError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except BrokenPipeError:
-        # point stdout at devnull, so that the flush at exit does not raise
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if not isinstance(sys.stdout, _ClosedStdout):
+            # point stdout at devnull, so that the flush at exit does not raise
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
 
 

@@ -12,11 +12,12 @@ every vector the model reads or returns is in its coordinates.
 fibration tower assembles each quotient on a sliced subalgebra with the
 identity basis, and each fiber on the basis that pairs its half block.
 ``M.basis`` keeps the columns over the input's basis, read only where
-input coordinates enter: an ``exp:`` element (``analyzer.phi_affine``),
-the fiber log of the walk and the ``fiber_case`` subalgebra witness, both
-over the ideal's coordinates, and ``hdq ball check-totally-real``.  A
-model's arrays are read-only: one model serves every walk on its domain
-(``analyzer._prepared``).
+input coordinates enter: an ``exp:`` element's vector, once
+(``analyzer.phi_affine``, which keeps it as the log the walk descends
+from), the fiber log of the walk and the ``fiber_case`` subalgebra
+witness, both over the ideal's coordinates, and ``hdq ball
+check-totally-real``.  A model's arrays are read-only: one model serves
+every walk on its domain (``analyzer._prepared``).
 
 Group elements are stored in exponential coordinates (x_minus, x_zero) for
 exp(x_minus) exp(x_zero); the cached affine map on (z, w)-space is the

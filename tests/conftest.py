@@ -48,6 +48,15 @@ def tower(J):
     return [T[k] for k in range(1, T.model.rank + 1)]
 
 
+def exp_as_affine(domain, phi):
+    """The ``exp:`` string phi on the preset domain as the mapping of its
+    affine map (``analyzer.phi_affine``'s linear part and translation),
+    which takes the Jordan split and the orbit solve."""
+    J = jalgebra.preset(domain)
+    mat, off, _ = analyzer.phi_affine(phi, J, build_model(J))
+    return {"linear": mat.tolist(), "translation": off.tolist()}
+
+
 def random_element(M, rng, bound=1.0):
     """A group element with exponential coordinates uniform in [-bound, bound]."""
     return group_element(M, rng.uniform(-bound, bound, M.p + M.q), rng.uniform(-bound, bound, M.p0))

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from conftest import exp_as_affine
 from hdq import analyzer, fibration, jalgebra, lie_core
 from hdq.analyzer import (
     analyze,
@@ -836,14 +837,75 @@ def test_exp_20_delta_on_ball2_certifies():
     split lumps the eigenvalues e^10 and 1 together.  Its unipotent factor
     was then not unipotent (nilpotency residual about 1), and the analysis
     stopped undecided.  The elliptic factor, I, is right, and is all the
-    split stores: the element certifies and verifies.  exp(40 delta) is
-    still too ill-conditioned to split."""
-    cert = json.loads(dump_certificate(analyze("ball:2", "exp:20*delta")))
-    assert cert["conclusion"] == "stein_certified", cert["assumptions"][-1]
-    assert cert["steps"][0]["payload"] == {"elliptic": np.eye(5).tolist()}
-    assert verify(cert)[0]
+    split stores: the matrix, given as an affine map, certifies and
+    verifies.  exp(40 delta) as an affine map is still too ill-conditioned
+    to split; as ``exp:`` strings, which take no split, both certify."""
+    for phi in (exp_as_affine("ball:2", "exp:20*delta"), "exp:20*delta", "exp:40*delta"):
+        cert = json.loads(dump_certificate(analyze("ball:2", phi)))
+        assert cert["conclusion"] == "stein_certified", cert["assumptions"][-1]
+        assert cert["steps"][0]["payload"] == {"elliptic": np.eye(5).tolist()}
+        assert verify(cert)[0]
     with pytest.raises(NotInvertible):
-        analyze("ball:2", "exp:40*delta")
+        analyze("ball:2", exp_as_affine("ball:2", "exp:40*delta"))
+
+
+def _counting(monkeypatch, module, names):
+    """Call counts of the functions ``names`` as ``module`` binds them."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_exp_element_is_carried_through_the_walk(monkeypatch, relabelled_polydisc):
+    """An ``exp:`` phi is already in S with its log known: on operation 0
+    of the ball-fiber benchmark analyze makes no Jordan split, orbit solve
+    or log recovery, and verify builds the element once, in
+    ``phi_affine``, which the conjugation check reuses.  An ``affine:``
+    dilation still takes the split, the orbit solve and the log."""
+    from hdq import siegel
+
+    names = ("jordan_decompose", "solve_orbit", "element_log", "group_element")
+    calls = _counting(monkeypatch, analyzer, names)
+    built = _counting(monkeypatch, siegel, ("group_element",))
+    domain, phi = _benchmark_op0("ball-fiber", relabelled_polydisc)
+    cert = analyze(domain, phi)
+    assert cert["conclusion"] == "stein_certified"
+    assert calls == dict.fromkeys(names, 0)
+    assert built["group_element"] == 1
+    built["group_element"] = 0
+    assert verify(json.loads(dump_certificate(cert)))[0]
+    assert calls == dict.fromkeys(names, 0)
+    assert built["group_element"] == 1
+    cert = analyze("ball:2", rotation_phi(0.0, dilation=0.3))
+    assert cert["conclusion"] == "stein_certified"
+    assert calls == {"jordan_decompose": 1, "solve_orbit": 1, "element_log": 1, "group_element": 1}
+
+
+def test_exp_certificate_with_moved_coordinates_rebuilds_the_element(monkeypatch, relabelled_polydisc):
+    """Stored coordinates one ulp from an ``exp:`` phi's own are not its
+    element: the check rebuilds the element from them with
+    ``group_element``, and the certificate still verifies.  Moved by 1e-3
+    they fail the check."""
+    domain, phi = _benchmark_op0("ball-fiber", relabelled_polydisc)
+    cert = json.loads(dump_certificate(analyze(domain, phi)))
+    payload = next(s["payload"] for s in cert["steps"] if s["kind"] == "conjugation_into_S")
+    x_zero = payload["x_zero"][0]
+    payload["x_zero"][0] = float(np.nextafter(x_zero, np.inf))
+    calls = _counting(monkeypatch, analyzer, ("group_element",))
+    ok, report = verify(cert)
+    assert ok, report
+    assert calls["group_element"] == 1
+    payload["x_zero"][0] = x_zero + 1e-3
+    ok, report = verify(cert)
+    assert not ok
+    assert [r["kind"] for r in report if not r["ok"]] == ["conjugation_into_S"], report
 
 
 # 2 pi TURN is more than 1e-9 turns from every rational angle of

@@ -7,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import exp_as_affine
 from hdq import cli, jalgebra, lie_core
 from hdq.lie_core import span
 
@@ -58,19 +59,26 @@ def test_analyze_input_error():
 
 
 def test_ambiguous_eigenvalue_clusters_end_undecided(tmp_path):
-    """An element whose Jordan split cannot tell two eigenvalue clusters
+    """An affine map whose Jordan split cannot tell two eigenvalue clusters
     apart ends undecided (exit 3) and names them; it once raised
-    ClusterAmbiguous and exited 4, as on an input error."""
+    ClusterAmbiguous and exited 4, as on an input error.  The same element
+    as an ``exp:`` string takes no split and certifies."""
     out = tmp_path / "cert.json"
     phi = (
         "exp:- 2.860292172405*delta1 - 3.427455895897*zeta1 + 5.942695609637*delta2"
         " - 2.652193941482*zeta2 - 3.908851516811*delta3 + 1.317468708711*zeta3"
     )
-    res = run_cli("analyze", "--domain", "polydisc:3", "--phi", phi, "--out", str(out))
+    affine = tmp_path / "phi.json"
+    affine.write_text(json.dumps(exp_as_affine("polydisc:3", phi)))
+    res = run_cli("analyze", "--domain", "polydisc:3", "--phi", f"affine:{affine}", "--out", str(out))
     assert res.returncode == 3, res.stderr
     cert = json.loads(out.read_text())
     assert cert["conclusion"] == "undecided"
-    assert "eigenvalue clusters at" in cert["assumptions"][-1]
+    assert "eigenvalue clusters at 0.0386578+0j and 1+0j nearly merge" in cert["assumptions"][-1]
+    res = run_cli("verify", str(out))
+    assert res.returncode == 0, res.stdout + res.stderr
+    res = run_cli("analyze", "--domain", "polydisc:3", "--phi", phi, "--out", str(out))
+    assert res.returncode == 0, res.stderr
     res = run_cli("verify", str(out))
     assert res.returncode == 0, res.stdout + res.stderr
 
@@ -262,6 +270,25 @@ def test_closed_output_pipe_ends_quietly():
     assert err == ""
 
 
+@pytest.mark.parametrize("args, code", [
+    (["analyze", "--domain", "ball:2", "--phi", "exp:0.5*delta"], cli.EXIT_BROKEN_PIPE),
+    (["ball", "check-totally-real", "--n", "3", "--xi", "1,0,0.5,0,0,0.25"], cli.EXIT_BROKEN_PIPE),
+    (["analyze", "--domain", "ball:2", "--phi", "exp:0.5*delta", "--out", "{out}"], cli.EXIT_OK),
+])
+def test_missing_stdout_ends_quietly(tmp_path, args, code):
+    """A command started with its standard output closed (``>&-``) whose
+    result goes there ends with ``EXIT_BROKEN_PIPE`` and no traceback; it
+    once exited 0 having printed nothing, or ended in an AttributeError.
+    ``analyze --out`` writes no result there and exits by its conclusion."""
+    out = tmp_path / "cert.json"
+    args = [a.format(out=out) for a in args]
+    res = subprocess.run(["sh", "-c", 'exec "$0" "$@" >&-', sys.executable, "-m", "hdq.cli", *args], stderr=subprocess.PIPE, text=True)
+    assert res.returncode == code, res.stderr
+    assert "Traceback" not in res.stderr
+    if code == cli.EXIT_OK:
+        assert json.loads(out.read_text())["conclusion"] == "stein_certified"
+
+
 def test_non_finite_affine_map_is_input_error(tmp_path):
     lin = np.eye(4)
     lin[1, 0] = np.nan  # the imaginary-z row of ball:2
@@ -345,13 +372,20 @@ def test_overflowing_exp_element_is_input_error(domain, phi):
     assert "RuntimeWarning" not in res.stderr
 
 
-def test_ill_conditioned_matrix_names_its_condition_number(capsys):
-    """exp(40 delta) on ball:2 is invertible but too ill-conditioned to
-    decompose; the error says so with the condition number, exit code 4."""
-    assert cli.main(["analyze", "--domain", "ball:2", "--phi", "exp:40*delta"]) == 4
+def test_ill_conditioned_matrix_names_its_condition_number(capsys, tmp_path):
+    """exp(40 delta) on ball:2, given as an affine map, is invertible but
+    too ill-conditioned to decompose; the error says so with the condition
+    number, exit code 4.  As an ``exp:`` string it takes no split and
+    certifies."""
+    affine = tmp_path / "phi.json"
+    affine.write_text(json.dumps(exp_as_affine("ball:2", "exp:40*delta")))
+    assert cli.main(["analyze", "--domain", "ball:2", "--phi", f"affine:{affine}"]) == 4
     err = capsys.readouterr().err
     assert "condition number 2.354e+17 exceeds 1/INVERTIBLE_RTOL = 1e+12" in err
     assert "not invertible" not in err
+    out = tmp_path / "cert.json"
+    assert cli.main(["analyze", "--domain", "ball:2", "--phi", "exp:40*delta", "--out", str(out)]) == 0
+    assert cli.main(["verify", str(out)]) == 0
 
 
 def test_buffered_stdout_ends_with_the_result(tmp_path, relabelled_polydisc):

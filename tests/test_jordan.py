@@ -1,9 +1,12 @@
+import json
+
 import numpy as np
 import pytest
 from scipy.linalg import block_diag, expm
 
+from conftest import exp_as_affine
 from hdq import jordan
-from hdq.analyzer import analyze
+from hdq.analyzer import analyze, dump_certificate, verify
 from hdq.errors import NotInvertible
 from hdq.jordan import classify, cyclic_discreteness, jordan_decompose
 from hdq.jalgebra import ball_jalgebra, preset
@@ -268,14 +271,19 @@ WIDE_POLYDISC6 = (
 
 
 def test_near_merge_inputs_keep_their_outcomes():
-    """A polydisc:6 element whose spectrum runs from 0.0064 to e^6 lumps
-    its small eigenvalues into clusters that nearly merge, and ball:2's
-    exp(40 delta) is too ill-conditioned to split: both end as before."""
-    cert = analyze("polydisc:6", WIDE_POLYDISC6)
+    """Given as affine maps, a polydisc:6 element whose spectrum runs from
+    0.0064 to e^6 lumps its small eigenvalues into clusters that nearly
+    merge, and ball:2's exp(40 delta) is too ill-conditioned to split: both
+    end as before.  As ``exp:`` strings they take no split and certify."""
+    cert = analyze("polydisc:6", exp_as_affine("polydisc:6", WIDE_POLYDISC6))
     assert cert["conclusion"] == "undecided" and cert["steps"] == []
     assert "eigenvalue clusters at 0.0064102+0j and 0.360595+0j nearly merge" in cert["assumptions"]
     with pytest.raises(NotInvertible, match="condition number 2.354e"):
-        analyze("ball:2", "exp:40*delta")
+        analyze("ball:2", exp_as_affine("ball:2", "exp:40*delta"))
+    for domain, phi in (("polydisc:6", WIDE_POLYDISC6), ("ball:2", "exp:40*delta")):
+        cert = json.loads(dump_certificate(analyze(domain, phi)))
+        assert cert["conclusion"] == "stein_certified", cert["assumptions"]
+        assert verify(cert)[0]
 
 
 # (seed, delta coefficient, |e - I| at the parent commit; the FOUND line's
@@ -288,12 +296,14 @@ def test_near_merge_ball8_elements_stay_certified(seed, delta, bound):
     """ball:8 elements with a delta coefficient of 2.1e-4 to 3e-4 (the other
     coefficients from default_rng(seed) in [-1, 1]) have eigenvalues 1, e^(delta/2)
     and e^delta, clusters about 1e-4 apart split by an ill-conditioned
-    basis.  They are certified, with an elliptic factor no farther from I
-    than at the parent commit."""
+    basis.  Given as affine maps, which take the split (an ``exp:`` string
+    does not), they are certified, with an elliptic factor no farther from
+    I than at the parent commit."""
     labels = preset("ball:8").L.basis_labels
     x = np.random.default_rng(seed).uniform(-1.0, 1.0, len(labels))
     x[labels.index("delta")] = delta
-    cert = analyze("ball:8", "exp:" + " + ".join(f"{c!r}*{lbl}" for c, lbl in zip(x.tolist(), labels)))
+    phi = "exp:" + " + ".join(f"{c!r}*{lbl}" for c, lbl in zip(x.tolist(), labels))
+    cert = analyze("ball:8", exp_as_affine("ball:8", phi))
     assert cert["conclusion"] == "stein_certified"
     e = np.asarray(cert["steps"][0]["payload"]["elliptic"])
     assert np.linalg.norm(e - np.eye(len(e))) <= bound
